@@ -12,14 +12,13 @@ calculus on F(y) = y^(N+1) - 1 - p.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MaximaError
 from .numerics import QuadratureSpec, integrate_plane, newton_complex
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -115,21 +114,20 @@ def bubble_residual(params: BubbleParams, y) -> float | np.ndarray:
     cancellation only.
     """
     y = np.asarray(y, dtype=complex)
-    lap = bubble_laplacian(params, y)
-    weight = np.abs(y) ** (2 * params.N) if params.N > 0 else np.ones_like(y, dtype=float)
-    res = lap + weight * params.h * np.exp(eval_bubble(params, y))
+    res = bubble_laplacian(params, y) + bubble_density(params, y)
     return float(res) if res.ndim == 0 else res
+
+
+def bubble_density(params: BubbleParams, y, h=None):
+    """Mass density |y|^(2N) h e^V; h defaults to params.h (a number or an array)."""
+    h = params.h if h is None else h
+    return np.abs(y) ** (2 * params.N) * h * np.exp(eval_bubble(params, y))
 
 
 def total_mass(params: BubbleParams, spec: QuadratureSpec | None = None) -> float:
     """integral over the plane of |y|^(2N) h e^V = 8 pi (N+1), whatever mu, p, h."""
     spec = spec or QuadratureSpec()
-
-    def integrand(z):
-        w = np.abs(z) ** (2 * params.N) if params.N > 0 else 1.0
-        return w * params.h * np.exp(eval_bubble(params, z))
-
-    return integrate_plane(integrand, spec)
+    return integrate_plane(lambda z: bubble_density(params, z), spec)
 
 
 @dataclass
@@ -159,16 +157,16 @@ def find_maxima(params: BubbleParams, newton_tol: float = 1e-14) -> MaximaResult
     target = 1.0 + params.p
     roots = []
     for l in range(n1):
-        seed = np.exp(1j * TWO_PI * l / n1)
+        seed = np.exp(1j * math.tau * l / n1)
         try:
             q = newton_complex(lambda z: z ** n1 - target,
                                lambda z: n1 * z ** (n1 - 1), seed, tol=newton_tol)
         except ValueError as exc:
             raise MaximaError(f"maxima not localized: {exc}") from exc
         roots.append(q)
-    Q = np.asarray(sorted(roots, key=lambda q: np.angle(q) % TWO_PI))
-    beta = np.angle(Q[0]) % TWO_PI + TWO_PI * np.arange(n1) / n1
-    predicted = np.exp(1j * TWO_PI * np.arange(n1) / n1) * (1.0 + params.p / n1)
+    Q = np.asarray(sorted(roots, key=lambda q: np.angle(q) % math.tau))
+    beta = np.angle(Q[0]) % math.tau + math.tau * np.arange(n1) / n1
+    predicted = np.exp(1j * math.tau * np.arange(n1) / n1) * (1.0 + params.p / n1)
     gap = np.abs(Q - predicted)
     m = Q * np.exp(-1j * beta) - abs(Q[0])
     return MaximaResult(Q=Q, predicted=predicted, gap=gap, m=m)
@@ -208,7 +206,7 @@ def far_field_gap(params: BubbleParams, spec: FarFieldSpec) -> float:
 
 def far_field_max_gap(params: BubbleParams, L: float, n_theta: int = 512) -> float:
     """max over theta of |far_field_gap| at radius L."""
-    thetas = TWO_PI * np.arange(n_theta) / n_theta
+    thetas = math.tau * np.arange(n_theta) / n_theta
     gaps = [far_field_gap(params, FarFieldSpec(L=L, theta=t)) for t in thetas]
     return float(np.max(np.abs(gaps)))
 

@@ -5,7 +5,7 @@
         --format {json,csv}
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 usage error,
-3 I/O failure.  LIOUVILLE_LAB_THREADS caps scenario parallelism.
+3 I/O failure.
 """
 
 from __future__ import annotations
@@ -55,6 +55,9 @@ def main(argv=None) -> int:
 
     if args.seed is not None:
         cfg.seed = args.seed
+    if cfg.seed < 0:
+        print(f"usage error: seed must be non-negative, got {cfg.seed}", file=sys.stderr)
+        return EXIT_USAGE
     if args.tol is not None:
         cfg.rel_tol = args.tol
     overrides = {"seed": cfg.seed}

@@ -21,15 +21,14 @@ gradient is comparable to delta* at at least one root.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bubbles import BubbleParams, eval_bubble
 from .errors import DegenerateLayerError, DichotomyError
-from .numerics import FourierCoefficients, circle_fourier, sample_circle
-
-TWO_PI = 2.0 * np.pi
+from .numerics import FourierCoefficients, circle_fourier, polar_sum, sample_circle
 
 
 @dataclass
@@ -63,13 +62,8 @@ def harmonic_extend(data: FourierBoundaryData, y) -> float | np.ndarray:
     y = np.asarray(y, dtype=complex)
     if np.any(np.abs(y) > data.radius * (1.0 + 1e-12)):
         raise ValueError("evaluation point outside the boundary circle")
-    r = np.abs(y) / data.radius
-    th = np.angle(y)
-    a, b = data.coefficients.a, data.coefficients.b
-    n = np.arange(a.size)
-    rn = r[..., None] ** n
-    out = a[0] + (rn[..., 1:] * (a[1:] * np.cos(np.multiply.outer(th, n[1:]))
-                                 + b[1:] * np.sin(np.multiply.outer(th, n[1:])))).sum(axis=-1)
+    c = data.coefficients
+    out = polar_sum(c.a, c.b, np.abs(y) / data.radius, np.angle(y))
     return float(out) if out.ndim == 0 else out
 
 
@@ -116,12 +110,7 @@ class LayerField:
 
     def phi0(self, y) -> float | np.ndarray:
         y = np.asarray(y, dtype=complex)
-        r = np.abs(y)
-        th = np.angle(y)
-        n = np.arange(self.A.size)
-        rn = r[..., None] ** n
-        out = (rn * (self.A * np.cos(np.multiply.outer(th, n))
-                     + self.B * np.sin(np.multiply.outer(th, n)))).sum(axis=-1)
+        out = polar_sum(self.A, self.B, np.abs(y), np.angle(y))
         return float(out) if out.ndim == 0 else out
 
     def phi0_gradient(self, y):
@@ -233,7 +222,7 @@ def grad_h_at_roots(layer: LayerField, N: int | None = None,
     """
     if N is None:
         N = layer.N
-    roots = np.exp(1j * TWO_PI * np.arange(N + 1) / (N + 1))
+    roots = np.exp(1j * math.tau * np.arange(N + 1) / (N + 1))
     grads = []
     ratios = []
     for q in roots:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubbles import BubbleParams, eval_bubble
+from .bubbles import BubbleParams, bubble_density, eval_bubble
 from .errors import InteractionMismatchError, KernelFitError
 from .kernels import kernel_functions
 from .numerics import QuadratureSpec, integrate_disk, integrate_plane
@@ -146,13 +146,12 @@ def moment_integrals(params: BubbleParams, spec: QuadratureSpec | None = None):
     spec = spec or QuadratureSpec()
     c = params.coefficient
     off = 1.0 + params.p
-    n2 = 2 * params.N
 
     def q(z):
         return c * np.abs(z ** (params.N + 1) - off) ** 2
 
     def weight(z):
-        return np.abs(z) ** n2 if params.N > 0 else 1.0
+        return np.abs(z) ** (2 * params.N)
 
     def integrand0(z):
         qq = q(z)
@@ -218,9 +217,7 @@ def interaction_coefficient(params: InteractionParams,
     radius = 0.5 / eps
 
     def kernel(z):
-        y = Q_s + eps * z
-        w = np.abs(y) ** (2 * params.N)
-        return params.h_l * w * eps ** 2 * np.exp(eval_bubble(bubble_s, y)) / params.M
+        return bubble_density(bubble_s, Q_s + eps * z, params.h_l) * eps ** 2 / params.M
 
     def make_integrand(which):
         def f(z):

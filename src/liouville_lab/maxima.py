@@ -13,15 +13,12 @@ perturbations, with d_j = 1/sin^2(j pi/(N+1)) and diagonal D = N(N+2)/3.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import LinearSolveDiagnostics, solve_with_diagnostics
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass
@@ -45,7 +42,7 @@ class MaximaConfiguration:
 
     @classmethod
     def from_roots(cls, N: int, perturbations=None, R: float = math.inf):
-        beta = TWO_PI * np.arange(N + 1) / (N + 1)
+        beta = math.tau * np.arange(N + 1) / (N + 1)
         m = np.zeros(N + 1, dtype=complex) if perturbations is None \
             else np.asarray(perturbations, dtype=complex)
         return cls(N=N, Q=np.exp(1j * beta) * (1.0 + m), m=m, R=R)
@@ -106,14 +103,14 @@ def green_disk(R: float, y: complex, eta: complex):
         raise ValueError("Green's function is singular on the diagonal")
     if eta == 0:
         # limit of |eta| |y - R^2 eta / |eta|^2| as eta -> 0 is R^2
-        H = (1.0 / TWO_PI) * math.log(R)
-        G = -(1.0 / TWO_PI) * math.log(abs(y)) + H
+        H = (1.0 / math.tau) * math.log(R)
+        G = -(1.0 / math.tau) * math.log(abs(y)) + H
         return G, H, 0j
     eta_star = R * R * eta / (abs(eta) ** 2)
-    H = (1.0 / TWO_PI) * math.log(abs(eta) * abs(y - eta_star) / R)
-    G = -(1.0 / TWO_PI) * math.log(abs(y - eta)) + H
+    H = (1.0 / math.tau) * math.log(abs(eta) * abs(y - eta_star) / R)
+    G = -(1.0 / math.tau) * math.log(abs(y - eta)) + H
     diff = y - eta_star
-    grad1 = (1.0 / TWO_PI) * diff / abs(diff) ** 2
+    grad1 = (1.0 / math.tau) * diff / abs(diff) ** 2
     return G, H, grad1
 
 
@@ -149,7 +146,7 @@ def oscillation_gradient(config: MaximaConfiguration):
                 # regular part is smooth on the diagonal, so the self term is fine
                 eta_star = config.R ** 2 * Q[l] / abs(Q[l]) ** 2
                 diff = Q[m] - eta_star
-                corr += 8.0 * math.pi * (1.0 / TWO_PI) * diff / abs(diff) ** 2
+                corr += 8.0 * math.pi * (1.0 / math.tau) * diff / abs(diff) ** 2
             corrections.append(corr)
     return np.asarray(grads), np.asarray(corrections)
 
@@ -184,7 +181,7 @@ def check_half_angle_identity(n_theta: int = 720) -> IdentityCheck:
     is measured relative to 1 + |rhs| (the absolute difference is then float
     cancellation only).
     """
-    theta = TWO_PI * np.arange(1, n_theta) / n_theta
+    theta = math.tau * np.arange(1, n_theta) / n_theta
     z = np.exp(1j * theta)
     lhs = z / (1.0 - z) ** 2
     rhs = -0.25 / np.sin(theta / 2.0) ** 2
@@ -194,7 +191,7 @@ def check_half_angle_identity(n_theta: int = 720) -> IdentityCheck:
 
 def check_root_sum_identity(N: int) -> IdentityCheck:
     """N = 2 sum_{j != l} e^{i beta_l} / (e^{i beta_l} - e^{i beta_j}) for every l."""
-    beta = TWO_PI * np.arange(N + 1) / (N + 1)
+    beta = math.tau * np.arange(N + 1) / (N + 1)
     z = np.exp(1j * beta)
     worst = 0.0
     for l in range(N + 1):
@@ -280,19 +277,3 @@ def solve_maxima_system(N: int, rhs) -> MaximaSystemSolution:
         l0_residual=float(l0_res),
     )
 
-
-def matrix_to_csv(solution: MaximaSystemSolution, path) -> None:
-    """Matrix and diagnostics as CSV."""
-    mat = solution.matrix
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", mat.N])
-        writer.writerow(["D", f"{mat.D:.17g}"])
-        writer.writerow(["d_j"] + [f"{v:.17g}" for v in mat.d])
-        writer.writerow(["min_singular_value", f"{solution.min_singular_value:.17g}"])
-        writer.writerow(["condition_number", f"{solution.condition_number:.17g}"])
-        writer.writerow(["dominance_margins"] + [f"{v:.17g}" for v in solution.dominance_margins])
-        writer.writerow([])
-        writer.writerow(["A"])
-        for row in mat.A:
-            writer.writerow([f"{v:.17g}" for v in row])

@@ -1,9 +1,9 @@
 """Shared numerical substrate.
 
-Adaptive quadrature on intervals, disks, annuli and the whole plane; discrete
-Fourier analysis on circles; an adaptive ODE integrator; root finding; small
-dense linear algebra with singular-value diagnostics; finite-difference
-gradient certification.
+Adaptive quadrature on intervals, disks, circles and the whole plane; discrete
+Fourier analysis on circles and the polar Fourier sum; an adaptive ODE
+integrator; root finding; small dense linear algebra with singular-value
+diagnostics; finite-difference gradient certification.
 
 Scalar fields are callables ``f(z)`` taking a complex number or a complex
 ndarray and returning real values of the same shape.
@@ -11,6 +11,7 @@ ndarray and returning real values of the same shape.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,8 +25,6 @@ from .errors import (
     QuadratureBudgetError,
     StiffODEError,
 )
-
-_TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ class PolarGrid:
 def make_polar_grid(r_max: float, n_r: int, n_theta: int, center: complex = 0j,
                     r_min: float = 0.0) -> PolarGrid:
     radii = np.linspace(r_min, r_max, n_r + 1)[1:]
-    angles = _TWO_PI * np.arange(n_theta) / n_theta
+    angles = math.tau * np.arange(n_theta) / n_theta
     return PolarGrid(radii=radii, angles=angles, center=center)
 
 
@@ -81,7 +80,7 @@ def riemann_sum(f, grid: PolarGrid) -> float:
     """Midpoint-flavoured polar Riemann sum; deliberately naive (test oracle)."""
     r = grid.radii
     dr = np.diff(np.concatenate(([0.0] if r[0] > 0 else [r[0]], r)))
-    dth = _TWO_PI / grid.angles.size
+    dth = math.tau / grid.angles.size
     vals = f(grid.points())
     return float(np.sum(vals * r[:, None] * dr[:, None] * dth))
 
@@ -109,13 +108,18 @@ class FourierCoefficients:
 
     def synthesize(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        n = np.arange(self.a.size)[:, None]
-        return (self.a[:, None] * np.cos(n * theta[None, :])
-                + self.b[:, None] * np.sin(n * theta[None, :])).sum(axis=0)
+        return polar_sum(self.a, self.b, 1.0, theta)
 
 
 # ----------------------------------------------------------------------------
 # circle Fourier analysis
+
+def polar_sum(a, b, r, theta):
+    """sum_n r^n (a[n] cos(n theta) + b[n] sin(n theta)), elementwise in r and theta."""
+    n = np.arange(len(a))
+    nth = np.multiply.outer(theta, n)
+    return (np.asarray(r)[..., None] ** n * (a * np.cos(nth) + b * np.sin(nth))).sum(axis=-1)
+
 
 def circle_fourier(values: np.ndarray, n_max: int) -> FourierCoefficients:
     """Trapezoidal Fourier coefficients of uniform circle samples.
@@ -141,7 +145,7 @@ def circle_fourier(values: np.ndarray, n_max: int) -> FourierCoefficients:
 
 
 def sample_circle(f, center: complex, radius: float, m: int) -> np.ndarray:
-    theta = _TWO_PI * np.arange(m) / m
+    theta = math.tau * np.arange(m) / m
     return np.asarray(f(center + radius * np.exp(1j * theta)), dtype=float)
 
 
@@ -152,10 +156,10 @@ def _circle_mean(f, center: complex, r: float, rel_tol: float, abs_tol: float,
                  m_start: int = 64, m_max: int = 1 << 20) -> float:
     """Adaptive trapezoid average of f over a circle (spectral for analytic f)."""
     m = m_start
-    prev = np.mean(f(center + r * np.exp(1j * _TWO_PI * np.arange(m) / m)))
+    prev = np.mean(f(center + r * np.exp(1j * math.tau * np.arange(m) / m)))
     while m <= m_max:
         m *= 2
-        cur = np.mean(f(center + r * np.exp(1j * _TWO_PI * np.arange(m) / m)))
+        cur = np.mean(f(center + r * np.exp(1j * math.tau * np.arange(m) / m)))
         if abs(cur - prev) <= max(abs_tol, rel_tol * abs(cur)):
             return float(cur)
         prev = cur
@@ -164,10 +168,16 @@ def _circle_mean(f, center: complex, r: float, rel_tol: float, abs_tol: float,
         value=float(prev), estimate=abs(cur - prev))
 
 
-def _quad(func, a: float, b: float, spec: QuadratureSpec, points=None) -> float:
+def integrate_interval(f, a: float, b: float, spec: QuadratureSpec,
+                       points=None) -> float:
+    """Adaptive integral of a scalar function over [a, b].
+
+    Raises QuadratureBudgetError when scipy reports trouble and its error
+    estimate exceeds the tolerances of ``spec``.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        out = integrate.quad(func, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+        out = integrate.quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
                              limit=spec.max_subdivisions, points=points, full_output=1)
     if len(out) > 3:  # message present: budget or roundoff trouble
         y, err = out[0], out[1]
@@ -175,12 +185,6 @@ def _quad(func, a: float, b: float, spec: QuadratureSpec, points=None) -> float:
             raise QuadratureBudgetError(
                 f"quadrature budget exceeded: {out[3]}", value=float(y), estimate=float(err))
     return float(out[0])
-
-
-def integrate_interval(f, a: float, b: float, spec: QuadratureSpec,
-                       points=None) -> float:
-    """Adaptive integral of a scalar function over [a, b]."""
-    return _quad(f, a, b, spec, points=points)
 
 
 def integrate_disk(f, center: complex, radius: float, spec: QuadratureSpec,
@@ -192,30 +196,18 @@ def integrate_disk(f, center: complex, radius: float, spec: QuadratureSpec,
         if r == 0.0:
             return 0.0
         mean = _circle_mean(f, center, r, spec.rel_tol * theta_tol, spec.abs_tol * theta_tol)
-        return _TWO_PI * r * mean
+        return math.tau * r * mean
 
     points = None
     if radial_splits is not None:
         points = [s for s in radial_splits if 0.0 < s < radius]
-    return _quad(ring, 0.0, radius, spec, points=points)
-
-
-def integrate_annulus(f, center: complex, r_in: float, r_out: float,
-                      spec: QuadratureSpec) -> float:
-    if not 0.0 <= r_in < r_out:
-        raise ValueError("need 0 <= r_in < r_out")
-
-    def ring(r):
-        mean = _circle_mean(f, center, r, spec.rel_tol * 0.1, spec.abs_tol * 0.1)
-        return _TWO_PI * r * mean
-
-    return _quad(ring, r_in, r_out, spec)
+    return integrate_interval(ring, 0.0, radius, spec, points=points)
 
 
 def integrate_circle(f, center: complex, radius: float, spec: QuadratureSpec) -> float:
     """Line integral of f along the circle of the given radius."""
     mean = _circle_mean(f, center, radius, spec.rel_tol, spec.abs_tol)
-    return _TWO_PI * radius * mean
+    return math.tau * radius * mean
 
 
 def integrate_plane(f, spec: QuadratureSpec) -> float:
@@ -238,7 +230,7 @@ def integrate_plane(f, spec: QuadratureSpec) -> float:
         mean = _circle_mean(f, 0j, r, spec.rel_tol * theta_tol, spec.abs_tol * theta_tol)
         return mean * np.pi * s / (1.0 - t) ** 2
 
-    return _quad(trans, 0.0, 1.0, spec)
+    return integrate_interval(trans, 0.0, 1.0, spec)
 
 
 # ----------------------------------------------------------------------------

@@ -21,12 +21,17 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bubbles import BubbleParams, bubble_gradient, bubble_laplacian, eval_bubble, find_maxima
+from .bubbles import (
+    BubbleParams,
+    bubble_density,
+    bubble_gradient,
+    bubble_laplacian,
+    eval_bubble,
+    find_maxima,
+)
 from .errors import ContrastMismatchError, NotASolutionError
 from .harmonic import LayerField
 from .numerics import QuadratureSpec, integrate_circle, integrate_disk
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass
@@ -107,8 +112,7 @@ def _spot_check_solution(field: SolutionField, h, N: int, center: complex,
     worst = 0.0
     for z in pts:
         lap = float(field.laplacian(z))
-        w = abs(z) ** (2 * N) if N > 0 else 1.0
-        src = w * float(h(z)) * math.exp(float(field.value(z)))
+        src = abs(z) ** (2 * N) * float(h(z)) * math.exp(float(field.value(z)))
         res = abs(lap + src) / max(abs(lap), abs(src), 1.0)
         worst = max(worst, res)
     if worst > rel_tol:
@@ -137,7 +141,7 @@ def pohozaev_check(field: SolutionField, h, grad_h, N: int, center: complex,
     n2 = 2 * N
 
     def weight(z):
-        return np.abs(z) ** n2 if N > 0 else np.ones(np.shape(z))
+        return np.abs(z) ** n2
 
     def d_xi_weight(z):
         # d_xi |y|^2N = 2N |y|^(2N-2) (y . xi)
@@ -198,11 +202,8 @@ def coefficient_contrast(params: BubbleParams, layer: LayerField, s: int, xi,
     eps = math.exp(-params.mu / 2.0)
 
     def integrand(z):
-        z = np.asarray(z, dtype=complex)
         gx, gy = layer.phi0_gradient(z)
-        dh = (gx * xi[0] + gy * xi[1]) * layer.h0(z)
-        w = np.abs(z) ** (2 * params.N) if params.N > 0 else 1.0
-        return dh * w * np.exp(eval_bubble(params, z))
+        return bubble_density(params, z, (gx * xi[0] + gy * xi[1]) * layer.h0(z))
 
     splits = [5.0 * eps, 50.0 * eps, radius * 0.5]
     value = integrate_disk(integrand, q_s, radius, spec, radial_splits=splits)
@@ -237,13 +238,14 @@ def byparts_identity(params: BubbleParams, w_field: SolutionField, s: int,
     maxima = find_maxima(params)
     q_s = complex(maxima.Q[s])
     eps = math.exp(-params.mu / 2.0)
-    n2 = 2 * N
     h_const = params.h if h0 is None else float(h0(q_s)) * params.h
 
+    def lever(z):
+        # d_xi |y|^2N / |y|^2N = 2N y_xi / |y|^2 for xi = e1
+        return (2 * N) * z.real / np.abs(z) ** 2
+
     def volume_integrand(z):
-        z = np.asarray(z, dtype=complex)
-        return (2 * N) * z.real * np.abs(z) ** (n2 - 2) * h_const \
-            * np.exp(eval_bubble(params, z)) * w_field.value(z)
+        return lever(z) * bubble_density(params, z, h_const) * w_field.value(z)
 
     splits = [5.0 * eps, 50.0 * eps, radius * 0.5]
     volume = integrate_disk(volume_integrand, q_s, radius, spec, radial_splits=splits)
@@ -267,11 +269,8 @@ def byparts_identity(params: BubbleParams, w_field: SolutionField, s: int,
     if h0 is not None:
         # sign per the w-equation: Delta w + |y|^2N h(Q) e^V w = (h(Q)-h(y)) |y|^2N e^V
         def coeff_integrand(z):
-            z = np.asarray(z, dtype=complex)
-            r2 = np.abs(z) ** 2
             hh = np.array([float(h0(zz)) for zz in z.ravel()]).reshape(z.shape) * params.h
-            return (2 * N) * (z.real / r2) * (h_const - hh) * np.abs(z) ** n2 \
-                * np.exp(eval_bubble(params, z))
+            return lever(z) * bubble_density(params, z, h_const - hh)
 
         coeff_term = integrate_disk(coeff_integrand, q_s, radius, spec, radial_splits=splits)
 

@@ -15,17 +15,15 @@ branch.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import minimize_scalar
 
 from .errors import ShootingError
-from .numerics import QuadratureSpec, newton_scalar, ode_integrate
+from .numerics import QuadratureSpec, integrate_interval, newton_scalar, ode_integrate
 
 
 @dataclass
@@ -197,9 +195,7 @@ def branch_mass(profile: RadialProfile, spec: QuadratureSpec | None = None) -> f
     def integrand(r):
         return r ** (2 * N + 1) * np.exp(profile.u_at(r))
 
-    val, _ = quad(integrand, 0.0, 1.0, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                  limit=spec.max_subdivisions)
-    return 2.0 * math.pi * lam * val
+    return math.tau * lam * integrate_interval(integrand, 0.0, 1.0, spec)
 
 
 def harnack_diagnostic(point: BranchPoint) -> float:
@@ -257,13 +253,3 @@ def trace_branch(N: int, b_values, spec: QuadratureSpec | None = None) -> Branch
     fold = FoldReport(b_star=float(res.x), lambda_star=float(-res.fun))
     return BranchTrace(points=points, fold=fold)
 
-
-def branch_to_csv(trace: BranchTrace, path) -> None:
-    """Columns b, lambda, u_center, mass, harnack_sup."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["b", "lambda", "u_center", "mass", "harnack_sup"])
-        for pt in trace.points:
-            writer.writerow([f"{pt.profile.b:.17g}", f"{pt.profile.lam:.17g}",
-                             f"{pt.u_center:.17g}", f"{pt.mass:.17g}",
-                             f"{harnack_diagnostic(pt):.17g}"])

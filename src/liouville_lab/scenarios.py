@@ -9,8 +9,6 @@ as violation margins: measured is the amount by which the bound is broken
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,8 +23,6 @@ from .report import ReportEntry, sort_entries
 
 SCENARIOS = ("identities", "moments", "bubble", "farfield", "layer-dichotomy",
              "interaction", "pohozaev", "branch", "conjecture-disk", "all")
-
-TWO_PI = 2.0 * math.pi
 
 
 def _entry(check_id, params, measured, expected, tolerance, provenance) -> ReportEntry:
@@ -168,7 +164,7 @@ def scenario_bubble(cfg: Defaults, overrides: dict) -> list:
                               root_res, 0.0, 1e-12, "trivial"))
     params = BubbleParams(N=2, mu=3.0, p=0j, h=5.0)
     zs = 0.3 + 1.1j
-    rot = np.exp(1j * TWO_PI / 3.0)
+    rot = np.exp(1j * math.tau / 3.0)
     sym = abs(bubbles.eval_bubble(params, zs * rot) - bubbles.eval_bubble(params, zs))
     entries.append(_entry("bubble/rotation-symmetry", {"N": 2}, sym, 0.0, 1e-12, "trivial"))
     return entries
@@ -347,7 +343,7 @@ def scenario_interaction(cfg: Defaults, overrides: dict) -> list:
     # kernel coefficients: closed form and least-squares recovery
     kp = InteractionParams(N=2, mu_s=mu, mu_l=mu, p_s=0j,
                            p_l=-2.0 * eps * M * np.exp(0.9j), h_s=1.0, h_l=1.0,
-                           M=M, beta_s=TWO_PI / 3.0)
+                           M=M, beta_s=math.tau / 3.0)
     c1, c2 = interaction.kernel_coefficients(kp)
     f1, f2 = interaction.fit_kernel_coefficients(kp)
     scale = math.hypot(c1, c2)
@@ -355,7 +351,7 @@ def scenario_interaction(cfg: Defaults, overrides: dict) -> list:
                           math.hypot(f1 - c1, f2 - c2) / scale, 0.0, 0.05, "derived"))
     rot = InteractionParams(N=2, mu_s=mu, mu_l=mu, p_s=0j,
                             p_l=kp.p_l * np.exp(1j * math.pi / 2.0), h_s=1.0, h_l=1.0,
-                            M=M, beta_s=TWO_PI / 3.0)
+                            M=M, beta_s=math.tau / 3.0)
     r1c, r2c = interaction.kernel_coefficients(rot)
     entries.append(_entry("interaction/kernel-rotation", {"N": 2},
                           math.hypot(r1c - (-c2), r2c - c1), 0.0, 1e-12, "trivial"))
@@ -592,15 +588,8 @@ def run_scenario(name: str, overrides: dict | None = None,
     overrides = dict(overrides or {})
     cfg = cfg or Defaults()
     if name == "all":
-        names = list(_SCENARIO_FUNCS)
-        workers = int(os.environ.get("LIOUVILLE_LAB_THREADS", "1") or "1")
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda n: _SCENARIO_FUNCS[n](cfg, overrides), names))
-        else:
-            results = [_SCENARIO_FUNCS[n](cfg, overrides) for n in names]
-        entries = [e for chunk in results for e in chunk]
-        return sort_entries(entries)
+        return sort_entries([e for run in _SCENARIO_FUNCS.values()
+                             for e in run(cfg, overrides)])
     if name not in _SCENARIO_FUNCS:
         raise KeyError(f"unknown scenario: {name!r} (choose from {', '.join(SCENARIOS)})")
     return sort_entries(_SCENARIO_FUNCS[name](cfg, overrides))

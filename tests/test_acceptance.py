@@ -1,8 +1,10 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each."""
 
+import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from liouville_lab.report import all_pass
 from liouville_lab.scenarios import run_scenario
 
 CFG = Defaults()
+GOLDEN = Path(__file__).parent / "golden" / "all-seed42.json"
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -126,9 +129,41 @@ def test_criterion_10_determinism(tmp_path):
             f"({len(outs[0])} bytes per report)")
 
 
+def golden_drift(record: dict, golden: dict) -> str | None:
+    """Why ``record`` departs from its golden counterpart, or None if it does not.
+
+    Identity, inputs, expected value, tolerance and verdict must match exactly.
+    ``measured`` may drift by the check's own tolerance, read as the check
+    reads it (absolute, or relative to ``expected``); the raw value of a
+    one-sided check may drift by 1e-3 of its bound.
+    """
+    gp, rp = golden["params"], record["params"]
+    if record["check_id"] != golden["check_id"] or sorted(rp) != sorted(gp):
+        return "identity or params keys changed"
+    for key in ("expected", "tolerance", "pass"):
+        if record[key] != golden[key]:
+            return f"{key} {golden[key]!r} -> {record[key]!r}"
+    if any(rp[k] != gp[k] for k in gp if k != "value"):
+        return f"inputs {gp} -> {rp}"
+    tol = golden["tolerance"] * max(1.0, abs(golden["expected"]))
+    if abs(record["measured"] - golden["measured"]) > tol:
+        return f"measured {golden['measured']!r} -> {record['measured']!r}"
+    if "bound" in gp and abs(rp["value"] - gp["value"]) > 1e-3 * abs(gp["bound"]):
+        return f"value {gp['value']!r} -> {rp['value']!r}"
+    return None
+
+
 def test_full_suite_green():
+    # the seed-42 report: all green, and within each check's tolerance of the
+    # committed golden report
     entries = run_scenario("all", {"seed": 42}, CFG)
     bad = [e for e in entries if not e.pass_]
     _report("00-full-suite", all_pass(entries),
             f"({len(entries)} checks)" + (": " + ", ".join(
                 e.check_id for e in bad[:8]) if bad else ""))
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    records = [e.to_dict() for e in entries]
+    assert len(records) == len(golden), f"{len(records)} checks, golden has {len(golden)}"
+    drifts = [f"{g['check_id']}: {why}" for r, g in zip(records, golden)
+              if (why := golden_drift(r, g)) is not None]
+    _report("00-golden", not drifts, f"({len(golden)} checks) " + "; ".join(drifts[:8]))

@@ -14,7 +14,6 @@ from liouville_lab.maxima import (
     force_balance_residuals,
     green_disk,
     interaction_coefficients_d,
-    matrix_to_csv,
     oscillation_gradient,
     solve_maxima_system,
     verify_identities,
@@ -170,14 +169,6 @@ class TestMaximaSystem:
         sol = solve_maxima_system(2, np.array([1.0, 1.0]))
         # -sum d_j m_j = -2 against mean rhs 1
         assert sol.l0_residual == pytest.approx(3.0, rel=1e-12)
-
-    def test_csv_export(self, tmp_path):
-        sol = solve_maxima_system(3, np.ones(3))
-        path = tmp_path / "matrix.csv"
-        matrix_to_csv(sol, path)
-        text = path.read_text(encoding="utf-8")
-        assert text.startswith("N,3")
-        assert "min_singular_value" in text
 
 
 class TestConfigurationValidation:

@@ -17,6 +17,7 @@ from liouville_lab.numerics import (
     integrate_plane,
     make_polar_grid,
     ode_integrate,
+    polar_sum,
     riemann_sum,
     sample_circle,
     solve_with_diagnostics,
@@ -92,6 +93,15 @@ class TestCircleFourier:
         back = circle_fourier(coeffs.synthesize(theta), n_max=8)
         assert np.max(np.abs(back.a - a)) <= 1e-10
         assert np.max(np.abs(back.b - b)) <= 1e-10
+
+    def test_polar_sum_matches_term_by_term(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal(7), rng.standard_normal(7)
+        r = rng.uniform(0.0, 2.0, (3, 4))
+        th = rng.uniform(-np.pi, np.pi, (3, 4))
+        ref = sum(r ** n * (a[n] * np.cos(n * th) + b[n] * np.sin(n * th)) for n in range(7))
+        assert np.max(np.abs(polar_sum(a, b, r, th) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert polar_sum(a, b, r[0, 0], th[0, 0]) == pytest.approx(ref[0, 0], rel=1e-13)
 
     def test_sample_circle_shape(self):
         vals = sample_circle(lambda z: np.abs(z) ** 2, 1.0 + 0j, 2.0, 32)

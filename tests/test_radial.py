@@ -9,7 +9,6 @@ from liouville_lab.radial import (
     BranchPoint,
     RadialProfile,
     branch_mass,
-    branch_to_csv,
     closed_form_profile,
     closed_form_u,
     harnack_argmax,
@@ -137,20 +136,6 @@ class TestHarnack:
 
             assert diag(r_star) >= diag(r_star * 1.01)
             assert diag(r_star) >= diag(r_star * 0.99)
-
-
-class TestCsvExport:
-    def test_columns(self, tmp_path):
-        trace = trace_branch(0, [0.5, 1.0, 2.0], SPEC)
-        path = tmp_path / "branch.csv"
-        branch_to_csv(trace, path)
-        lines = path.read_text(encoding="utf-8").strip().splitlines()
-        assert lines[0] == "b,lambda,u_center,mass,harnack_sup"
-        assert len(lines) == 4
-        row = lines[2].split(",")
-        assert float(row[0]) == 1.0
-        assert float(row[1]) == pytest.approx(2.0)
-        assert float(row[4]) == pytest.approx(math.log(2.0), abs=1e-6)
 
 
 class TestProfileValidation:

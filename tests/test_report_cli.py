@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -145,15 +144,6 @@ class TestScenarios:
                     if e.check_id == "branch/harnack" and e.params["N"] == 1]
         assert harnacks and all(e.expected == pytest.approx(math.log(8.0)) for e in harnacks)
 
-    def test_thread_cap_preserves_results(self):
-        base = run_scenario("identities", {})
-        os.environ["LIOUVILLE_LAB_THREADS"] = "4"
-        try:
-            threaded = run_scenario("identities", {})
-        finally:
-            os.environ.pop("LIOUVILLE_LAB_THREADS")
-        assert render_json(base) == render_json(threaded)
-
 
 class TestCli:
     def test_exit_zero_and_report(self, tmp_path):
@@ -171,6 +161,15 @@ class TestCli:
 
     def test_missing_argument_exit_two(self):
         assert main(["verify", "--scenario", "identities"]) == 2
+
+    def test_negative_seed_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = main(["verify", "--scenario", "identities", "--seed", "-1",
+                     "--out", str(out), "--format", "json"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "seed" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_io_failure_exit_three(self, tmp_path):
         target = tmp_path / "no-such-dir" / "x.json"
