@@ -5,7 +5,8 @@
         --format {json,csv}
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 usage error,
-3 I/O failure.
+3 I/O failure.  ``--tol`` is accepted only by the scenarios that read it
+(``TOL_SCENARIOS``); an override outside a routine's domain is a usage error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 
 from .config import load_defaults
 from .report import all_pass, emit
-from .scenarios import SCENARIOS, run_scenario
+from .scenarios import SCENARIOS, TOL_SCENARIOS, run_scenario
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -59,6 +60,10 @@ def main(argv=None) -> int:
         print(f"usage error: seed must be non-negative, got {cfg.seed}", file=sys.stderr)
         return EXIT_USAGE
     if args.tol is not None:
+        if args.scenario not in TOL_SCENARIOS:
+            print(f"usage error: --tol applies only to {', '.join(TOL_SCENARIOS)}, "
+                  f"not {args.scenario}", file=sys.stderr)
+            return EXIT_USAGE
         cfg.rel_tol = args.tol
     overrides = {"seed": cfg.seed}
     if args.N is not None:
@@ -68,7 +73,7 @@ def main(argv=None) -> int:
 
     try:
         entries = run_scenario(args.scenario, overrides, cfg)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         print(f"usage error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
 

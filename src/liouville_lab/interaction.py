@@ -147,31 +147,18 @@ def moment_integrals(params: BubbleParams, spec: QuadratureSpec | None = None):
     c = params.coefficient
     off = 1.0 + params.p
 
-    def q(z):
-        return c * np.abs(z ** (params.N + 1) - off) ** 2
-
-    def weight(z):
-        return np.abs(z) ** (2 * params.N)
-
-    def integrand0(z):
-        qq = q(z)
-        return (1.0 - qq) / (1.0 + qq) ** 3 * weight(z)
-
-    def integrand1_re(z):
+    def integrand01(z):
         zz = z ** (params.N + 1) - off
-        return (c * zz / (1.0 + q(z)) ** 3).real * weight(z)
-
-    def integrand1_im(z):
-        zz = z ** (params.N + 1) - off
-        return (c * zz / (1.0 + q(z)) ** 3).imag * weight(z)
+        q = c * np.abs(zz) ** 2
+        w = np.abs(z) ** (2 * params.N) / (1.0 + q) ** 3
+        i1 = c * zz * w
+        return np.stack([(1.0 - q) * w, i1.real, i1.imag])
 
     def integrand2(z):
         return z.real ** 2 / (1.0 + np.abs(z) ** 2 / 8.0) ** 3
 
-    i0 = integrate_plane(integrand0, spec)
-    i1 = complex(integrate_plane(integrand1_re, spec), integrate_plane(integrand1_im, spec))
-    i2 = integrate_plane(integrand2, spec)
-    return i0, i1, i2
+    i0, i1_re, i1_im = integrate_plane(integrand01, spec)
+    return float(i0), complex(i1_re, i1_im), integrate_plane(integrand2, spec)
 
 
 # ----------------------------------------------------------------------------
@@ -219,17 +206,13 @@ def interaction_coefficient(params: InteractionParams,
     def kernel(z):
         return bubble_density(bubble_s, Q_s + eps * z, params.h_l) * eps ** 2 / params.M
 
-    def make_integrand(which):
-        def f(z):
-            phi1, phi2, phi3, phi4, _, _ = _fields(params, z)
-            part = {"34": phi3 + phi4, "1": phi1, "2": phi2}[which]
-            return part * kernel(z)
-        return f
+    def integrand(z):
+        phi1, phi2, phi3, phi4, _, _ = _fields(params, z)
+        return np.stack([phi3 + phi4, phi1, phi2]) * kernel(z)
 
     splits = [1.0, 20.0, min(200.0, radius * 0.5)]
-    quad = integrate_disk(make_integrand("34"), 0j, radius, spec, radial_splits=splits)
-    i1 = integrate_disk(make_integrand("1"), 0j, radius, spec, radial_splits=splits)
-    i2 = integrate_disk(make_integrand("2"), 0j, radius, spec, radial_splits=splits)
+    quad, i1, i2 = (float(v) for v in
+                    integrate_disk(integrand, 0j, radius, spec, radial_splits=splits))
     closed = closed_form_interaction(params)
     result = InteractionQuadrature(closed_form=closed, quadrature=quad,
                                    phi1_integral=i1, phi2_integral=i2)

@@ -232,6 +232,9 @@ def verify_identities(N_max: int = 64):
 # ----------------------------------------------------------------------------
 # perturbation system
 
+SYSTEM_N_MAX = 64
+
+
 @dataclass
 class MaximaSystemSolution:
     m: np.ndarray
@@ -251,8 +254,8 @@ def solve_maxima_system(N: int, rhs) -> MaximaSystemSolution:
     singular value, and the residual of the eliminated l = 0 equation
     -sum d_j m_j = mean(rhs).
     """
-    if N > 64:
-        raise ValueError("perturbation system capped at N = 64")
+    if N > SYSTEM_N_MAX:
+        raise ValueError(f"perturbation system capped at N = {SYSTEM_N_MAX}")
     rhs = np.asarray(rhs, dtype=complex)
     if rhs.size != N:
         raise ValueError("rhs must have N entries")

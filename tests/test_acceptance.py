@@ -9,11 +9,20 @@ from pathlib import Path
 import pytest
 
 from liouville_lab.config import Defaults
-from liouville_lab.report import all_pass
+from liouville_lab.report import all_pass, emit
 from liouville_lab.scenarios import run_scenario
 
 CFG = Defaults()
 GOLDEN = Path(__file__).parent / "golden" / "all-seed42.json"
+
+
+@pytest.fixture(scope="module")
+def seed42_report(tmp_path_factory):
+    """The in-process `all` report at seed 42: its entries and its emitted JSON bytes."""
+    entries = run_scenario("all", {"seed": 42}, CFG)
+    path = tmp_path_factory.mktemp("seed42") / "report.json"
+    emit(entries, "json", path)
+    return entries, path.read_bytes()
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -113,20 +122,18 @@ def test_criterion_09_linear_algebra():
 
 
 @pytest.mark.slow
-def test_criterion_10_determinism(tmp_path):
-    # two CLI runs of `verify --scenario all --seed 42` are byte-identical
-    outs = []
-    for tag in ("a", "b"):
-        out = tmp_path / f"report-{tag}.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "liouville_lab.cli", "verify", "--scenario", "all",
-             "--seed", "42", "--out", str(out), "--format", "json"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        outs.append(out.read_bytes())
-    identical = outs[0] == outs[1]
+def test_criterion_10_determinism(seed42_report, tmp_path):
+    # a CLI run of `verify --scenario all --seed 42` in a fresh interpreter is
+    # byte-identical to the in-process report
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "liouville_lab.cli", "verify", "--scenario", "all",
+         "--seed", "42", "--out", str(out), "--format", "json"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    identical = out.read_bytes() == seed42_report[1]
     _report("10-determinism", identical,
-            f"({len(outs[0])} bytes per report)")
+            f"({len(seed42_report[1])} bytes per report)")
 
 
 def golden_drift(record: dict, golden: dict) -> str | None:
@@ -153,10 +160,10 @@ def golden_drift(record: dict, golden: dict) -> str | None:
     return None
 
 
-def test_full_suite_green():
+def test_full_suite_green(seed42_report):
     # the seed-42 report: all green, and within each check's tolerance of the
     # committed golden report
-    entries = run_scenario("all", {"seed": 42}, CFG)
+    entries = seed42_report[0]
     bad = [e for e in entries if not e.pass_]
     _report("00-full-suite", all_pass(entries),
             f"({len(entries)} checks)" + (": " + ", ".join(

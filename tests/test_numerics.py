@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from liouville_lab.bubbles import BubbleParams, bubble_density
 from liouville_lab.errors import (
     GradientMismatchError,
     NyquistError,
@@ -12,8 +13,10 @@ from liouville_lab.errors import (
 from liouville_lab.numerics import (
     FourierCoefficients,
     QuadratureSpec,
+    _circle_mean,
     circle_fourier,
     fd_check,
+    integrate_disk,
     integrate_plane,
     make_polar_grid,
     ode_integrate,
@@ -57,6 +60,110 @@ class TestIntegratePlane:
         with pytest.raises(QuadratureBudgetError):
             integrate_plane(lambda z: np.cos(40 * np.abs(z) ** 2) / (1 + np.abs(z) ** 2 / 8) ** 2,
                             tiny)
+
+
+def _recording(f):
+    """f, plus the list of point arrays it was called with."""
+    calls = []
+
+    def g(z):
+        calls.append(z)
+        return f(z)
+
+    return g, calls
+
+
+def _moment_fields(z):
+    # three components of different size and sign, all decaying like |z|^-4
+    base = 1.0 / (1.0 + np.abs(z) ** 2 / 8.0) ** 3
+    return np.stack([z.real ** 2 * base, (z.real - 0.3 * z.imag) * base, base])
+
+
+class TestCircleMean:
+    PEAK = BubbleParams(N=1, mu=8.0, p=0j, h=32.0)   # maxima ring |y| = 1, width e^-4
+
+    def test_each_angle_evaluated_once(self):
+        f, calls = _recording(lambda z: bubble_density(self.PEAK, z))
+        _circle_mean(f, 0j, 1.0, 1e-10, 1e-13)
+        z = np.concatenate(calls)
+        m_final = z.size
+        assert m_final >= 512 and m_final & (m_final - 1) == 0   # several doublings
+        k = np.sort(np.round(np.angle(z) / math.tau * m_final) % m_final)
+        assert np.array_equal(k, np.arange(m_final))
+
+    def test_nested_mean_matches_one_shot_trapezoid(self):
+        def f(z):
+            return bubble_density(self.PEAK, z)
+
+        rec, calls = _recording(f)
+        for r in (0.99, 1.0, 1.003):
+            calls.clear()
+            nested = _circle_mean(rec, 0.1j, r, 1e-10, 1e-13)
+            m = sum(z.size for z in calls)
+            one_shot = np.mean(f(0.1j + r * np.exp(1j * math.tau * np.arange(m) / m)))
+            assert abs(nested - one_shot) <= 1e-14 * abs(one_shot)
+
+    def test_vector_converges_on_every_component(self):
+        # the smooth component alone stops at 128 points; the peaked one needs more
+        def smooth(z):
+            return np.ones(z.shape)
+
+        def peaked(z):
+            return bubble_density(self.PEAK, z)
+
+        rec, calls = _recording(lambda z: np.stack([smooth(z), peaked(z)]))
+        mean = _circle_mean(rec, 0j, 1.0, 1e-10, 1e-13)
+        assert mean.shape == (2,)
+        assert mean[0] == pytest.approx(1.0, rel=1e-15)
+        assert mean[1] == pytest.approx(_circle_mean(peaked, 0j, 1.0, 1e-10, 1e-13), rel=1e-14)
+        assert sum(z.size for z in calls) > 128
+
+    def test_vector_budget_error_carries_value_and_estimate(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(QuadratureBudgetError) as info:
+            _circle_mean(lambda z: np.stack([np.ones(z.shape), rng.standard_normal(z.shape)]),
+                         0j, 1.0, 1e-12, 1e-15, m_max=1024)
+        assert info.value.value.shape == (2,) and info.value.estimate > 0
+
+
+class TestVectorIntegrands:
+    def test_plane_components_match_scalar_calls(self):
+        vec = integrate_plane(_moment_fields, SPEC)
+        assert vec.shape == (3,)
+        for i, v in enumerate(vec):
+            scalar = integrate_plane(lambda z: _moment_fields(z)[i], SPEC)
+            assert abs(v - scalar) <= SPEC.rel_tol * max(abs(scalar), 1.0)
+        assert vec[0] == pytest.approx(16 * math.pi, rel=1e-8)
+
+    def test_disk_components_match_scalar_calls(self):
+        center, radius, splits = 0.4 - 0.2j, 3.0, [0.5, 1.0, 2.0]
+        vec = integrate_disk(_moment_fields, center, radius, SPEC, radial_splits=splits)
+        assert vec.shape == (3,)
+        for i, v in enumerate(vec):
+            scalar = integrate_disk(lambda z: _moment_fields(z)[i], center, radius, SPEC,
+                                    radial_splits=splits)
+            assert abs(v - scalar) <= SPEC.rel_tol * max(abs(scalar), 1.0)
+
+    def test_shared_rings_cost_less_than_separate_runs(self):
+        def count_points(f):
+            rec, calls = _recording(f)
+            integrate_plane(rec, SPEC)
+            return sum(z.size for z in calls)
+
+        vector = count_points(_moment_fields)
+        scalars = [count_points(lambda z, i=i: _moment_fields(z)[i]) for i in range(3)]
+        assert vector < sum(scalars)
+
+    def test_vector_budget_exceeded(self):
+        tiny = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=8)
+
+        def f(z):
+            osc = np.cos(40 * np.abs(z) ** 2) / (1 + np.abs(z) ** 2 / 8) ** 2
+            return np.stack([osc, 2.0 * osc])
+
+        with pytest.raises(QuadratureBudgetError) as info:
+            integrate_plane(f, tiny)
+        assert np.isfinite(info.value.value) and info.value.estimate > 0
 
 
 class TestCircleFourier:

@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
+import liouville_lab.scenarios as scenarios_mod
 from liouville_lab.cli import main
 from liouville_lab.config import load_defaults, parse_config
+from liouville_lab.errors import QuadratureBudgetError
 from liouville_lab.report import (
     ReportEntry,
     all_pass,
@@ -16,7 +18,7 @@ from liouville_lab.report import (
     render_csv,
     render_json,
 )
-from liouville_lab.scenarios import SCENARIOS, run_scenario
+from liouville_lab.scenarios import SCENARIOS, TOL_SCENARIOS, run_scenario
 
 
 def _entry(**kw):
@@ -170,6 +172,66 @@ class TestCli:
         assert code == 2
         assert err.count("\n") == 1 and "seed" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", [s for s in SCENARIOS if s not in TOL_SCENARIOS])
+    def test_tol_rejected_where_ignored(self, tmp_path, capsys, scenario):
+        # every scenario but bubble pins its own tolerances; --tol must not
+        # pass there as if it had been applied
+        out = tmp_path / "x.json"
+        code = main(["verify", "--scenario", scenario, "--tol", "1e-6",
+                     "--out", str(out), "--format", "json"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_tol_reaches_bubble_quadrature(self, monkeypatch):
+        seen = []
+        real = scenarios_mod.bubbles.total_mass
+
+        def spy(params, spec=None):
+            seen.append(spec.rel_tol)
+            return real(params, spec)
+
+        monkeypatch.setattr(scenarios_mod.bubbles, "total_mass", spy)
+        cfg = load_defaults()
+        cfg.rel_tol = 1e-10
+        run_scenario("bubble", {"seed": 42}, cfg)
+        assert seen and set(seen) == {1e-10}
+
+    def test_override_outside_domain_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = main(["verify", "--scenario", "identities", "--N", "300",
+                     "--out", str(out), "--format", "json"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("usage error: identities:") and err.count("\n") == 1
+        assert "Traceback" not in err and not out.exists()
+
+    def test_library_error_becomes_failing_record(self, tmp_path, capsys):
+        # at mu = 8 the translation-kernel fit is too coarse and raises KernelFitError
+        out = tmp_path / "x.json"
+        code = main(["verify", "--scenario", "interaction", "--mu", "8",
+                     "--out", str(out), "--format", "json"])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        records = json.loads(out.read_text(encoding="utf-8"))
+        errors = [r for r in records if r["check_id"] == "interaction/error"]
+        assert len(errors) == 1 and not errors[0]["pass"]
+        assert errors[0]["params"]["exception"] == "KernelFitError"
+        assert "kernel fit failed" in errors[0]["params"]["message"]
+
+    def test_library_error_in_one_scenario_keeps_the_others(self, monkeypatch):
+        def broken(cfg, overrides):
+            raise QuadratureBudgetError("quadrature budget exceeded: test")
+
+        funcs = {"identities": scenarios_mod.scenario_identities, "moments": broken}
+        monkeypatch.setattr(scenarios_mod, "_SCENARIO_FUNCS", funcs)
+        entries = run_scenario("all", {"seed": 42})
+        failed = [e for e in entries if not e.pass_]
+        assert [e.check_id for e in failed] == ["moments/error"]
+        assert failed[0].params["exception"] == "QuadratureBudgetError"
+        assert any(e.check_id.startswith("identities/") for e in entries)
 
     def test_io_failure_exit_three(self, tmp_path):
         target = tmp_path / "no-such-dir" / "x.json"
