@@ -10,7 +10,7 @@ from .bubbles import (
     rescaled_profile_gap,
     total_mass,
 )
-from .config import Defaults, load_defaults
+from .config import load_defaults
 from .harmonic import (
     FourierBoundaryData,
     LayerField,
@@ -40,7 +40,6 @@ from .maxima import (
     green_disk,
     oscillation_gradient,
     solve_maxima_system,
-    verify_identities,
 )
 from .numerics import (
     FourierCoefficients,

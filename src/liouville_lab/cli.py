@@ -5,8 +5,11 @@
         --format {json,csv}
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 usage error,
-3 I/O failure.  ``--tol`` is accepted only by the scenarios that read it
-(``TOL_SCENARIOS``); an override outside a routine's domain is a usage error.
+3 I/O failure.  ``--N``, ``--mu``, ``--tol`` and ``--seed`` may also be set in
+the ``--config`` file under the same names; a flag wins over the file.  Each
+scenario accepts ``seed`` and the inputs it reads (``scenarios.INPUTS``), each
+in its range; any other override is a usage error, and ``all`` accepts
+``seed`` only.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import load_defaults
+from .config import INPUT_TYPES, load_defaults
 from .report import all_pass, emit
-from .scenarios import SCENARIOS, TOL_SCENARIOS, run_scenario
+from .scenarios import SCENARIOS, run_scenario
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -49,30 +52,16 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
-        cfg = load_defaults(args.config)
+        overrides = load_defaults(args.config)
     except (OSError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        print(f"usage error: {args.config}: {getattr(exc, 'strerror', None) or exc}",
+              file=sys.stderr)
         return EXIT_USAGE
-
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if cfg.seed < 0:
-        print(f"usage error: seed must be non-negative, got {cfg.seed}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.tol is not None:
-        if args.scenario not in TOL_SCENARIOS:
-            print(f"usage error: --tol applies only to {', '.join(TOL_SCENARIOS)}, "
-                  f"not {args.scenario}", file=sys.stderr)
-            return EXIT_USAGE
-        cfg.rel_tol = args.tol
-    overrides = {"seed": cfg.seed}
-    if args.N is not None:
-        overrides["N"] = args.N
-    if args.mu is not None:
-        overrides["mu"] = args.mu
+    overrides.update({key: getattr(args, key) for key in INPUT_TYPES
+                      if getattr(args, key) is not None})
 
     try:
-        entries = run_scenario(args.scenario, overrides, cfg)
+        entries = run_scenario(args.scenario, overrides)
     except (KeyError, ValueError) as exc:
         print(f"usage error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,41 +1,15 @@
-"""Versioned defaults, loaded from the packaged key = value file."""
+"""The ``--config`` file: ``key = value`` lines that set ``verify`` flags.
+
+Its keys are the names of the four flags that set scenario inputs; which
+scenarios read which input, and in what range, is ``scenarios.INPUTS``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from importlib import resources
 from pathlib import Path
 
-
-@dataclass
-class Defaults:
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-    plane_compactification_scale: float = 8.0
-    fourier_n_max: int = 64
-    identity_n_max: int = 64
-    dichotomy_threshold: float = 0.05
-    dichotomy_draws: int = 200
-    eigen_mesh_points: int = 512
-    farfield_mu: float = 12.0
-    bubble_mu: float = 6.0
-    pohozaev_mu: float = 10.0
-    contrast_mu: float = 14.0
-    interaction_mu: float = 16.0
-    layer_delta: float = 0.1
-    conjecture_delta: float = 0.02
-    conjecture_mu: float = 14.0
-    seed: int = 42
-
-
-def _coerce(name: str, raw: str, target_type):
-    raw = raw.strip()
-    if target_type is int:
-        return int(raw)
-    if target_type is float:
-        return float(raw)
-    return raw
+# the settable scenario inputs, by flag name
+INPUT_TYPES = {"seed": int, "N": int, "mu": float, "tol": float}
 
 
 def parse_config(path) -> dict:
@@ -53,19 +27,17 @@ def parse_config(path) -> dict:
     return values
 
 
-def load_defaults(path=None) -> Defaults:
-    """Packaged defaults, optionally overridden by a user config file."""
-    base = resources.files("liouville_lab").joinpath("defaults.cfg")
-    raw = {}
-    with resources.as_file(base) as p:
-        raw.update(parse_config(p))
-    if path is not None:
-        raw.update(parse_config(path))
-    kwargs = {}
-    known = {f.name: f.type for f in fields(Defaults)}
-    typed = {f.name: type(getattr(Defaults(), f.name)) for f in fields(Defaults)}
-    for key, value in raw.items():
-        if key not in known:
-            raise ValueError(f"unknown configuration key: {key}")
-        kwargs[key] = _coerce(key, value, typed[key])
-    return Defaults(**kwargs)
+def load_defaults(path=None) -> dict:
+    """The typed inputs a configuration file sets; none without a file."""
+    if path is None:
+        return {}
+    values = {}
+    for key, raw in parse_config(path).items():
+        if key not in INPUT_TYPES:
+            raise ValueError(f"unknown configuration key {key!r} "
+                             f"(the keys are {', '.join(INPUT_TYPES)})")
+        try:
+            values[key] = INPUT_TYPES[key](raw)
+        except ValueError:
+            raise ValueError(f"{key}: expected {INPUT_TYPES[key].__name__}, got {raw!r}") from None
+    return values

@@ -20,7 +20,6 @@ gradient is comparable to delta* at at least one root.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -204,6 +203,10 @@ def layer_from_coefficients(N: int, delta: float, L: int, A, B,
     return LayerField(N=N, delta=delta, L=L, A=A, B=B, delta_star=delta_star)
 
 
+# the least max-root gradient ratio |grad phi0| / delta* that certifies the dichotomy
+DICHOTOMY_THRESHOLD = 0.05
+
+
 @dataclass
 class DichotomyResult:
     index: int
@@ -213,7 +216,7 @@ class DichotomyResult:
 
 
 def grad_h_at_roots(layer: LayerField, N: int | None = None,
-                    threshold: float = 0.05) -> DichotomyResult:
+                    threshold: float = DICHOTOMY_THRESHOLD) -> DichotomyResult:
     """Gradient of h0 at the N+1 roots of unity and the dichotomy certificate.
 
     The certificate ratio uses grad phi0 (the h0 factor is 1 + O(delta*)), so
@@ -237,21 +240,3 @@ def grad_h_at_roots(layer: LayerField, N: int | None = None,
             f"dichotomy violated: max gradient ratio {ratios[s]:.4f} < {threshold}")
     return DichotomyResult(index=s, gradients=np.asarray(grads),
                            ratio=float(ratios[s]), ratios=ratios)
-
-
-def boundary_data_from_csv(path, radius: float = 1.0) -> FourierBoundaryData:
-    """Load boundary data from CSV with columns n, a_n, b_n."""
-    rows = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["n", "a_n", "b_n"]:
-            raise ValueError("expected CSV header 'n,a_n,b_n'")
-        for row in reader:
-            rows[int(row["n"])] = (float(row["a_n"]), float(row["b_n"]))
-    n_max = max(max(rows), 1)
-    a = np.zeros(n_max + 1)
-    b = np.zeros(n_max + 1)
-    for n, (an, bn) in rows.items():
-        a[n] = an
-        b[n] = bn
-    return FourierBoundaryData(radius=radius, coefficients=FourierCoefficients(a=a, b=b))

@@ -217,18 +217,6 @@ def check_row_sum_independence(N: int) -> IdentityCheck:
     return IdentityCheck("row-sum-independence", N, res, 1e-9 * max(N * N, 1))
 
 
-def verify_identities(N_max: int = 64):
-    """Run the full identity suite for every N <= N_max."""
-    if N_max > 256:
-        raise ValueError("identity sweep capped at N_max = 256")
-    checks = [check_half_angle_identity()]
-    for N in range(1, N_max + 1):
-        checks.append(check_sine_sum_identity(N))
-        checks.append(check_root_sum_identity(N))
-        checks.append(check_row_sum_independence(N))
-    return checks
-
-
 # ----------------------------------------------------------------------------
 # perturbation system
 

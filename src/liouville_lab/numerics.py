@@ -398,26 +398,6 @@ def newton_scalar(f, x0: float, tol: float = 1e-12, max_iter: int = 60,
     raise ValueError(f"scalar Newton did not converge (|f|={abs(fx):.3e})")
 
 
-def bisect(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 200) -> float:
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0:
-        raise ValueError("bisection endpoints must bracket a sign change")
-    for _ in range(max_iter):
-        c = 0.5 * (a + b)
-        fc = f(c)
-        if abs(fc) <= tol or (b - a) <= tol * max(1.0, abs(c)):
-            return c
-        if fa * fc < 0:
-            b, fb = c, fc
-        else:
-            a, fa = c, fc
-    return 0.5 * (a + b)
-
-
 @dataclass
 class LinearSolveDiagnostics:
     solution: np.ndarray

@@ -15,9 +15,8 @@ maximum and equals grad h0 . xi times the local bubble mass 8 pi / h.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,12 +48,6 @@ class PohozaevReport:
     @property
     def scale(self) -> float:
         return abs(self.volume_term) + abs(self.flux_term) + abs(self.boundary_kinetic) + 1.0
-
-    def to_json(self) -> str:
-        d = asdict(self)
-        d["center"] = [self.center.real, self.center.imag]
-        d["direction"] = list(self.direction)
-        return json.dumps(d, sort_keys=True)
 
 
 @dataclass

@@ -4,27 +4,57 @@ Every scenario is deterministic for a fixed seed; randomized sweeps draw from
 numpy Generators seeded from the scenario seed.  One-sided checks are encoded
 as violation margins: measured is the amount by which the bound is broken
 (0.0 when satisfied), the raw quantity rides along in params.
+
+``INPUTS`` lists the only values a caller can set.  Every other number a check
+depends on (thresholds, draw counts, mesh sizes, quadrature tolerances) is a
+constant written beside that check.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bubbles, harmonic, interaction, kernels, maxima, pohozaev, radial
 from .bubbles import BubbleParams
-from .config import Defaults
 from .errors import DichotomyError, LiouvilleLabError
 from .harmonic import FourierBoundaryData, LayerField, layer_from_coefficients
 from .interaction import InteractionParams
 from .numerics import FourierCoefficients, QuadratureSpec, circle_fourier, sample_circle
 from .report import ReportEntry, sort_entries
 
-SCENARIOS = ("identities", "moments", "bubble", "farfield", "layer-dichotomy",
-             "interaction", "pohozaev", "branch", "conjecture-disk", "all")
-# the scenarios whose quadrature runs at cfg.rel_tol; the others pin their own
-TOL_SCENARIOS = ("bubble",)
+
+@dataclass(frozen=True)
+class Setting:
+    """A scenario input: its default and its inclusive range.
+
+    An int default makes the input an integer.
+    """
+
+    default: float
+    low: float
+    high: float
+
+
+SEED = Setting(42, 0, math.inf)
+# The inputs each scenario reads, by override name.  Every scenario and `all`
+# also accept `seed` (it is all that `all` accepts): it reaches the three
+# randomized scenarios, which list it, and cannot change the others.
+INPUTS = {
+    "identities": {"seed": SEED, "N": Setting(maxima.SYSTEM_N_MAX, 1, maxima.SYSTEM_N_MAX)},
+    "moments": {},
+    "bubble": {"seed": SEED, "tol": Setting(1e-8, 1e-14, 1e-2)},
+    "farfield": {"mu": Setting(12.0, 0.0, 100.0)},
+    "layer-dichotomy": {"seed": SEED},
+    "interaction": {"mu": Setting(16.0, 0.0, 100.0)},
+    "pohozaev": {"mu": Setting(10.0, 0.0, 100.0)},
+    "branch": {"N": Setting(1, 0, 64)},
+    # 2N + 4 Fourier modes of the layer must fit the 17 read off on |y| = 1
+    "conjecture-disk": {"N": Setting(1, 1, 6), "mu": Setting(14.0, 0.0, 100.0)},
+}
+SCENARIOS = (*INPUTS, "all")
 
 
 def _entry(check_id, params, measured, expected, tolerance, provenance) -> ReportEntry:
@@ -45,57 +75,47 @@ def _bound_entry(check_id, params, value, bound, provenance, direction="<=") -> 
                        expected=0.0, tolerance=0.0, provenance=provenance)
 
 
-def _spec(cfg: Defaults, rel=None, abs_=None) -> QuadratureSpec:
-    return QuadratureSpec(rel_tol=rel if rel is not None else cfg.rel_tol,
-                          abs_tol=abs_ if abs_ is not None else cfg.abs_tol,
-                          max_subdivisions=cfg.max_subdivisions,
-                          plane_compactification_scale=cfg.plane_compactification_scale)
-
-
 # ----------------------------------------------------------------------------
 # identities
 
-def scenario_identities(cfg: Defaults, overrides: dict) -> list:
-    n_max = int(overrides.get("n_max", overrides.get("N", cfg.identity_n_max)))
-    if not 1 <= n_max <= maxima.SYSTEM_N_MAX:
-        raise ValueError(f"N must lie in [1, {maxima.SYSTEM_N_MAX}], got {n_max}")
+def scenario_identities(seed: int, N: int) -> list:
     entries = []
     half = maxima.check_half_angle_identity()
     entries.append(_entry("identities/half-angle", {"n_theta": 720},
                           half.residual, 0.0, 1e-12, "paper"))
     worst_sine = worst_root = worst_row = 0.0
-    for N in range(1, n_max + 1):
-        worst_sine = max(worst_sine, maxima.check_sine_sum_identity(N).residual / max(N * N, 1))
-        worst_root = max(worst_root, maxima.check_root_sum_identity(N).residual / N)
-        worst_row = max(worst_row, maxima.check_row_sum_independence(N).residual / max(N * N, 1))
-    entries.append(_entry("identities/sine-sum", {"N_max": n_max},
+    for n in range(1, N + 1):
+        worst_sine = max(worst_sine, maxima.check_sine_sum_identity(n).residual / max(n * n, 1))
+        worst_root = max(worst_root, maxima.check_root_sum_identity(n).residual / n)
+        worst_row = max(worst_row, maxima.check_row_sum_independence(n).residual / max(n * n, 1))
+    entries.append(_entry("identities/sine-sum", {"N_max": N},
                           worst_sine, 0.0, 1e-9, "paper"))
-    entries.append(_entry("identities/root-sum", {"N_max": n_max},
+    entries.append(_entry("identities/root-sum", {"N_max": N},
                           worst_root, 0.0, 1e-10, "paper"))
-    entries.append(_entry("identities/row-sum-independence", {"N_max": n_max},
+    entries.append(_entry("identities/row-sum-independence", {"N_max": N},
                           worst_row, 0.0, 1e-9, "paper"))
 
     # interaction matrix: dominance margin d_l, positive minimum singular value,
     # solve residual versus conditioning
-    rng = np.random.default_rng(int(overrides.get("seed", cfg.seed)))
+    rng = np.random.default_rng(seed)
     worst_margin = 0.0
     min_sigma = math.inf
     worst_solve = 0.0
-    for N in range(1, n_max + 1):
-        rhs = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        sol = maxima.solve_maxima_system(N, rhs)
+    for n in range(1, N + 1):
+        rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        sol = maxima.solve_maxima_system(n, rhs)
         d = sol.matrix.d
         worst_margin = max(worst_margin,
                            float(np.max(np.abs(sol.dominance_margins - d) / d)))
         min_sigma = min(min_sigma, sol.min_singular_value)
         worst_solve = max(worst_solve,
                           sol.solve_residual / (sol.condition_number * np.linalg.norm(rhs)))
-    entries.append(_entry("identities/matrix-margin", {"N_max": n_max},
+    entries.append(_entry("identities/matrix-margin", {"N_max": N},
                           worst_margin, 0.0, 1e-12, "paper"))
-    entries.append(_bound_entry("identities/matrix-min-singular", {"N_max": n_max},
+    entries.append(_bound_entry("identities/matrix-min-singular", {"N_max": N},
                                 min_sigma, 1.0, "derived", direction=">="))
     entries.append(_entry("identities/matrix-solve-residual",
-                          {"N_max": n_max, "seed": int(overrides.get("seed", cfg.seed))},
+                          {"N_max": N, "seed": seed},
                           worst_solve, 0.0, 1e-12, "derived"))
     return entries
 
@@ -103,8 +123,8 @@ def scenario_identities(cfg: Defaults, overrides: dict) -> list:
 # ----------------------------------------------------------------------------
 # moments
 
-def scenario_moments(cfg: Defaults, overrides: dict) -> list:
-    spec = _spec(cfg, rel=1e-9, abs_=1e-12)
+def scenario_moments() -> list:
+    spec = QuadratureSpec(rel_tol=1e-9)
     entries = []
     _, _, i2 = interaction.moment_integrals(BubbleParams(N=1, mu=2.0, p=0, h=8.0), spec)
     entries.append(_entry("moments/I2", {}, i2, 16.0 * math.pi, 1e-6, "paper"))
@@ -135,10 +155,9 @@ _BUBBLE_SETS = (
 )
 
 
-def scenario_bubble(cfg: Defaults, overrides: dict) -> list:
-    seed = int(overrides.get("seed", cfg.seed))
+def scenario_bubble(seed: int, tol: float) -> list:
     rng = np.random.default_rng(seed)
-    spec = _spec(cfg)
+    spec = QuadratureSpec(rel_tol=tol)
     entries = []
     for params in _BUBBLE_SETS:
         pts = []
@@ -150,10 +169,11 @@ def scenario_bubble(cfg: Defaults, overrides: dict) -> list:
         entries.append(_entry("bubble/residual",
                               {"N": params.N, "mu": params.mu, "h": params.h, "seed": seed},
                               res, 0.0, 1e-9, "paper"))
+    mu = 6.0
     for N in (0, 1, 2, 3):
-        params = BubbleParams(N=N, mu=cfg.bubble_mu, p=0.02, h=8.0 * (N + 1) ** 2)
+        params = BubbleParams(N=N, mu=mu, p=0.02, h=8.0 * (N + 1) ** 2)
         mass = bubbles.total_mass(params, spec)
-        entries.append(_entry("bubble/total-mass", {"N": N, "mu": cfg.bubble_mu},
+        entries.append(_entry("bubble/total-mass", {"N": N, "mu": mu},
                               mass, 8.0 * math.pi * (N + 1), 1e-6, "derived"))
     for N, p in ((1, 0.01), (2, 0.1 * np.exp(0.4j)), (3, 0.05)):
         params = BubbleParams(N=N, mu=8.0, p=p, h=8.0)
@@ -177,9 +197,8 @@ def scenario_bubble(cfg: Defaults, overrides: dict) -> list:
 # ----------------------------------------------------------------------------
 # farfield
 
-def scenario_farfield(cfg: Defaults, overrides: dict) -> list:
+def scenario_farfield(mu: float) -> list:
     entries = []
-    mu = float(overrides.get("mu", cfg.farfield_mu))
     Ls = (10.0, 20.0, 40.0)
     for N in (1, 2):
         params = BubbleParams(N=N, mu=mu, p=0j, h=8.0 * (N + 1) ** 2)
@@ -229,10 +248,9 @@ def _random_layer(rng, N: int, delta: float, L: int, rho: float = 1.5) -> LayerF
     return layer_from_coefficients(N=N, delta=delta, L=L, A=A * dn, B=B * dn)
 
 
-def scenario_layer_dichotomy(cfg: Defaults, overrides: dict) -> list:
-    seed = int(overrides.get("seed", cfg.seed))
-    draws = int(overrides.get("draws", cfg.dichotomy_draws))
-    delta = float(overrides.get("delta", cfg.layer_delta))
+def scenario_layer_dichotomy(seed: int) -> list:
+    draws = 200
+    delta = 0.1
     rng = np.random.default_rng(seed)
     entries = []
     min_ratio = math.inf
@@ -247,7 +265,8 @@ def scenario_layer_dichotomy(cfg: Defaults, overrides: dict) -> list:
         min_ratio = min(min_ratio, res.ratio)
     entries.append(_bound_entry("layer/dichotomy-min-ratio",
                                 {"draws": draws, "delta": delta, "seed": seed},
-                                min_ratio, cfg.dichotomy_threshold, "paper", direction=">="))
+                                min_ratio, harmonic.DICHOTOMY_THRESHOLD, "paper",
+                                direction=">="))
 
     # constructed counter-example: gradient vanishes at the first root yet is
     # Theta(delta*) at another
@@ -268,7 +287,7 @@ def scenario_layer_dichotomy(cfg: Defaults, overrides: dict) -> list:
     dl = 0.05
     for N in (1, 2):
         params = BubbleParams(N=N, mu=mu, p=0j, h=1.0)
-        killer = harmonic.bubble_oscillation_killer(params, dl, n_max=cfg.fourier_n_max)
+        killer = harmonic.bubble_oscillation_killer(params, dl)
         A, _ = killer.monomial_coefficients()
         lead = A[N + 1] / (4.0 * dl ** (2 * N + 2))
         entries.append(_entry("layer/killer-mode-N1", {"N": N, "delta": dl, "mu": mu},
@@ -294,12 +313,11 @@ def scenario_layer_dichotomy(cfg: Defaults, overrides: dict) -> list:
 # ----------------------------------------------------------------------------
 # interaction
 
-def scenario_interaction(cfg: Defaults, overrides: dict) -> list:
+def scenario_interaction(mu: float) -> list:
     entries = []
-    mu = float(overrides.get("mu", cfg.interaction_mu))
     eps = math.exp(-mu / 2.0)
     M = 0.01
-    spec = _spec(cfg, rel=1e-9)
+    spec = QuadratureSpec(rel_tol=1e-9)
     sep = InteractionParams(N=1, mu_s=mu, mu_l=mu, p_s=0j,
                             p_l=-eps * M * np.exp(0.3j), h_s=1.0, h_l=1.0, M=M)
     res = interaction.interaction_coefficient(sep, spec)
@@ -365,10 +383,9 @@ def scenario_interaction(cfg: Defaults, overrides: dict) -> list:
 # ----------------------------------------------------------------------------
 # pohozaev
 
-def scenario_pohozaev(cfg: Defaults, overrides: dict) -> list:
+def scenario_pohozaev(mu: float) -> list:
     entries = []
-    mu = float(overrides.get("mu", cfg.pohozaev_mu))
-    spec = _spec(cfg, rel=1e-9, abs_=1e-11)
+    spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
     radii = (0.1, 0.15, 0.2, 0.28, 0.35)
     for N in (0, 1, 2):
         params = BubbleParams(N=N, mu=mu, p=0j, h=8.0 * (N + 1) ** 2)
@@ -399,7 +416,7 @@ def scenario_pohozaev(cfg: Defaults, overrides: dict) -> list:
                           abs(rep.residual) / rep.scale, 0.0, 1e-6, "derived"))
 
     # coefficient contrast for the linear layer
-    mu_c = float(overrides.get("contrast_mu", cfg.contrast_mu))
+    mu_c = 14.0
     ds = 1e-5
     layer = layer_from_coefficients(N=1, delta=0.05, L=1, A=[0.0, ds], B=[0.0, 0.0])
     params = BubbleParams(N=1, mu=mu_c, p=0j, h=1.0)
@@ -446,10 +463,9 @@ def scenario_pohozaev(cfg: Defaults, overrides: dict) -> list:
 # ----------------------------------------------------------------------------
 # branch
 
-def scenario_branch(cfg: Defaults, overrides: dict) -> list:
+def scenario_branch(N: int) -> list:
     entries = []
-    N = int(overrides.get("N", 1))
-    spec = _spec(cfg, rel=1e-10)
+    spec = QuadratureSpec(rel_tol=1e-10)
     for n in sorted({0, 1, 2, N}):
         trace = radial.trace_branch(n, [0.1, 0.5, 1.0, 2.0, 10.0], spec)
         entries.append(_entry("branch/fold-lambda", {"N": n},
@@ -481,20 +497,18 @@ def scenario_branch(cfg: Defaults, overrides: dict) -> list:
     # fold-point eigenvalue and mode monotonicity
     for n in (0, 1, 2):
         prof = radial.closed_form_profile(n, 1.0)
-        ev = kernels.principal_eigenvalue(prof, 0, n=cfg.eigen_mesh_points)
+        ev = kernels.principal_eigenvalue(prof, 0)
         entries.append(_entry("branch/fold-eigenvalue", {"N": n, "b": 1.0},
                               ev, 0.0, 1e-3, "derived"))
     prof = radial.closed_form_profile(1, 1.0)
-    ev8 = kernels.principal_eigenvalue(prof, 8, n=cfg.eigen_mesh_points)
+    ev8 = kernels.principal_eigenvalue(prof, 8)
     entries.append(_bound_entry("branch/high-mode-positive", {"N": 1, "mode": 8},
                                 ev8, 0.0, "derived", direction=">="))
-    evN1 = kernels.principal_eigenvalue(prof, 2, n=cfg.eigen_mesh_points)
+    evN1 = kernels.principal_eigenvalue(prof, 2)
     entries.append(_bound_entry("branch/mode-N1-eigenvalue-resolved", {"N": 1, "mode": 2},
-                                abs(evN1 - kernels.principal_eigenvalue(prof, 2,
-                                                                        n=cfg.eigen_mesh_points // 2)),
+                                abs(evN1 - kernels.principal_eigenvalue(prof, 2, n=256)),
                                 1e-3, "derived"))
-    bessel = kernels.principal_eigenvalue(radial.zero_potential_profile(), 0,
-                                          n=2 * cfg.eigen_mesh_points)
+    bessel = kernels.principal_eigenvalue(radial.zero_potential_profile(), 0, n=1024)
     entries.append(_entry("branch/bessel-eigenvalue", {"N": 0, "lambda": 0.0},
                           bessel, 5.783185962946785, 1e-3, "derived"))
     return entries
@@ -503,7 +517,7 @@ def scenario_branch(cfg: Defaults, overrides: dict) -> list:
 # ----------------------------------------------------------------------------
 # conjecture-disk
 
-def scenario_conjecture_disk(cfg: Defaults, overrides: dict) -> list:
+def scenario_conjecture_disk(N: int, mu: float) -> list:
     """Offset-circle layer construction for the Dirichlet-disk geometry.
 
     The bubble's angular tail (trace minus its radial far-field part, which the
@@ -514,9 +528,7 @@ def scenario_conjecture_disk(cfg: Defaults, overrides: dict) -> list:
     gradient at the roots of unity drives the coefficient contrast.
     """
     entries = []
-    N = int(overrides.get("N", 1))
-    delta = float(overrides.get("delta", cfg.conjecture_delta))
-    mu = float(overrides.get("mu", cfg.conjecture_mu))
+    delta = 0.02
     R_out = 2.0
     params = BubbleParams(N=N, mu=mu, p=0j, h=1.0)
 
@@ -529,7 +541,7 @@ def scenario_conjecture_disk(cfg: Defaults, overrides: dict) -> list:
     rho_c = (1.0 + R_out) / (2.0 * delta)
     center = (rho_c - 1.0 / delta) * np.exp(0.3j)
     vals = sample_circle(angular_tail, center, rho_c, 4096)
-    coeffs = circle_fourier(vals, cfg.fourier_n_max)
+    coeffs = circle_fourier(vals, 64)
     coeffs.a[0] = 0.0
     data = FourierBoundaryData(radius=rho_c, coefficients=coeffs)
 
@@ -554,14 +566,14 @@ def scenario_conjecture_disk(cfg: Defaults, overrides: dict) -> list:
     layer = layer_from_coefficients(N=N, delta=delta, L=N + 1,
                                     A=c1.a[:2 * N + 4], B=c1.b[:2 * N + 4],
                                     delta_star=delta_star)
-    dich = harmonic.grad_h_at_roots(layer, threshold=cfg.dichotomy_threshold)
+    dich = harmonic.grad_h_at_roots(layer)
     entries.append(_bound_entry("conjecture/dichotomy", {"N": N, "delta": delta},
-                                dich.ratio, cfg.dichotomy_threshold, "paper",
+                                dich.ratio, harmonic.DICHOTOMY_THRESHOLD, "paper",
                                 direction=">="))
 
     g = dich.gradients[dich.index]
     xi = (g / abs(g)).real, (g / abs(g)).imag
-    spec = _spec(cfg, rel=1e-9)
+    spec = QuadratureSpec(rel_tol=1e-9)
     val = pohozaev.coefficient_contrast(params, layer, dich.index, xi, 0.3, spec,
                                         check=False)
     predicted = abs(g) * 8.0 * math.pi / params.h
@@ -592,27 +604,40 @@ def _error_entry(name: str, exc: LiouvilleLabError) -> ReportEntry:
                   1.0, 0.0, 0.0, "derived")
 
 
-def _run_one(name: str, cfg: Defaults, overrides: dict) -> list:
+def _check_overrides(name: str, overrides: dict, reads: dict) -> None:
+    """Raise ValueError unless each override is ``seed`` or one of ``reads``, in range."""
+    accepted = {"seed": SEED, **reads}
+    for key, value in overrides.items():
+        if key not in accepted:
+            raise ValueError(f"{name}: no input {key} (it takes {', '.join(accepted)})")
+        s = accepted[key]
+        whole = isinstance(s.default, int)
+        if not (s.low <= value <= s.high and (not whole or float(value).is_integer())):
+            kind = "an integer" if whole else "a number"
+            raise ValueError(f"{name}: {key} must be {kind} in [{s.low}, {s.high}], "
+                             f"got {value}")
+
+
+def _run_one(name: str, overrides: dict) -> list:
+    inputs = {key: type(s.default)(overrides.get(key, s.default))
+              for key, s in INPUTS[name].items()}
     try:
-        return _SCENARIO_FUNCS[name](cfg, overrides)
+        return _SCENARIO_FUNCS[name](**inputs)
     except LiouvilleLabError as exc:
         return [_error_entry(name, exc)]
-    except ValueError as exc:  # an override outside a routine's domain
-        raise ValueError(f"{name}: {exc}") from exc
 
 
-def run_scenario(name: str, overrides: dict | None = None,
-                 cfg: Defaults | None = None) -> list:
+def run_scenario(name: str, overrides: dict | None = None) -> list:
     """Execute one named scenario (or 'all') and return its sorted entries.
 
-    A LiouvilleLabError inside a scenario becomes its failing ``<name>/error``
-    record; a ValueError (a parameter outside a routine's domain, which only
-    an override can cause) propagates with the scenario name prefixed.
+    Overrides are checked against ``INPUTS`` before anything runs: one the
+    scenario does not read, or one outside its range, raises ValueError.  A
+    LiouvilleLabError inside a scenario becomes its failing ``<name>/error``
+    record.
     """
-    overrides = dict(overrides or {})
-    cfg = cfg or Defaults()
-    if name == "all":
-        return sort_entries([e for one in _SCENARIO_FUNCS for e in _run_one(one, cfg, overrides)])
-    if name not in _SCENARIO_FUNCS:
+    overrides = overrides or {}
+    if name not in SCENARIOS:
         raise KeyError(f"unknown scenario: {name!r} (choose from {', '.join(SCENARIOS)})")
-    return sort_entries(_run_one(name, cfg, overrides))
+    _check_overrides(name, overrides, INPUTS.get(name, {}))
+    names = _SCENARIO_FUNCS if name == "all" else (name,)
+    return sort_entries([e for one in names for e in _run_one(one, overrides)])

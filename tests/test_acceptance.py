@@ -8,18 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from liouville_lab.config import Defaults
 from liouville_lab.report import all_pass, emit
 from liouville_lab.scenarios import run_scenario
 
-CFG = Defaults()
 GOLDEN = Path(__file__).parent / "golden" / "all-seed42.json"
 
 
 @pytest.fixture(scope="module")
 def seed42_report(tmp_path_factory):
     """The in-process `all` report at seed 42: its entries and its emitted JSON bytes."""
-    entries = run_scenario("all", {"seed": 42}, CFG)
+    entries = run_scenario("all", {"seed": 42})
     path = tmp_path_factory.mktemp("seed42") / "report.json"
     emit(entries, "json", path)
     return entries, path.read_bytes()
@@ -32,7 +30,7 @@ def _report(name: str, ok: bool, detail: str = ""):
 
 def _scenario_criterion(name, scenario, prefixes, overrides=None, max_seconds=None):
     t0 = time.time()
-    entries = run_scenario(scenario, overrides or {"seed": 42}, CFG)
+    entries = run_scenario(scenario, overrides or {"seed": 42})
     elapsed = time.time() - t0
     relevant = [e for e in entries if any(e.check_id.startswith(p) for p in prefixes)]
     assert relevant, f"no entries matched {prefixes}"
@@ -71,7 +69,7 @@ def test_criterion_04_farfield():
     # gap below 10 (L^-3N-3 + e^-mu L^-2N-2) at L in {10, 20, 40} and slope
     # at most -(2N+2), for N in {1, 2} and mu >= 12
     for mu in (12.0, 14.0):
-        entries = run_scenario("farfield", {"mu": mu}, CFG)
+        entries = run_scenario("farfield", {"mu": mu})
         relevant = [e for e in entries
                     if e.check_id in ("farfield/gap", "farfield/slope")]
         bad = [e for e in relevant if not e.pass_]

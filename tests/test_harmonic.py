@@ -7,7 +7,6 @@ from liouville_lab.bubbles import BubbleParams
 from liouville_lab.errors import DichotomyError
 from liouville_lab.harmonic import (
     FourierBoundaryData,
-    boundary_data_from_csv,
     bubble_oscillation_killer,
     build_layer,
     grad_h_at_roots,
@@ -176,20 +175,3 @@ class TestGradHAtRoots:
         layer = layer_from_coefficients(N=1, delta=0.1, L=1, A=[0.0, 1.0], B=[0.0, 0.0])
         with pytest.raises(DichotomyError):
             grad_h_at_roots(layer, threshold=10.0)
-
-
-class TestCsvImport:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "boundary.csv"
-        path.write_text("n,a_n,b_n\n1,0.25,-0.5\n3,1.5,0.0\n", encoding="utf-8")
-        data = boundary_data_from_csv(path)
-        assert data.coefficients.a[1] == 0.25
-        assert data.coefficients.b[1] == -0.5
-        assert data.coefficients.a[3] == 1.5
-        assert data.coefficients.a[2] == 0.0
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("x,y\n1,2\n", encoding="utf-8")
-        with pytest.raises(ValueError):
-            boundary_data_from_csv(path)

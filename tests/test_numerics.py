@@ -275,16 +275,6 @@ class TestFdCheck:
 
 
 class TestRootFinding:
-    def test_bisect(self):
-        from liouville_lab.numerics import bisect
-        root = bisect(lambda x: x ** 3 - 2.0, 0.0, 2.0)
-        assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-10)
-
-    def test_bisect_rejects_same_sign(self):
-        from liouville_lab.numerics import bisect
-        with pytest.raises(ValueError):
-            bisect(lambda x: x ** 2 + 1.0, -1.0, 1.0)
-
     def test_newton_complex(self):
         from liouville_lab.numerics import newton_complex
         root = newton_complex(lambda z: z ** 3 - 1.0, lambda z: 3 * z ** 2,

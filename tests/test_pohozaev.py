@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -10,7 +9,6 @@ from liouville_lab.harmonic import layer_from_coefficients
 from liouville_lab.kernels import kernel_functions
 from liouville_lab.numerics import QuadratureSpec
 from liouville_lab.pohozaev import (
-    PohozaevReport,
     SolutionField,
     bubble_field,
     byparts_identity,
@@ -185,15 +183,3 @@ class TestCancellationStructure:
         contrast = coefficient_contrast(params, layer, 0, xi, radius, SPEC)
         diff = rep_b.residual - rep_a.residual
         assert abs(abs(diff) - abs(contrast)) <= 0.1 * abs(contrast)
-
-
-class TestReportSerialization:
-    def test_json_round_trip(self):
-        rep = PohozaevReport(volume_term=1.0, flux_term=0.25, boundary_kinetic=0.5,
-                             residual=0.25, center=1 + 2j, radius=0.3,
-                             direction=(1.0, 0.0))
-        data = json.loads(rep.to_json())
-        assert data["volume_term"] == 1.0
-        assert data["center"] == [1.0, 2.0]
-        assert data["direction"] == [1.0, 0.0]
-        assert data["residual"] == 0.25

@@ -7,7 +7,7 @@ import pytest
 
 import liouville_lab.scenarios as scenarios_mod
 from liouville_lab.cli import main
-from liouville_lab.config import load_defaults, parse_config
+from liouville_lab.config import INPUT_TYPES, load_defaults, parse_config
 from liouville_lab.errors import QuadratureBudgetError
 from liouville_lab.report import (
     ReportEntry,
@@ -18,7 +18,7 @@ from liouville_lab.report import (
     render_csv,
     render_json,
 )
-from liouville_lab.scenarios import SCENARIOS, TOL_SCENARIOS, run_scenario
+from liouville_lab.scenarios import INPUTS, SCENARIOS, run_scenario
 
 
 def _entry(**kw):
@@ -26,6 +26,14 @@ def _entry(**kw):
                 expected=1.0, tolerance=1e-6, provenance="trivial")
     base.update(kw)
     return ReportEntry(**base)
+
+
+def _usage_error(capsys, code, out) -> None:
+    """Exit 2, exactly one ``usage error:`` line on stderr, no report."""
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert "Traceback" not in err and not out.exists()
 
 
 class TestReportEntry:
@@ -97,15 +105,19 @@ class TestConfig:
         assert values == {"rel_tol": "1e-9", "seed": "7"}
 
     def test_defaults_load(self):
-        cfg = load_defaults()
-        assert cfg.rel_tol == 1e-8
-        assert cfg.seed == 42
+        # without a file nothing is set: every scenario runs on its INPUTS defaults
+        assert load_defaults() == {}
 
     def test_override_file(self, tmp_path):
         path = tmp_path / "conf.cfg"
-        path.write_text("seed = 11\n", encoding="utf-8")
-        cfg = load_defaults(path)
-        assert cfg.seed == 11
+        path.write_text("seed = 11\nN = 3\nmu = 14\ntol = 1e-9\n", encoding="utf-8")
+        assert load_defaults(path) == {"seed": 11, "N": 3, "mu": 14.0, "tol": 1e-9}
+
+    def test_mistyped_value_rejected(self, tmp_path):
+        path = tmp_path / "conf.cfg"
+        path.write_text("N = 2.5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="N: expected int"):
+            load_defaults(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "conf.cfg"
@@ -122,7 +134,7 @@ class TestConfig:
 
 class TestScenarios:
     def test_identities_all_pass(self):
-        entries = run_scenario("identities", {"n_max": 64})
+        entries = run_scenario("identities", {"N": 64})
         assert entries and all_pass(entries)
 
     def test_unknown_scenario(self):
@@ -173,17 +185,14 @@ class TestCli:
         assert err.count("\n") == 1 and "seed" in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("scenario", [s for s in SCENARIOS if s not in TOL_SCENARIOS])
+    @pytest.mark.parametrize("scenario", [s for s in SCENARIOS if "tol" not in INPUTS.get(s, {})])
     def test_tol_rejected_where_ignored(self, tmp_path, capsys, scenario):
         # every scenario but bubble pins its own tolerances; --tol must not
         # pass there as if it had been applied
         out = tmp_path / "x.json"
         code = main(["verify", "--scenario", scenario, "--tol", "1e-6",
                      "--out", str(out), "--format", "json"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("usage error:") and err.count("\n") == 1
-        assert not out.exists()
+        _usage_error(capsys, code, out)
 
     def test_tol_reaches_bubble_quadrature(self, monkeypatch):
         seen = []
@@ -194,9 +203,7 @@ class TestCli:
             return real(params, spec)
 
         monkeypatch.setattr(scenarios_mod.bubbles, "total_mass", spy)
-        cfg = load_defaults()
-        cfg.rel_tol = 1e-10
-        run_scenario("bubble", {"seed": 42}, cfg)
+        run_scenario("bubble", {"seed": 42, "tol": 1e-10})
         assert seen and set(seen) == {1e-10}
 
     def test_override_outside_domain_exit_two(self, tmp_path, capsys):
@@ -222,7 +229,7 @@ class TestCli:
         assert "kernel fit failed" in errors[0]["params"]["message"]
 
     def test_library_error_in_one_scenario_keeps_the_others(self, monkeypatch):
-        def broken(cfg, overrides):
+        def broken(**inputs):
             raise QuadratureBudgetError("quadrature budget exceeded: test")
 
         funcs = {"identities": scenarios_mod.scenario_identities, "moments": broken}
@@ -272,3 +279,103 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert out.exists()
+
+
+# a value inside each input's range that differs from its default; bubble's
+# tol is TestCli::test_tol_reaches_bubble_quadrature
+TRIALS = {
+    ("identities", "seed"): 7, ("identities", "N"): 3,
+    ("bubble", "seed"): 7,
+    ("farfield", "mu"): 14.0,
+    ("layer-dichotomy", "seed"): 7,
+    ("interaction", "mu"): 14.0,
+    ("pohozaev", "mu"): 6.0,
+    ("branch", "N"): 3,
+    ("conjecture-disk", "N"): 2, ("conjecture-disk", "mu"): 16.0,
+}
+
+
+class TestInputTable:
+    def test_every_declared_input_has_a_trial(self):
+        declared = {(name, key) for name, reads in INPUTS.items() for key in reads}
+        assert declared == set(TRIALS) | {("bubble", "tol")}
+        assert {key for _, key in declared} == set(INPUT_TYPES)
+        for (name, key), value in TRIALS.items():
+            setting = INPUTS[name][key]
+            assert value != setting.default and setting.low <= value <= setting.high
+
+    @pytest.mark.parametrize("name,key", sorted(TRIALS))
+    def test_declared_input_reaches_the_scenario(self, monkeypatch, name, key):
+        value = TRIALS[(name, key)]
+        seen = []
+        if (name, key) == ("conjecture-disk", "mu"):
+            # no conjecture record carries mu: read it off the contrast's bubble
+            real = scenarios_mod.pohozaev.coefficient_contrast
+
+            def spy(params, *args, **kwargs):
+                seen.append(params.mu)
+                return real(params, *args, **kwargs)
+
+            monkeypatch.setattr(scenarios_mod.pohozaev, "coefficient_contrast", spy)
+        entries = run_scenario(name, {key: value})
+        seen += [e.params.get(k) for e in entries for k in (key, f"{key}_max")]
+        assert value in seen
+
+    # --tol is TestCli::test_tol_rejected_where_ignored
+    @pytest.mark.parametrize("name,key", [(name, key) for name in SCENARIOS
+                                          for key in ("N", "mu") if key not in INPUTS.get(name, {})])
+    def test_undeclared_input_exits_two(self, tmp_path, capsys, name, key):
+        out = tmp_path / "x.json"
+        code = main(["verify", "--scenario", name, f"--{key}", "3",
+                     "--out", str(out), "--format", "json"])
+        _usage_error(capsys, code, out)
+
+    @pytest.mark.parametrize("name", [s for s in SCENARIOS if s != "all"])
+    def test_seed_accepted_everywhere(self, tmp_path, name):
+        # the benchmark passes --seed to every scenario
+        code = main(["verify", "--scenario", name, "--seed", "7",
+                     "--out", str(tmp_path / "x.json"), "--format", "json"])
+        assert code == 0
+
+    @pytest.mark.parametrize("name,key,value", [
+        ("identities", "N", 0), ("identities", "N", 65), ("identities", "N", 2.5),
+        ("bubble", "tol", 0.0), ("farfield", "mu", math.nan), ("pohozaev", "mu", -1.0),
+        ("branch", "N", 65), ("conjecture-disk", "N", 7), ("all", "seed", -1),
+    ])
+    def test_out_of_range_input_rejected(self, name, key, value):
+        with pytest.raises(ValueError, match=f"{name}: {key} must be"):
+            run_scenario(name, {key: value})
+
+    def test_hidden_override_keys_rejected(self):
+        with pytest.raises(ValueError, match="layer-dichotomy: no input draws"):
+            run_scenario("layer-dichotomy", {"draws": 0})
+
+    @pytest.mark.parametrize("name,config,flags", [
+        ("layer-dichotomy", "dichotomy_draws = 0", []),
+        ("identities", "identity_n_max = 2", []),
+        ("pohozaev", "rel_tol = 1e-2", []),
+        ("moments", None, ["--N", "5", "--mu", "3"]),
+        ("branch", None, ["--mu", "99"]),
+        ("all", None, ["--N", "3"]),
+    ])
+    def test_silent_overrides_exit_two(self, tmp_path, capsys, name, config, flags):
+        # each of these used to exit 0 with the override quietly dropped or
+        # weakening a check
+        out = tmp_path / "x.json"
+        if config is not None:
+            (tmp_path / "conf.cfg").write_text(config + "\n", encoding="utf-8")
+            flags = flags + ["--config", str(tmp_path / "conf.cfg")]
+        code = main(["verify", "--scenario", name, *flags,
+                     "--out", str(out), "--format", "json"])
+        _usage_error(capsys, code, out)
+
+    def test_config_input_takes_effect_and_flags_win(self, tmp_path):
+        conf = tmp_path / "conf.cfg"
+        conf.write_text("N = 300\nseed = 5\n", encoding="utf-8")
+        out = tmp_path / "id.json"
+        code = main(["verify", "--scenario", "identities", "--config", str(conf),
+                     "--N", "3", "--out", str(out), "--format", "json"])
+        assert code == 0
+        params = [r["params"] for r in json.loads(out.read_text(encoding="utf-8"))]
+        assert {p["N_max"] for p in params if "N_max" in p} == {3}
+        assert {p["seed"] for p in params if "seed" in p} == {5}
