@@ -259,8 +259,12 @@ def integrate_disk(f, center: complex, radius: float, spec: QuadratureSpec,
     return _integrate_rings(ring, 0.0, radius, spec, points=points)
 
 
-def integrate_circle(f, center: complex, radius: float, spec: QuadratureSpec) -> float:
-    """Line integral of f along the circle of the given radius."""
+def integrate_circle(f, center: complex, radius: float, spec: QuadratureSpec):
+    """Line integral of f along the circle of the given radius.
+
+    ``f`` may return shape (k, m) for m points; the k line integrals then come
+    back as an array from one ring, converged when every component is.
+    """
     mean = _circle_mean(f, center, radius, spec.rel_tol, spec.abs_tol)
     return math.tau * radius * mean
 

@@ -7,10 +7,13 @@ unit direction xi,
       - oint e^u |y|^2N h (xi . nu)
       = oint (d_nu u d_xi u - 1/2 |grad u|^2 (xi . nu)),
 
-with nu the outward normal.  The report's residual is
-volume - flux - kinetic.  The coefficient-contrast integral
-int d_xi h0 |y|^2N e^V isolates the gradient of the coefficient field at a
-maximum and equals grad h0 . xi times the local bubble mass 8 pi / h.
+with nu the outward normal.  Each term is linear in xi, so ``pohozaev_check``
+returns it as the vector of its e1 and e2 components, all from one disk pass
+and one circle pass; the balance along any unit xi is the dot product of xi
+with each vector.  The report's residual is volume - flux - kinetic.  The
+coefficient-contrast integral int d_xi h0 |y|^2N e^V isolates the gradient of
+the coefficient field at a maximum and equals grad h0 . xi times the local
+bubble mass 8 pi / h.
 """
 
 from __future__ import annotations
@@ -35,19 +38,22 @@ from .numerics import QuadratureSpec, integrate_circle, integrate_disk
 
 @dataclass
 class PohozaevReport:
-    """One Pohozaev balance: residual = volume_term - flux_term - boundary_kinetic."""
+    """The Pohozaev balance along e1 and e2: residual = volume - flux - kinetic.
 
-    volume_term: float
-    flux_term: float
-    boundary_kinetic: float
-    residual: float
+    Each term is a length-2 array holding its e1 and e2 components.
+    """
+
+    volume_term: np.ndarray
+    flux_term: np.ndarray
+    boundary_kinetic: np.ndarray
+    residual: np.ndarray
     center: complex
     radius: float
-    direction: tuple
 
     @property
-    def scale(self) -> float:
-        return abs(self.volume_term) + abs(self.flux_term) + abs(self.boundary_kinetic) + 1.0
+    def scale(self) -> np.ndarray:
+        return (np.abs(self.volume_term) + np.abs(self.flux_term)
+                + np.abs(self.boundary_kinetic) + 1.0)
 
 
 @dataclass
@@ -115,17 +121,15 @@ def _spot_check_solution(field: SolutionField, h, N: int, center: complex,
 
 
 def pohozaev_check(field: SolutionField, h, grad_h, N: int, center: complex,
-                   radius: float, xi, spec: QuadratureSpec | None = None,
+                   radius: float, spec: QuadratureSpec | None = None,
                    radial_splits=None, validate: bool = True) -> PohozaevReport:
-    """Evaluate the three Pohozaev terms on B(center, radius) by quadrature.
+    """Evaluate the three Pohozaev terms along e1 and e2 on B(center, radius).
 
-    h and grad_h are the coefficient field and its gradient; xi must be a unit
-    vector.  For N >= 1 the disk must avoid the origin.
+    h and grad_h are the coefficient field and its gradient.  The volume term
+    is one 2-component disk integral; the flux and kinetic terms are one
+    4-component circle integral.  For N >= 1 the disk must avoid the origin.
     """
     spec = spec or QuadratureSpec()
-    xi = np.asarray(xi, dtype=float)
-    if abs(np.hypot(xi[0], xi[1]) - 1.0) > 1e-12:
-        raise ValueError("xi must be a unit vector")
     if N >= 1 and abs(center) <= radius:
         raise ValueError("for N >= 1 the disk must not contain the origin")
     if validate:
@@ -133,46 +137,32 @@ def pohozaev_check(field: SolutionField, h, grad_h, N: int, center: complex,
 
     n2 = 2 * N
 
-    def weight(z):
-        return np.abs(z) ** n2
-
-    def d_xi_weight(z):
-        # d_xi |y|^2N = 2N |y|^(2N-2) (y . xi)
-        if N == 0:
-            return np.zeros(np.shape(z))
-        z = np.asarray(z, dtype=complex)
-        ydotxi = z.real * xi[0] + z.imag * xi[1]
-        return n2 * np.abs(z) ** (n2 - 2) * ydotxi
-
     def volume_integrand(z):
+        # grad(|y|^2N h) e^u, with grad |y|^2N = 2N |y|^(2N-2) y
         hx, hy = grad_h(z)
-        dxi_wh = d_xi_weight(z) * h(z) + weight(z) * (hx * xi[0] + hy * xi[1])
-        return dxi_wh * np.exp(field.value(z))
+        weight = np.abs(z) ** n2
+        gx, gy = weight * hx, weight * hy
+        if N:
+            lever = n2 * np.abs(z) ** (n2 - 2) * h(z)
+            gx, gy = gx + lever * z.real, gy + lever * z.imag
+        return np.stack([gx, gy]) * np.exp(field.value(z))
 
     vol = integrate_disk(volume_integrand, center, radius, spec, radial_splits=radial_splits)
 
-    def xidotnu(z):
-        z = np.asarray(z, dtype=complex)
+    def boundary_integrand(z):
+        # flux along e1, e2, then kinetic along e1, e2
         nu = (z - center) / radius
-        return nu.real * xi[0] + nu.imag * xi[1]
-
-    def flux_integrand(z):
-        return np.exp(field.value(z)) * weight(z) * h(z) * xidotnu(z)
-
-    flux = integrate_circle(flux_integrand, center, radius, spec)
-
-    def kinetic_integrand(z):
-        z = np.asarray(z, dtype=complex)
         ux, uy = field.gradient(z)
-        nu = (z - center) / radius
+        flux = np.exp(field.value(z)) * np.abs(z) ** n2 * h(z)
         dnu = ux * nu.real + uy * nu.imag
-        dxi = ux * xi[0] + uy * xi[1]
-        return dnu * dxi - 0.5 * (ux ** 2 + uy ** 2) * xidotnu(z)
+        half_sq = 0.5 * (ux ** 2 + uy ** 2)
+        return np.stack([flux * nu.real, flux * nu.imag,
+                         dnu * ux - half_sq * nu.real, dnu * uy - half_sq * nu.imag])
 
-    kin = integrate_circle(kinetic_integrand, center, radius, spec)
+    boundary = integrate_circle(boundary_integrand, center, radius, spec)
+    flux, kin = boundary[:2], boundary[2:]
     return PohozaevReport(volume_term=vol, flux_term=flux, boundary_kinetic=kin,
-                          residual=vol - flux - kin, center=center, radius=radius,
-                          direction=(float(xi[0]), float(xi[1])))
+                          residual=vol - flux - kin, center=center, radius=radius)
 
 
 # ----------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def scenario_bubble(seed: int, tol: float) -> list:
     for N in (0, 1, 2, 3):
         params = BubbleParams(N=N, mu=mu, p=0.02, h=8.0 * (N + 1) ** 2)
         mass = bubbles.total_mass(params, spec)
-        entries.append(_entry("bubble/total-mass", {"N": N, "mu": mu},
+        entries.append(_entry("bubble/total-mass", {"N": N, "mu": mu, "tol": tol},
                               mass, 8.0 * math.pi * (N + 1), 1e-6, "derived"))
     for N, p in ((1, 0.01), (2, 0.1 * np.exp(0.4j)), (3, 0.05)):
         params = BubbleParams(N=N, mu=8.0, p=p, h=8.0)
@@ -397,23 +397,21 @@ def scenario_pohozaev(mu: float) -> list:
         worst = 0.0
         for center in centers:
             for radius in radii:
-                for xi in ((1.0, 0.0), (0.0, 1.0)):
-                    shift = abs(q0 - center)
-                    splits = sorted({max(shift - 5 * eps, radius * 0.01), shift,
-                                     min(shift + 5 * eps, radius * 0.99)}) if shift < radius else None
-                    rep = pohozaev.pohozaev_check(field, h, grad_h, N, center, radius,
-                                                  xi, spec, radial_splits=splits)
-                    worst = max(worst, abs(rep.residual) / rep.scale)
+                shift = abs(q0 - center)
+                splits = sorted({max(shift - 5 * eps, radius * 0.01), shift,
+                                 min(shift + 5 * eps, radius * 0.99)}) if shift < radius else None
+                rep = pohozaev.pohozaev_check(field, h, grad_h, N, center, radius, spec,
+                                              radial_splits=splits)
+                worst = max(worst, float(np.max(np.abs(rep.residual) / rep.scale)))
         entries.append(_entry("pohozaev/bubble-residual", {"N": N, "mu": mu},
                               worst, 0.0, 1e-6, "paper"))
     # radial Gelfand solution at N = 0
     prof = radial.closed_form_profile(0, 1.0)
     rfield = pohozaev.radial_field(prof)
     h, grad_h = pohozaev.constant_field(prof.lam)
-    rep = pohozaev.pohozaev_check(rfield, h, grad_h, 0, 0j, 0.5, (1.0, 0.0), spec,
-                                  validate=False)
+    rep = pohozaev.pohozaev_check(rfield, h, grad_h, 0, 0j, 0.5, spec, validate=False)
     entries.append(_entry("pohozaev/radial-residual", {"N": 0, "b": 1.0},
-                          abs(rep.residual) / rep.scale, 0.0, 1e-6, "derived"))
+                          abs(rep.residual[0]) / rep.scale[0], 0.0, 1e-6, "derived"))
 
     # coefficient contrast for the linear layer
     mu_c = 14.0
@@ -531,6 +529,7 @@ def scenario_conjecture_disk(N: int, mu: float) -> list:
     delta = 0.02
     R_out = 2.0
     params = BubbleParams(N=N, mu=mu, p=0j, h=1.0)
+    inputs = {"N": N, "delta": delta, "mu": mu}
 
     def angular_tail(z):
         z = np.asarray(z, dtype=complex)
@@ -553,21 +552,21 @@ def scenario_conjecture_disk(N: int, mu: float) -> list:
     # monomial coefficients of phi0 around the origin, read off on |y| = 1
     trace1 = sample_circle(phi0, 0j, 1.0, 512)
     c1 = circle_fourier(trace1, 16)
-    entries.append(_entry("conjecture/zero-mean", {"N": N, "delta": delta},
+    entries.append(_entry("conjecture/zero-mean", inputs,
                           abs(c1.a[0]), 0.0, 1e-10, "trivial"))
     c1.a[0] = 0.0   # provably zero (mean value property); drop the Fourier noise
     delta_star = float(np.sum(np.abs(c1.a[1:N + 2]) + np.abs(c1.b[1:N + 2])))
-    entries.append(_bound_entry("conjecture/delta-star-lower", {"N": N, "delta": delta},
+    entries.append(_bound_entry("conjecture/delta-star-lower", inputs,
                                 delta_star / delta ** (2 * N + 2), 0.1, "paper",
                                 direction=">="))
-    entries.append(_bound_entry("conjecture/delta-star-upper", {"N": N, "delta": delta},
+    entries.append(_bound_entry("conjecture/delta-star-upper", inputs,
                                 delta_star / delta ** (N + 2), 100.0, "paper"))
 
     layer = layer_from_coefficients(N=N, delta=delta, L=N + 1,
                                     A=c1.a[:2 * N + 4], B=c1.b[:2 * N + 4],
                                     delta_star=delta_star)
     dich = harmonic.grad_h_at_roots(layer)
-    entries.append(_bound_entry("conjecture/dichotomy", {"N": N, "delta": delta},
+    entries.append(_bound_entry("conjecture/dichotomy", inputs,
                                 dich.ratio, harmonic.DICHOTOMY_THRESHOLD, "paper",
                                 direction=">="))
 
@@ -577,7 +576,7 @@ def scenario_conjecture_disk(N: int, mu: float) -> list:
     val = pohozaev.coefficient_contrast(params, layer, dich.index, xi, 0.3, spec,
                                         check=False)
     predicted = abs(g) * 8.0 * math.pi / params.h
-    entries.append(_entry("conjecture/contrast-ratio", {"N": N, "delta": delta},
+    entries.append(_entry("conjecture/contrast-ratio", inputs,
                           val / predicted, 1.0, 0.1, "derived"))
     return entries
 

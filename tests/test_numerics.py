@@ -16,6 +16,7 @@ from liouville_lab.numerics import (
     _circle_mean,
     circle_fourier,
     fd_check,
+    integrate_circle,
     integrate_disk,
     integrate_plane,
     make_polar_grid,
@@ -142,6 +143,14 @@ class TestVectorIntegrands:
         for i, v in enumerate(vec):
             scalar = integrate_disk(lambda z: _moment_fields(z)[i], center, radius, SPEC,
                                     radial_splits=splits)
+            assert abs(v - scalar) <= SPEC.rel_tol * max(abs(scalar), 1.0)
+
+    def test_circle_components_match_scalar_calls(self):
+        center, radius = 0.4 - 0.2j, 1.5
+        vec = integrate_circle(_moment_fields, center, radius, SPEC)
+        assert vec.shape == (3,)
+        for i, v in enumerate(vec):
+            scalar = integrate_circle(lambda z: _moment_fields(z)[i], center, radius, SPEC)
             assert abs(v - scalar) <= SPEC.rel_tol * max(abs(scalar), 1.0)
 
     def test_shared_rings_cost_less_than_separate_runs(self):

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from liouville_lab import pohozaev
 from liouville_lab.bubbles import BubbleParams, find_maxima
 from liouville_lab.errors import ContrastMismatchError, NotASolutionError
 from liouville_lab.harmonic import layer_from_coefficients
 from liouville_lab.kernels import kernel_functions
-from liouville_lab.numerics import QuadratureSpec
+from liouville_lab.numerics import QuadratureSpec, integrate_circle, integrate_disk
 from liouville_lab.pohozaev import (
     SolutionField,
     bubble_field,
@@ -30,24 +33,16 @@ class TestPohozaevCheck:
         h, grad_h = constant_field(params.h)
         q0 = find_maxima(params).Q[0]
         for center, radius in ((q0, 0.2), (q0 * np.exp(0.2j), 0.3)):
-            for xi in ((1.0, 0.0), (0.0, 1.0)):
-                rep = pohozaev_check(field, h, grad_h, N, center, radius, xi, SPEC)
-                assert abs(rep.residual) <= 1e-6 * rep.scale
-
-    def test_degenerate_direction_rejected(self):
-        params = BubbleParams(N=0, mu=4.0, p=0j, h=8.0)
-        field = bubble_field(params)
-        h, grad_h = constant_field(params.h)
-        with pytest.raises(ValueError):
-            pohozaev_check(field, h, grad_h, 0, 0j, 0.3, (0.0, 0.0), SPEC)
+            rep = pohozaev_check(field, h, grad_h, N, center, radius, SPEC)
+            assert rep.residual.shape == rep.scale.shape == (2,)
+            assert np.all(np.abs(rep.residual) <= 1e-6 * rep.scale)
 
     def test_radial_gelfand_solution(self):
         prof = closed_form_profile(0, 1.0)
         field = radial_field(prof)
         h, grad_h = constant_field(prof.lam)
-        rep = pohozaev_check(field, h, grad_h, 0, 0j, 0.5, (1.0, 0.0), SPEC,
-                             validate=False)
-        assert abs(rep.residual) <= 1e-6 * rep.scale
+        rep = pohozaev_check(field, h, grad_h, 0, 0j, 0.5, SPEC, validate=False)
+        assert np.all(np.abs(rep.residual) <= 1e-6 * rep.scale)
 
     def test_non_solution_rejected(self):
         params = BubbleParams(N=0, mu=4.0, p=0j, h=8.0)
@@ -57,14 +52,118 @@ class TestPohozaevCheck:
                                laplacian=lambda z: np.zeros(np.shape(z)))
         h, grad_h = constant_field(params.h)
         with pytest.raises(NotASolutionError):
-            pohozaev_check(broken, h, grad_h, 0, 1.0 + 0j, 0.3, (1.0, 0.0), SPEC)
+            pohozaev_check(broken, h, grad_h, 0, 1.0 + 0j, 0.3, SPEC)
 
     def test_origin_exclusion(self):
         params = BubbleParams(N=1, mu=4.0, p=0j, h=32.0)
         field = bubble_field(params)
         h, grad_h = constant_field(params.h)
         with pytest.raises(ValueError):
-            pohozaev_check(field, h, grad_h, 1, 0.1 + 0j, 0.3, (1.0, 0.0), SPEC)
+            pohozaev_check(field, h, grad_h, 1, 0.1 + 0j, 0.3, SPEC)
+
+
+def _scalar_terms(field, h, grad_h, N, center, radius, xi, radial_splits):
+    """Volume, flux and kinetic terms along one unit xi, one scalar pass per term.
+
+    Reference for the two-direction pass: each integrand is written for a
+    single direction, independently of the vector integrands it checks.
+    """
+    xi = np.asarray(xi, dtype=float)
+    n2 = 2 * N
+
+    def weight(z):
+        return np.abs(z) ** n2
+
+    def d_xi_weight(z):
+        if N == 0:
+            return np.zeros(np.shape(z))
+        ydotxi = z.real * xi[0] + z.imag * xi[1]
+        return n2 * np.abs(z) ** (n2 - 2) * ydotxi
+
+    def volume_integrand(z):
+        hx, hy = grad_h(z)
+        dxi_wh = d_xi_weight(z) * h(z) + weight(z) * (hx * xi[0] + hy * xi[1])
+        return dxi_wh * np.exp(field.value(z))
+
+    def xidotnu(z):
+        nu = (z - center) / radius
+        return nu.real * xi[0] + nu.imag * xi[1]
+
+    def flux_integrand(z):
+        return np.exp(field.value(z)) * weight(z) * h(z) * xidotnu(z)
+
+    def kinetic_integrand(z):
+        ux, uy = field.gradient(z)
+        nu = (z - center) / radius
+        dnu = ux * nu.real + uy * nu.imag
+        dxi = ux * xi[0] + uy * xi[1]
+        return dnu * dxi - 0.5 * (ux ** 2 + uy ** 2) * xidotnu(z)
+
+    vol = integrate_disk(volume_integrand, center, radius, SPEC, radial_splits=radial_splits)
+    flux = integrate_circle(flux_integrand, center, radius, SPEC)
+    kin = integrate_circle(kinetic_integrand, center, radius, SPEC)
+    return vol, flux, kin
+
+
+def _peak_splits(q0, center, radius, eps):
+    """Radial breakpoints at the bubble peak, as the pohozaev scenario places them."""
+    shift = abs(q0 - center)
+    return sorted({max(shift - 5 * eps, radius * 0.01), shift,
+                   min(shift + 5 * eps, radius * 0.99)})
+
+
+class TestTwoDirectionPass:
+    @pytest.mark.parametrize("N", [0, 1, 2])
+    def test_matches_scalar_reference(self, N):
+        params = BubbleParams(N=N, mu=10.0, p=0j, h=8.0 * (N + 1) ** 2)
+        field = bubble_field(params)
+        h, grad_h = constant_field(params.h)
+        q0 = find_maxima(params).Q[0]
+        center, radius = q0 + 0.05 + 0.02j, 0.2
+        splits = _peak_splits(q0, center, radius, math.exp(-params.mu / 2.0))
+        rep = pohozaev_check(field, h, grad_h, N, center, radius, SPEC, radial_splits=splits)
+        for i, xi in enumerate(((1.0, 0.0), (0.0, 1.0))):
+            ref = _scalar_terms(field, h, grad_h, N, center, radius, xi, splits)
+            got = (rep.volume_term[i], rep.flux_term[i], rep.boundary_kinetic[i])
+            for value, expected in zip(got, ref):
+                assert abs(value - expected) <= 1e-8 * rep.scale[i]
+
+    def test_one_disk_and_one_circle_integral(self, monkeypatch):
+        calls = []
+        for name in ("integrate_disk", "integrate_circle"):
+            real = getattr(pohozaev, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(pohozaev, name, spy)
+        params = BubbleParams(N=1, mu=10.0, p=0j, h=32.0)
+        h, grad_h = constant_field(params.h)
+        pohozaev_check(bubble_field(params), h, grad_h, 1, 1.0 + 0j, 0.2, SPEC)
+        assert sorted(calls) == ["integrate_circle", "integrate_disk"]
+
+    @settings(max_examples=10, deadline=None)
+    @given(alpha=st.floats(min_value=0.0, max_value=math.tau))
+    def test_terms_rotate_with_the_disk(self, alpha):
+        # the N = 0 bubble is radial about its maximum 1 + p, so turning the
+        # disk centre about that point by alpha turns every term by alpha
+        params = BubbleParams(N=0, mu=10.0, p=0.03 + 0.02j, h=8.0)
+        field = bubble_field(params)
+        h, grad_h = constant_field(params.h)
+        q0 = 1.0 + params.p
+        offset, radius = 0.05 + 0.02j, 0.2
+        splits = _peak_splits(q0, q0 + offset, radius, math.exp(-params.mu / 2.0))
+        base = pohozaev_check(field, h, grad_h, 0, q0 + offset, radius, SPEC,
+                              radial_splits=splits)
+        turned = pohozaev_check(field, h, grad_h, 0, q0 + offset * np.exp(1j * alpha),
+                                radius, SPEC, radial_splits=splits)
+        c, s = math.cos(alpha), math.sin(alpha)
+        rotation = np.array([[c, -s], [s, c]])
+        scale = np.maximum(base.scale, turned.scale)
+        for term in ("volume_term", "flux_term", "boundary_kinetic"):
+            expected = rotation @ getattr(base, term)
+            assert np.all(np.abs(getattr(turned, term) - expected) <= 1e-8 * scale)
 
 
 class TestCoefficientContrast:
@@ -164,7 +263,7 @@ class TestCancellationStructure:
         layer = layer_from_coefficients(N=1, delta=0.05, L=1, A=[0.0, ds], B=[0.0, 0.0])
         # the constant-coefficient balance freezes the layered field at the maximum
         h_const, grad_const = constant_field(params.h * float(layer.h0(q0)))
-        rep_a = pohozaev_check(field, h_const, grad_const, 1, q0, radius, xi, SPEC,
+        rep_a = pohozaev_check(field, h_const, grad_const, 1, q0, radius, SPEC,
                                radial_splits=splits, validate=False)
 
         def h_layered(z):
@@ -178,8 +277,8 @@ class TestCancellationStructure:
             gy = (params.h * gs[:, 1]).reshape(z.shape)
             return gx, gy
 
-        rep_b = pohozaev_check(field, h_layered, grad_layered, 1, q0, radius, xi, SPEC,
+        rep_b = pohozaev_check(field, h_layered, grad_layered, 1, q0, radius, SPEC,
                                radial_splits=splits, validate=False)
         contrast = coefficient_contrast(params, layer, 0, xi, radius, SPEC)
-        diff = rep_b.residual - rep_a.residual
+        diff = rep_b.residual[0] - rep_a.residual[0]
         assert abs(abs(diff) - abs(contrast)) <= 0.1 * abs(contrast)

@@ -281,11 +281,10 @@ class TestCli:
         assert out.exists()
 
 
-# a value inside each input's range that differs from its default; bubble's
-# tol is TestCli::test_tol_reaches_bubble_quadrature
+# a value inside each input's range that differs from its default
 TRIALS = {
     ("identities", "seed"): 7, ("identities", "N"): 3,
-    ("bubble", "seed"): 7,
+    ("bubble", "seed"): 7, ("bubble", "tol"): 1e-9,
     ("farfield", "mu"): 14.0,
     ("layer-dichotomy", "seed"): 7,
     ("interaction", "mu"): 14.0,
@@ -298,27 +297,17 @@ TRIALS = {
 class TestInputTable:
     def test_every_declared_input_has_a_trial(self):
         declared = {(name, key) for name, reads in INPUTS.items() for key in reads}
-        assert declared == set(TRIALS) | {("bubble", "tol")}
+        assert declared == set(TRIALS)
         assert {key for _, key in declared} == set(INPUT_TYPES)
         for (name, key), value in TRIALS.items():
             setting = INPUTS[name][key]
             assert value != setting.default and setting.low <= value <= setting.high
 
     @pytest.mark.parametrize("name,key", sorted(TRIALS))
-    def test_declared_input_reaches_the_scenario(self, monkeypatch, name, key):
+    def test_declared_input_reaches_the_scenario(self, name, key):
         value = TRIALS[(name, key)]
-        seen = []
-        if (name, key) == ("conjecture-disk", "mu"):
-            # no conjecture record carries mu: read it off the contrast's bubble
-            real = scenarios_mod.pohozaev.coefficient_contrast
-
-            def spy(params, *args, **kwargs):
-                seen.append(params.mu)
-                return real(params, *args, **kwargs)
-
-            monkeypatch.setattr(scenarios_mod.pohozaev, "coefficient_contrast", spy)
         entries = run_scenario(name, {key: value})
-        seen += [e.params.get(k) for e in entries for k in (key, f"{key}_max")]
+        seen = [e.params.get(k) for e in entries for k in (key, f"{key}_max")]
         assert value in seen
 
     # --tol is TestCli::test_tol_rejected_where_ignored
