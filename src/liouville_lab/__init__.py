@@ -25,6 +25,7 @@ from .interaction import (
     interaction_coefficient,
     kernel_coefficients,
     moment_integrals,
+    second_moment,
 )
 from .kernels import (
     ModeProblem,

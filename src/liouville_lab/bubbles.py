@@ -124,10 +124,32 @@ def bubble_density(params: BubbleParams, y, h=None):
     return np.abs(y) ** (2 * params.N) * h * np.exp(eval_bubble(params, y))
 
 
+def peak_grading(params: BubbleParams):
+    """Ring grading toward the N+1 maxima: r -> (K, psi0, beta) for ``integrate_plane``.
+
+    With rho = r^(N+1) and 1 + p = a e^(i psi0), the density on the ring of
+    radius r is, in phi = (N+1) theta, a peak at phi = psi0 of half-width about
+    w = sqrt(((rho - a)^2 + 1/c) / (rho a)), repeated K = N+1 times.  beta is
+    min(1, 2w) rounded down to a power of two, so that the ring nodes cache.
+    """
+    K = params.N + 1
+    a = abs(1.0 + params.p)
+    psi0 = math.atan2(params.p.imag, 1.0 + params.p.real)
+    inv_c = 1.0 / params.coefficient
+
+    def grading(r):
+        rho = float(r) ** K
+        w = math.sqrt(((rho - a) ** 2 + inv_c) / max(rho * a, 1e-300))
+        return K, psi0, 2.0 ** math.floor(math.log2(min(1.0, 2.0 * w)))
+
+    return grading
+
+
 def total_mass(params: BubbleParams, spec: QuadratureSpec | None = None) -> float:
     """integral over the plane of |y|^(2N) h e^V = 8 pi (N+1), whatever mu, p, h."""
     spec = spec or QuadratureSpec()
-    return integrate_plane(lambda z: bubble_density(params, z), spec)
+    return integrate_plane(lambda z: bubble_density(params, z), spec,
+                           peaks=peak_grading(params))
 
 
 @dataclass

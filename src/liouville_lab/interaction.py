@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubbles import BubbleParams, bubble_density, eval_bubble
+from .bubbles import BubbleParams, bubble_density, eval_bubble, peak_grading
 from .errors import InteractionMismatchError, KernelFitError
 from .kernels import kernel_functions
 from .numerics import QuadratureSpec, integrate_disk, integrate_plane
@@ -137,28 +137,31 @@ def decompose_difference(params: InteractionParams, z) -> Decomposition:
 # moment integrals
 
 def moment_integrals(params: BubbleParams, spec: QuadratureSpec | None = None):
-    """(I0, I1, I2): two vanishing bubble moments and the fixed 16 pi moment.
+    """(I0, I1): the two vanishing bubble moments.
 
     I0 = int (1-q)/(1+q)^3 |z|^2N dz with q the bubble quadratic form,
-    I1 = int c (z^(N+1) - 1 - p) |z|^2N / (1+q)^3 dz (complex; both parts vanish),
-    I2 = int z1^2 / (1 + |z|^2/8)^3 dz = 16 pi.
+    I1 = int c (z^(N+1) - 1 - p) |z|^2N / (1+q)^3 dz (complex; both parts vanish).
+    The rings are graded toward the bubble's maxima, where both integrands peak.
     """
     spec = spec or QuadratureSpec()
     c = params.coefficient
     off = 1.0 + params.p
 
-    def integrand01(z):
+    def integrand(z):
         zz = z ** (params.N + 1) - off
         q = c * np.abs(zz) ** 2
         w = np.abs(z) ** (2 * params.N) / (1.0 + q) ** 3
         i1 = c * zz * w
         return np.stack([(1.0 - q) * w, i1.real, i1.imag])
 
-    def integrand2(z):
-        return z.real ** 2 / (1.0 + np.abs(z) ** 2 / 8.0) ** 3
+    i0, i1_re, i1_im = integrate_plane(integrand, spec, peaks=peak_grading(params))
+    return float(i0), complex(i1_re, i1_im)
 
-    i0, i1_re, i1_im = integrate_plane(integrand01, spec)
-    return float(i0), complex(i1_re, i1_im), integrate_plane(integrand2, spec)
+
+def second_moment(spec: QuadratureSpec | None = None) -> float:
+    """I2 = int z1^2 / (1 + |z|^2/8)^3 dz = 16 pi, the fixed moment beside I0 and I1."""
+    spec = spec or QuadratureSpec()
+    return integrate_plane(lambda z: z.real ** 2 / (1.0 + np.abs(z) ** 2 / 8.0) ** 3, spec)
 
 
 # ----------------------------------------------------------------------------

@@ -154,32 +154,63 @@ def sample_circle(f, center: complex, radius: float, m: int) -> np.ndarray:
 # quadrature
 
 @functools.lru_cache(maxsize=None)
-def _unit_roots(m: int, odd: bool) -> np.ndarray:
-    """exp(i tau k / m) for k = 0..m-1, or for the odd k only (read-only, cached).
+def _ring_nodes(m: int, odd: bool, K: int, beta: float):
+    """Nodes exp(i theta_k) and weights theta'(Phi_k) of the m-point ring rule.
 
-    Only powers of two reach the cache, so it holds a few dozen arrays at most.
+    Phi_k = tau k / m for k = 0..m-1, or for the odd k only.  With beta < 1 the
+    angle theta = g(K Phi) / K follows the Moebius circle map
+    g(x) = 2 atan(beta tan(x/2)), continued so that g(x + tau) = g(x) + tau,
+    which crowds the nodes toward the K angles tau j / K with width about
+    beta; the weights are g'(K Phi).  beta = 1 gives the unit roots
+    exp(i tau k / m) and weights None (all ones).  The arrays are read-only and
+    cached: only powers of two and power-of-two betas reach the cache.
     """
     k = np.arange(1, m, 2) if odd else np.arange(m)
-    roots = np.exp(1j * math.tau * k / m)
-    roots.flags.writeable = False
-    return roots
+    if beta == 1.0:
+        nodes, weights = np.exp(1j * math.tau * k / m), None
+    else:
+        x = K * math.tau * k / m
+        s, c = np.sin(x), np.cos(x)
+        theta = (x - 2.0 * np.arctan((1.0 - beta) * s / ((1.0 + beta) + (1.0 - beta) * c))) / K
+        nodes = np.exp(1j * theta)
+        weights = 2.0 * beta / ((1.0 + c) + beta * beta * (1.0 - c))
+        weights.flags.writeable = False
+    nodes.flags.writeable = False
+    return nodes, weights
 
 
 def _circle_mean(f, center: complex, r: float, rel_tol: float, abs_tol: float,
-                 m_start: int = 64, m_max: int = 1 << 20):
+                 m_start: int = 64, m_max: int = 1 << 20, grading=None):
     """Adaptive trapezoid average of f over a circle (spectral for analytic f).
 
     The rule is nested: when m doubles only the m/2 new odd-index points are
     evaluated and added to the running sum.  A vector integrand returning shape
     (k, m) gives k means, converged only when every component is.
+
+    ``grading = (K, psi0, beta)`` grades the rule toward K equally spaced peaks
+    at the angles (psi0 + tau j) / K: the trapezoid runs in Phi, with
+    theta = (psi0 + g(K Phi)) / K for the circle map g of ``_ring_nodes`` and
+    each value weighted by g'(K Phi).  The rule stays nested and spectral.
+    No grading, or beta = 1, is the uniform rule.
     """
+    if grading is None or grading[2] == 1.0:
+        K, beta, scale = 1, 1.0, r
+    else:
+        K, psi0, beta = grading
+        scale = r * complex(math.cos(psi0 / K), math.sin(psi0 / K))
+
+    def ring_sum(m, odd):
+        nodes, weights = _ring_nodes(m, odd, K, beta)
+        values = f(center + scale * nodes)
+        return values.sum(axis=-1) if weights is None else values @ weights
+
     m = m_start
-    total = f(center + r * _unit_roots(m, False)).sum(axis=-1)
+    total = ring_sum(m, False)
     scalar = total.ndim == 0
     prev = total / m
     while m <= m_max:
         m *= 2
-        total = total + f(center + r * _unit_roots(m, True)).sum(axis=-1)
+        total = total + ring_sum(m, True)
         cur = total / m
         err = abs(cur - prev)
         if scalar:  # float arithmetic: numpy's elementwise test is ~10x slower on scalars
@@ -269,7 +300,7 @@ def integrate_circle(f, center: complex, radius: float, spec: QuadratureSpec):
     return math.tau * radius * mean
 
 
-def integrate_plane(f, spec: QuadratureSpec):
+def integrate_plane(f, spec: QuadratureSpec, peaks=None):
     """Improper integral of f over the plane.
 
     Uses the compactifying substitution t = |z|^2 / (s + |z|^2) with
@@ -277,7 +308,9 @@ def integrate_plane(f, spec: QuadratureSpec):
     integral f = int_0^1 (theta-average of f at r(t)) * pi * s / (1-t)^2 dt.
     The integrand must decay at least like |z|^-4 (or the caller must choose s
     so that the transformed integrand stays bounded).  Like ``integrate_disk``,
-    a vector-valued ``f`` gives an array of integrals.
+    a vector-valued ``f`` gives an array of integrals.  ``peaks(r)``, when
+    given, returns the ``(K, psi0, beta)`` grading of the ring of radius r
+    (see ``_circle_mean``).
     """
     s = spec.plane_compactification_scale
     theta_tol = 0.1
@@ -287,7 +320,8 @@ def integrate_plane(f, spec: QuadratureSpec):
             return 0.0
         t = min(t, 1.0 - 1e-15)
         r = np.sqrt(s * t / (1.0 - t))
-        mean = _circle_mean(f, 0j, r, spec.rel_tol * theta_tol, spec.abs_tol * theta_tol)
+        mean = _circle_mean(f, 0j, r, spec.rel_tol * theta_tol, spec.abs_tol * theta_tol,
+                            grading=peaks(r) if peaks else None)
         return mean * np.pi * s / (1.0 - t) ** 2
 
     return _integrate_rings(trans, 0.0, 1.0, spec)

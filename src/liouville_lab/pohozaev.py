@@ -11,9 +11,9 @@ with nu the outward normal.  Each term is linear in xi, so ``pohozaev_check``
 returns it as the vector of its e1 and e2 components, all from one disk pass
 and one circle pass; the balance along any unit xi is the dot product of xi
 with each vector.  The report's residual is volume - flux - kinetic.  The
-coefficient-contrast integral int d_xi h0 |y|^2N e^V isolates the gradient of
-the coefficient field at a maximum and equals grad h0 . xi times the local
-bubble mass 8 pi / h.
+coefficient-contrast integral int grad h0 |y|^2N e^V, also returned as its e1
+and e2 components from one disk pass, isolates the gradient of the coefficient
+field at a maximum and equals grad h0 times the local bubble mass 8 pi / h.
 """
 
 from __future__ import annotations
@@ -168,35 +168,37 @@ def pohozaev_check(field: SolutionField, h, grad_h, N: int, center: complex,
 # ----------------------------------------------------------------------------
 # coefficient contrast
 
-def coefficient_contrast(params: BubbleParams, layer: LayerField, s: int, xi,
+def coefficient_contrast(params: BubbleParams, layer: LayerField, s: int,
                          radius: float, spec: QuadratureSpec | None = None,
-                         check: bool = True) -> float:
-    """int_{B(Q_s, radius)} d_xi h0 |y|^2N e^V dy.
+                         check: bool = True) -> np.ndarray:
+    """int_{B(Q_s, radius)} grad h0 |y|^2N e^V dy, as its e1 and e2 components.
 
-    Comparable to grad h0(Q_s) . xi times the per-bubble mass 8 pi / h; a gap
-    beyond 10% of the delta*-scale raises ContrastMismatchError.
+    Both components come from one disk pass; the contrast along a unit xi is
+    the dot product with xi.  Comparable to grad h0(Q_s) times the per-bubble
+    mass 8 pi / h; a gap along grad h0(Q_s) beyond 10% of the delta*-scale
+    raises ContrastMismatchError.
     """
     spec = spec or QuadratureSpec()
-    xi = np.asarray(xi, dtype=float)
-    if abs(np.hypot(xi[0], xi[1]) - 1.0) > 1e-12:
-        raise ValueError("xi must be a unit vector")
     maxima = find_maxima(params)
     q_s = complex(maxima.Q[s])
     eps = math.exp(-params.mu / 2.0)
 
     def integrand(z):
         gx, gy = layer.phi0_gradient(z)
-        return bubble_density(params, z, (gx * xi[0] + gy * xi[1]) * layer.h0(z))
+        return np.stack([gx, gy]) * bubble_density(params, z, layer.h0(z))
 
     splits = [5.0 * eps, 50.0 * eps, radius * 0.5]
     value = integrate_disk(integrand, q_s, radius, spec, radial_splits=splits)
 
-    gx, gy = layer.h0_gradient(q_s)
-    predicted = (gx * xi[0] + gy * xi[1]) * 8.0 * math.pi / params.h
-    tol = 0.10 * 8.0 * math.pi / params.h * max(np.hypot(gx, gy), layer.delta_star)
-    if check and abs(value - predicted) > tol:
+    grad = np.array(layer.h0_gradient(q_s), dtype=float)
+    predicted = grad * 8.0 * math.pi / params.h
+    norm = np.hypot(*grad)
+    tol = 0.10 * 8.0 * math.pi / params.h * max(norm, layer.delta_star)
+    gap = value - predicted
+    along = abs(gap @ grad) / norm if norm > 0 else np.hypot(*gap)
+    if check and along > tol:
         raise ContrastMismatchError(
-            f"contrast mismatch: integral {value:.6e} vs predicted {predicted:.6e}")
+            f"contrast mismatch: gap {along:.6e} along grad h0 exceeds {tol:.6e}")
     return value
 
 

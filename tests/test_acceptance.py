@@ -1,6 +1,7 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each."""
 
 import json
+import math
 import subprocess
 import sys
 import time
@@ -172,3 +173,35 @@ def test_full_suite_green(seed42_report):
     drifts = [f"{g['check_id']}: {why}" for r, g in zip(records, golden)
               if (why := golden_drift(r, g)) is not None]
     _report("00-golden", not drifts, f"({len(golden)} checks) " + "; ".join(drifts[:8]))
+
+
+LOST_DECADES = 3.0
+
+
+def headroom_decades(record: dict) -> float:
+    """log10 of a two-sided check's error over its tolerance, floored at 1e-12.
+
+    The tolerance is read as the check reads it (absolute, or relative to
+    ``expected``); the floor keeps errors at rounding level from counting as
+    digits.
+    """
+    err = abs(record["measured"] - record["expected"])
+    tol = record["tolerance"] * max(1.0, abs(record["expected"]))
+    return math.log10(max(err / tol, 1e-12))
+
+
+def test_no_lost_digits(seed42_report):
+    # stricter than the golden drift above: no two-sided check may lose more
+    # than three decades of headroom against the committed golden report
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    records = [e.to_dict() for e in seed42_report[0]]
+    assert len(records) == len(golden)
+    lost = []
+    for r, g in zip(records, golden):
+        assert r["check_id"] == g["check_id"]
+        if g["tolerance"] == 0.0 or "bound" in g["params"]:
+            continue
+        moved = headroom_decades(r) - headroom_decades(g)
+        if moved > LOST_DECADES:
+            lost.append(f"{g['check_id']}{g['params']}: +{moved:.2f} decades")
+    _report("00-lost-digits", not lost, f"({len(golden)} checks) " + "; ".join(lost[:8]))

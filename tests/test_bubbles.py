@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liouville_lab.bubbles import (
     BubbleParams,
@@ -122,6 +124,18 @@ class TestTotalMass:
                 for h in (1.0, 8.0, 32.0):
                     params = BubbleParams(N=1, mu=mu, p=pval, h=h)
                     assert total_mass(params, spec) == pytest.approx(expected, rel=1e-6)
+
+    @settings(max_examples=25, deadline=None)
+    @given(N=st.integers(min_value=0, max_value=3),
+           mu=st.floats(min_value=0.0, max_value=12.0),
+           p_abs=st.floats(min_value=0.0, max_value=0.2),
+           p_arg=st.floats(min_value=0.0, max_value=math.tau),
+           h=st.floats(min_value=1.0, max_value=100.0))
+    def test_mass_independent_of_mu_p_h(self, N, mu, p_abs, p_arg, h):
+        # the rings are graded toward the maxima; whatever the peak width and
+        # angle, the mass stays 8 pi (N+1)
+        params = BubbleParams(N=N, mu=mu, p=p_abs * complex(math.cos(p_arg), math.sin(p_arg)), h=h)
+        assert total_mass(params, SPEC) == pytest.approx(8 * math.pi * (N + 1), rel=1e-8)
 
 
 class TestFindMaxima:

@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from liouville_lab.bubbles import BubbleParams, bubble_density
+from liouville_lab.bubbles import BubbleParams, bubble_density, peak_grading
 from liouville_lab.errors import (
     GradientMismatchError,
     NyquistError,
@@ -14,6 +15,7 @@ from liouville_lab.numerics import (
     FourierCoefficients,
     QuadratureSpec,
     _circle_mean,
+    _ring_nodes,
     circle_fourier,
     fd_check,
     integrate_circle,
@@ -125,6 +127,108 @@ class TestCircleMean:
             _circle_mean(lambda z: np.stack([np.ones(z.shape), rng.standard_normal(z.shape)]),
                          0j, 1.0, 1e-12, 1e-15, m_max=1024)
         assert info.value.value.shape == (2,) and info.value.estimate > 0
+
+
+def _peak_radius(params):
+    """Radius of the ring through the N+1 maxima, |y|^(N+1) = |1 + p|."""
+    return abs(1.0 + params.p) ** (1.0 / (params.N + 1))
+
+
+def _mpmath_peak_mean(params):
+    """Mean of the bubble density over the peak ring, from mpmath to 30 digits.
+
+    With y = r0 e^(i theta), r0^(N+1) = a = |1 + p| and phi = (N+1) theta - psi0,
+    |y^(N+1) - 1 - p|^2 = 2 a^2 (1 - cos phi), so the density is a function of
+    phi alone and its ring mean is the 1-D periodic integral
+    (1/2 pi) int r0^2N h e^mu / (1 + 2 c a^2 (1 - cos phi))^2 dphi.
+    """
+    with mpmath.workdps(40):
+        a = abs(mpmath.mpc(1 + params.p.real, params.p.imag))
+        r0_2n = a ** (mpmath.mpf(2 * params.N) / (params.N + 1))
+        c = params.h * mpmath.exp(params.mu) / (8 * (params.N + 1) ** 2)
+        amp = r0_2n * params.h * mpmath.exp(params.mu)
+
+        def density(phi):
+            return amp / (1 + 2 * c * a ** 2 * (1 - mpmath.cos(phi))) ** 2
+
+        return float(mpmath.quad(density, [-mpmath.pi, 0, mpmath.pi]) / (2 * mpmath.pi))
+
+
+class TestGradedRing:
+    # the moment scenario's ring tolerances (rel_tol 1e-9 and abs_tol 1e-12, times 0.1)
+    REL, ABS = 1e-10, 1e-13
+    CASES = [BubbleParams(N=N, mu=8.0, p=0.1 * np.exp(0.9j), h=8.0 * (N + 1) ** 2)
+             for N in range(4)]
+
+    def test_each_phi_node_evaluated_once(self):
+        params = BubbleParams(N=2, mu=8.0, p=0.05 - 0.08j, h=72.0)
+        r = _peak_radius(params)
+        K, psi0, beta = grading = peak_grading(params)(r)
+        assert beta < 1.0
+        f, calls = _recording(lambda z: bubble_density(params, z))
+        _circle_mean(f, 0j, r, 1e-14, 1e-16, grading=grading)
+        z = np.concatenate(calls)
+        m_final = z.size
+        assert m_final >= 256 and m_final & (m_final - 1) == 0   # several doublings
+        nodes, _ = _ring_nodes(m_final, False, K, beta)
+        grid = np.sort(np.mod(np.angle(nodes) + psi0 / K, math.tau))
+        seen = np.sort(np.mod(np.angle(z), math.tau))
+        assert np.all(np.diff(seen) > 0)
+        gap = np.abs(seen - grid)
+        assert np.max(np.minimum(gap, math.tau - gap)) <= 1e-12
+
+    @pytest.mark.parametrize("params", CASES, ids=lambda p: f"N{p.N}")
+    def test_graded_matches_uniform(self, params):
+        def f(z):
+            d = bubble_density(params, z)
+            return np.stack([d, d * z.real, d * (1.0 - np.abs(z) ** 2)])
+
+        hint = peak_grading(params)
+        r0 = _peak_radius(params)
+        for r in (r0, 0.97 * r0, 1.004 * r0, 1.1 * r0):
+            uniform = _circle_mean(f, 0j, r, self.REL, self.ABS)
+            graded = _circle_mean(f, 0j, r, self.REL, self.ABS, grading=hint(r))
+            scale = abs(uniform[0])
+            assert np.all(np.abs(graded - uniform) <= 1e-13 * scale)
+            scalar = _circle_mean(lambda z: bubble_density(params, z), 0j, r, self.REL,
+                                  self.ABS, grading=hint(r))
+            assert scalar == pytest.approx(uniform[0], rel=1e-13)
+
+    def test_budget_error_carries_value_and_estimate(self):
+        params = self.CASES[3]
+        r = _peak_radius(params)
+        with pytest.raises(QuadratureBudgetError) as info:
+            _circle_mean(lambda z: bubble_density(params, z), 0j, r, 1e-14, 1e-15,
+                         m_max=64, grading=peak_grading(params)(r))
+        assert np.isfinite(info.value.value) and info.value.estimate > 0
+
+    @pytest.mark.parametrize("params", CASES, ids=lambda p: f"N{p.N}")
+    def test_mpmath_oracle_at_peak_radius(self, params):
+        r = _peak_radius(params)
+        graded = _circle_mean(lambda z: bubble_density(params, z), 0j, r, self.REL,
+                              self.ABS, grading=peak_grading(params)(r))
+        assert graded == pytest.approx(_mpmath_peak_mean(params), rel=1e-13)
+
+    def test_peak_ring_point_count(self):
+        # N = 3, mu = 8: the uniform rule needs 16384 points on this ring
+        params = BubbleParams(N=3, mu=8.0, p=0j, h=128.0)
+        counts = []
+        for grading in (None, peak_grading(params)(1.0)):
+            f, calls = _recording(lambda z: bubble_density(params, z))
+            _circle_mean(f, 0j, 1.0, self.REL, self.ABS, grading=grading)
+            counts.append(sum(z.size for z in calls))
+        uniform, graded = counts
+        assert graded <= 1024 < uniform
+
+    def test_unit_beta_is_the_uniform_rule(self):
+        nodes, weights = _ring_nodes(256, True, 3, 1.0)
+        assert weights is None
+        assert np.array_equal(nodes, np.exp(1j * math.tau * np.arange(1, 256, 2) / 256))
+        def f(z):
+            return bubble_density(self.CASES[1], z)
+
+        assert _circle_mean(f, 0j, 1.02, self.REL, self.ABS, grading=(2, 0.3, 1.0)) \
+            == _circle_mean(f, 0j, 1.02, self.REL, self.ABS)
 
 
 class TestVectorIntegrands:

@@ -173,20 +173,19 @@ class TestCoefficientContrast:
     def test_linear_layer_ratio(self):
         ds = 1e-5
         params = BubbleParams(N=1, mu=14.0, p=0j, h=1.0)
-        val = coefficient_contrast(params, self._layer(ds), 0, (1.0, 0.0), 0.3, SPEC)
+        val = coefficient_contrast(params, self._layer(ds), 0, 0.3, SPEC)[0]
         assert 0.9 <= val / (8 * math.pi * ds) <= 1.1
 
     def test_orthogonal_direction(self):
         ds = 1e-5
         params = BubbleParams(N=1, mu=14.0, p=0j, h=1.0)
-        val = coefficient_contrast(params, self._layer(ds), 0, (0.0, 1.0), 0.3, SPEC,
-                                   check=False)
+        val = coefficient_contrast(params, self._layer(ds), 0, 0.3, SPEC, check=False)[1]
         assert abs(val) <= 0.1 * ds * 8 * math.pi
 
     def test_doubling_scale(self):
         params = BubbleParams(N=1, mu=14.0, p=0j, h=1.0)
-        v1 = coefficient_contrast(params, self._layer(1e-5), 0, (1.0, 0.0), 0.3, SPEC)
-        v2 = coefficient_contrast(params, self._layer(2e-5), 0, (1.0, 0.0), 0.3, SPEC)
+        v1 = coefficient_contrast(params, self._layer(1e-5), 0, 0.3, SPEC)[0]
+        v2 = coefficient_contrast(params, self._layer(2e-5), 0, 0.3, SPEC)[0]
         assert v2 / (2 * v1) == pytest.approx(1.0, abs=1e-2)
 
     def test_rotation_equivariance(self):
@@ -194,13 +193,42 @@ class TestCoefficientContrast:
         ds = 1e-5
         ang = 0.7
         params = BubbleParams(N=1, mu=14.0, p=0j, h=1.0)
-        base = coefficient_contrast(params, self._layer(ds), 0, (1.0, 0.0), 0.3, SPEC)
+        base = coefficient_contrast(params, self._layer(ds), 0, 0.3, SPEC)[0]
         rotated_layer = layer_from_coefficients(
             N=1, delta=0.05, L=1,
             A=[0.0, ds * math.cos(ang)], B=[0.0, ds * math.sin(ang)])
-        val = coefficient_contrast(params, rotated_layer, 0,
-                                   (math.cos(ang), math.sin(ang)), 0.3, SPEC)
+        val = coefficient_contrast(params, rotated_layer, 0, 0.3, SPEC) \
+            @ (math.cos(ang), math.sin(ang))
         assert val == pytest.approx(base, rel=2e-2)
+
+    def test_components_match_scalar_passes(self, monkeypatch):
+        # one 2-component disk pass against one scalar pass per direction,
+        # each written for its single xi
+        ds = 1e-5
+        params = BubbleParams(N=1, mu=14.0, p=0j, h=1.0)
+        layer = layer_from_coefficients(N=1, delta=0.05, L=1,
+                                        A=[0.0, ds * math.cos(0.7)], B=[0.0, ds * math.sin(0.7)])
+        q0 = complex(find_maxima(params).Q[0])
+        eps = math.exp(-params.mu / 2.0)
+        splits = [5.0 * eps, 50.0 * eps, 0.15]
+        calls = []
+        real = pohozaev.integrate_disk
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pohozaev, "integrate_disk", spy)
+        vec = coefficient_contrast(params, layer, 0, 0.3, SPEC)
+        assert vec.shape == (2,) and len(calls) == 1
+        for xi in ((1.0, 0.0), (0.0, 1.0)):
+            def integrand(z, xi=xi):
+                gx, gy = layer.phi0_gradient(z)
+                return np.abs(z) ** 2 * params.h * (gx * xi[0] + gy * xi[1]) \
+                    * layer.h0(z) * np.exp(pohozaev.eval_bubble(params, z))
+
+            ref = real(integrand, q0, 0.3, SPEC, radial_splits=splits)
+            assert abs(vec @ xi - ref) <= 1e-8 * 8 * math.pi * ds
 
     def test_mismatch_detection(self):
         # lying about the layer scale cannot break the integral itself; instead
@@ -209,7 +237,7 @@ class TestCoefficientContrast:
         params = BubbleParams(N=1, mu=6.0, p=0j, h=1.0)
         # at small mu the bubble mass spreads beyond the disk: prediction fails
         with pytest.raises(ContrastMismatchError):
-            coefficient_contrast(params, self._layer(ds), 0, (1.0, 0.0), 0.05, SPEC)
+            coefficient_contrast(params, self._layer(ds), 0, 0.05, SPEC)
 
 
 class TestBypartsIdentity:
@@ -279,6 +307,6 @@ class TestCancellationStructure:
 
         rep_b = pohozaev_check(field, h_layered, grad_layered, 1, q0, radius, SPEC,
                                radial_splits=splits, validate=False)
-        contrast = coefficient_contrast(params, layer, 0, xi, radius, SPEC)
+        contrast = coefficient_contrast(params, layer, 0, radius, SPEC) @ xi
         diff = rep_b.residual[0] - rep_a.residual[0]
         assert abs(abs(diff) - abs(contrast)) <= 0.1 * abs(contrast)
