@@ -2,7 +2,6 @@
 
 from .bubbles import (
     BubbleParams,
-    FarFieldSpec,
     bubble_residual,
     eval_bubble,
     far_field_gap,
@@ -44,10 +43,8 @@ from .maxima import (
 )
 from .numerics import (
     FourierCoefficients,
-    PolarGrid,
     QuadratureSpec,
     circle_fourier,
-    fd_check,
     integrate_disk,
     integrate_plane,
     ode_integrate,

@@ -48,18 +48,6 @@ class BubbleParams:
         return self.h * np.exp(self.mu) / self.D
 
 
-@dataclass(frozen=True)
-class FarFieldSpec:
-    """Evaluation radius and angle for the far-field expansion."""
-
-    L: float
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if self.L <= 2:
-            raise ValueError("far-field radius must exceed 2")
-
-
 def _F(params: BubbleParams, y):
     return y ** (params.N + 1) - (1.0 + params.p)
 
@@ -166,7 +154,7 @@ class MaximaResult:
         return self.Q.size - 1
 
 
-def find_maxima(params: BubbleParams, newton_tol: float = 1e-14) -> MaximaResult:
+def find_maxima(params: BubbleParams) -> MaximaResult:
     """Locate the N+1 maxima of the bubble.
 
     Newton runs on y^(N+1) - (1+p) = 0, the exact zero set of the bubble
@@ -182,7 +170,7 @@ def find_maxima(params: BubbleParams, newton_tol: float = 1e-14) -> MaximaResult
         seed = np.exp(1j * math.tau * l / n1)
         try:
             q = newton_complex(lambda z: z ** n1 - target,
-                               lambda z: n1 * z ** (n1 - 1), seed, tol=newton_tol)
+                               lambda z: n1 * z ** (n1 - 1), seed)
         except ValueError as exc:
             raise MaximaError(f"maxima not localized: {exc}") from exc
         roots.append(q)
@@ -197,7 +185,7 @@ def find_maxima(params: BubbleParams, newton_tol: float = 1e-14) -> MaximaResult
 # ----------------------------------------------------------------------------
 # far-field expansion
 
-def far_field_terms(params: BubbleParams, spec: FarFieldSpec) -> float:
+def far_field_terms(params: BubbleParams, L: float, theta):
     """The five-term far-field expansion of the centered bubble at |y| = L.
 
     V(L e^{i theta}) = -mu + 2 log(D/h) - 4(N+1) log L
@@ -209,28 +197,28 @@ def far_field_terms(params: BubbleParams, spec: FarFieldSpec) -> float:
     L^(-2N-2) contribution cancels exactly and the cos((2N+2) theta)
     coefficient is 2.
     """
-    N, L, th = params.N, spec.L, spec.theta
+    N, th = params.N, np.asarray(theta, dtype=float)
     return (-params.mu + 2.0 * np.log(params.D / params.h)
             - 4.0 * (N + 1) * np.log(L)
             + 4.0 * np.cos((N + 1) * th) / L ** (N + 1)
             + 2.0 * np.cos((2 * N + 2) * th) / L ** (2 * N + 2))
 
 
-def far_field_gap(params: BubbleParams, spec: FarFieldSpec) -> float:
-    """Exact bubble value minus the five expansion terms (centered bubble only)."""
+def far_field_gap(params: BubbleParams, L: float, theta):
+    """Exact bubble value minus the five expansion terms at the angles theta
+    (centered bubble only)."""
     if params.p != 0:
         raise ValueError("far-field expansion is stated for the centered bubble (p = 0)")
-    if spec.L < 5:
+    if L < 5:
         raise ValueError("far-field evaluation needs L >= 5")
-    y = spec.L * np.exp(1j * spec.theta)
-    return float(eval_bubble(params, y) - far_field_terms(params, spec))
+    y = L * np.exp(1j * np.asarray(theta, dtype=float))
+    return eval_bubble(params, y) - far_field_terms(params, L, theta)
 
 
-def far_field_max_gap(params: BubbleParams, L: float, n_theta: int = 512) -> float:
-    """max over theta of |far_field_gap| at radius L."""
-    thetas = math.tau * np.arange(n_theta) / n_theta
-    gaps = [far_field_gap(params, FarFieldSpec(L=L, theta=t)) for t in thetas]
-    return float(np.max(np.abs(gaps)))
+def far_field_max_gap(params: BubbleParams, L: float) -> float:
+    """max of |far_field_gap| over 512 equally spaced angles at radius L."""
+    thetas = math.tau * np.arange(512) / 512
+    return float(np.max(np.abs(far_field_gap(params, L, thetas))))
 
 
 def rescaled_profile_gap(params: BubbleParams, z: complex) -> float:

@@ -22,10 +22,6 @@ class StiffODEError(LiouvilleLabError):
     """Stiff or singular ODE: adaptive step size underflowed."""
 
 
-class GradientMismatchError(LiouvilleLabError):
-    """Finite-difference convergence slope too low for the claimed gradient."""
-
-
 class MaximaError(LiouvilleLabError):
     """Maxima not localized: Newton diverged or precondition violated."""
 

@@ -66,11 +66,11 @@ def harmonic_extend(data: FourierBoundaryData, y) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def bubble_oscillation_killer(params: BubbleParams, delta: float,
-                              n_max: int = 64, n_samples: int = 2048) -> FourierBoundaryData:
+def bubble_oscillation_killer(params: BubbleParams, delta: float) -> FourierBoundaryData:
     """Oscillation data of the bubble trace on the circle of radius 1/delta.
 
-    Coefficients are the mean-removed trace coefficients; in monomial
+    Coefficients are the mean-removed trace coefficients of modes up to 64,
+    from 2048 samples of the trace; in monomial
     normalisation the leading entries are 4 delta^(2N+2) at mode N+1 and
     2 delta^(4N+4) at mode 2N+2.
     """
@@ -79,8 +79,8 @@ def bubble_oscillation_killer(params: BubbleParams, delta: float,
     if params.p != 0:
         raise ValueError("oscillation extraction is stated for the centered bubble (p = 0)")
     radius = 1.0 / delta
-    vals = sample_circle(lambda z: eval_bubble(params, z), 0j, radius, n_samples)
-    coeffs = circle_fourier(vals, n_max)
+    vals = sample_circle(lambda z: eval_bubble(params, z), 0j, radius, 2048)
+    coeffs = circle_fourier(vals, 64)
     coeffs.a[0] = 0.0   # remove the mean
     return FourierBoundaryData(radius=radius, coefficients=coeffs)
 
@@ -151,7 +151,7 @@ class LayerField:
 
 
 def build_layer(Phi: FourierBoundaryData, params: BubbleParams, delta: float,
-                L: int, n_max: int = 64) -> LayerField:
+                L: int) -> LayerField:
     """Assemble the layer field from unit-circle data Phi and the bubble trace.
 
     delta* is the displayed sum over modes n <= L.  When Phi vanishes
@@ -164,10 +164,10 @@ def build_layer(Phi: FourierBoundaryData, params: BubbleParams, delta: float,
         raise ValueError("Phi must have zero mean")
     if L > Phi.n_max:
         raise ValueError("L must not exceed the data's mode count")
-    killer = bubble_oscillation_killer(params, delta, n_max=n_max)
+    killer = bubble_oscillation_killer(params, delta)
     av, bv = killer.coefficients.a, killer.coefficients.b
 
-    n_tot = max(Phi.n_max, n_max) + 1
+    n_tot = max(Phi.n_max, killer.n_max) + 1
     a = np.zeros(n_tot)
     b = np.zeros(n_tot)
     a[:Phi.coefficients.a.size] = Phi.coefficients.a
@@ -215,16 +215,15 @@ class DichotomyResult:
     ratios: np.ndarray
 
 
-def grad_h_at_roots(layer: LayerField, N: int | None = None,
+def grad_h_at_roots(layer: LayerField,
                     threshold: float = DICHOTOMY_THRESHOLD) -> DichotomyResult:
-    """Gradient of h0 at the N+1 roots of unity and the dichotomy certificate.
+    """Gradient of h0 at the N+1 roots of unity (N = layer.N) and the dichotomy certificate.
 
     The certificate ratio uses grad phi0 (the h0 factor is 1 + O(delta*)), so
     it is exactly invariant under rescaling the layer.  All ratios below the
     threshold signal a violated dichotomy.
     """
-    if N is None:
-        N = layer.N
+    N = layer.N
     roots = np.exp(1j * math.tau * np.arange(N + 1) / (N + 1))
     grads = []
     ratios = []

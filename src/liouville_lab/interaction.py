@@ -190,8 +190,7 @@ class InteractionQuadrature:
 
 
 def interaction_coefficient(params: InteractionParams,
-                            spec: QuadratureSpec | None = None,
-                            check: bool = True) -> InteractionQuadrature:
+                            spec: QuadratureSpec | None = None) -> InteractionQuadrature:
     """Closed form D_sl versus quadrature of the phi3 + phi4 contribution.
 
     The quadrature integrates (phi3 + phi4) h_l |y|^2N eps^2 e^{V_s} / M over
@@ -220,7 +219,7 @@ def interaction_coefficient(params: InteractionParams,
     result = InteractionQuadrature(closed_form=closed, quadrature=quad,
                                    phi1_integral=i1, phi2_integral=i2)
     applicable = eps <= 1e-3 and abs(params.mu_s - params.mu_l) <= eps
-    if check and applicable and closed != 0.0 and result.relative_gap > 0.10:
+    if applicable and closed != 0.0 and result.relative_gap > 0.10:
         raise InteractionMismatchError(
             f"interaction mismatch: closed form {closed:.6e} vs quadrature {quad:.6e}")
     return result
@@ -237,18 +236,17 @@ def kernel_coefficients(params: InteractionParams):
     return amp * math.cos(ang), amp * math.sin(ang)
 
 
-def fit_kernel_coefficients(params: InteractionParams, r_fit: float = 20.0,
-                            n_r: int = 24, n_theta: int = 32,
-                            residual_cap: float = 0.10):
+def fit_kernel_coefficients(params: InteractionParams):
     """Least-squares fit of phi2/M against the two translation kernels.
 
-    Samples phi2/M on |z| <= r_fit and fits c1 phi1_kernel + c2 phi2_kernel
-    with the kernels at c = h_s/8.  The fit must recover the closed form
-    within a few percent; a residual above residual_cap of the fit norm raises
-    KernelFitError.
+    Samples phi2/M on a 24 x 32 polar grid over 0.5 <= |z| <= 20 and fits
+    c1 phi1_kernel + c2 phi2_kernel with the kernels at c = h_s/8.  The fit
+    must recover the closed form within a few percent; a residual above 10% of
+    the fit norm raises KernelFitError.
     """
-    rr = np.linspace(0.5, r_fit, n_r)
-    tt = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    residual_cap = 0.10
+    rr = np.linspace(0.5, 20.0, 24)
+    tt = 2.0 * math.pi * np.arange(32) / 32
     z = (rr[:, None] * np.exp(1j * tt[None, :])).ravel()
     _, phi2, _, _, _, _ = _fields(params, z)
     samples = phi2 / params.M

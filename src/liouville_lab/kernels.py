@@ -35,7 +35,6 @@ class ModeProblem:
 
     mode: int
     c: float = 0.125
-    rhs_envelope: float = 1.0   # A with |rhs| <= A (1+r)^-3
     r_max: float = 100.0
 
     def __post_init__(self):
@@ -166,7 +165,7 @@ def _pair_mode_l(problem: ModeProblem) -> FundamentalPair:
     r0 = max(1e-3, 10.0 ** (-150.0 / l))
     a2 = -2.0 * c / (l + 1.0)   # two-term launch g = r^l (1 + a2 r^2 + ...)
     y0 = [r0 ** l * (1.0 + a2 * r0 ** 2), r0 ** (l - 1) * (l + (l + 2.0) * a2 * r0 ** 2)]
-    spec = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-300, max_subdivisions=200)
+    spec = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-300)
     traj = ode_integrate(_mode_ode(c, l), y0, r0, r_max, spec)
 
     grid = np.geomspace(r0, r_max, 4000)
@@ -368,16 +367,16 @@ def _smallest_eig(profile: RadialProfile, mode: int, n: int) -> float:
     return lam
 
 
-def principal_eigenvalue(profile: RadialProfile, mode: int, n: int = 512,
-                         resolve_tol: float = 1e-3) -> float:
+def principal_eigenvalue(profile: RadialProfile, mode: int, n: int = 512) -> float:
     """Smallest Dirichlet eigenvalue of the linearized mode operator.
 
     Shifted-inverse iteration on a graded-mesh collocation of
     -g'' - g'/r - (lambda r^2N e^u - mode^2/r^2) g = Lambda g, g(1) = 0.
     The profile must solve the radial equation (residual <= 1e-6).
     Raises UnresolvedSpectrumError if doubling the mesh moves the eigenvalue
-    by more than resolve_tol.
+    by more than 1e-3 relative.
     """
+    resolve_tol = 1e-3
     if mode < 0:
         raise ValueError("mode must be non-negative")
     res = profile_residual(profile)

@@ -160,36 +160,28 @@ def force_balance_residuals(config: MaximaConfiguration) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# identity suite
+# identity suite: each check returns its residual
 
-@dataclass
-class IdentityCheck:
-    name: str
-    n: int
-    residual: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tolerance
+# the half-angle identity is checked at the angles tau k / 720, k = 1..719
+HALF_ANGLE_SAMPLES = 720
 
 
-def check_half_angle_identity(n_theta: int = 720) -> IdentityCheck:
+def check_half_angle_identity() -> float:
     """e^{i theta}/(1 - e^{i theta})^2 = -1/(4 sin^2(theta/2)) off multiples of 2 pi.
 
     Both sides blow up like theta^-2 near the excluded points, so the residual
     is measured relative to 1 + |rhs| (the absolute difference is then float
     cancellation only).
     """
+    n_theta = HALF_ANGLE_SAMPLES
     theta = math.tau * np.arange(1, n_theta) / n_theta
     z = np.exp(1j * theta)
     lhs = z / (1.0 - z) ** 2
     rhs = -0.25 / np.sin(theta / 2.0) ** 2
-    res = float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
-    return IdentityCheck("half-angle", n_theta, res, 1e-12)
+    return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
 
 
-def check_root_sum_identity(N: int) -> IdentityCheck:
+def check_root_sum_identity(N: int) -> float:
     """N = 2 sum_{j != l} e^{i beta_l} / (e^{i beta_l} - e^{i beta_j}) for every l."""
     beta = math.tau * np.arange(N + 1) / (N + 1)
     z = np.exp(1j * beta)
@@ -197,24 +189,22 @@ def check_root_sum_identity(N: int) -> IdentityCheck:
     for l in range(N + 1):
         s = sum(z[l] / (z[l] - z[j]) for j in range(N + 1) if j != l)
         worst = max(worst, abs(2.0 * s - N))
-    return IdentityCheck("root-sum", N, worst, 1e-10 * max(N, 1))
+    return worst
 
 
-def check_sine_sum_identity(N: int) -> IdentityCheck:
+def check_sine_sum_identity(N: int) -> float:
     """sum_k 1/sin^2(k pi/(N+1)) = N(N+2)/3."""
     s = float(np.sum(interaction_coefficients_d(N)))
-    res = abs(s - N * (N + 2) / 3.0)
-    return IdentityCheck("sine-sum", N, res, 1e-9 * max(N * N, 1))
+    return abs(s - N * (N + 2) / 3.0)
 
 
-def check_row_sum_independence(N: int) -> IdentityCheck:
+def check_row_sum_independence(N: int) -> float:
     """The diagonal D = sum_{j != l} d_|j-l| does not depend on l."""
     d = interaction_coefficients_d(N)
     sums = []
     for l in range(N + 1):
         sums.append(sum(d[abs(j - l) - 1] for j in range(N + 1) if j != l))
-    res = float(np.max(np.abs(np.asarray(sums) - sums[0])))
-    return IdentityCheck("row-sum-independence", N, res, 1e-9 * max(N * N, 1))
+    return float(np.max(np.abs(np.asarray(sums) - sums[0])))
 
 
 # ----------------------------------------------------------------------------

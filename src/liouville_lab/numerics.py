@@ -3,7 +3,12 @@
 Adaptive quadrature on intervals, disks, circles and the whole plane; discrete
 Fourier analysis on circles and the polar Fourier sum; an adaptive ODE
 integrator; root finding; small dense linear algebra with singular-value
-diagnostics; finite-difference gradient certification.
+diagnostics.
+
+Numbers that no caller varies (the subdivision budget, the plane
+compactification scale, the ring tolerance fraction, the ODE method and the
+Newton tolerances) are constants written beside their use, like the scenario
+constants.
 
 Scalar fields are callables ``f(z)`` taking a complex number or a complex
 ndarray and returning real values of the same shape.
@@ -20,70 +25,19 @@ import numpy as np
 from scipy import integrate
 from scipy.integrate import solve_ivp
 
-from .errors import (
-    GradientMismatchError,
-    NyquistError,
-    QuadratureBudgetError,
-    StiffODEError,
-)
+from .errors import NyquistError, QuadratureBudgetError, StiffODEError
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budget for every quadrature routine in the package."""
+    """Tolerances for every quadrature routine in the package."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-    plane_compactification_scale: float = 8.0
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 8:
-            raise ValueError("max_subdivisions must be at least 8")
-        if self.plane_compactification_scale <= 0:
-            raise ValueError("plane_compactification_scale must be positive")
-
-
-@dataclass(frozen=True)
-class PolarGrid:
-    """Tensor polar grid used by brute-force Riemann oracles."""
-
-    radii: np.ndarray
-    angles: np.ndarray
-    center: complex = 0j
-
-    def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float)
-        if r.ndim != 1 or np.any(np.diff(r) <= 0) or np.any(r < 0):
-            raise ValueError("radii must be non-negative and strictly ascending")
-        a = np.asarray(self.angles, dtype=float)
-        if a.size < 4 or a.size % 2 != 0:
-            raise ValueError("angle count must be >= 4 and even")
-        object.__setattr__(self, "radii", r)
-        object.__setattr__(self, "angles", a)
-
-    def points(self) -> np.ndarray:
-        r = self.radii[:, None]
-        th = self.angles[None, :]
-        return self.center + r * np.exp(1j * th)
-
-
-def make_polar_grid(r_max: float, n_r: int, n_theta: int, center: complex = 0j,
-                    r_min: float = 0.0) -> PolarGrid:
-    radii = np.linspace(r_min, r_max, n_r + 1)[1:]
-    angles = math.tau * np.arange(n_theta) / n_theta
-    return PolarGrid(radii=radii, angles=angles, center=center)
-
-
-def riemann_sum(f, grid: PolarGrid) -> float:
-    """Midpoint-flavoured polar Riemann sum; deliberately naive (test oracle)."""
-    r = grid.radii
-    dr = np.diff(np.concatenate(([0.0] if r[0] > 0 else [r[0]], r)))
-    dth = math.tau / grid.angles.size
-    vals = f(grid.points())
-    return float(np.sum(vals * r[:, None] * dr[:, None] * dth))
 
 
 @dataclass
@@ -230,11 +184,12 @@ def integrate_interval(f, a: float, b: float, spec: QuadratureSpec,
 
     Raises QuadratureBudgetError when scipy reports trouble and its error
     estimate exceeds the tolerances of ``spec``.
+    QUADPACK may bisect up to 200 subintervals.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         out = integrate.quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                             limit=spec.max_subdivisions, points=points, full_output=1)
+                             limit=200, points=points, full_output=1)
     if len(out) > 3:  # message present: budget or roundoff trouble
         y, err = out[0], out[1]
         if err > max(spec.abs_tol, 100.0 * spec.rel_tol * abs(y)):
@@ -269,6 +224,11 @@ def _integrate_rings(ring, a: float, b: float, spec: QuadratureSpec, points=None
     return np.array([first, *rest])
 
 
+# each ring mean runs at this fraction of the outer tolerances, so that ring
+# errors stay below what the outer quadrature resolves
+RING_TOL_FRACTION = 0.1
+
+
 def integrate_disk(f, center: complex, radius: float, spec: QuadratureSpec,
                    radial_splits=None):
     """Integral of f over the closed disk B(center, radius).
@@ -276,12 +236,12 @@ def integrate_disk(f, center: complex, radius: float, spec: QuadratureSpec,
     ``f`` may return shape (k, m) for m points; the k integrals then come back
     as an array, sharing every ring mean.
     """
-    theta_tol = 0.1
 
     def ring(r):
         if r == 0.0:
             return 0.0
-        mean = _circle_mean(f, center, r, spec.rel_tol * theta_tol, spec.abs_tol * theta_tol)
+        mean = _circle_mean(f, center, r, spec.rel_tol * RING_TOL_FRACTION,
+                            spec.abs_tol * RING_TOL_FRACTION)
         return math.tau * r * mean
 
     points = None
@@ -303,24 +263,24 @@ def integrate_circle(f, center: complex, radius: float, spec: QuadratureSpec):
 def integrate_plane(f, spec: QuadratureSpec, peaks=None):
     """Improper integral of f over the plane.
 
-    Uses the compactifying substitution t = |z|^2 / (s + |z|^2) with
-    s = spec.plane_compactification_scale, under which
+    Uses the compactifying substitution t = |z|^2 / (s + |z|^2) with s = 8,
+    under which
     integral f = int_0^1 (theta-average of f at r(t)) * pi * s / (1-t)^2 dt.
-    The integrand must decay at least like |z|^-4 (or the caller must choose s
-    so that the transformed integrand stays bounded).  Like ``integrate_disk``,
+    The integrand must decay at least like |z|^-4, so that the transformed
+    integrand stays bounded.  Like ``integrate_disk``,
     a vector-valued ``f`` gives an array of integrals.  ``peaks(r)``, when
     given, returns the ``(K, psi0, beta)`` grading of the ring of radius r
     (see ``_circle_mean``).
     """
-    s = spec.plane_compactification_scale
-    theta_tol = 0.1
+    s = 8.0
 
     def trans(t):
         if t <= 0.0:
             return 0.0
         t = min(t, 1.0 - 1e-15)
         r = np.sqrt(s * t / (1.0 - t))
-        mean = _circle_mean(f, 0j, r, spec.rel_tol * theta_tol, spec.abs_tol * theta_tol,
+        mean = _circle_mean(f, 0j, r, spec.rel_tol * RING_TOL_FRACTION,
+                            spec.abs_tol * RING_TOL_FRACTION,
                             grading=peaks(r) if peaks else None)
         return mean * np.pi * s / (1.0 - t) ** 2
 
@@ -347,12 +307,12 @@ class ODETrajectory:
 
 
 def ode_integrate(rhs, initial, r0: float, r_end: float,
-                  spec: QuadratureSpec | None = None, method: str = "DOP853") -> ODETrajectory:
-    """Integrate y' = rhs(r, y) from r0 to r_end with dense output."""
+                  spec: QuadratureSpec | None = None) -> ODETrajectory:
+    """Integrate y' = rhs(r, y) from r0 to r_end with dense output (DOP853)."""
     spec = spec or QuadratureSpec()
     y0 = np.atleast_1d(np.asarray(initial, dtype=float))
     try:
-        sol = solve_ivp(rhs, (r0, r_end), y0, method=method, rtol=spec.rel_tol,
+        sol = solve_ivp(rhs, (r0, r_end), y0, method="DOP853", rtol=spec.rel_tol,
                         atol=spec.abs_tol, dense_output=True)
     except (ValueError, OverflowError, FloatingPointError) as exc:
         raise StiffODEError(f"stiff or singular ODE: {exc}") from exc
@@ -362,49 +322,13 @@ def ode_integrate(rhs, initial, r0: float, r_end: float,
 
 
 # ----------------------------------------------------------------------------
-# finite-difference derivative certification
-
-FD_STEPS = (1e-2, 1e-3, 1e-4)
-
-
-def fd_check(f, point: complex, analytic_gradient, steps=FD_STEPS,
-             floor: float = 1e-10) -> float:
-    """Log-log convergence slope of |centered difference - analytic gradient|.
-
-    Slope close to 2 certifies the gradient.  When the differences sit at the
-    rounding floor (polynomials are differenced exactly) the slope is reported
-    as 2.0.  Raises GradientMismatchError when the slope falls below 1.5.
-    """
-    gx, gy = analytic_gradient
-    scale = 1.0 + np.hypot(gx, gy)
-    errs = []
-    for h in steps:
-        fdx = (f(point + h) - f(point - h)) / (2.0 * h)
-        fdy = (f(point + 1j * h) - f(point - 1j * h)) / (2.0 * h)
-        errs.append(np.hypot(fdx - gx, fdy - gy))
-    errs = np.asarray(errs)
-    if np.max(errs) <= floor * scale:
-        return 2.0
-    slope = np.polyfit(np.log(np.asarray(steps)), np.log(np.maximum(errs, 1e-300)), 1)[0]
-    if slope < 1.5:
-        raise GradientMismatchError(
-            f"gradient mismatch: convergence slope {slope:.3f} < 1.5 (errors {errs})")
-    return float(slope)
-
-
-def fd_laplacian(f, point: complex, h: float = 1e-4) -> float:
-    """Five-point Laplacian stencil, used to certify harmonicity."""
-    return (f(point + h) + f(point - h) + f(point + 1j * h) + f(point - 1j * h)
-            - 4.0 * f(point)) / h ** 2
-
-
-# ----------------------------------------------------------------------------
 # root finding and small linear algebra
 
-def newton_complex(f, fprime, z0: complex, tol: float = 1e-14, max_iter: int = 60) -> complex:
-    """Newton iteration for a holomorphic equation f(z) = 0."""
+def newton_complex(f, fprime, z0: complex) -> complex:
+    """Newton iteration for a holomorphic equation f(z) = 0, to |f| <= 1e-14."""
+    tol = 1e-14
     z = complex(z0)
-    for _ in range(max_iter):
+    for _ in range(60):
         fz = f(z)
         if abs(fz) <= tol:
             return z
@@ -418,11 +342,12 @@ def newton_complex(f, fprime, z0: complex, tol: float = 1e-14, max_iter: int = 6
     raise ValueError(f"Newton iteration did not converge (|f|={abs(fz):.3e})")
 
 
-def newton_scalar(f, x0: float, tol: float = 1e-12, max_iter: int = 60,
-                  fd_step: float = 1e-7) -> float:
-    """Scalar Newton with a secant-style finite-difference derivative."""
+def newton_scalar(f, x0: float) -> float:
+    """Scalar Newton with a secant-style finite-difference derivative, to |f| <= 1e-12."""
+    tol = 1e-12
+    fd_step = 1e-7
     x = float(x0)
-    for _ in range(max_iter):
+    for _ in range(60):
         fx = f(x)
         if abs(fx) <= tol:
             return x

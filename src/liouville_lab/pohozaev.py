@@ -103,8 +103,10 @@ def radial_field(profile) -> SolutionField:
 
 
 def _spot_check_solution(field: SolutionField, h, N: int, center: complex,
-                         radius: float, rel_tol: float = 1e-6) -> float:
-    """Relative PDE residual at a few interior points (needs field.laplacian)."""
+                         radius: float) -> float:
+    """Relative PDE residual at a few interior points (needs field.laplacian);
+    above 1e-6 raises NotASolutionError."""
+    rel_tol = 1e-6
     if field.laplacian is None:
         return 0.0
     pts = center + radius * np.array([0.3 + 0.1j, -0.2 + 0.4j, 0.1 - 0.5j, 0.55 + 0.3j])
@@ -166,6 +168,20 @@ def pohozaev_check(field: SolutionField, h, grad_h, N: int, center: complex,
 
 
 # ----------------------------------------------------------------------------
+# integrals over a disk around a bubble maximum
+
+def _maximum_disk(params: BubbleParams, s: int, radius: float):
+    """The maximum Q_s and the radial breakpoints of a disk around it.
+
+    The density peaks within a few eps = e^(-mu/2) of Q_s, so the disk
+    quadrature splits at 5 eps, 50 eps and radius / 2.
+    """
+    q_s = complex(find_maxima(params).Q[s])
+    eps = math.exp(-params.mu / 2.0)
+    return q_s, [5.0 * eps, 50.0 * eps, radius * 0.5]
+
+
+# ----------------------------------------------------------------------------
 # coefficient contrast
 
 def coefficient_contrast(params: BubbleParams, layer: LayerField, s: int,
@@ -179,15 +195,12 @@ def coefficient_contrast(params: BubbleParams, layer: LayerField, s: int,
     raises ContrastMismatchError.
     """
     spec = spec or QuadratureSpec()
-    maxima = find_maxima(params)
-    q_s = complex(maxima.Q[s])
-    eps = math.exp(-params.mu / 2.0)
+    q_s, splits = _maximum_disk(params, s, radius)
 
     def integrand(z):
         gx, gy = layer.phi0_gradient(z)
         return np.stack([gx, gy]) * bubble_density(params, z, layer.h0(z))
 
-    splits = [5.0 * eps, 50.0 * eps, radius * 0.5]
     value = integrate_disk(integrand, q_s, radius, spec, radial_splits=splits)
 
     grad = np.array(layer.h0_gradient(q_s), dtype=float)
@@ -206,13 +219,11 @@ def coefficient_contrast(params: BubbleParams, layer: LayerField, s: int,
 # integration-by-parts identity
 
 def byparts_identity(params: BubbleParams, w_field: SolutionField, s: int,
-                     radius: float, h0=None, grad_h0=None,
-                     spec: QuadratureSpec | None = None) -> float:
+                     radius: float, spec: QuadratureSpec | None = None) -> float:
     """Mismatch of the two routes through the integration-by-parts identity.
 
-    Volume route: 2N int y_xi |y|^(2N-2) h e^V w  (xi = e1 here, h = h(Q_s)).
-    Boundary route: 2N oint (d_nu(y_xi/|y|^2) w - d_nu w  y_xi/|y|^2) plus the
-    coefficient-difference volume term when an h0 field is supplied.
+    Volume route: 2N int y_xi |y|^(2N-2) h e^V w  (xi = e1 here, h = params.h).
+    Boundary route: 2N oint (d_nu(y_xi/|y|^2) w - d_nu w  y_xi/|y|^2).
     For w with w, grad w of size eps_b on the boundary circle the mismatch is
     bounded by 10 eps_b (2N) radius^-1 circumference.
     """
@@ -220,19 +231,13 @@ def byparts_identity(params: BubbleParams, w_field: SolutionField, s: int,
     N = params.N
     if N == 0:
         return 0.0
-    maxima = find_maxima(params)
-    q_s = complex(maxima.Q[s])
-    eps = math.exp(-params.mu / 2.0)
-    h_const = params.h if h0 is None else float(h0(q_s)) * params.h
-
-    def lever(z):
-        # d_xi |y|^2N / |y|^2N = 2N y_xi / |y|^2 for xi = e1
-        return (2 * N) * z.real / np.abs(z) ** 2
+    q_s, splits = _maximum_disk(params, s, radius)
 
     def volume_integrand(z):
-        return lever(z) * bubble_density(params, z, h_const) * w_field.value(z)
+        # d_xi |y|^2N / |y|^2N = 2N y_xi / |y|^2 for xi = e1
+        lever = (2 * N) * z.real / np.abs(z) ** 2
+        return lever * bubble_density(params, z) * w_field.value(z)
 
-    splits = [5.0 * eps, 50.0 * eps, radius * 0.5]
     volume = integrate_disk(volume_integrand, q_s, radius, spec, radial_splits=splits)
 
     def boundary_integrand(z):
@@ -249,14 +254,4 @@ def byparts_identity(params: BubbleParams, w_field: SolutionField, s: int,
         return (2 * N) * (dnu_field * w_field.value(z) - dnu_w * field_val)
 
     boundary = integrate_circle(boundary_integrand, q_s, radius, spec)
-
-    coeff_term = 0.0
-    if h0 is not None:
-        # sign per the w-equation: Delta w + |y|^2N h(Q) e^V w = (h(Q)-h(y)) |y|^2N e^V
-        def coeff_integrand(z):
-            hh = np.array([float(h0(zz)) for zz in z.ravel()]).reshape(z.shape) * params.h
-            return lever(z) * bubble_density(params, z, h_const - hh)
-
-        coeff_term = integrate_disk(coeff_integrand, q_s, radius, spec, radial_splits=splits)
-
-    return volume - (boundary + coeff_term)
+    return volume - boundary

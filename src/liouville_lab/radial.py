@@ -93,30 +93,31 @@ def closed_form_u_prime(N: int, b: float, r):
     return -4.0 * m * b * r ** (2 * m - 1) / (1.0 + b * r ** (2 * m))
 
 
-def closed_form_profile(N: int, b: float, n_grid: int = 2000) -> RadialProfile:
-    """Closed-form Gelfand profile; u(1) = 0 exactly, PDE residual analytic zero."""
+def closed_form_profile(N: int, b: float) -> RadialProfile:
+    """Closed-form Gelfand profile on 2000 geometric radii in [1e-6, 1];
+    u(1) = 0 exactly, PDE residual analytic zero."""
     if b <= 0:
         raise ValueError("b must be positive")
-    r = np.geomspace(1e-6, 1.0, n_grid)
+    r = np.geomspace(1e-6, 1.0, 2000)
     r[-1] = 1.0
     return RadialProfile(N=N, lam=lambda_of_b(N, b), b=b, r_grid=r,
                          u=closed_form_u(N, b, r), u_prime=closed_form_u_prime(N, b, r))
 
 
-def zero_potential_profile(N: int = 0, n_grid: int = 512) -> RadialProfile:
-    """Degenerate branch member u = 0, lambda = 0 (Bessel test fixture)."""
-    r = np.linspace(1e-6, 1.0, n_grid)
-    return RadialProfile(N=N, lam=0.0, b=0.0, r_grid=r,
+def zero_potential_profile() -> RadialProfile:
+    """Degenerate branch member u = 0, lambda = 0 at N = 0 (the Bessel case)."""
+    r = np.linspace(1e-6, 1.0, 512)
+    return RadialProfile(N=0, lam=0.0, b=0.0, r_grid=r,
                          u=np.zeros_like(r), u_prime=np.zeros_like(r))
 
 
-def profile_residual(profile: RadialProfile, n_check: int = 200) -> float:
-    """Max PDE residual u'' + u'/r + lambda r^2N e^u on interior check points.
+def profile_residual(profile: RadialProfile) -> float:
+    """Max PDE residual u'' + u'/r + lambda r^2N e^u on 200 interior check points.
 
     u'' comes from differentiating the Hermite interpolant of u', so the check
     uses only the stored samples.
     """
-    r = np.linspace(0.05, 0.95, n_check)
+    r = np.linspace(0.05, 0.95, 200)
     if profile.b > 0:
         up = closed_form_u_prime(profile.N, profile.b, r)
         m = profile.N + 1
@@ -150,13 +151,13 @@ def _shoot_once(N: int, lam: float, u0: float, spec: QuadratureSpec):
     return ode_integrate(rhs, y0, r0, 1.0, spec)
 
 
-def shoot_radial(N: int, lam: float, u_center_guess: float,
-                 n_grid: int = 2000) -> RadialProfile:
+def shoot_radial(N: int, lam: float, u_center_guess: float) -> RadialProfile:
     """Shooting solution of the radial problem at the given lambda.
 
     Newton runs on u(1; u0) = 0 from the supplied center guess (the guess
-    selects the branch).  The result is cross-validated against the closed
-    form; sup-norm disagreement above 1e-6 is treated as failure.
+    selects the branch).  The result, sampled on 2000 geometric radii in
+    [1e-4, 1], is cross-validated against the closed form; sup-norm
+    disagreement above 1e-6 is treated as failure.
     """
     spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -164,12 +165,12 @@ def shoot_radial(N: int, lam: float, u_center_guess: float,
         return _shoot_once(N, lam, u0, spec).end_state[0]
 
     try:
-        u0 = newton_scalar(boundary_value, u_center_guess, tol=1e-12)
+        u0 = newton_scalar(boundary_value, u_center_guess)
     except ValueError as exc:
         raise ShootingError(f"no radial solution found at this lambda/guess: {exc}") from exc
 
     traj = _shoot_once(N, lam, u0, spec)
-    r = np.geomspace(1e-4, 1.0, n_grid)
+    r = np.geomspace(1e-4, 1.0, 2000)
     r[-1] = 1.0
     vals = traj(r)
     u = vals[0].copy()

@@ -49,13 +49,6 @@ class ReportEntry:
             "provenance": self.provenance,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReportEntry":
-        entry = cls(check_id=d["check_id"], params=dict(d["params"]),
-                    measured=d["measured"], expected=d["expected"],
-                    tolerance=d["tolerance"], provenance=d["provenance"])
-        return entry
-
 
 CSV_COLUMNS = ["check_id", "params", "measured", "expected", "abs_err", "rel_err",
                "tolerance", "pass", "provenance"]
@@ -101,25 +94,6 @@ def emit(entries, fmt: str, path) -> None:
         fh.write(text)
         if fmt == "json":
             fh.write("\n")
-
-
-def parse_json(text: str):
-    return [ReportEntry.from_dict(d) for d in json.loads(text)]
-
-
-def parse_csv(text: str):
-    reader = csv.DictReader(io.StringIO(text))
-    entries = []
-    for row in reader:
-        entries.append(ReportEntry(
-            check_id=row["check_id"],
-            params=json.loads(row["params"]),
-            measured=float(row["measured"]),
-            expected=float(row["expected"]),
-            tolerance=float(row["tolerance"]),
-            provenance=row["provenance"],
-        ))
-    return entries
 
 
 def all_pass(entries) -> bool:

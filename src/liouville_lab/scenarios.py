@@ -80,14 +80,13 @@ def _bound_entry(check_id, params, value, bound, provenance, direction="<=") -> 
 
 def scenario_identities(seed: int, N: int) -> list:
     entries = []
-    half = maxima.check_half_angle_identity()
-    entries.append(_entry("identities/half-angle", {"n_theta": 720},
-                          half.residual, 0.0, 1e-12, "paper"))
+    entries.append(_entry("identities/half-angle", {"n_theta": maxima.HALF_ANGLE_SAMPLES},
+                          maxima.check_half_angle_identity(), 0.0, 1e-12, "paper"))
     worst_sine = worst_root = worst_row = 0.0
     for n in range(1, N + 1):
-        worst_sine = max(worst_sine, maxima.check_sine_sum_identity(n).residual / max(n * n, 1))
-        worst_root = max(worst_root, maxima.check_root_sum_identity(n).residual / n)
-        worst_row = max(worst_row, maxima.check_row_sum_independence(n).residual / max(n * n, 1))
+        worst_sine = max(worst_sine, maxima.check_sine_sum_identity(n) / max(n * n, 1))
+        worst_root = max(worst_root, maxima.check_root_sum_identity(n) / n)
+        worst_row = max(worst_row, maxima.check_row_sum_independence(n) / max(n * n, 1))
     entries.append(_entry("identities/sine-sum", {"N_max": N},
                           worst_sine, 0.0, 1e-9, "paper"))
     entries.append(_entry("identities/root-sum", {"N_max": N},
@@ -235,7 +234,10 @@ def scenario_farfield(mu: float) -> list:
 # ----------------------------------------------------------------------------
 # layer dichotomy
 
-def _random_layer(rng, N: int, delta: float, L: int, rho: float = 1.5) -> LayerField:
+def _random_layer(rng, N: int, delta: float, L: int) -> LayerField:
+    """Random layer whose mode-n coefficients decay like 1.5^-n, with one
+    mode forced to order one."""
+    rho = 1.5
     n_modes = L
     A = np.zeros(n_modes + 1)
     B = np.zeros(n_modes + 1)

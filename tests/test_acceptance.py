@@ -120,7 +120,6 @@ def test_criterion_09_linear_algebra():
                          "identities/matrix-solve-residual"])
 
 
-@pytest.mark.slow
 def test_criterion_10_determinism(seed42_report, tmp_path):
     # a CLI run of `verify --scenario all --seed 42` in a fresh interpreter is
     # byte-identical to the in-process report

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from liouville_lab.bubbles import BubbleParams
-from liouville_lab.errors import DichotomyError
+from liouville_lab.errors import DegenerateLayerError, DichotomyError
 from liouville_lab.harmonic import (
     FourierBoundaryData,
     bubble_oscillation_killer,
@@ -13,7 +13,8 @@ from liouville_lab.harmonic import (
     harmonic_extend,
     layer_from_coefficients,
 )
-from liouville_lab.numerics import FourierCoefficients, fd_laplacian
+from liouville_lab.numerics import FourierCoefficients
+from oracles import fd_laplacian
 
 
 def _data(radius, a, b):
@@ -100,6 +101,14 @@ class TestBuildLayer:
         phi = _data(1.0, [0, 0.5, 0.2], [0, 0, 0])
         layer = build_layer(phi, BubbleParams(N=1, mu=12.0, p=0j, h=1.0), 0.05, L=1)
         assert layer.delta_star >= 0.5 * 0.05
+
+    def test_data_equal_to_killer_is_degenerate(self):
+        # Phi minus the killer's coefficients leaves every retained gap exactly 0
+        params = BubbleParams(N=1, mu=12.0, p=0j, h=1.0)
+        killer = bubble_oscillation_killer(params, 0.1)
+        phi = FourierBoundaryData(radius=1.0, coefficients=killer.coefficients)
+        with pytest.raises(DegenerateLayerError, match="all retained coefficient gaps vanish"):
+            build_layer(phi, params, 0.1, L=2)
 
     def test_tail_bound(self):
         rng = np.random.default_rng(9)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from liouville_lab.bubbles import BubbleParams
-from liouville_lab.errors import KernelFitError
+from liouville_lab import interaction
+from liouville_lab.errors import InteractionMismatchError, KernelFitError
 from liouville_lab.interaction import (
     InteractionParams,
     closed_form_interaction,
@@ -137,6 +138,15 @@ class TestInteractionCoefficient:
         res = interaction_coefficient(params, SPEC)
         assert res.closed_form == pytest.approx(2 * math.pi * M / 27.0, rel=1e-12)
         assert res.relative_gap <= 0.10
+
+    def test_mismatch_raises_where_the_check_applies(self, monkeypatch):
+        # eps = e^-8 <= 1e-3 and mu_s = mu_l: a closed form twice the true one
+        # leaves a relative gap of 1/2 against the quadrature
+        params = _params(mu=16.0, dp=0.01, M=0.01)
+        monkeypatch.setattr(interaction, "closed_form_interaction",
+                            lambda p: 2.0 * closed_form_interaction(p))
+        with pytest.raises(InteractionMismatchError):
+            interaction_coefficient(params, SPEC)
 
     def test_moment_contributions_small(self):
         params = _params(mu=16.0, dp=0.01, M=0.01)

@@ -122,7 +122,7 @@ class TestFundamentalPair:
         y0 = [r0 ** l * (1 + a2 * r0 ** 2), r0 ** (l - 1) * (l + (l + 2) * a2 * r0 ** 2)]
         traj = ode_integrate(
             lambda r, y: [y[1], -y[1] / r - (8 * c / (1 + c * r * r) ** 2 - l * l / (r * r)) * y[0]],
-            y0, r0, 100.0, QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300), method="DOP853")
+            y0, r0, 100.0, QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300))
         rs = np.geomspace(0.01, 90.0, 60)
         ref = traj(rs)[0]
         assert np.max(np.abs(pair.g1(rs) - ref) / np.abs(ref)) <= 1e-7

@@ -5,29 +5,22 @@ import numpy as np
 import pytest
 
 from liouville_lab.bubbles import BubbleParams, bubble_density, peak_grading
-from liouville_lab.errors import (
-    GradientMismatchError,
-    NyquistError,
-    QuadratureBudgetError,
-    StiffODEError,
-)
+from liouville_lab.errors import NyquistError, QuadratureBudgetError, StiffODEError
 from liouville_lab.numerics import (
     FourierCoefficients,
     QuadratureSpec,
     _circle_mean,
     _ring_nodes,
     circle_fourier,
-    fd_check,
     integrate_circle,
     integrate_disk,
     integrate_plane,
-    make_polar_grid,
     ode_integrate,
     polar_sum,
-    riemann_sum,
     sample_circle,
     solve_with_diagnostics,
 )
+from oracles import GradientMismatchError, fd_check, make_polar_grid, riemann_sum
 
 SPEC = QuadratureSpec()
 
@@ -59,10 +52,10 @@ class TestIntegratePlane:
         assert abs(rotated - base) <= 10 * SPEC.rel_tol * abs(base)
 
     def test_budget_exceeded(self):
-        tiny = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=8)
+        # 1/(1+|z|^2) is not integrable over the plane: no budget suffices
+        tiny = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15)
         with pytest.raises(QuadratureBudgetError):
-            integrate_plane(lambda z: np.cos(40 * np.abs(z) ** 2) / (1 + np.abs(z) ** 2 / 8) ** 2,
-                            tiny)
+            integrate_plane(lambda z: 1 / (1 + np.abs(z) ** 2), tiny)
 
 
 def _recording(f):
@@ -268,11 +261,11 @@ class TestVectorIntegrands:
         assert vector < sum(scalars)
 
     def test_vector_budget_exceeded(self):
-        tiny = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=8)
+        tiny = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15)
 
         def f(z):
-            osc = np.cos(40 * np.abs(z) ** 2) / (1 + np.abs(z) ** 2 / 8) ** 2
-            return np.stack([osc, 2.0 * osc])
+            slow = 1 / (1 + np.abs(z) ** 2)   # not integrable over the plane
+            return np.stack([slow, 2.0 * slow])
 
         with pytest.raises(QuadratureBudgetError) as info:
             integrate_plane(f, tiny)
@@ -416,8 +409,6 @@ class TestQuadratureSpecValidation:
     def test_rejects_bad_tolerances(self):
         with pytest.raises(ValueError):
             QuadratureSpec(rel_tol=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=4)
 
     def test_polar_grid_validation(self):
         with pytest.raises(ValueError):

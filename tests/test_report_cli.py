@@ -13,12 +13,11 @@ from liouville_lab.report import (
     ReportEntry,
     all_pass,
     emit,
-    parse_csv,
-    parse_json,
     render_csv,
     render_json,
 )
 from liouville_lab.scenarios import INPUTS, SCENARIOS, run_scenario
+from oracles import parse_csv, parse_json
 
 
 def _entry(**kw):
