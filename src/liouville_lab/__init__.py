@@ -26,14 +26,7 @@ from .interaction import (
     moment_integrals,
     second_moment,
 )
-from .kernels import (
-    ModeProblem,
-    fundamental_pair,
-    kernel_functions,
-    mean_value_exponent,
-    mode_solve,
-    principal_eigenvalue,
-)
+from .kernels import fundamental_pair, kernel_functions, mode_solve, principal_eigenvalue
 from .maxima import (
     InteractionMatrix,
     MaximaConfiguration,

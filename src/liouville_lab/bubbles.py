@@ -149,10 +149,6 @@ class MaximaResult:
     gap: np.ndarray          # |Q_l - predicted_l|
     m: np.ndarray            # perturbations relative to the first maximum
 
-    @property
-    def N(self) -> int:
-        return self.Q.size - 1
-
 
 def find_maxima(params: BubbleParams) -> MaximaResult:
     """Locate the N+1 maxima of the bubble.

@@ -96,10 +96,6 @@ class Decomposition:
     B: float
     remainder: float
 
-    @property
-    def total(self) -> float:
-        return self.phi1 + self.phi2 + self.phi3 + self.phi4 + self.remainder
-
 
 def _fields(params: InteractionParams, z):
     z = np.asarray(z, dtype=complex)
@@ -136,14 +132,13 @@ def decompose_difference(params: InteractionParams, z) -> Decomposition:
 # ----------------------------------------------------------------------------
 # moment integrals
 
-def moment_integrals(params: BubbleParams, spec: QuadratureSpec | None = None):
+def moment_integrals(params: BubbleParams, spec: QuadratureSpec):
     """(I0, I1): the two vanishing bubble moments.
 
     I0 = int (1-q)/(1+q)^3 |z|^2N dz with q the bubble quadratic form,
     I1 = int c (z^(N+1) - 1 - p) |z|^2N / (1+q)^3 dz (complex; both parts vanish).
     The rings are graded toward the bubble's maxima, where both integrands peak.
     """
-    spec = spec or QuadratureSpec()
     c = params.coefficient
     off = 1.0 + params.p
 
@@ -158,9 +153,8 @@ def moment_integrals(params: BubbleParams, spec: QuadratureSpec | None = None):
     return float(i0), complex(i1_re, i1_im)
 
 
-def second_moment(spec: QuadratureSpec | None = None) -> float:
+def second_moment(spec: QuadratureSpec) -> float:
     """I2 = int z1^2 / (1 + |z|^2/8)^3 dz = 16 pi, the fixed moment beside I0 and I1."""
-    spec = spec or QuadratureSpec()
     return integrate_plane(lambda z: z.real ** 2 / (1.0 + np.abs(z) ** 2 / 8.0) ** 3, spec)
 
 
@@ -190,7 +184,7 @@ class InteractionQuadrature:
 
 
 def interaction_coefficient(params: InteractionParams,
-                            spec: QuadratureSpec | None = None) -> InteractionQuadrature:
+                            spec: QuadratureSpec) -> InteractionQuadrature:
     """Closed form D_sl versus quadrature of the phi3 + phi4 contribution.
 
     The quadrature integrates (phi3 + phi4) h_l |y|^2N eps^2 e^{V_s} / M over
@@ -199,7 +193,6 @@ def interaction_coefficient(params: InteractionParams,
     quadrature within 10% whenever eps <= 1e-3 and |mu_s - mu_l| <= eps;
     disagreement beyond that raises InteractionMismatchError.
     """
-    spec = spec or QuadratureSpec()
     eps = params.eps
     bubble_s = params.bubble_s()
     Q_s = params.Q_s

@@ -11,7 +11,8 @@ Per Fourier mode l the radial operator is
     L_l g = g'' + g'/r + (8c/(1+c r^2)^2 - l^2/r^2) g,
 
 with closed-form fundamental pairs for l = 0, 1 and series-launched numerical
-solutions for l >= 2 (second solutions by reduction of order).
+solutions for l >= 2 (second solutions by reduction of order).  The mode
+problems are posed at c = 1/8 (h = 1) on 0 < r <= 100: c only rescales r.
 """
 
 from __future__ import annotations
@@ -29,23 +30,9 @@ from .numerics import QuadratureSpec, ode_integrate
 from .radial import RadialProfile, profile_residual
 
 
-@dataclass(frozen=True)
-class ModeProblem:
-    """One Fourier-mode linearized problem at bubble constant c = h/8."""
-
-    mode: int
-    c: float = 0.125
-    r_max: float = 100.0
-
-    def __post_init__(self):
-        if self.mode < 0:
-            raise ValueError("mode must be non-negative")
-        if self.mode > 64:
-            raise ValueError("modes above 64 are not supported")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
-        if self.r_max <= 1:
-            raise ValueError("r_max must exceed 1")
+# bubble constant c = h/8 and outer radius of the mode problems
+MODE_C = 0.125
+MODE_R_MAX = 100.0
 
 
 def potential(r, c: float):
@@ -92,8 +79,6 @@ def kernel_residuals(z, c: float):
 class FundamentalPair:
     """Fundamental system (g1, g2) with derivatives for one mode."""
 
-    mode: int
-    c: float
     g1: Callable
     g1p: Callable
     g2: Callable
@@ -125,7 +110,7 @@ def _pair_mode0(c: float) -> FundamentalPair:
         s = c * r ** 2
         return g1p(r) * 0.5 * np.log(s) + g1(r) / r - 4.0 * c * r / (1.0 + s) ** 2
 
-    return FundamentalPair(0, c, g1, g1p, g2, g2p)
+    return FundamentalPair(g1, g1p, g2, g2p)
 
 
 def _pair_mode1(c: float) -> FundamentalPair:
@@ -147,7 +132,7 @@ def _pair_mode1(c: float) -> FundamentalPair:
         I = -0.5 / r ** 2 + 2.0 * c * np.log(r) + 0.5 * c ** 2 * r ** 2
         return g1p(r) * I + g1(r) * (1.0 / r ** 3 + 2.0 * c / r + c ** 2 * r)
 
-    return FundamentalPair(1, c, g1, g1p, g2, g2p)
+    return FundamentalPair(g1, g1p, g2, g2p)
 
 
 def _mode_ode(c: float, l: int):
@@ -158,9 +143,9 @@ def _mode_ode(c: float, l: int):
     return rhs
 
 
-def _pair_mode_l(problem: ModeProblem) -> FundamentalPair:
+def _pair_mode_l(l: int) -> FundamentalPair:
     """Series-launched g1 ~ r^l and reduction-of-order g2 ~ r^-l for l >= 2."""
-    c, l, r_max = problem.c, problem.mode, problem.r_max
+    c, r_max = MODE_C, MODE_R_MAX
     # keep r0^l representable: the pair spans ~10^(2 l log10(rmax/r0)) overall
     r0 = max(1e-3, 10.0 ** (-150.0 / l))
     a2 = -2.0 * c / (l + 1.0)   # two-term launch g = r^l (1 + a2 r^2 + ...)
@@ -216,17 +201,19 @@ def _pair_mode_l(problem: ModeProblem) -> FundamentalPair:
         core = 2.0 * l * (g1p(rr) * J(rr) - 1.0 / (rr * g1(rr)))
         return np.where(r < r0, inner, core)
 
-    return FundamentalPair(l, c, g1, g1p, g2, g2p)
+    return FundamentalPair(g1, g1p, g2, g2p)
 
 
-def fundamental_pair(problem: ModeProblem) -> FundamentalPair:
+def fundamental_pair(mode: int) -> FundamentalPair:
     """Fundamental system for the mode ODE: closed form for l in {0, 1},
-    series-launched numeric plus reduction of order for l >= 2."""
-    if problem.mode == 0:
-        return _pair_mode0(problem.c)
-    if problem.mode == 1:
-        return _pair_mode1(problem.c)
-    return _pair_mode_l(problem)
+    series-launched numeric plus reduction of order for 2 <= l <= 64."""
+    if not 0 <= mode <= 64:
+        raise ValueError("mode must lie in 0..64")
+    if mode == 0:
+        return _pair_mode0(MODE_C)
+    if mode == 1:
+        return _pair_mode1(MODE_C)
+    return _pair_mode_l(mode)
 
 
 # ----------------------------------------------------------------------------
@@ -239,73 +226,50 @@ class ModeSolution:
     g: Callable
     grid: np.ndarray
     values: np.ndarray
-    bound: Callable
     certificate: float   # sup_r |g(r)| / bound(r)
 
 
-def _growth_bound(problem: ModeProblem, boundary: float, envelope: float):
-    l, r_max = problem.mode, problem.r_max
-    if l == 0:
-        return lambda r: envelope * np.log(2.0 + r)
-    if l == 1:
-        return lambda r: envelope * (1.0 + r)
-    return lambda r: abs(boundary) * (np.asarray(r) / r_max) ** l + envelope / l ** 2
+# a certificate sup |g| / bound above this raises GrowthBoundError
+CERTIFICATE_THRESHOLD = 50.0
 
 
-def mode_solve(problem: ModeProblem, rhs: Callable, boundary: float = 0.0,
-               envelope: float | None = None, certificate_threshold: float = 50.0,
-               n_grid: int = 4000) -> ModeSolution:
+def mode_solve(mode: int, rhs: Callable) -> ModeSolution:
     """Variation-of-parameters solution of L_l g = rhs with growth certificate.
 
-    Modes 0 and 1 take zero value and derivative at r = 0; modes >= 2 take the
-    prescribed boundary value at r_max.  The certificate reports
-    sup_r |g| / bound(r) with bound log(2+r), (1+r), or
-    |boundary| (r/r_max)^l + A/l^2 respectively; a ratio above the threshold
-    raises GrowthBoundError.
+    Modes 0 and 1 take zero value and derivative at r = 0; modes >= 2 vanish
+    at r = 100.  The certificate reports sup_r |g| / bound(r) over 4000
+    geometric radii, with bound A log(2+r), A (1+r), or A/l^2 respectively and
+    A = max |rhs| (1+r)^3; a ratio above CERTIFICATE_THRESHOLD raises
+    GrowthBoundError.
     """
-    pair = fundamental_pair(problem)
-    l, r_max = problem.mode, problem.r_max
-    r = np.geomspace(1e-4, r_max, n_grid)
+    pair = fundamental_pair(mode)
+    r = np.geomspace(1e-4, MODE_R_MAX, 4000)
     f = np.asarray(rhs(r), dtype=float)
-    if envelope is None:
-        envelope = float(np.max(np.abs(f) * (1.0 + r) ** 3))
+    envelope = max(float(np.max(np.abs(f) * (1.0 + r) ** 3)), 1e-300)
     g1, g2 = pair.g1(r), pair.g2(r)
     w0 = np.median(pair.wronskian(np.linspace(1.0, 2.0, 9)))
 
     int_g1f = cumulative_trapezoid(g1 * f * r, r, initial=0.0)
     int_g2f = cumulative_trapezoid(g2 * f * r, r, initial=0.0)
-    if l <= 1:
+    if mode <= 1:
         vals = (g2 * int_g1f - g1 * int_g2f) / w0
     else:
         outer = int_g2f[-1] - int_g2f
         vals = (g2 * int_g1f + g1 * outer) / w0
-        c1 = (boundary - vals[-1]) / g1[-1]
-        vals = vals + c1 * g1
+        vals = vals - vals[-1] / g1[-1] * g1
 
-    bound = _growth_bound(problem, boundary, max(envelope, 1e-300))
-    ratio = float(np.max(np.abs(vals) / np.maximum(bound(r), 1e-300)))
-    if ratio > certificate_threshold:
+    if mode == 0:
+        bound = envelope * np.log(2.0 + r)
+    elif mode == 1:
+        bound = envelope * (1.0 + r)
+    else:
+        bound = envelope / mode ** 2
+    ratio = float(np.max(np.abs(vals) / bound))
+    if ratio > CERTIFICATE_THRESHOLD:
         raise GrowthBoundError(
-            f"growth bound violated: certificate ratio {ratio:.2f} > {certificate_threshold}")
+            f"growth bound violated: certificate ratio {ratio:.2f} > {CERTIFICATE_THRESHOLD}")
     spline = CubicHermiteSpline(r, vals, np.gradient(vals, r))
-    return ModeSolution(g=spline, grid=r, values=vals, bound=bound, certificate=ratio)
-
-
-# ----------------------------------------------------------------------------
-# mean-value exponent
-
-def mean_value_exponent(u_value, v_value):
-    """e^xi = (e^u - e^v)/(u - v), continuously extended by e^v on the diagonal.
-
-    Satisfies e^xi = e^v (1 + w/2 + O(w^2)) with w = u - v.
-    """
-    u = np.asarray(u_value, dtype=float)
-    v = np.asarray(v_value, dtype=float)
-    w = u - v
-    small = np.abs(w) < 1e-12
-    ratio = np.where(small, 1.0 + 0.5 * w, np.expm1(np.where(small, 1.0, w)) / np.where(small, 1.0, w))
-    out = np.exp(v) * ratio
-    return float(out) if out.ndim == 0 else out
+    return ModeSolution(g=spline, grid=r, values=vals, certificate=ratio)
 
 
 # ----------------------------------------------------------------------------

@@ -23,29 +23,23 @@ from .numerics import LinearSolveDiagnostics, solve_with_diagnostics
 
 @dataclass
 class MaximaConfiguration:
-    """N+1 near-roots-of-unity maxima and their perturbations."""
+    """N+1 maxima near the roots of unity, inside B(0, R)."""
 
     N: int
     Q: np.ndarray
-    m: np.ndarray
     R: float = math.inf
 
     def __post_init__(self):
         self.Q = np.asarray(self.Q, dtype=complex)
-        self.m = np.asarray(self.m, dtype=complex)
-        if self.Q.size != self.N + 1 or self.m.size != self.N + 1:
-            raise ValueError("need N+1 maxima and perturbations")
+        if self.Q.size != self.N + 1:
+            raise ValueError("need N+1 maxima")
         if np.any(np.abs(self.Q) <= 0.5) or np.any(np.abs(self.Q) >= 1.5):
             raise ValueError("maxima must stay near the unit circle")
-        if abs(self.m[0]) > 1e-12:
-            raise ValueError("normalisation requires m_0 = 0")
 
     @classmethod
-    def from_roots(cls, N: int, perturbations=None, R: float = math.inf):
+    def from_roots(cls, N: int, R: float = math.inf):
         beta = math.tau * np.arange(N + 1) / (N + 1)
-        m = np.zeros(N + 1, dtype=complex) if perturbations is None \
-            else np.asarray(perturbations, dtype=complex)
-        return cls(N=N, Q=np.exp(1j * beta) * (1.0 + m), m=m, R=R)
+        return cls(N=N, Q=np.exp(1j * beta), R=R)
 
 
 @dataclass
@@ -87,30 +81,27 @@ def build_interaction_matrix(N: int) -> InteractionMatrix:
 # ----------------------------------------------------------------------------
 # Green's function of the disk
 
-def green_disk(R: float, y: complex, eta: complex):
-    """(G, H, grad1_H) for the disk B(0, R).
+def green_disk(R: float, y, eta):
+    """(G, H, grad1_H) for the disk B(0, R), elementwise in y and eta.
 
     G vanishes on |y| = R, is symmetric, and G = -(1/2 pi) log|y - eta| + H
-    with H(y, eta) = (1/2 pi) log(|eta| |y - R^2 eta / |eta|^2| / R).
-    grad1_H is the gradient of H in the first argument, returned as a complex
-    number gx + i gy.
+    with H(y, eta) = (1/2 pi) log(|eta| |y - R^2 eta / |eta|^2| / R), written
+    as (1/2 pi) log(|conj(eta) y - R^2| / R) so that it holds at eta = 0 too.
+    H is smooth on the diagonal y = eta, where G is +inf.  grad1_H is the
+    gradient of H in the first argument, returned as a complex number
+    gx + i gy: it is 1 / (2 pi conj(y - eta*)) with eta* = R^2 eta / |eta|^2
+    the image point.
     """
     if R <= 0:
         raise ValueError("disk radius must be positive")
-    if abs(y) >= R or abs(eta) >= R:
+    y = np.asarray(y, dtype=complex)
+    eta = np.asarray(eta, dtype=complex)
+    if np.any(np.abs(y) >= R) or np.any(np.abs(eta) >= R):
         raise ValueError("both points must lie inside the disk")
-    if y == eta:
-        raise ValueError("Green's function is singular on the diagonal")
-    if eta == 0:
-        # limit of |eta| |y - R^2 eta / |eta|^2| as eta -> 0 is R^2
-        H = (1.0 / math.tau) * math.log(R)
-        G = -(1.0 / math.tau) * math.log(abs(y)) + H
-        return G, H, 0j
-    eta_star = R * R * eta / (abs(eta) ** 2)
-    H = (1.0 / math.tau) * math.log(abs(eta) * abs(y - eta_star) / R)
-    G = -(1.0 / math.tau) * math.log(abs(y - eta)) + H
-    diff = y - eta_star
-    grad1 = (1.0 / math.tau) * diff / abs(diff) ** 2
+    H = np.log(np.abs(np.conj(eta) * y - R * R) / R) / math.tau
+    with np.errstate(divide="ignore"):
+        G = H - np.log(np.abs(y - eta)) / math.tau
+    grad1 = eta / (math.tau * (eta * np.conj(y) - R * R))
     return G, H, grad1
 
 
@@ -121,34 +112,23 @@ def oscillation_gradient(config: MaximaConfiguration):
     -4 sum_{l != m} (Q_m - Q_l)/|Q_m - Q_l|^2 as a complex number, after the
     root-of-unity cancellation sum e^{i beta_l} = 0 removes the leading image
     term; image_corrections[m] is the full Green-image sum
-    8 pi sum_l grad1eta H(Q_m, Q_l), reported for verification (it vanishes as
-    R -> infinity and is O(sigma R^-2) + O(R^-4) otherwise).
+    8 pi sum_l grad1_H(Q_m, Q_l), self term l = m included, reported for
+    verification (it vanishes as R -> infinity and is O(sigma R^-2) + O(R^-4)
+    otherwise).
     """
     Q = config.Q
-    n1 = Q.size
-    if np.min([abs(Q[i] - Q[j]) for i in range(n1) for j in range(i + 1, n1)]) < 1e-12:
+    diff = Q[:, None] - Q[None, :]
+    off = ~np.eye(Q.size, dtype=bool)
+    if np.min(np.abs(diff[off])) < 1e-12:
         raise ValueError("coincident maxima make the mutual-repulsion sum singular")
-    grads = []
-    corrections = []
-    for m in range(n1):
-        g = 0j
-        for l in range(n1):
-            if l == m:
-                continue
-            diff = Q[m] - Q[l]
-            g += diff / abs(diff) ** 2
-        grads.append(-4.0 * g)
-        if math.isinf(config.R):
-            corrections.append(0j)
-        else:
-            corr = 0j
-            for l in range(n1):
-                # regular part is smooth on the diagonal, so the self term is fine
-                eta_star = config.R ** 2 * Q[l] / abs(Q[l]) ** 2
-                diff = Q[m] - eta_star
-                corr += 8.0 * math.pi * (1.0 / math.tau) * diff / abs(diff) ** 2
-            corrections.append(corr)
-    return np.asarray(grads), np.asarray(corrections)
+    # (Q_m - Q_l)/|Q_m - Q_l|^2 = 1/conj(Q_m - Q_l)
+    repulsion = np.zeros_like(diff)
+    repulsion[off] = 1.0 / np.conj(diff[off])
+    grads = -4.0 * repulsion.sum(axis=1)
+    if math.isinf(config.R):
+        return grads, np.zeros_like(grads)
+    image = green_disk(config.R, Q[:, None], Q[None, :])[2]
+    return grads, 8.0 * math.pi * image.sum(axis=1)
 
 
 def force_balance_residuals(config: MaximaConfiguration) -> np.ndarray:
@@ -179,17 +159,6 @@ def check_half_angle_identity() -> float:
     lhs = z / (1.0 - z) ** 2
     rhs = -0.25 / np.sin(theta / 2.0) ** 2
     return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
-
-
-def check_root_sum_identity(N: int) -> float:
-    """N = 2 sum_{j != l} e^{i beta_l} / (e^{i beta_l} - e^{i beta_j}) for every l."""
-    beta = math.tau * np.arange(N + 1) / (N + 1)
-    z = np.exp(1j * beta)
-    worst = 0.0
-    for l in range(N + 1):
-        s = sum(z[l] / (z[l] - z[j]) for j in range(N + 1) if j != l)
-        worst = max(worst, abs(2.0 * s - N))
-    return worst
 
 
 def check_sine_sum_identity(N: int) -> float:

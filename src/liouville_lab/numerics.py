@@ -61,10 +61,6 @@ class FourierCoefficients:
     def n_max(self) -> int:
         return self.a.size - 1
 
-    def synthesize(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        return polar_sum(self.a, self.b, 1.0, theta)
-
 
 # ----------------------------------------------------------------------------
 # circle Fourier analysis
@@ -307,9 +303,8 @@ class ODETrajectory:
 
 
 def ode_integrate(rhs, initial, r0: float, r_end: float,
-                  spec: QuadratureSpec | None = None) -> ODETrajectory:
+                  spec: QuadratureSpec) -> ODETrajectory:
     """Integrate y' = rhs(r, y) from r0 to r_end with dense output (DOP853)."""
-    spec = spec or QuadratureSpec()
     y0 = np.atleast_1d(np.asarray(initial, dtype=float))
     try:
         sol = solve_ivp(rhs, (r0, r_end), y0, method="DOP853", rtol=spec.rel_tol,

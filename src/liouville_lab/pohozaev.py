@@ -123,19 +123,18 @@ def _spot_check_solution(field: SolutionField, h, N: int, center: complex,
 
 
 def pohozaev_check(field: SolutionField, h, grad_h, N: int, center: complex,
-                   radius: float, spec: QuadratureSpec | None = None,
-                   radial_splits=None, validate: bool = True) -> PohozaevReport:
+                   radius: float, spec: QuadratureSpec,
+                   radial_splits=None) -> PohozaevReport:
     """Evaluate the three Pohozaev terms along e1 and e2 on B(center, radius).
 
     h and grad_h are the coefficient field and its gradient.  The volume term
     is one 2-component disk integral; the flux and kinetic terms are one
     4-component circle integral.  For N >= 1 the disk must avoid the origin.
+    A field with a Laplacian is first spot-checked as a solution.
     """
-    spec = spec or QuadratureSpec()
     if N >= 1 and abs(center) <= radius:
         raise ValueError("for N >= 1 the disk must not contain the origin")
-    if validate:
-        _spot_check_solution(field, h, N, center, radius)
+    _spot_check_solution(field, h, N, center, radius)
 
     n2 = 2 * N
 
@@ -185,7 +184,7 @@ def _maximum_disk(params: BubbleParams, s: int, radius: float):
 # coefficient contrast
 
 def coefficient_contrast(params: BubbleParams, layer: LayerField, s: int,
-                         radius: float, spec: QuadratureSpec | None = None,
+                         radius: float, spec: QuadratureSpec,
                          check: bool = True) -> np.ndarray:
     """int_{B(Q_s, radius)} grad h0 |y|^2N e^V dy, as its e1 and e2 components.
 
@@ -194,7 +193,6 @@ def coefficient_contrast(params: BubbleParams, layer: LayerField, s: int,
     mass 8 pi / h; a gap along grad h0(Q_s) beyond 10% of the delta*-scale
     raises ContrastMismatchError.
     """
-    spec = spec or QuadratureSpec()
     q_s, splits = _maximum_disk(params, s, radius)
 
     def integrand(z):
@@ -219,7 +217,7 @@ def coefficient_contrast(params: BubbleParams, layer: LayerField, s: int,
 # integration-by-parts identity
 
 def byparts_identity(params: BubbleParams, w_field: SolutionField, s: int,
-                     radius: float, spec: QuadratureSpec | None = None) -> float:
+                     radius: float, spec: QuadratureSpec) -> float:
     """Mismatch of the two routes through the integration-by-parts identity.
 
     Volume route: 2N int y_xi |y|^(2N-2) h e^V w  (xi = e1 here, h = params.h).
@@ -227,7 +225,6 @@ def byparts_identity(params: BubbleParams, w_field: SolutionField, s: int,
     For w with w, grad w of size eps_b on the boundary circle the mismatch is
     bounded by 10 eps_b (2N) radius^-1 circumference.
     """
-    spec = spec or QuadratureSpec()
     N = params.N
     if N == 0:
         return 0.0

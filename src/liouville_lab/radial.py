@@ -36,7 +36,7 @@ class RadialProfile:
     r_grid: np.ndarray
     u: np.ndarray
     u_prime: np.ndarray
-    _spline: CubicHermiteSpline | None = field(default=None, repr=False)
+    _spline: CubicHermiteSpline | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.r_grid = np.asarray(self.r_grid, dtype=float)
@@ -188,9 +188,8 @@ def shoot_radial(N: int, lam: float, u_center_guess: float) -> RadialProfile:
 # ----------------------------------------------------------------------------
 # branch tracing and diagnostics
 
-def branch_mass(profile: RadialProfile, spec: QuadratureSpec | None = None) -> float:
+def branch_mass(profile: RadialProfile, spec: QuadratureSpec) -> float:
     """lambda * integral_{B_1} |x|^2N e^u dx, by quadrature."""
-    spec = spec or QuadratureSpec()
     N, lam = profile.N, profile.lam
 
     def integrand(r):
@@ -220,12 +219,6 @@ def harnack_diagnostic(point: BranchPoint) -> float:
     return float(np.max(vals))
 
 
-def harnack_argmax(point: BranchPoint) -> float:
-    prof = point.profile
-    m = prof.N + 1
-    return prof.b ** (-1.0 / (2.0 * m))
-
-
 @dataclass
 class FoldReport:
     b_star: float
@@ -238,7 +231,7 @@ class BranchTrace:
     fold: FoldReport
 
 
-def trace_branch(N: int, b_values, spec: QuadratureSpec | None = None) -> BranchTrace:
+def trace_branch(N: int, b_values, spec: QuadratureSpec) -> BranchTrace:
     """(lambda(b), u(0;b)) diagram with fold location and masses."""
     b_values = np.asarray(sorted(b_values), dtype=float)
     if not (b_values[0] < 1.0 < b_values[-1] or np.any(b_values == 1.0)):

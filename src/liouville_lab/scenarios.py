@@ -85,7 +85,10 @@ def scenario_identities(seed: int, N: int) -> list:
     worst_sine = worst_root = worst_row = 0.0
     for n in range(1, N + 1):
         worst_sine = max(worst_sine, maxima.check_sine_sum_identity(n) / max(n * n, 1))
-        worst_root = max(worst_root, maxima.check_root_sum_identity(n) / n)
+        # the force balance at the exact roots of unity is the root-sum identity
+        # N = 2 sum_{j != l} Q_l / (Q_l - Q_j), doubled
+        balance = maxima.force_balance_residuals(maxima.MaximaConfiguration.from_roots(n))
+        worst_root = max(worst_root, float(np.max(balance)) / n)
         worst_row = max(worst_row, maxima.check_row_sum_independence(n) / max(n * n, 1))
     entries.append(_entry("identities/sine-sum", {"N_max": N},
                           worst_sine, 0.0, 1e-9, "paper"))
@@ -168,6 +171,11 @@ def scenario_bubble(seed: int, tol: float) -> list:
         entries.append(_entry("bubble/residual",
                               {"N": params.N, "mu": params.mu, "h": params.h, "seed": seed},
                               res, 0.0, 1e-9, "paper"))
+        # the kernel of the linearization at the planar bubble with c = h/8
+        c = params.h / 8.0
+        kres = max(float(np.max(np.abs(r))) for r in kernels.kernel_residuals(np.array(pts), c))
+        entries.append(_entry("bubble/kernel-residual", {"c": c, "seed": seed},
+                              kres, 0.0, 1e-9, "paper"))
     mu = 6.0
     for N in (0, 1, 2, 3):
         params = BubbleParams(N=N, mu=mu, p=0.02, h=8.0 * (N + 1) ** 2)
@@ -411,7 +419,7 @@ def scenario_pohozaev(mu: float) -> list:
     prof = radial.closed_form_profile(0, 1.0)
     rfield = pohozaev.radial_field(prof)
     h, grad_h = pohozaev.constant_field(prof.lam)
-    rep = pohozaev.pohozaev_check(rfield, h, grad_h, 0, 0j, 0.5, spec, validate=False)
+    rep = pohozaev.pohozaev_check(rfield, h, grad_h, 0, 0j, 0.5, spec)
     entries.append(_entry("pohozaev/radial-residual", {"N": 0, "b": 1.0},
                           abs(rep.residual[0]) / rep.scale[0], 0.0, 1e-6, "derived"))
 
@@ -510,6 +518,12 @@ def scenario_branch(N: int) -> list:
     bessel = kernels.principal_eigenvalue(radial.zero_potential_profile(), 0, n=1024)
     entries.append(_entry("branch/bessel-eigenvalue", {"N": 0, "lambda": 0.0},
                           bessel, 5.783185962946785, 1e-3, "derived"))
+    # per-mode solves of the linearized operator: log growth for mode 0, linear
+    # for mode 1, bounded for mode 2
+    for mode in (0, 1, 2):
+        sol = kernels.mode_solve(mode, lambda r: (1.0 + r) ** -3.0)
+        entries.append(_bound_entry("branch/mode-certificate", {"mode": mode}, sol.certificate,
+                                    kernels.CERTIFICATE_THRESHOLD, "paper"))
     return entries
 
 
@@ -579,6 +593,17 @@ def scenario_conjecture_disk(N: int, mu: float) -> list:
     predicted = abs(g) * 8.0 * math.pi / params.h
     entries.append(_entry("conjecture/contrast-ratio", inputs,
                           val / predicted, 1.0, 0.1, "derived"))
+
+    # the Dirichlet image term in the force balance at the maxima of a shifted
+    # bubble is O(sigma R^-2), sigma their distance from the roots of unity
+    p = 0.1
+    Q = bubbles.find_maxima(BubbleParams(N=N, mu=mu, p=p, h=1.0)).Q
+    sigma = float(np.max(np.abs(Q - np.exp(1j * math.tau * np.arange(N + 1) / (N + 1)))))
+    for R in (20.0, 100.0):
+        _, image = maxima.oscillation_gradient(maxima.MaximaConfiguration(N=N, Q=Q, R=R))
+        entries.append(_bound_entry("conjecture/image-term", {"N": N, "R": R, "p": p},
+                                    float(np.max(np.abs(image))) * R ** 2 / sigma, 10.0,
+                                    "paper"))
     return entries
 
 

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from liouville_lab import kernels
 from liouville_lab.errors import GrowthBoundError, UnresolvedSpectrumError
 from liouville_lab.kernels import (
-    ModeProblem,
     fundamental_pair,
     kernel_functions,
     kernel_residuals,
-    mean_value_exponent,
     mode_solve,
+    potential,
     principal_eigenvalue,
 )
 from liouville_lab.radial import closed_form_profile, zero_potential_profile
@@ -54,13 +54,13 @@ def _sympy_mode_residual(expr, r, c, mode):
 
 class TestFundamentalPair:
     def test_mode0_values(self):
-        pair = fundamental_pair(ModeProblem(mode=0, c=0.125))
+        pair = fundamental_pair(0)
         assert pair.g1(np.array([1e-12]))[0] == pytest.approx(1.0, abs=1e-10)
         assert pair.g1(np.array([1e6]))[0] == pytest.approx(-1.0, abs=1e-10)
 
     def test_mode1_closed_form_and_residual(self):
         c = 0.125
-        pair = fundamental_pair(ModeProblem(mode=1, c=c))
+        pair = fundamental_pair(1)
         rs = np.linspace(0.2, 10.0, 25)
         assert np.max(np.abs(pair.g1(rs) - rs / (1 + c * rs ** 2))) <= 1e-15
         r = sp.symbols("r", positive=True)
@@ -79,33 +79,28 @@ class TestFundamentalPair:
             assert abs(float(res.subs(r, rv))) <= 1e-9
 
     def test_mode1_second_solution_behaviour(self):
-        pair = fundamental_pair(ModeProblem(mode=1, c=0.125))
+        pair = fundamental_pair(1)
         assert pair.g2(np.array([1e-3]))[0] * 1e-3 == pytest.approx(-0.5, rel=1e-3)
         big = pair.g2(np.array([1e4]))[0] / 1e4
         assert abs(big) == pytest.approx(0.125 / 2, rel=1e-2)
 
     def test_mode0_log_growth(self):
-        pair = fundamental_pair(ModeProblem(mode=0, c=1.0))
-        r1, r2 = 100.0, 1000.0
-        ratio1 = pair.g2(np.array([r1]))[0] / math.log(r1)
-        ratio2 = pair.g2(np.array([r2]))[0] / math.log(r2)
-        assert abs(ratio1 / ratio2 - 1.0) <= 0.05
-        # with c = 1/8 the limit carries the offset -log(sqrt(c) r)
-        pair8 = fundamental_pair(ModeProblem(mode=0, c=0.125))
+        # at c = 1/8 the limit carries the offset -log(sqrt(c) r)
+        pair = fundamental_pair(0)
         for r in (100.0, 1000.0):
-            val = pair8.g2(np.array([r]))[0]
+            val = pair.g2(np.array([r]))[0]
             assert val == pytest.approx(-math.log(math.sqrt(0.125) * r), rel=5e-3)
 
     @pytest.mark.parametrize("mode", [2, 5, 8, 64])
     def test_asymptotic_bands(self, mode):
-        pair = fundamental_pair(ModeProblem(mode=mode, c=0.125))
+        pair = fundamental_pair(mode)
         for r in (0.01, 100.0):
             assert 0.1 <= pair.g1(np.array([r]))[0] / r ** mode <= 10.0
             assert 0.1 <= pair.g2(np.array([r]))[0] * r ** mode <= 10.0
 
     @pytest.mark.parametrize("mode", [0, 1, 3, 8])
     def test_wronskian_constant(self, mode):
-        pair = fundamental_pair(ModeProblem(mode=mode, c=0.125))
+        pair = fundamental_pair(mode)
         rs = np.geomspace(0.05, 50.0, 40)
         w = pair.wronskian(rs)
         assert np.max(np.abs(w / w[len(w) // 2] - 1.0)) <= 1e-6
@@ -114,8 +109,7 @@ class TestFundamentalPair:
         # independent re-integration at brutal tolerance
         from liouville_lab.numerics import QuadratureSpec, ode_integrate
 
-        problem = ModeProblem(mode=3, c=0.125)
-        pair = fundamental_pair(problem)
+        pair = fundamental_pair(3)
         r0 = 1e-3
         c, l = 0.125, 3
         a2 = -2 * c / (l + 1)
@@ -130,55 +124,51 @@ class TestFundamentalPair:
 
 class TestModeSolve:
     def test_zero_data_zero_solution(self):
-        sol = mode_solve(ModeProblem(mode=2, c=0.125), lambda r: np.zeros_like(r), boundary=0.0)
+        sol = mode_solve(2, lambda r: np.zeros_like(r))
         assert np.max(np.abs(sol.values)) <= 1e-30
 
     def test_mode0_log_certificate(self):
-        sol = mode_solve(ModeProblem(mode=0, c=0.125, r_max=1000.0),
-                         lambda r: (1 + r) ** -3.0)
+        sol = mode_solve(0, lambda r: (1 + r) ** -3.0)
         assert sol.certificate <= 50.0
 
     def test_mode1_linear_certificate(self):
-        sol = mode_solve(ModeProblem(mode=1, c=0.125, r_max=1000.0),
-                         lambda r: (1 + r) ** -3.0)
+        sol = mode_solve(1, lambda r: (1 + r) ** -3.0)
         assert sol.certificate <= 50.0
 
     def test_higher_mode_certificate(self):
-        sol = mode_solve(ModeProblem(mode=4, c=0.125), lambda r: (1 + r) ** -3.0,
-                         boundary=0.05)
+        sol = mode_solve(4, lambda r: (1 + r) ** -3.0)
         assert sol.certificate <= 50.0
-        assert sol.g(sol.grid[-1]) == pytest.approx(0.05, rel=1e-6)
+        assert abs(sol.values[-1]) <= 1e-12 * np.max(np.abs(sol.values))
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_solves_the_mode_equation(self, mode):
+        # g'' + g'/r + (V - l^2/r^2) g = f by central differences in t = log r,
+        # where g'' + g'/r = g_tt / r^2; independent of the Wronskian's sign
+        sol = mode_solve(mode, lambda r: (1 + r) ** -3.0)
+        r, g = sol.grid, sol.values
+        dt = math.log(r[1] / r[0])
+        g_tt = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / dt ** 2
+        rr = r[1:-1]
+        lhs = g_tt / rr ** 2 + (potential(rr, kernels.MODE_C) - mode ** 2 / rr ** 2) * g[1:-1]
+        f = (1 + rr) ** -3.0
+        inner = (rr >= 0.1) & (rr <= 50.0)
+        assert np.max(np.abs(lhs - f)[inner] / f[inner]) <= 1e-2
 
     def test_linearity(self):
-        a = mode_solve(ModeProblem(mode=1, c=0.125), lambda r: (1 + r) ** -3.0)
-        b = mode_solve(ModeProblem(mode=1, c=0.125), lambda r: 5.0 * (1 + r) ** -3.0)
+        a = mode_solve(1, lambda r: (1 + r) ** -3.0)
+        b = mode_solve(1, lambda r: 5.0 * (1 + r) ** -3.0)
         rel = np.max(np.abs(5.0 * a.values - b.values)) / np.max(np.abs(b.values))
         assert rel <= 1e-10
 
-    def test_growth_bound_violation(self):
+    def test_growth_bound_violation(self, monkeypatch):
+        monkeypatch.setattr(kernels, "CERTIFICATE_THRESHOLD", 1e-3)
         with pytest.raises(GrowthBoundError):
-            mode_solve(ModeProblem(mode=0, c=0.125, r_max=1000.0),
-                       lambda r: (1 + r) ** -3.0, envelope=1e-9)
+            mode_solve(0, lambda r: (1 + r) ** -3.0)
 
-
-class TestMeanValueExponent:
-    def test_diagonal(self):
-        assert mean_value_exponent(1.0, 1.0) == pytest.approx(math.e, abs=1e-15)
-
-    def test_small_gap(self):
-        # the naive quotient loses ~4e-14 to cancellation; expm1 is exact
-        assert mean_value_exponent(1e-3, 0.0) == pytest.approx((math.exp(1e-3) - 1) / 1e-3,
-                                                               abs=1e-12)
-        assert mean_value_exponent(1e-3, 0.0) == pytest.approx(math.expm1(1e-3) / 1e-3,
-                                                               abs=1e-15)
-
-    def test_taylor_remainder_sweep(self):
-        for v in np.linspace(-5.0, 5.0, 11):
-            for w in np.linspace(-0.1, 0.1, 21):
-                if w == 0:
-                    continue
-                val = mean_value_exponent(v + w, v)
-                assert abs(val / math.exp(v) - 1.0 - w / 2.0) <= w ** 2
+    def test_mode_range(self):
+        for mode in (-1, 65):
+            with pytest.raises(ValueError):
+                fundamental_pair(mode)
 
 
 class TestPrincipalEigenvalue:

@@ -8,7 +8,6 @@ from liouville_lab.maxima import (
     MaximaConfiguration,
     build_interaction_matrix,
     check_half_angle_identity,
-    check_root_sum_identity,
     check_row_sum_independence,
     check_sine_sum_identity,
     force_balance_residuals,
@@ -47,9 +46,28 @@ class TestGreenDisk:
                          (grad.real, grad.imag))
         assert 1.8 <= slope <= 2.2
 
-    def test_singularity_rejected(self):
+    def test_diagonal(self):
+        # G is singular on the diagonal; its regular part and gradient are not
+        eta = 0.5 + 0.2j
+        G, H, grad = green_disk(1.0, eta, eta)
+        near = green_disk(1.0, eta + 1e-7, eta)
+        assert G == math.inf
+        assert H == pytest.approx(near[1], abs=1e-7)
+        assert grad == pytest.approx(near[2], abs=1e-7)
+
+    def test_outside_rejected(self):
         with pytest.raises(ValueError):
-            green_disk(1.0, 0.5 + 0j, 0.5 + 0j)
+            green_disk(1.0, 1.0 + 0j, 0.5 + 0j)
+
+    def test_elementwise(self):
+        y = np.array([0.1 + 0.2j, -0.3j, 0.4 + 0j])
+        eta = np.array([[0.5 + 0j], [-0.2 + 0.6j]])
+        G, H, grad = green_disk(1.5, y, eta)
+        assert G.shape == H.shape == grad.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                one = green_disk(1.5, complex(y[j]), complex(eta[i, 0]))
+                assert (G[i, j], H[i, j], grad[i, j]) == pytest.approx(one, abs=1e-15)
 
     def test_center_source(self):
         G, H, grad = green_disk(2.0, 0.5 + 0j, 0j)
@@ -59,8 +77,7 @@ class TestGreenDisk:
 
 class TestOscillationGradient:
     def test_two_point_configuration(self):
-        config = MaximaConfiguration(N=1, Q=np.array([1.0 + 0j, -1.0 + 0j]),
-                                     m=np.zeros(2, dtype=complex))
+        config = MaximaConfiguration(N=1, Q=np.array([1.0 + 0j, -1.0 + 0j]))
         grads, corr = oscillation_gradient(config)
         assert grads[0] == pytest.approx(-2.0 + 0j, abs=1e-14)
         assert grads[1] == pytest.approx(2.0 + 0j, abs=1e-14)
@@ -78,22 +95,39 @@ class TestOscillationGradient:
             Q = find_maxima(BubbleParams(N=N, mu=8.0, p=0.1, h=8.0)).Q
             sigma = float(np.max(np.abs(Q - np.exp(2j * np.pi * np.arange(N + 1) / (N + 1)))))
             for R in (20.0, 100.0):
-                config = MaximaConfiguration(N=N, Q=Q, m=Q * np.exp(-1j * np.angle(Q))
-                                             - abs(Q[0]), R=R)
-                _, corr = oscillation_gradient(config)
+                _, corr = oscillation_gradient(MaximaConfiguration(N=N, Q=Q, R=R))
                 assert np.max(np.abs(corr)) <= 10.0 * sigma / R ** 2
+
+    def test_matches_the_loop_sums(self):
+        # repulsion: -4 sum_{l != m} (Q_m - Q_l)/|Q_m - Q_l|^2; image:
+        # 4 sum_l (Q_m - eta*_l)/|Q_m - eta*_l|^2 over every image point
+        # eta*_l = R^2 Q_l/|Q_l|^2, the self term l = m included: only the
+        # full sum carries the root-of-unity cancellation
+        Q = find_maxima(BubbleParams(N=2, mu=8.0, p=0.1 + 0.05j, h=8.0)).Q
+        R = 20.0
+        grads, corr = oscillation_gradient(MaximaConfiguration(N=2, Q=Q, R=R))
+        for m in range(3):
+            rep = img = 0j
+            for l in range(3):
+                if l != m:
+                    d = Q[m] - Q[l]
+                    rep -= 4.0 * d / abs(d) ** 2
+                d = Q[m] - R ** 2 * Q[l] / abs(Q[l]) ** 2
+                img += 4.0 * d / abs(d) ** 2
+            assert grads[m] == pytest.approx(rep, rel=1e-12)
+            assert corr[m] == pytest.approx(img, rel=1e-12)
+        assert np.max(np.abs(corr)) <= 1e-3 / R ** 2
 
     def test_rotation_equivariance(self):
         rot = np.exp(0.6j)
         base = MaximaConfiguration.from_roots(3)
-        rotated = MaximaConfiguration(N=3, Q=base.Q * rot, m=base.m)
+        rotated = MaximaConfiguration(N=3, Q=base.Q * rot)
         g0, _ = oscillation_gradient(base)
         g1, _ = oscillation_gradient(rotated)
         assert np.max(np.abs(g1 - g0 * rot)) <= 1e-12
 
     def test_coincident_points_rejected(self):
-        config = MaximaConfiguration(N=1, Q=np.array([1.0 + 0j, 1.0 + 1e-14j]),
-                                     m=np.zeros(2, dtype=complex))
+        config = MaximaConfiguration(N=1, Q=np.array([1.0 + 0j, 1.0 + 1e-14j]))
         with pytest.raises(ValueError):
             oscillation_gradient(config)
 
@@ -116,7 +150,8 @@ class TestIdentities:
         val = 2 * sum(1.0 / (1 - np.exp(2j * np.pi * j / 3)) for j in (1, 2))
         assert val.real == pytest.approx(2.0, abs=1e-14)
         assert abs(val.imag) <= 1e-14
-        assert check_root_sum_identity(2) <= 1e-10 * 2
+        # the force balance at the exact roots is twice the root-sum residual
+        assert np.max(force_balance_residuals(MaximaConfiguration.from_roots(2))) <= 1e-10 * 2
 
     def test_row_sum_independence(self):
         assert check_row_sum_independence(17) <= 1e-9 * 17 * 17
@@ -167,12 +202,10 @@ class TestMaximaSystem:
 
 
 class TestConfigurationValidation:
-    def test_m0_normalisation(self):
+    def test_count(self):
         with pytest.raises(ValueError):
-            MaximaConfiguration(N=1, Q=np.array([1.0 + 0j, -1.0 + 0j]),
-                                m=np.array([0.5, 0.0], dtype=complex))
+            MaximaConfiguration(N=2, Q=np.array([1.0 + 0j, -1.0 + 0j]))
 
     def test_points_near_unit_circle(self):
         with pytest.raises(ValueError):
-            MaximaConfiguration(N=1, Q=np.array([3.0 + 0j, -1.0 + 0j]),
-                                m=np.zeros(2, dtype=complex))
+            MaximaConfiguration(N=1, Q=np.array([3.0 + 0j, -1.0 + 0j]))

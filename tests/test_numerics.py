@@ -303,7 +303,7 @@ class TestCircleFourier:
         b[0] = 0.0
         coeffs = FourierCoefficients(a=a, b=b)
         theta = 2 * np.pi * np.arange(64) / 64
-        back = circle_fourier(coeffs.synthesize(theta), n_max=8)
+        back = circle_fourier(polar_sum(coeffs.a, coeffs.b, 1.0, theta), n_max=8)
         assert np.max(np.abs(back.a - a)) <= 1e-10
         assert np.max(np.abs(back.b - b)) <= 1e-10
 

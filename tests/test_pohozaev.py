@@ -41,7 +41,7 @@ class TestPohozaevCheck:
         prof = closed_form_profile(0, 1.0)
         field = radial_field(prof)
         h, grad_h = constant_field(prof.lam)
-        rep = pohozaev_check(field, h, grad_h, 0, 0j, 0.5, SPEC, validate=False)
+        rep = pohozaev_check(field, h, grad_h, 0, 0j, 0.5, SPEC)
         assert np.all(np.abs(rep.residual) <= 1e-6 * rep.scale)
 
     def test_non_solution_rejected(self):
@@ -292,7 +292,7 @@ class TestCancellationStructure:
         # the constant-coefficient balance freezes the layered field at the maximum
         h_const, grad_const = constant_field(params.h * float(layer.h0(q0)))
         rep_a = pohozaev_check(field, h_const, grad_const, 1, q0, radius, SPEC,
-                               radial_splits=splits, validate=False)
+                               radial_splits=splits)
 
         def h_layered(z):
             return params.h * np.exp(layer.phi0(z))
@@ -306,7 +306,7 @@ class TestCancellationStructure:
             return gx, gy
 
         rep_b = pohozaev_check(field, h_layered, grad_layered, 1, q0, radius, SPEC,
-                               radial_splits=splits, validate=False)
+                               radial_splits=splits)
         contrast = coefficient_contrast(params, layer, 0, radius, SPEC) @ xi
         diff = rep_b.residual[0] - rep_a.residual[0]
         assert abs(abs(diff) - abs(contrast)) <= 0.1 * abs(contrast)

@@ -27,19 +27,9 @@ SURFACE = {
     "harmonic.grad_h_at_roots(threshold)",
     "harmonic.layer_from_coefficients(delta_star)",
     "interaction.InteractionParams.beta_s",
-    "interaction.interaction_coefficient(spec)",
-    "interaction.moment_integrals(spec)",
-    "interaction.second_moment(spec)",
-    "kernels.ModeProblem.c",
-    "kernels.ModeProblem.r_max",
-    "kernels.mode_solve(boundary)",
-    "kernels.mode_solve(certificate_threshold)",
-    "kernels.mode_solve(envelope)",
-    "kernels.mode_solve(n_grid)",
     "kernels.principal_eigenvalue(n)",
     "maxima.MaximaConfiguration.R",
     "maxima.MaximaConfiguration.from_roots(R)",
-    "maxima.MaximaConfiguration.from_roots(perturbations)",
     "numerics.ODETrajectory.sol",
     "numerics.QuadratureSpec.abs_tol",
     "numerics.QuadratureSpec.rel_tol",
@@ -50,17 +40,9 @@ SURFACE = {
     "numerics.integrate_disk(radial_splits)",
     "numerics.integrate_interval(points)",
     "numerics.integrate_plane(peaks)",
-    "numerics.ode_integrate(spec)",
     "pohozaev.SolutionField.laplacian",
-    "pohozaev.byparts_identity(spec)",
     "pohozaev.coefficient_contrast(check)",
-    "pohozaev.coefficient_contrast(spec)",
     "pohozaev.pohozaev_check(radial_splits)",
-    "pohozaev.pohozaev_check(spec)",
-    "pohozaev.pohozaev_check(validate)",
-    "radial.RadialProfile._spline",
-    "radial.branch_mass(spec)",
-    "radial.trace_branch(spec)",
     "scenarios._bound_entry(direction)",
     "scenarios.run_scenario(overrides)",
 }
@@ -90,9 +72,10 @@ def surface() -> set:
                     if inspect.isfunction(fn) and fn.__code__.co_filename == module.__file__:
                         found |= _defaulted(f"{info.name}.{name}.{attr}", fn)
                 if dataclasses.is_dataclass(obj):
+                    # a field outside __init__ (a cache) is not the caller's to set
                     found |= {f"{info.name}.{name}.{f.name}" for f in dataclasses.fields(obj)
-                              if f.default is not dataclasses.MISSING
-                              or f.default_factory is not dataclasses.MISSING}
+                              if f.init and (f.default is not dataclasses.MISSING
+                                             or f.default_factory is not dataclasses.MISSING)}
     return found
 
 
