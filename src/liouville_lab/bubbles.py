@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MaximaError
-from .numerics import QuadratureSpec, integrate_plane, newton_complex
+from .numerics import QuadratureSpec, integrate_plane, newton_complex, peak_beta
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,8 @@ def peak_grading(params: BubbleParams):
 
     With rho = r^(N+1) and 1 + p = a e^(i psi0), the density on the ring of
     radius r is, in phi = (N+1) theta, a peak at phi = psi0 of half-width about
-    w = sqrt(((rho - a)^2 + 1/c) / (rho a)), repeated K = N+1 times.  beta is
-    min(1, 2w) rounded down to a power of two, so that the ring nodes cache.
+    w = sqrt(((rho - a)^2 + 1/c) / (rho a)), repeated K = N+1 times, and
+    beta = ``peak_beta(w)``.
     """
     K = params.N + 1
     a = abs(1.0 + params.p)
@@ -128,7 +128,7 @@ def peak_grading(params: BubbleParams):
     def grading(r):
         rho = float(r) ** K
         w = math.sqrt(((rho - a) ** 2 + inv_c) / max(rho * a, 1e-300))
-        return K, psi0, 2.0 ** math.floor(math.log2(min(1.0, 2.0 * w)))
+        return K, psi0, peak_beta(w)
 
     return grading
 

@@ -103,6 +103,15 @@ def sample_circle(f, center: complex, radius: float, m: int) -> np.ndarray:
 # ----------------------------------------------------------------------------
 # quadrature
 
+def peak_beta(w: float) -> float:
+    """Grading parameter for a peak of angular half-width w (see ``_ring_nodes``).
+
+    min(1, 2w) rounded down to a power of two, so that the ring nodes cache;
+    1 is the uniform rule.
+    """
+    return 2.0 ** math.floor(math.log2(min(1.0, 2.0 * w)))
+
+
 @functools.lru_cache(maxsize=None)
 def _ring_nodes(m: int, odd: bool, K: int, beta: float):
     """Nodes exp(i theta_k) and weights theta'(Phi_k) of the m-point ring rule.
@@ -179,18 +188,24 @@ def integrate_interval(f, a: float, b: float, spec: QuadratureSpec,
     """Adaptive integral of a scalar function over [a, b].
 
     Raises QuadratureBudgetError when scipy reports trouble and its error
-    estimate exceeds the tolerances of ``spec``.
-    QUADPACK may bisect up to 200 subintervals.
+    estimate exceeds the tolerances of ``spec``; the message says "budget
+    exceeded" only when QUADPACK hit its limit of 200 subintervals, and
+    otherwise names what QUADPACK reported.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         out = integrate.quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
                              limit=200, points=points, full_output=1)
-    if len(out) > 3:  # message present: budget or roundoff trouble
+    if len(out) > 3:  # QUADPACK reported trouble
         y, err = out[0], out[1]
         if err > max(spec.abs_tol, 100.0 * spec.rel_tol * abs(y)):
-            raise QuadratureBudgetError(
-                f"quadrature budget exceeded: {out[3]}", value=float(y), estimate=float(err))
+            # the first sentence of QUADPACK's message, on one line
+            report = " ".join(out[3].split()).split(". ")[0].rstrip(".")
+            what = ("quadrature budget exceeded"
+                    if report.startswith("The maximum number of subdivisions")
+                    else "quadrature failed")
+            raise QuadratureBudgetError(f"{what}: {report}", value=float(y),
+                                        estimate=float(err))
     return float(out[0])
 
 
@@ -225,19 +240,39 @@ def _integrate_rings(ring, a: float, b: float, spec: QuadratureSpec, points=None
 RING_TOL_FRACTION = 0.1
 
 
+def _disk_grading(center: complex, peak, r: float):
+    """Grading of the ring of radius r about center toward one peak (q, width).
+
+    With s = |q - center|, the ring passes the peak at the angle arg(q - center)
+    with angular half-width about w = sqrt(((r - s)^2 + width^2) / (r s)), so the
+    ring gets (1, arg(q - center), peak_beta(w)).  A peak at the centre gives
+    None: the uniform rule.
+    """
+    q, width = peak
+    d = complex(q) - center
+    s = abs(d)
+    if s == 0.0:
+        return None
+    w = math.sqrt(((r - s) ** 2 + width ** 2) / (r * s))
+    return 1, math.atan2(d.imag, d.real), peak_beta(w)
+
+
 def integrate_disk(f, center: complex, radius: float, spec: QuadratureSpec,
-                   radial_splits=None):
+                   radial_splits=None, peak=None):
     """Integral of f over the closed disk B(center, radius).
 
     ``f`` may return shape (k, m) for m points; the k integrals then come back
-    as an array, sharing every ring mean.
+    as an array, sharing every ring mean.  ``peak = (q, width)``, when given,
+    grades every ring toward a peak of f at q of that radial width (see
+    ``_disk_grading``).
     """
 
     def ring(r):
         if r == 0.0:
             return 0.0
         mean = _circle_mean(f, center, r, spec.rel_tol * RING_TOL_FRACTION,
-                            spec.abs_tol * RING_TOL_FRACTION)
+                            spec.abs_tol * RING_TOL_FRACTION,
+                            grading=None if peak is None else _disk_grading(center, peak, r))
         return math.tau * r * mean
 
     points = None

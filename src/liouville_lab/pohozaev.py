@@ -124,17 +124,29 @@ def _spot_check_solution(field: SolutionField, h, N: int, center: complex,
 
 def pohozaev_check(field: SolutionField, h, grad_h, N: int, center: complex,
                    radius: float, spec: QuadratureSpec,
-                   radial_splits=None) -> PohozaevReport:
+                   peak=None) -> PohozaevReport:
     """Evaluate the three Pohozaev terms along e1 and e2 on B(center, radius).
 
     h and grad_h are the coefficient field and its gradient.  The volume term
     is one 2-component disk integral; the flux and kinetic terms are one
     4-component circle integral.  For N >= 1 the disk must avoid the origin.
     A field with a Laplacian is first spot-checked as a solution.
+
+    ``peak = (q, width)`` locates the maximum of e^u: when it lies inside the
+    disk, at distance s from the centre, the radial quadrature splits at
+    s - 5 width, s and s + 5 width (kept within 1% of the rim and the centre),
+    and every ring of the disk is graded toward q.
     """
     if N >= 1 and abs(center) <= radius:
         raise ValueError("for N >= 1 the disk must not contain the origin")
     _spot_check_solution(field, h, N, center, radius)
+    splits = None
+    if peak is not None:
+        q, width = peak
+        shift = abs(q - center)
+        if shift < radius:
+            splits = sorted({max(shift - 5.0 * width, radius * 0.01), shift,
+                             min(shift + 5.0 * width, radius * 0.99)})
 
     n2 = 2 * N
 
@@ -148,7 +160,8 @@ def pohozaev_check(field: SolutionField, h, grad_h, N: int, center: complex,
             gx, gy = gx + lever * z.real, gy + lever * z.imag
         return np.stack([gx, gy]) * np.exp(field.value(z))
 
-    vol = integrate_disk(volume_integrand, center, radius, spec, radial_splits=radial_splits)
+    vol = integrate_disk(volume_integrand, center, radius, spec, radial_splits=splits,
+                         peak=peak)
 
     def boundary_integrand(z):
         # flux along e1, e2, then kinetic along e1, e2

@@ -10,10 +10,12 @@ from liouville_lab.numerics import (
     FourierCoefficients,
     QuadratureSpec,
     _circle_mean,
+    _disk_grading,
     _ring_nodes,
     circle_fourier,
     integrate_circle,
     integrate_disk,
+    integrate_interval,
     integrate_plane,
     ode_integrate,
     polar_sum,
@@ -56,6 +58,25 @@ class TestIntegratePlane:
         tiny = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15)
         with pytest.raises(QuadratureBudgetError):
             integrate_plane(lambda z: 1 / (1 + np.abs(z) ** 2), tiny)
+
+
+class TestIntegrateIntervalFailures:
+    TINY = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15)
+
+    def test_subdivision_limit_is_a_budget_message(self):
+        with pytest.raises(QuadratureBudgetError) as info:
+            integrate_interval(lambda x: math.sin(1.0 / x), 1e-4, 1.0, self.TINY)
+        assert str(info.value) == ("quadrature budget exceeded: The maximum number of "
+                                   "subdivisions (200) has been achieved")
+        assert np.isfinite(info.value.value) and info.value.estimate > 0
+
+    def test_other_failures_name_the_quadpack_report(self):
+        # the non-integrable 1/(1+|z|^2) is bad integrand behaviour, not a budget
+        with pytest.raises(QuadratureBudgetError) as info:
+            integrate_plane(lambda z: 1 / (1 + np.abs(z) ** 2), self.TINY)
+        assert str(info.value) == ("quadrature failed: Extremely bad integrand behavior "
+                                   "occurs at some points of the integration interval")
+        assert np.isfinite(info.value.value) and info.value.estimate > 0
 
 
 def _recording(f):
@@ -224,6 +245,98 @@ class TestGradedRing:
             == _circle_mean(f, 0j, 1.02, self.REL, self.ABS)
 
 
+def _mpmath_ring_mean(params, center, r, psi):
+    """Mean of the bubble density over the circle |y - center| = r, from mpmath.
+
+    The density is written out in mpmath, (|y|^2N h e^mu) / (1 + c |y^(N+1) - 1 - p|^2)^2,
+    and integrated in theta with breakpoints at the peak angle psi and near it.
+    """
+    with mpmath.workdps(30):
+        c = params.h * mpmath.exp(params.mu) / (8 * (params.N + 1) ** 2)
+        p = mpmath.mpc(params.p.real, params.p.imag)
+        z0 = mpmath.mpc(center.real, center.imag)
+
+        def density(theta):
+            y = z0 + r * mpmath.expj(theta)
+            g = abs(y ** (params.N + 1) - 1 - p) ** 2
+            return abs(y) ** (2 * params.N) * params.h * mpmath.exp(params.mu) / (1 + c * g) ** 2
+
+        cuts = [psi + d for d in (-mpmath.pi, -0.1, -0.01, 0, 0.01, 0.1, mpmath.pi)]
+        return float(mpmath.quad(density, cuts) / (2 * mpmath.pi))
+
+
+class TestGradedDiskRing:
+    # rings off the maximum q0 = 1 of the bubble at mu = 10, width e^-5
+    REL, ABS = 1e-10, 1e-13
+    WIDTH = math.exp(-5.0)
+
+    def _params(self, N):
+        return BubbleParams(N=N, mu=10.0, p=0j, h=8.0 * (N + 1) ** 2)
+
+    def _volume_integrand(self, params):
+        # the Pohozaev volume integrand for constant h: 2N |y|^(2N-2) y h e^V
+        def f(z):
+            lever = 2 * params.N * bubble_density(params, z) / np.abs(z) ** 2
+            return np.stack([lever * z.real, lever * z.imag])
+
+        return f
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_mpmath_oracle_off_centre(self, N):
+        params = self._params(N)
+        center = np.exp(0.25j)
+        s = abs(1.0 - center)
+        r = s + self.WIDTH   # passes within e^(-mu/2) of the maximum
+        grading = _disk_grading(center, (1.0, self.WIDTH), r)
+        assert grading[0] == 1 and grading[2] < 1.0
+        graded = _circle_mean(lambda z: bubble_density(params, z), center, r, self.REL,
+                              self.ABS, grading=grading)
+        psi = float(np.angle(1.0 - center))
+        assert graded == pytest.approx(_mpmath_ring_mean(params, center, r, psi), rel=1e-12)
+
+    def test_graded_disk_matches_uniform_with_fewer_points(self):
+        params = self._params(2)
+        spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
+        center, radius = np.exp(0.25j), 0.35
+        s = abs(1.0 - center)
+        splits = [s - 5 * self.WIDTH, s, s + 5 * self.WIDTH]
+        results, counts = [], []
+        for peak in (None, (1.0, self.WIDTH)):
+            f, calls = _recording(self._volume_integrand(params))
+            results.append(integrate_disk(f, center, radius, spec, radial_splits=splits,
+                                          peak=peak))
+            counts.append(sum(z.shape[-1] for z in calls))
+        uniform, graded = results
+        assert np.all(np.abs(graded - uniform)
+                      <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(uniform)))
+        assert 3 * counts[1] <= counts[0]
+
+    @pytest.mark.parametrize("quadrant", [1, 2, 3, 4])
+    def test_peak_in_each_quadrant(self, quadrant):
+        # the graded ring must point at the peak: a wrong angle or sign still
+        # converges, but needs more points than the uniform rule
+        params = self._params(1)
+        angle = math.pi / 4 + (quadrant - 1) * math.pi / 2 + 0.1
+        center = 1.0 - 0.2 * np.exp(1j * angle)
+        grading = _disk_grading(center, (1.0, self.WIDTH), 0.2)
+        assert abs(math.remainder(grading[1] - angle, math.tau)) <= 1e-12
+        counts, means = [], []
+        for g in (None, grading):
+            f, calls = _recording(lambda z: bubble_density(params, z))
+            means.append(_circle_mean(f, center, 0.2, self.REL, self.ABS, grading=g))
+            counts.append(sum(z.size for z in calls))
+        assert means[1] == pytest.approx(means[0], rel=1e-12)
+        assert 4 * counts[1] <= counts[0]
+
+    def test_centred_peak_is_the_uniform_rule(self):
+        params = self._params(1)
+        assert _disk_grading(1.0 + 0j, (1.0, self.WIDTH), 0.1) is None
+        f = self._volume_integrand(params)
+        spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
+        graded = integrate_disk(f, 1.0 + 0j, 0.2, spec, peak=(1.0, self.WIDTH))
+        assert np.array_equal(graded, integrate_disk(f, 1.0 + 0j, 0.2, spec))
+
+
 class TestVectorIntegrands:
     def test_plane_components_match_scalar_calls(self):
         vec = integrate_plane(_moment_fields, SPEC)
@@ -388,7 +501,6 @@ class TestRootFinding:
         assert root == pytest.approx(np.exp(2j * np.pi / 3), abs=1e-12)
 
     def test_integrate_interval(self):
-        from liouville_lab.numerics import integrate_interval
         val = integrate_interval(lambda x: np.exp(-x), 0.0, 5.0, SPEC)
         assert val == pytest.approx(1.0 - math.exp(-5.0), rel=1e-9)
 

@@ -54,6 +54,21 @@ class TestPohozaevCheck:
         with pytest.raises(NotASolutionError):
             pohozaev_check(broken, h, grad_h, 0, 1.0 + 0j, 0.3, SPEC)
 
+    @settings(max_examples=8, deadline=None)
+    @given(N=st.sampled_from([1, 2]), angle=st.floats(min_value=0.0, max_value=math.tau),
+           shift=st.floats(min_value=0.0, max_value=0.3))
+    def test_off_centre_balance_with_peak_hint(self, N, angle, shift):
+        # disks whose centre sits anywhere within 0.3 of the maximum, the peak
+        # inside or outside the disk, graded toward it
+        params = BubbleParams(N=N, mu=10.0, p=0j, h=8.0 * (N + 1) ** 2)
+        field = bubble_field(params)
+        h, grad_h = constant_field(params.h)
+        q0 = complex(find_maxima(params).Q[0])
+        center = q0 + shift * np.exp(1j * angle)
+        rep = pohozaev_check(field, h, grad_h, N, center, 0.25, SPEC,
+                             peak=(q0, math.exp(-params.mu / 2.0)))
+        assert np.all(np.abs(rep.residual) <= 1e-6 * rep.scale)
+
     def test_origin_exclusion(self):
         params = BubbleParams(N=1, mu=4.0, p=0j, h=32.0)
         field = bubble_field(params)
@@ -120,8 +135,9 @@ class TestTwoDirectionPass:
         h, grad_h = constant_field(params.h)
         q0 = find_maxima(params).Q[0]
         center, radius = q0 + 0.05 + 0.02j, 0.2
-        splits = _peak_splits(q0, center, radius, math.exp(-params.mu / 2.0))
-        rep = pohozaev_check(field, h, grad_h, N, center, radius, SPEC, radial_splits=splits)
+        eps = math.exp(-params.mu / 2.0)
+        splits = _peak_splits(q0, center, radius, eps)
+        rep = pohozaev_check(field, h, grad_h, N, center, radius, SPEC, peak=(q0, eps))
         for i, xi in enumerate(((1.0, 0.0), (0.0, 1.0))):
             ref = _scalar_terms(field, h, grad_h, N, center, radius, xi, splits)
             got = (rep.volume_term[i], rep.flux_term[i], rep.boundary_kinetic[i])
@@ -153,11 +169,10 @@ class TestTwoDirectionPass:
         h, grad_h = constant_field(params.h)
         q0 = 1.0 + params.p
         offset, radius = 0.05 + 0.02j, 0.2
-        splits = _peak_splits(q0, q0 + offset, radius, math.exp(-params.mu / 2.0))
-        base = pohozaev_check(field, h, grad_h, 0, q0 + offset, radius, SPEC,
-                              radial_splits=splits)
+        peak = (q0, math.exp(-params.mu / 2.0))
+        base = pohozaev_check(field, h, grad_h, 0, q0 + offset, radius, SPEC, peak=peak)
         turned = pohozaev_check(field, h, grad_h, 0, q0 + offset * np.exp(1j * alpha),
-                                radius, SPEC, radial_splits=splits)
+                                radius, SPEC, peak=peak)
         c, s = math.cos(alpha), math.sin(alpha)
         rotation = np.array([[c, -s], [s, c]])
         scale = np.maximum(base.scale, turned.scale)
@@ -286,13 +301,11 @@ class TestCancellationStructure:
         q0 = find_maxima(params).Q[0]
         radius = 0.25
         xi = (1.0, 0.0)
-        eps = math.exp(-mu / 2.0)
-        splits = [5 * eps, 50 * eps, radius * 0.5]
+        peak = (q0, math.exp(-mu / 2.0))
         layer = layer_from_coefficients(N=1, delta=0.05, L=1, A=[0.0, ds], B=[0.0, 0.0])
         # the constant-coefficient balance freezes the layered field at the maximum
         h_const, grad_const = constant_field(params.h * float(layer.h0(q0)))
-        rep_a = pohozaev_check(field, h_const, grad_const, 1, q0, radius, SPEC,
-                               radial_splits=splits)
+        rep_a = pohozaev_check(field, h_const, grad_const, 1, q0, radius, SPEC, peak=peak)
 
         def h_layered(z):
             return params.h * np.exp(layer.phi0(z))
@@ -305,8 +318,7 @@ class TestCancellationStructure:
             gy = (params.h * gs[:, 1]).reshape(z.shape)
             return gx, gy
 
-        rep_b = pohozaev_check(field, h_layered, grad_layered, 1, q0, radius, SPEC,
-                               radial_splits=splits)
+        rep_b = pohozaev_check(field, h_layered, grad_layered, 1, q0, radius, SPEC, peak=peak)
         contrast = coefficient_contrast(params, layer, 0, radius, SPEC) @ xi
         diff = rep_b.residual[0] - rep_a.residual[0]
         assert abs(abs(diff) - abs(contrast)) <= 0.1 * abs(contrast)

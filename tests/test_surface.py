@@ -37,12 +37,13 @@ SURFACE = {
     "numerics._circle_mean(m_max)",
     "numerics._circle_mean(m_start)",
     "numerics._integrate_rings(points)",
+    "numerics.integrate_disk(peak)",
     "numerics.integrate_disk(radial_splits)",
     "numerics.integrate_interval(points)",
     "numerics.integrate_plane(peaks)",
     "pohozaev.SolutionField.laplacian",
     "pohozaev.coefficient_contrast(check)",
-    "pohozaev.pohozaev_check(radial_splits)",
+    "pohozaev.pohozaev_check(peak)",
     "scenarios._bound_entry(direction)",
     "scenarios.run_scenario(overrides)",
 }
