@@ -145,8 +145,9 @@ class LayerField:
         return out
 
     def h0_gradient(self, y):
+        """grad h0 = h0 grad phi0, elementwise in y."""
         gx, gy = self.phi0_gradient(y)
-        h = float(self.h0(y))
+        h = self.h0(y)
         return h * gx, h * gy
 
 

@@ -205,9 +205,9 @@ def interaction_coefficient(params: InteractionParams,
         phi1, phi2, phi3, phi4, _, _ = _fields(params, z)
         return np.stack([phi3 + phi4, phi1, phi2]) * kernel(z)
 
-    splits = [1.0, 20.0, min(200.0, radius * 0.5)]
+    # in z the peak sits at 0 with width 1
     quad, i1, i2 = (float(v) for v in
-                    integrate_disk(integrand, 0j, radius, spec, radial_splits=splits))
+                    integrate_disk(integrand, 0j, radius, spec, peak=(0j, 1.0)))
     closed = closed_form_interaction(params)
     result = InteractionQuadrature(closed_form=closed, quadrature=quad,
                                    phi1_integral=i1, phi2_integral=i2)

@@ -139,12 +139,13 @@ def _ring_nodes(m: int, odd: bool, K: int, beta: float):
 
 
 def _circle_mean(f, center: complex, r: float, rel_tol: float, abs_tol: float,
-                 m_start: int = 64, m_max: int = 1 << 20, grading=None):
+                 m_max: int = 1 << 20, grading=None):
     """Adaptive trapezoid average of f over a circle (spectral for analytic f).
 
-    The rule is nested: when m doubles only the m/2 new odd-index points are
-    evaluated and added to the running sum.  A vector integrand returning shape
-    (k, m) gives k means, converged only when every component is.
+    The rule starts at m = 64 points and is nested: when m doubles (up to
+    m_max) only the m/2 new odd-index points are evaluated and added to the
+    running sum.  A vector integrand returning shape (k, m) gives k means,
+    converged only when every component is.
 
     ``grading = (K, psi0, beta)`` grades the rule toward K equally spaced peaks
     at the angles (psi0 + tau j) / K: the trapezoid runs in Phi, with
@@ -163,7 +164,7 @@ def _circle_mean(f, center: complex, r: float, rel_tol: float, abs_tol: float,
         values = f(center + scale * nodes)
         return values.sum(axis=-1) if weights is None else values @ weights
 
-    m = m_start
+    m = 64
     total = ring_sum(m, False)
     scalar = total.ndim == 0
     prev = total / m
@@ -245,26 +246,31 @@ def _disk_grading(center: complex, peak, r: float):
 
     With s = |q - center|, the ring passes the peak at the angle arg(q - center)
     with angular half-width about w = sqrt(((r - s)^2 + width^2) / (r s)), so the
-    ring gets (1, arg(q - center), peak_beta(w)).  A peak at the centre gives
-    None: the uniform rule.
+    ring gets (1, arg(q - center), peak_beta(w)).  Where w >= 1/2, which
+    includes a peak at the centre, that is the uniform rule and this returns
+    None without dividing by r s (which may underflow to 0).
     """
     q, width = peak
     d = complex(q) - center
     s = abs(d)
-    if s == 0.0:
+    near = (r - s) ** 2 + width ** 2
+    if 4.0 * near >= r * s:
         return None
-    w = math.sqrt(((r - s) ** 2 + width ** 2) / (r * s))
-    return 1, math.atan2(d.imag, d.real), peak_beta(w)
+    return 1, math.atan2(d.imag, d.real), peak_beta(math.sqrt(near / (r * s)))
 
 
-def integrate_disk(f, center: complex, radius: float, spec: QuadratureSpec,
-                   radial_splits=None, peak=None):
+def integrate_disk(f, center: complex, radius: float, spec: QuadratureSpec, peak=None):
     """Integral of f over the closed disk B(center, radius).
 
     ``f`` may return shape (k, m) for m points; the k integrals then come back
-    as an array, sharing every ring mean.  ``peak = (q, width)``, when given,
-    grades every ring toward a peak of f at q of that radial width (see
-    ``_disk_grading``).
+    as an array, sharing every ring mean.
+
+    ``peak = (q, width)``, when given, says that f peaks at q with radial width
+    ``width``.  It sets both the grading of every ring (see ``_disk_grading``)
+    and the radial breakpoints: with s = |q - center|, those of
+    s - 5 width, s, s + 5 width, s + 50 width and radius / 2 that lie strictly
+    inside (0, radius).  Without a peak the rings are uniform and the radial
+    quadrature has no breakpoints.
     """
 
     def ring(r):
@@ -276,8 +282,11 @@ def integrate_disk(f, center: complex, radius: float, spec: QuadratureSpec,
         return math.tau * r * mean
 
     points = None
-    if radial_splits is not None:
-        points = [s for s in radial_splits if 0.0 < s < radius]
+    if peak is not None:
+        q, width = peak
+        s = abs(complex(q) - center)
+        candidates = (s - 5.0 * width, s, s + 5.0 * width, s + 50.0 * width, radius * 0.5)
+        points = sorted({x for x in candidates if 0.0 < x < radius})
     return _integrate_rings(ring, 0.0, radius, spec, points=points)
 
 

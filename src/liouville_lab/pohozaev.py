@@ -132,22 +132,13 @@ def pohozaev_check(field: SolutionField, h, grad_h, N: int, center: complex,
     4-component circle integral.  For N >= 1 the disk must avoid the origin.
     A field with a Laplacian is first spot-checked as a solution.
 
-    ``peak = (q, width)`` locates the maximum of e^u: when it lies inside the
-    disk, at distance s from the centre, the radial quadrature splits at
-    s - 5 width, s and s + 5 width (kept within 1% of the rim and the centre),
-    and every ring of the disk is graded toward q.
+    ``peak = (q, width)`` locates the maximum of e^u and goes to
+    ``integrate_disk``, which places the radial breakpoints around it and
+    grades every ring of the disk toward q.
     """
     if N >= 1 and abs(center) <= radius:
         raise ValueError("for N >= 1 the disk must not contain the origin")
     _spot_check_solution(field, h, N, center, radius)
-    splits = None
-    if peak is not None:
-        q, width = peak
-        shift = abs(q - center)
-        if shift < radius:
-            splits = sorted({max(shift - 5.0 * width, radius * 0.01), shift,
-                             min(shift + 5.0 * width, radius * 0.99)})
-
     n2 = 2 * N
 
     def volume_integrand(z):
@@ -160,8 +151,7 @@ def pohozaev_check(field: SolutionField, h, grad_h, N: int, center: complex,
             gx, gy = gx + lever * z.real, gy + lever * z.imag
         return np.stack([gx, gy]) * np.exp(field.value(z))
 
-    vol = integrate_disk(volume_integrand, center, radius, spec, radial_splits=splits,
-                         peak=peak)
+    vol = integrate_disk(volume_integrand, center, radius, spec, peak=peak)
 
     def boundary_integrand(z):
         # flux along e1, e2, then kinetic along e1, e2
@@ -182,15 +172,13 @@ def pohozaev_check(field: SolutionField, h, grad_h, N: int, center: complex,
 # ----------------------------------------------------------------------------
 # integrals over a disk around a bubble maximum
 
-def _maximum_disk(params: BubbleParams, s: int, radius: float):
-    """The maximum Q_s and the radial breakpoints of a disk around it.
+def _maximum_peak(params: BubbleParams, s: int):
+    """The maximum Q_s and the width eps = e^(-mu/2) of the density peak there.
 
-    The density peaks within a few eps = e^(-mu/2) of Q_s, so the disk
-    quadrature splits at 5 eps, 50 eps and radius / 2.
+    As the ``peak`` of a disk centred on Q_s it leaves the rings uniform and
+    puts the radial breakpoints at 5 eps, 50 eps and radius / 2.
     """
-    q_s = complex(find_maxima(params).Q[s])
-    eps = math.exp(-params.mu / 2.0)
-    return q_s, [5.0 * eps, 50.0 * eps, radius * 0.5]
+    return complex(find_maxima(params).Q[s]), math.exp(-params.mu / 2.0)
 
 
 # ----------------------------------------------------------------------------
@@ -206,13 +194,14 @@ def coefficient_contrast(params: BubbleParams, layer: LayerField, s: int,
     mass 8 pi / h; a gap along grad h0(Q_s) beyond 10% of the delta*-scale
     raises ContrastMismatchError.
     """
-    q_s, splits = _maximum_disk(params, s, radius)
+    peak = _maximum_peak(params, s)
+    q_s = peak[0]
 
     def integrand(z):
         gx, gy = layer.phi0_gradient(z)
         return np.stack([gx, gy]) * bubble_density(params, z, layer.h0(z))
 
-    value = integrate_disk(integrand, q_s, radius, spec, radial_splits=splits)
+    value = integrate_disk(integrand, q_s, radius, spec, peak=peak)
 
     grad = np.array(layer.h0_gradient(q_s), dtype=float)
     predicted = grad * 8.0 * math.pi / params.h
@@ -241,14 +230,15 @@ def byparts_identity(params: BubbleParams, w_field: SolutionField, s: int,
     N = params.N
     if N == 0:
         return 0.0
-    q_s, splits = _maximum_disk(params, s, radius)
+    peak = _maximum_peak(params, s)
+    q_s = peak[0]
 
     def volume_integrand(z):
         # d_xi |y|^2N / |y|^2N = 2N y_xi / |y|^2 for xi = e1
         lever = (2 * N) * z.real / np.abs(z) ** 2
         return lever * bubble_density(params, z) * w_field.value(z)
 
-    volume = integrate_disk(volume_integrand, q_s, radius, spec, radial_splits=splits)
+    volume = integrate_disk(volume_integrand, q_s, radius, spec, peak=peak)
 
     def boundary_integrand(z):
         z = np.asarray(z, dtype=complex)

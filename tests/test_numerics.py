@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from liouville_lab import numerics
 from liouville_lab.bubbles import BubbleParams, bubble_density, peak_grading
 from liouville_lab.errors import NyquistError, QuadratureBudgetError, StiffODEError
 from liouville_lab.numerics import (
@@ -294,17 +295,17 @@ class TestGradedDiskRing:
         psi = float(np.angle(1.0 - center))
         assert graded == pytest.approx(_mpmath_ring_mean(params, center, r, psi), rel=1e-12)
 
-    def test_graded_disk_matches_uniform_with_fewer_points(self):
+    def test_graded_disk_matches_uniform_with_fewer_points(self, monkeypatch):
         params = self._params(2)
         spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
         center, radius = np.exp(0.25j), 0.35
-        s = abs(1.0 - center)
-        splits = [s - 5 * self.WIDTH, s, s + 5 * self.WIDTH]
         results, counts = [], []
-        for peak in (None, (1.0, self.WIDTH)):
+        for graded in (False, True):
             f, calls = _recording(self._volume_integrand(params))
-            results.append(integrate_disk(f, center, radius, spec, radial_splits=splits,
-                                          peak=peak))
+            with monkeypatch.context() as patch:
+                if not graded:  # the same breakpoints, every ring uniform
+                    patch.setattr(numerics, "_disk_grading", lambda *args: None)
+                results.append(integrate_disk(f, center, radius, spec, peak=(1.0, self.WIDTH)))
             counts.append(sum(z.shape[-1] for z in calls))
         uniform, graded = results
         assert np.all(np.abs(graded - uniform)
@@ -328,13 +329,42 @@ class TestGradedDiskRing:
         assert means[1] == pytest.approx(means[0], rel=1e-12)
         assert 4 * counts[1] <= counts[0]
 
-    def test_centred_peak_is_the_uniform_rule(self):
+    def test_centred_peak_is_the_uniform_rule(self, monkeypatch):
         params = self._params(1)
         assert _disk_grading(1.0 + 0j, (1.0, self.WIDTH), 0.1) is None
         f = self._volume_integrand(params)
         spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
-        graded = integrate_disk(f, 1.0 + 0j, 0.2, spec, peak=(1.0, self.WIDTH))
-        assert np.array_equal(graded, integrate_disk(f, 1.0 + 0j, 0.2, spec))
+        peak = (1.0, self.WIDTH)
+        graded = integrate_disk(f, 1.0 + 0j, 0.2, spec, peak=peak)
+        monkeypatch.setattr(numerics, "_disk_grading", lambda *args: None)
+        assert np.array_equal(graded, integrate_disk(f, 1.0 + 0j, 0.2, spec, peak=peak))
+
+
+class TestDiskBreakpoints:
+    @pytest.mark.parametrize("center, peak, expected", [
+        # centred: 5w, 50w and R/2
+        (0.3 - 0.4j, (0.3 - 0.4j, 0.002), [0.01, 0.1, 0.5]),
+        # s = 0.7: s + 50w = 1.2 lies outside
+        (0.1j, (0.7 + 0.1j, 0.01), [0.5, 0.65, 0.7, 0.75]),
+        # s = 0.02: s - 5w < 0 drops out
+        (0j, (0.02j, 0.01), [0.02, 0.07, 0.5, 0.52]),
+        # a peak outside the disk leaves R/2
+        (0j, (2.0 + 0j, 0.01), [0.5]),
+        (0j, None, None),
+    ], ids=["centred", "off-centre", "near-centre", "outside", "no-peak"])
+    def test_points_from_the_peak(self, monkeypatch, center, peak, expected):
+        seen = []
+
+        def spy(ring, a, b, spec, points=None):
+            seen.append(points)
+            return 0.0
+
+        monkeypatch.setattr(numerics, "_integrate_rings", spy)
+        integrate_disk(lambda z: np.ones(np.shape(z)), center, 1.0, SPEC, peak=peak)
+        if expected is None:
+            assert seen == [None]
+        else:
+            assert seen[0] == pytest.approx(expected, abs=1e-15)
 
 
 class TestVectorIntegrands:
@@ -347,12 +377,14 @@ class TestVectorIntegrands:
         assert vec[0] == pytest.approx(16 * math.pi, rel=1e-8)
 
     def test_disk_components_match_scalar_calls(self):
-        center, radius, splits = 0.4 - 0.2j, 3.0, [0.5, 1.0, 2.0]
-        vec = integrate_disk(_moment_fields, center, radius, SPEC, radial_splits=splits)
+        # a peak of width 0.1 at the origin, 0.45 from the centre: breakpoints
+        # at about 0.45, 0.95 and 1.5, and graded rings
+        center, radius, peak = 0.4 - 0.2j, 3.0, (0j, 0.1)
+        vec = integrate_disk(_moment_fields, center, radius, SPEC, peak=peak)
         assert vec.shape == (3,)
         for i, v in enumerate(vec):
             scalar = integrate_disk(lambda z: _moment_fields(z)[i], center, radius, SPEC,
-                                    radial_splits=splits)
+                                    peak=peak)
             assert abs(v - scalar) <= SPEC.rel_tol * max(abs(scalar), 1.0)
 
     def test_circle_components_match_scalar_calls(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liouville_lab import pohozaev
+from liouville_lab import numerics, pohozaev
 from liouville_lab.bubbles import BubbleParams, find_maxima
 from liouville_lab.errors import ContrastMismatchError, NotASolutionError
 from liouville_lab.harmonic import layer_from_coefficients
@@ -69,6 +69,19 @@ class TestPohozaevCheck:
                              peak=(q0, math.exp(-params.mu / 2.0)))
         assert np.all(np.abs(rep.residual) <= 1e-6 * rep.scale)
 
+    @pytest.mark.parametrize("offset", [5e-324j, np.complex128(5e-324j)],
+                             ids=["complex", "complex128"])
+    def test_subnormal_offset_from_the_peak(self, offset):
+        # the disk centre sits a subnormal distance s from the maximum q0 = 1,
+        # so r s underflows to 0 on every ring: the disk grading must give the
+        # uniform rule there without dividing by it
+        params = BubbleParams(N=0, mu=10.0, p=0j, h=8.0)
+        h, grad_h = constant_field(params.h)
+        q0 = 1.0 + 0j
+        rep = pohozaev_check(bubble_field(params), h, grad_h, 0, q0 + offset, 0.25, SPEC,
+                             peak=(q0, math.exp(-params.mu / 2.0)))
+        assert np.all(np.abs(rep.residual) <= 1e-6 * rep.scale)
+
     def test_origin_exclusion(self):
         params = BubbleParams(N=1, mu=4.0, p=0j, h=32.0)
         field = bubble_field(params)
@@ -77,7 +90,7 @@ class TestPohozaevCheck:
             pohozaev_check(field, h, grad_h, 1, 0.1 + 0j, 0.3, SPEC)
 
 
-def _scalar_terms(field, h, grad_h, N, center, radius, xi, radial_splits):
+def _scalar_terms(field, h, grad_h, N, center, radius, xi, peak):
     """Volume, flux and kinetic terms along one unit xi, one scalar pass per term.
 
     Reference for the two-direction pass: each integrand is written for a
@@ -114,32 +127,27 @@ def _scalar_terms(field, h, grad_h, N, center, radius, xi, radial_splits):
         dxi = ux * xi[0] + uy * xi[1]
         return dnu * dxi - 0.5 * (ux ** 2 + uy ** 2) * xidotnu(z)
 
-    vol = integrate_disk(volume_integrand, center, radius, SPEC, radial_splits=radial_splits)
+    vol = integrate_disk(volume_integrand, center, radius, SPEC, peak=peak)
     flux = integrate_circle(flux_integrand, center, radius, SPEC)
     kin = integrate_circle(kinetic_integrand, center, radius, SPEC)
     return vol, flux, kin
 
 
-def _peak_splits(q0, center, radius, eps):
-    """Radial breakpoints at the bubble peak, as the pohozaev scenario places them."""
-    shift = abs(q0 - center)
-    return sorted({max(shift - 5 * eps, radius * 0.01), shift,
-                   min(shift + 5 * eps, radius * 0.99)})
-
-
 class TestTwoDirectionPass:
     @pytest.mark.parametrize("N", [0, 1, 2])
-    def test_matches_scalar_reference(self, N):
+    def test_matches_scalar_reference(self, N, monkeypatch):
         params = BubbleParams(N=N, mu=10.0, p=0j, h=8.0 * (N + 1) ** 2)
         field = bubble_field(params)
         h, grad_h = constant_field(params.h)
         q0 = find_maxima(params).Q[0]
         center, radius = q0 + 0.05 + 0.02j, 0.2
-        eps = math.exp(-params.mu / 2.0)
-        splits = _peak_splits(q0, center, radius, eps)
-        rep = pohozaev_check(field, h, grad_h, N, center, radius, SPEC, peak=(q0, eps))
+        peak = (q0, math.exp(-params.mu / 2.0))
+        rep = pohozaev_check(field, h, grad_h, N, center, radius, SPEC, peak=peak)
+        # the reference keeps the peak's breakpoints but integrates every ring
+        # with the uniform rule, so it also checks the graded disk
+        monkeypatch.setattr(numerics, "_disk_grading", lambda *args: None)
         for i, xi in enumerate(((1.0, 0.0), (0.0, 1.0))):
-            ref = _scalar_terms(field, h, grad_h, N, center, radius, xi, splits)
+            ref = _scalar_terms(field, h, grad_h, N, center, radius, xi, peak)
             got = (rep.volume_term[i], rep.flux_term[i], rep.boundary_kinetic[i])
             for value, expected in zip(got, ref):
                 assert abs(value - expected) <= 1e-8 * rep.scale[i]
@@ -225,7 +233,6 @@ class TestCoefficientContrast:
                                         A=[0.0, ds * math.cos(0.7)], B=[0.0, ds * math.sin(0.7)])
         q0 = complex(find_maxima(params).Q[0])
         eps = math.exp(-params.mu / 2.0)
-        splits = [5.0 * eps, 50.0 * eps, 0.15]
         calls = []
         real = pohozaev.integrate_disk
 
@@ -242,7 +249,7 @@ class TestCoefficientContrast:
                 return np.abs(z) ** 2 * params.h * (gx * xi[0] + gy * xi[1]) \
                     * layer.h0(z) * np.exp(pohozaev.eval_bubble(params, z))
 
-            ref = real(integrand, q0, 0.3, SPEC, radial_splits=splits)
+            ref = real(integrand, q0, 0.3, SPEC, peak=(q0, eps))
             assert abs(vec @ xi - ref) <= 1e-8 * 8 * math.pi * ds
 
     def test_mismatch_detection(self):
@@ -311,12 +318,8 @@ class TestCancellationStructure:
             return params.h * np.exp(layer.phi0(z))
 
         def grad_layered(z):
-            z = np.asarray(z, dtype=complex)
-            flat = z.ravel()
-            gs = np.array([layer.h0_gradient(zz) for zz in flat])
-            gx = (params.h * gs[:, 0]).reshape(z.shape)
-            gy = (params.h * gs[:, 1]).reshape(z.shape)
-            return gx, gy
+            gx, gy = layer.h0_gradient(z)
+            return params.h * gx, params.h * gy
 
         rep_b = pohozaev_check(field, h_layered, grad_layered, 1, q0, radius, SPEC, peak=peak)
         contrast = coefficient_contrast(params, layer, 0, radius, SPEC) @ xi

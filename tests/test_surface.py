@@ -35,10 +35,8 @@ SURFACE = {
     "numerics.QuadratureSpec.rel_tol",
     "numerics._circle_mean(grading)",
     "numerics._circle_mean(m_max)",
-    "numerics._circle_mean(m_start)",
     "numerics._integrate_rings(points)",
     "numerics.integrate_disk(peak)",
-    "numerics.integrate_disk(radial_splits)",
     "numerics.integrate_interval(points)",
     "numerics.integrate_plane(peaks)",
     "pohozaev.SolutionField.laplacian",
