@@ -118,7 +118,7 @@ def peak_grading(params: BubbleParams):
     With rho = r^(N+1) and 1 + p = a e^(i psi0), the density on the ring of
     radius r is, in phi = (N+1) theta, a peak at phi = psi0 of half-width about
     w = sqrt(((rho - a)^2 + 1/c) / (rho a)), repeated K = N+1 times, and
-    beta = ``peak_beta(w)``.
+    beta = ``peak_beta(w)``, elementwise for an array of radii.
     """
     K = params.N + 1
     a = abs(1.0 + params.p)
@@ -126,8 +126,8 @@ def peak_grading(params: BubbleParams):
     inv_c = 1.0 / params.coefficient
 
     def grading(r):
-        rho = float(r) ** K
-        w = math.sqrt(((rho - a) ** 2 + inv_c) / max(rho * a, 1e-300))
+        rho = np.asarray(r, dtype=float) ** K
+        w = np.sqrt(((rho - a) ** 2 + inv_c) / np.maximum(rho * a, 1e-300))
         return K, psi0, peak_beta(w)
 
     return grading

@@ -5,7 +5,18 @@ Fourier analysis on circles and the polar Fourier sum; an adaptive ODE
 integrator; root finding; small dense linear algebra with singular-value
 diagnostics.
 
-Numbers that no caller varies (the subdivision budget, the plane
+Disk and plane integrals are nested.  Over the radius (or the compactified
+radius) runs an adaptive panel rule with QUADPACK's qk21 constants, the
+10-point Gauss and 21-point Kronrod rules.  A panel is accepted when, for
+every component, QUADPACK's local error estimate is at most the panel's
+width's share of the tolerance; the others are bisected, up to 200 panels.
+Over each ring runs a nested adaptive trapezoid rule.  Each generation of
+panels gets all the ring means of its nodes from one ``_circle_mean`` call,
+which at each doubling evaluates the integrand on the rings not yet
+converged, in batches of at most ``RING_BATCH_POINTS`` points.  Intervals
+use scipy's QUADPACK ``quad``.
+
+Numbers that no caller varies (the panel and subdivision budgets, the plane
 compactification scale, the ring tolerance fraction, the ODE method and the
 Newton tolerances) are constants written beside their use, like the scenario
 constants.
@@ -103,13 +114,14 @@ def sample_circle(f, center: complex, radius: float, m: int) -> np.ndarray:
 # ----------------------------------------------------------------------------
 # quadrature
 
-def peak_beta(w: float) -> float:
+def peak_beta(w):
     """Grading parameter for a peak of angular half-width w (see ``_ring_nodes``).
 
     min(1, 2w) rounded down to a power of two, so that the ring nodes cache;
-    1 is the uniform rule.
+    1 is the uniform rule.  Elementwise for an array of widths.
     """
-    return 2.0 ** math.floor(math.log2(min(1.0, 2.0 * w)))
+    _, exponent = np.frexp(np.minimum(1.0, 2.0 * np.asarray(w, dtype=float)))
+    return np.ldexp(0.5, exponent)
 
 
 @functools.lru_cache(maxsize=None)
@@ -138,54 +150,84 @@ def _ring_nodes(m: int, odd: bool, K: int, beta: float):
     return nodes, weights
 
 
-def _circle_mean(f, center: complex, r: float, rel_tol: float, abs_tol: float,
+# the most points one call of the integrand gets from _circle_mean: larger
+# batches of rings are split by rows, which bounds the integrand's temporaries
+RING_BATCH_POINTS = 1 << 13
+
+
+def _circle_mean(f, center: complex, r, rel_tol: float, abs_tol: float,
                  m_max: int = 1 << 20, grading=None):
-    """Adaptive trapezoid average of f over a circle (spectral for analytic f).
+    """Adaptive trapezoid averages of f over the circles of radii r about center.
 
-    The rule starts at m = 64 points and is nested: when m doubles (up to
+    ``r`` is one radius or a 1-D array of them, one ring per row; the result
+    has the shape of ``r`` (a float for one radius and a scalar f).  Every
+    ring starts at m = 64 points and the rule is nested: when m doubles (up to
     m_max) only the m/2 new odd-index points are evaluated and added to the
-    running sum.  A vector integrand returning shape (k, m) gives k means,
-    converged only when every component is.
+    running sum.  Each doubling calls f on the points of all rows that have
+    not yet converged, flattened to 1-D, in calls of at most
+    ``RING_BATCH_POINTS`` points; a row whose mean has converged is not
+    evaluated again.  A vector integrand returning shape (k, n) for n points
+    gives k means per ring, converged only when every component is.
 
-    ``grading = (K, psi0, beta)`` grades the rule toward K equally spaced peaks
-    at the angles (psi0 + tau j) / K: the trapezoid runs in Phi, with
+    ``grading = (K, psi0, beta)`` grades each ring toward K equally spaced
+    peaks at the angles (psi0 + tau j) / K: the trapezoid runs in Phi, with
     theta = (psi0 + g(K Phi)) / K for the circle map g of ``_ring_nodes`` and
-    each value weighted by g'(K Phi).  The rule stays nested and spectral.
-    No grading, or beta = 1, is the uniform rule.
+    each value weighted by g'(K Phi).  K is shared; psi0 and beta may be one
+    value per row.  The rule stays nested and spectral.  No grading, or
+    beta = 1, is the uniform rule.
     """
-    if grading is None or grading[2] == 1.0:
-        K, beta, scale = 1, 1.0, r
-    else:
-        K, psi0, beta = grading
-        scale = r * complex(math.cos(psi0 / K), math.sin(psi0 / K))
+    shape = np.shape(r)
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    K, psi0, beta = (1, 0.0, 1.0) if grading is None else grading
+    beta = np.broadcast_to(np.asarray(beta, dtype=float), r.shape)
+    graded = beta != 1.0
+    uniform = not graded.any()
+    scale = np.where(graded, r * np.exp(1j * np.asarray(psi0) / K), r)
+    betas, row_beta = np.unique(beta, return_inverse=True)
 
-    def ring_sum(m, odd):
-        nodes, weights = _ring_nodes(m, odd, K, beta)
-        values = f(center + scale * nodes)
-        return values.sum(axis=-1) if weights is None else values @ weights
+    def ring_sums(m, odd, rows):
+        tables = [_ring_nodes(m, odd, K, float(b)) for b in betas]
+        nodes = np.stack([n for n, _ in tables])
+        weights = None if uniform else np.stack(
+            [np.ones(n.size) if w is None else w for n, w in tables])
+        per_call = max(1, RING_BATCH_POINTS // nodes.shape[1])
+        sums = []
+        for chunk in np.split(rows, np.arange(per_call, rows.size, per_call)):
+            pick = row_beta[chunk]
+            z = center + scale[chunk, None] * nodes[pick]
+            values = np.asarray(f(z.ravel()))
+            values = values.reshape(values.shape[:-1] + z.shape)
+            sums.append(values.sum(axis=-1) if uniform
+                        else (values * weights[pick]).sum(axis=-1))
+        return np.concatenate(sums, axis=-1)
+
+    def shaped(means):
+        means = means.reshape(means.shape[:-1] + shape)
+        return float(means) if means.ndim == 0 else means
 
     m = 64
-    total = ring_sum(m, False)
-    scalar = total.ndim == 0
+    rows = np.arange(r.size)
+    total = ring_sums(m, False, rows)
     prev = total / m
+    means = np.empty_like(prev)
+    components = tuple(range(total.ndim - 1))
     while m <= m_max:
         m *= 2
-        total = total + ring_sum(m, True)
+        total = total + ring_sums(m, True, rows)
         cur = total / m
-        err = abs(cur - prev)
-        if scalar:  # float arithmetic: numpy's elementwise test is ~10x slower on scalars
-            if err <= max(abs_tol, rel_tol * abs(cur)):
-                return float(cur)
-        elif np.all(err <= np.maximum(abs_tol, rel_tol * np.abs(cur))):
-            return cur
-        prev = cur
+        err = np.abs(cur - prev)
+        ok = np.all(err <= np.maximum(abs_tol, rel_tol * np.abs(cur)), axis=components)
+        means[..., rows[ok]] = cur[..., ok]
+        if ok.all():
+            return shaped(means)
+        rows, total, prev = rows[~ok], total[..., ~ok], cur[..., ~ok]
+    means[..., rows] = prev
     raise QuadratureBudgetError(
         "quadrature budget exceeded: circle average did not converge",
-        value=float(cur) if scalar else cur, estimate=float(np.max(err)))
+        value=shaped(means), estimate=float(np.max(err[..., ~ok])))
 
 
-def integrate_interval(f, a: float, b: float, spec: QuadratureSpec,
-                       points=None) -> float:
+def integrate_interval(f, a: float, b: float, spec: QuadratureSpec) -> float:
     """Adaptive integral of a scalar function over [a, b].
 
     Raises QuadratureBudgetError when scipy reports trouble and its error
@@ -196,7 +238,7 @@ def integrate_interval(f, a: float, b: float, spec: QuadratureSpec,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         out = integrate.quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                             limit=200, points=points, full_output=1)
+                             limit=200, full_output=1)
     if len(out) > 3:  # QUADPACK reported trouble
         y, err = out[0], out[1]
         if err > max(spec.abs_tol, 100.0 * spec.rel_tol * abs(y)):
@@ -210,53 +252,129 @@ def integrate_interval(f, a: float, b: float, spec: QuadratureSpec,
     return float(out[0])
 
 
-def _integrate_rings(ring, a: float, b: float, spec: QuadratureSpec, points=None):
-    """integrate_interval of each component of ``ring(x)``, computing each ring once.
+# QUADPACK's qk21 rule (Piessens et al., QUADPACK, 1983): the 21 Kronrod
+# abscissae on [-1, 1] in increasing order, their weights, and the weights of
+# the 10-point Gauss rule, whose abscissae are every other Kronrod one (zero
+# weight elsewhere, the midpoint included)
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208745109020, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068)
+_WGK_MID = 0.149445554002916905664936468389821
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+_GK_NODES = np.array([-x for x in _XGK] + [0.0] + list(_XGK[::-1]))
+_GK_KRONROD = np.array(_WGK + (_WGK_MID,) + _WGK[::-1])
+_GK_GAUSS = np.zeros(21)
+_GK_GAUSS[1:10:2] = _WG
+_GK_GAUSS[19:10:-2] = _WG
 
-    A scalar ring gives a float.  A ring returning shape (k,) gives k values from
-    k QUADPACK runs, each with its own budget check; the runs read one dict of
-    ring values keyed on the node x, so a node visited by several runs costs one
-    ring.
-    """
-    rings = {}
-
-    def component(i):
-        def g(x):
-            v = rings.get(x)
-            if v is None:
-                v = rings[x] = ring(x)
-            return v if isinstance(v, float) else v[i]
-        return g
-
-    first = integrate_interval(component(0), a, b, spec, points=points)
-    k = max((len(v) for v in rings.values() if not isinstance(v, float)), default=0)
-    if k == 0:
-        return first
-    rest = [integrate_interval(component(i), a, b, spec, points=points) for i in range(1, k)]
-    return np.array([first, *rest])
-
+# the panel rule stops with QuadratureBudgetError beyond this many panels
+PANEL_BUDGET = 200
 
 # each ring mean runs at this fraction of the outer tolerances, so that ring
 # errors stay below what the outer quadrature resolves
 RING_TOL_FRACTION = 0.1
 
 
-def _disk_grading(center: complex, peak, r: float):
-    """Grading of the ring of radius r about center toward one peak (q, width).
+def _gk21(values, half):
+    """QUADPACK qk21 integral and error estimate of each panel.
 
-    With s = |q - center|, the ring passes the peak at the angle arg(q - center)
-    with angular half-width about w = sqrt(((r - s)^2 + width^2) / (r s)), so the
-    ring gets (1, arg(q - center), peak_beta(w)).  Where w >= 1/2, which
-    includes a peak at the centre, that is the uniform rule and this returns
-    None without dividing by r s (which may underflow to 0).
+    ``values`` has shape (k, P, 21): k components at the 21 nodes of P panels
+    of half-widths ``half``.  The estimate is QUADPACK's: |K - G| scaled by
+    resasc, the mean deviation of the integrand from its mean, as
+    resasc min(1, (200 |K - G| / resasc)^1.5), and at least 50 eps resabs,
+    the roundoff floor.
+    """
+    resk = values @ _GK_KRONROD
+    resabs = np.abs(values) @ _GK_KRONROD * half
+    resasc = np.abs(values - 0.5 * resk[..., None]) @ _GK_KRONROD * half
+    err = np.abs(resk - values @ _GK_GAUSS) * half
+    spread = resasc > 0
+    scaled = resasc * np.minimum(1.0, (200.0 * err / np.where(spread, resasc, 1.0)) ** 1.5)
+    err = np.where(spread, scaled, err)
+    return resk * half, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+
+
+def _integrate_panels(f, center: complex, edges, spec: QuadratureSpec, substitution,
+                      grading):
+    """Integral over the rings about center, by adaptive Gauss-Kronrod panels.
+
+    The outer variable x runs over ``edges[0]..edges[-1]``, split at the inner
+    edges; ``substitution(x)`` gives the ring radii r(x) and the factors
+    J(x) such that the integral is int J(x) (ring mean of f at r(x)) dx.
+    Each generation maps the 21 qk21 nodes of every open panel to radii and
+    gets all their ring means from one ``_circle_mean`` call (at a tenth of
+    the tolerances), graded by ``grading(r)`` unless ``grading`` is None.  A
+    panel is accepted when, for every component k, its ``_gk21`` estimate is
+    at most its width's share of max(abs_tol, rel_tol |I_k|), with I_k the
+    current integral; the others are bisected.  More than ``PANEL_BUDGET``
+    panels raises QuadratureBudgetError.  A scalar f gives a float, a vector
+    f an array of its k integrals.
+    """
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[:-1], edges[1:]
+    length = edges[-1] - edges[0]
+    done_value = done_err = 0.0
+    done = 0
+    while True:
+        half = 0.5 * (b - a)
+        x = (0.5 * (a + b))[:, None] + half[:, None] * _GK_NODES
+        r, jacobian = substitution(x.ravel())
+        means = _circle_mean(f, center, r, spec.rel_tol * RING_TOL_FRACTION,
+                             spec.abs_tol * RING_TOL_FRACTION,
+                             grading=None if grading is None else grading(r))
+        scalar = means.ndim == 1
+        value, err = _gk21((means * jacobian).reshape(-1, *x.shape), half)
+        total = done_value + value.sum(axis=-1)
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        ok = np.all(err <= tol[:, None] * ((b - a) / length), axis=0)
+        done_value = done_value + value[:, ok].sum(axis=-1)
+        done_err = done_err + err[:, ok].sum(axis=-1)
+        done += int(ok.sum())
+        if ok.all():
+            return float(done_value[0]) if scalar else done_value
+        a, b = a[~ok], b[~ok]
+        mid = 0.5 * (a + b)
+        a, b = np.column_stack([a, mid]).ravel(), np.column_stack([mid, b]).ravel()
+        if done + a.size > PANEL_BUDGET:
+            estimate = float(np.max(done_err + err.sum(axis=-1)))
+            raise QuadratureBudgetError(
+                f"quadrature budget exceeded: more than {PANEL_BUDGET} panels",
+                value=float(total[0]) if scalar else total, estimate=estimate)
+
+
+def _disk_grading(center: complex, peak, r):
+    """Grading of the rings of radii r about center toward one peak (q, width).
+
+    With s = |q - center|, a ring passes the peak at the angle arg(q - center)
+    with angular half-width about w = sqrt(((r - s)^2 + width^2) / (r s)), so
+    the rings get (1, arg(q - center), peak_beta(w)), elementwise in r.  Where
+    w >= 1/2, which includes a peak at the centre, that is the uniform rule
+    (beta = 1, without dividing by r s, which may underflow to 0); when no
+    ring is graded this returns None.
     """
     q, width = peak
     d = complex(q) - center
     s = abs(d)
+    r = np.asarray(r, dtype=float)
     near = (r - s) ** 2 + width ** 2
-    if 4.0 * near >= r * s:
+    graded = 4.0 * near < r * s
+    if not graded.any():
         return None
-    return 1, math.atan2(d.imag, d.real), peak_beta(math.sqrt(near / (r * s)))
+    w = np.sqrt(near / np.where(graded, r * s, 1.0))
+    return 1, math.atan2(d.imag, d.real), np.where(graded, peak_beta(w), 1.0)
+
+
+def _disk_substitution(x):
+    return x, math.tau * x
 
 
 def integrate_disk(f, center: complex, radius: float, spec: QuadratureSpec, peak=None):
@@ -267,27 +385,20 @@ def integrate_disk(f, center: complex, radius: float, spec: QuadratureSpec, peak
 
     ``peak = (q, width)``, when given, says that f peaks at q with radial width
     ``width``.  It sets both the grading of every ring (see ``_disk_grading``)
-    and the radial breakpoints: with s = |q - center|, those of
+    and the initial panels in the radius: with s = |q - center|, those of
     s - 5 width, s, s + 5 width, s + 50 width and radius / 2 that lie strictly
-    inside (0, radius).  Without a peak the rings are uniform and the radial
-    quadrature has no breakpoints.
+    inside (0, radius) split [0, radius].  Without a peak the rings are
+    uniform and the radius starts as one panel.
     """
-
-    def ring(r):
-        if r == 0.0:
-            return 0.0
-        mean = _circle_mean(f, center, r, spec.rel_tol * RING_TOL_FRACTION,
-                            spec.abs_tol * RING_TOL_FRACTION,
-                            grading=None if peak is None else _disk_grading(center, peak, r))
-        return math.tau * r * mean
-
-    points = None
+    edges = [0.0, radius]
+    grading = None
     if peak is not None:
         q, width = peak
         s = abs(complex(q) - center)
         candidates = (s - 5.0 * width, s, s + 5.0 * width, s + 50.0 * width, radius * 0.5)
-        points = sorted({x for x in candidates if 0.0 < x < radius})
-    return _integrate_rings(ring, 0.0, radius, spec, points=points)
+        edges = [0.0, *sorted({x for x in candidates if 0.0 < x < radius}), radius]
+        grading = functools.partial(_disk_grading, center, peak)
+    return _integrate_panels(f, center, edges, spec, _disk_substitution, grading)
 
 
 def integrate_circle(f, center: complex, radius: float, spec: QuadratureSpec):
@@ -300,31 +411,29 @@ def integrate_circle(f, center: complex, radius: float, spec: QuadratureSpec):
     return math.tau * radius * mean
 
 
+# the plane's compactification scale s in t = |z|^2 / (s + |z|^2)
+PLANE_SCALE = 8.0
+
+
+def _plane_substitution(t):
+    t = np.minimum(t, 1.0 - 1e-15)
+    return np.sqrt(PLANE_SCALE * t / (1.0 - t)), np.pi * PLANE_SCALE / (1.0 - t) ** 2
+
+
 def integrate_plane(f, spec: QuadratureSpec, peaks=None):
     """Improper integral of f over the plane.
 
     Uses the compactifying substitution t = |z|^2 / (s + |z|^2) with s = 8,
     under which
-    integral f = int_0^1 (theta-average of f at r(t)) * pi * s / (1-t)^2 dt.
+    integral f = int_0^1 (theta-average of f at r(t)) * pi * s / (1-t)^2 dt,
+    integrated by the panel rule from the one panel [0, 1].
     The integrand must decay at least like |z|^-4, so that the transformed
     integrand stays bounded.  Like ``integrate_disk``,
     a vector-valued ``f`` gives an array of integrals.  ``peaks(r)``, when
-    given, returns the ``(K, psi0, beta)`` grading of the ring of radius r
+    given, returns the ``(K, psi0, beta)`` grading of the rings of radii r
     (see ``_circle_mean``).
     """
-    s = 8.0
-
-    def trans(t):
-        if t <= 0.0:
-            return 0.0
-        t = min(t, 1.0 - 1e-15)
-        r = np.sqrt(s * t / (1.0 - t))
-        mean = _circle_mean(f, 0j, r, spec.rel_tol * RING_TOL_FRACTION,
-                            spec.abs_tol * RING_TOL_FRACTION,
-                            grading=peaks(r) if peaks else None)
-        return mean * np.pi * s / (1.0 - t) ** 2
-
-    return _integrate_rings(trans, 0.0, 1.0, spec)
+    return _integrate_panels(f, 0j, [0.0, 1.0], spec, _plane_substitution, peaks)
 
 
 # ----------------------------------------------------------------------------

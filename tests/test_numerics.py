@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liouville_lab import numerics
 from liouville_lab.bubbles import BubbleParams, bubble_density, peak_grading
@@ -19,6 +21,7 @@ from liouville_lab.numerics import (
     integrate_interval,
     integrate_plane,
     ode_integrate,
+    peak_beta,
     polar_sum,
     sample_circle,
     solve_with_diagnostics,
@@ -72,11 +75,16 @@ class TestIntegrateIntervalFailures:
         assert np.isfinite(info.value.value) and info.value.estimate > 0
 
     def test_other_failures_name_the_quadpack_report(self):
-        # the non-integrable 1/(1+|z|^2) is bad integrand behaviour, not a budget
+        # 1/(1-x), capped near x = 1, is bad integrand behaviour to QUADPACK, not a budget
         with pytest.raises(QuadratureBudgetError) as info:
-            integrate_plane(lambda z: 1 / (1 + np.abs(z) ** 2), self.TINY)
+            integrate_interval(lambda x: 1 / (1 - min(x, 1 - 1e-15)), 0.0, 1.0, self.TINY)
         assert str(info.value) == ("quadrature failed: Extremely bad integrand behavior "
                                    "occurs at some points of the integration interval")
+        assert np.isfinite(info.value.value) and info.value.estimate > 0
+        # the same divergence on the plane, 1/(1+|z|^2), exhausts the panel budget
+        with pytest.raises(QuadratureBudgetError) as info:
+            integrate_plane(lambda z: 1 / (1 + np.abs(z) ** 2), self.TINY)
+        assert str(info.value) == "quadrature budget exceeded: more than 200 panels"
         assert np.isfinite(info.value.value) and info.value.estimate > 0
 
 
@@ -340,6 +348,142 @@ class TestGradedDiskRing:
         assert np.array_equal(graded, integrate_disk(f, 1.0 + 0j, 0.2, spec, peak=peak))
 
 
+class TestVectorisedGradings:
+    """Each grading's array form equals its scalar form, element by element."""
+
+    def test_peak_beta(self):
+        w = np.geomspace(1e-6, 4.0, 97)
+        beta = peak_beta(w)
+        assert np.array_equal(beta, [peak_beta(x) for x in w])
+        # min(1, 2w) rounded down to a power of two
+        assert np.array_equal(beta, [2.0 ** math.floor(math.log2(min(1.0, 2.0 * x))) for x in w])
+
+    def test_peak_grading(self):
+        grading = peak_grading(BubbleParams(N=2, mu=8.0, p=0.05 - 0.08j, h=72.0))
+        r = np.linspace(0.2, 2.0, 61)
+        K, psi0, beta = grading(r)
+        assert beta.shape == r.shape and 0 < beta.min() < beta.max() == 1.0
+        assert all(grading(x) == (K, psi0, b) for x, b in zip(r, beta))
+
+    def test_disk_grading(self):
+        center, peak = np.exp(0.25j), (1.0, math.exp(-5.0))
+        r = np.linspace(0.05, 0.5, 46)
+        K, psi0, beta = _disk_grading(center, peak, r)
+        assert 0 < beta.min() < beta.max() == 1.0
+        for x, b in zip(r, beta):
+            one = _disk_grading(center, peak, x)
+            assert (one is None and b == 1.0) or one == (K, psi0, b)
+
+
+class TestGaussKronrod:
+    """The qk21 constants against mpmath, independently of the panel rule."""
+
+    @staticmethod
+    def _moment_error(weights, degree):
+        # |sum w_i x_i^n - int_-1^1 x^n dx|, evaluated in 40 digits
+        with mpmath.workdps(40):
+            nodes = [mpmath.mpf(float(x)) for x in numerics._GK_NODES]
+            rule = mpmath.fsum(mpmath.mpf(float(w)) * x ** degree
+                               for w, x in zip(weights, nodes))
+            exact = mpmath.mpf(2) / (degree + 1) if degree % 2 == 0 else 0
+            return float(abs(rule - exact))
+
+    def test_gauss_nodes_are_the_roots_of_p10(self):
+        gauss = numerics._GK_NODES[numerics._GK_GAUSS > 0]
+        assert gauss.size == 10
+        with mpmath.workdps(40):
+            roots = sorted(float(mpmath.findroot(lambda x: mpmath.legendre(10, x), float(x)))
+                           for x in gauss)
+        assert np.max(np.abs(gauss - roots)) <= 1e-16
+
+    def test_gauss_exact_to_degree_19(self):
+        errors = [self._moment_error(numerics._GK_GAUSS, n) for n in range(21)]
+        assert max(errors[:20]) <= 1e-15
+        assert errors[20] > 1e-8   # and no further
+
+    def test_kronrod_exact_to_degree_31(self):
+        errors = [self._moment_error(numerics._GK_KRONROD, n) for n in range(33)]
+        assert max(errors[:32]) <= 1e-15
+        assert errors[32] > 1e-12   # and no further
+
+    def test_local_error_estimate(self):
+        # two components on the one panel [-1, 1]: 1 + x^2, and |x| with its kink
+        x = numerics._GK_NODES
+        value, err = numerics._gk21(np.stack([1.0 + x ** 2, np.abs(x)])[:, None, :],
+                                    np.array([1.0]))
+        assert value.shape == err.shape == (2, 1)
+        # a polynomial of degree <= 19 leaves only the roundoff floor 50 eps resabs
+        assert value[0, 0] == pytest.approx(8.0 / 3.0, rel=1e-15)
+        floor = 50.0 * np.finfo(float).eps * 8.0 / 3.0
+        assert err[0, 0] == pytest.approx(floor, rel=1e-12, abs=0.0)
+        # the kink is not resolved, and the estimate covers the true error
+        assert 1e-3 < abs(value[1, 0] - 1.0) <= err[1, 0] < 1.0
+
+
+class TestBatchedRings:
+    PEAK = BubbleParams(N=1, mu=8.0, p=0.05 + 0.02j, h=32.0)
+    REL, ABS = 1e-10, 1e-13
+
+    def _f(self, z):
+        d = bubble_density(self.PEAK, z)
+        return np.stack([d, d * z.real])
+
+    @settings(max_examples=20, deadline=None)
+    @given(rows=st.lists(st.tuples(st.floats(min_value=0.6, max_value=1.4),
+                                   st.integers(min_value=0, max_value=6),
+                                   st.floats(min_value=-math.pi, max_value=math.pi)),
+                         min_size=1, max_size=6))
+    def test_batch_equals_one_row_calls(self, rows):
+        r, exponent, psi0 = (np.array(v) for v in zip(*rows))
+        beta = 0.5 ** exponent
+        batch = _circle_mean(self._f, 0j, r, self.REL, self.ABS, grading=(2, psi0, beta))
+        assert batch.shape == (2, len(rows))
+        for i in range(len(rows)):
+            one = _circle_mean(self._f, 0j, r[i], self.REL, self.ABS,
+                               grading=(2, psi0[i], beta[i]))
+            assert np.all(np.abs(batch[:, i] - one) <= 1e-14 * np.abs(one))
+
+    def test_converged_rows_are_not_evaluated_again(self):
+        # a smooth ring converges at 128 points; the peak ring keeps doubling alone
+        f, calls = _recording(lambda z: bubble_density(self.PEAK, z))
+        smooth, peaked = 0.3, abs(1.0 + self.PEAK.p) ** 0.5
+        _circle_mean(f, 0j, smooth, self.REL, self.ABS)
+        alone = [sum(z.size for z in calls)]
+        calls.clear()
+        _circle_mean(f, 0j, peaked, self.REL, self.ABS)
+        alone.append(sum(z.size for z in calls))
+        calls.clear()
+        _circle_mean(f, 0j, np.array([smooth, peaked]), self.REL, self.ABS)
+        assert alone[0] == 128 < alone[1]
+        assert [z.size for z in calls[:2]] == [128, 128]
+        assert sum(z.size for z in calls) == sum(alone)
+
+    def test_large_batches_split_by_rows(self):
+        r = np.linspace(0.5, 1.5, 300)
+        f, calls = _recording(lambda z: bubble_density(self.PEAK, z))
+        batch = _circle_mean(f, 0j, r, self.REL, self.ABS)
+        cap = numerics.RING_BATCH_POINTS   # 8192 points: 128 rings of 64
+        assert [z.size for z in calls[:3]] == [cap, cap, 300 * 64 - 2 * cap]
+        assert max(z.size for z in calls) <= cap
+        one = [_circle_mean(lambda z: bubble_density(self.PEAK, z), 0j, x, self.REL, self.ABS)
+               for x in r[::37]]
+        assert np.all(np.abs(batch[::37] - one) <= 1e-14 * np.abs(one))
+
+    def test_ring_that_never_converges_in_a_batch(self):
+        rng = np.random.default_rng(1)
+
+        def f(z):   # noise on the unit ring only
+            noisy = np.abs(np.abs(z) - 1.0) < 1e-9
+            return np.where(noisy, rng.standard_normal(z.shape), np.abs(z) ** 2)
+
+        r = np.array([0.5, 1.0, 1.5])
+        with pytest.raises(QuadratureBudgetError) as info:
+            _circle_mean(f, 0j, r, self.REL, self.ABS, m_max=1024)
+        value = info.value.value
+        assert value.shape == (3,) and np.all(np.isfinite(value)) and info.value.estimate > 0
+        assert value[[0, 2]] == pytest.approx([0.25, 2.25], rel=1e-14)
+
+
 class TestDiskBreakpoints:
     @pytest.mark.parametrize("center, peak, expected", [
         # centred: 5w, 50w and R/2
@@ -355,16 +499,17 @@ class TestDiskBreakpoints:
     def test_points_from_the_peak(self, monkeypatch, center, peak, expected):
         seen = []
 
-        def spy(ring, a, b, spec, points=None):
-            seen.append(points)
+        def spy(f, center, edges, spec, substitution, grading):
+            seen.append(edges)
             return 0.0
 
-        monkeypatch.setattr(numerics, "_integrate_rings", spy)
+        monkeypatch.setattr(numerics, "_integrate_panels", spy)
         integrate_disk(lambda z: np.ones(np.shape(z)), center, 1.0, SPEC, peak=peak)
+        assert len(seen) == 1 and seen[0][0] == 0.0 and seen[0][-1] == 1.0
         if expected is None:
-            assert seen == [None]
+            assert seen[0] == [0.0, 1.0]
         else:
-            assert seen[0] == pytest.approx(expected, abs=1e-15)
+            assert seen[0][1:-1] == pytest.approx(expected, abs=1e-15)
 
 
 class TestVectorIntegrands:
@@ -414,7 +559,9 @@ class TestVectorIntegrands:
 
         with pytest.raises(QuadratureBudgetError) as info:
             integrate_plane(f, tiny)
-        assert np.isfinite(info.value.value) and info.value.estimate > 0
+        # the panel rule reports every component's current value
+        assert info.value.value.shape == (2,)
+        assert np.all(np.isfinite(info.value.value)) and info.value.estimate > 0
 
 
 class TestCircleFourier:

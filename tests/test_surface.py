@@ -35,9 +35,7 @@ SURFACE = {
     "numerics.QuadratureSpec.rel_tol",
     "numerics._circle_mean(grading)",
     "numerics._circle_mean(m_max)",
-    "numerics._integrate_rings(points)",
     "numerics.integrate_disk(peak)",
-    "numerics.integrate_interval(points)",
     "numerics.integrate_plane(peaks)",
     "pohozaev.SolutionField.laplacian",
     "pohozaev.coefficient_contrast(check)",
