@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MaximaError
-from .numerics import QuadratureSpec, integrate_plane, newton_complex, peak_beta
+from .numerics import QuadratureSpec, integrate_plane, newton_complex
 
 
 @dataclass(frozen=True)
@@ -112,32 +112,19 @@ def bubble_density(params: BubbleParams, y, h=None):
     return np.abs(y) ** (2 * params.N) * h * np.exp(eval_bubble(params, y))
 
 
-def peak_grading(params: BubbleParams):
-    """Ring grading toward the N+1 maxima: r -> (K, psi0, beta) for ``integrate_plane``.
+def density_peak(params: BubbleParams):
+    """``(1 + p, c^(-1/2), N + 1)``: the density peaks where y^(N+1) = 1 + p.
 
-    With rho = r^(N+1) and 1 + p = a e^(i psi0), the density on the ring of
-    radius r is, in phi = (N+1) theta, a peak at phi = psi0 of half-width about
-    w = sqrt(((rho - a)^2 + 1/c) / (rho a)), repeated K = N+1 times, and
-    beta = ``peak_beta(w)``, elementwise for an array of radii.
+    In rho = r^(N+1) the N+1 maxima are one peak at 1 + p, of radial width
+    about c^(-1/2); this is the ``peak`` argument of ``integrate_plane``.
     """
-    K = params.N + 1
-    a = abs(1.0 + params.p)
-    psi0 = math.atan2(params.p.imag, 1.0 + params.p.real)
-    inv_c = 1.0 / params.coefficient
-
-    def grading(r):
-        rho = np.asarray(r, dtype=float) ** K
-        w = np.sqrt(((rho - a) ** 2 + inv_c) / np.maximum(rho * a, 1e-300))
-        return K, psi0, peak_beta(w)
-
-    return grading
+    return 1.0 + params.p, params.coefficient ** -0.5, params.N + 1
 
 
 def total_mass(params: BubbleParams, spec: QuadratureSpec | None = None) -> float:
     """integral over the plane of |y|^(2N) h e^V = 8 pi (N+1), whatever mu, p, h."""
     spec = spec or QuadratureSpec()
-    return integrate_plane(lambda z: bubble_density(params, z), spec,
-                           peaks=peak_grading(params))
+    return integrate_plane(lambda z: bubble_density(params, z), spec, peak=density_peak(params))
 
 
 @dataclass

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubbles import BubbleParams, bubble_density, eval_bubble, peak_grading
+from .bubbles import BubbleParams, bubble_density, density_peak, eval_bubble
 from .errors import InteractionMismatchError, KernelFitError
 from .kernels import kernel_functions
 from .numerics import QuadratureSpec, integrate_disk, integrate_plane
@@ -149,7 +149,7 @@ def moment_integrals(params: BubbleParams, spec: QuadratureSpec):
         i1 = c * zz * w
         return np.stack([(1.0 - q) * w, i1.real, i1.imag])
 
-    i0, i1_re, i1_im = integrate_plane(integrand, spec, peaks=peak_grading(params))
+    i0, i1_re, i1_im = integrate_plane(integrand, spec, peak=density_peak(params))
     return float(i0), complex(i1_re, i1_im)
 
 

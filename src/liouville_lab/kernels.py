@@ -283,18 +283,17 @@ def _assemble_tridiagonal(profile: RadialProfile, mode: int, n: int):
     rm = 0.5 * (x[:-1] + x[1:])
     w_pot = mode ** 2 / rm ** 2 - profile.lam * rm ** (2 * profile.N) * np.exp(profile.u_at(rm))
 
-    nn = n + 1
-    diag = np.zeros(nn)
-    off = np.zeros(nn - 1)
-    lump = np.zeros(nn)
-    for e in range(n):
-        k = rm[e] / h[e]
-        pe = w_pot[e] * rm[e] * h[e]
-        diag[e] += k + 0.25 * pe
-        diag[e + 1] += k + 0.25 * pe
-        off[e] += -k + 0.25 * pe
-        lump[e] += 0.5 * rm[e] * h[e]
-        lump[e + 1] += 0.5 * rm[e] * h[e]
+    # element e adds to nodes e and e + 1
+    k = rm / h
+    pe = 0.25 * (w_pot * rm * h)
+    mass = 0.5 * rm * h
+    diag = np.zeros(n + 1)
+    diag[:-1] += k + pe
+    diag[1:] += k + pe
+    off = -k + pe
+    lump = np.zeros(n + 1)
+    lump[:-1] += mass
+    lump[1:] += mass
     lo = 0 if mode == 0 else 1              # natural at 0 for mode 0, Dirichlet otherwise
     sl = slice(lo, n)                        # Dirichlet at r = 1
     scale = 1.0 / np.sqrt(lump[sl])

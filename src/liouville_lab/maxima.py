@@ -71,10 +71,9 @@ def interaction_coefficients_d(N: int) -> np.ndarray:
 def build_interaction_matrix(N: int) -> InteractionMatrix:
     d = interaction_coefficients_d(N)
     D = math.fsum(d)
-    A = np.full((N, N), 0.0)
-    for l in range(N):
-        for j in range(N):
-            A[l, j] = D if l == j else -d[abs(l - j) - 1]
+    l = np.arange(N)
+    A = -d[np.abs(l[:, None] - l) - 1]
+    np.fill_diagonal(A, D)
     return InteractionMatrix(N=N, d=d, D=D, A=A)
 
 

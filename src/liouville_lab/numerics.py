@@ -5,18 +5,18 @@ Fourier analysis on circles and the polar Fourier sum; an adaptive ODE
 integrator; root finding; small dense linear algebra with singular-value
 diagnostics.
 
-Disk and plane integrals are nested.  Over the radius (or the compactified
-radius) runs an adaptive panel rule with QUADPACK's qk21 constants, the
-10-point Gauss and 21-point Kronrod rules.  A panel is accepted when, for
-every component, QUADPACK's local error estimate is at most the panel's
-width's share of the tolerance; the others are bisected, up to 200 panels.
-Over each ring runs a nested adaptive trapezoid rule.  Each generation of
-panels gets all the ring means of its nodes from one ``_circle_mean`` call,
-which at each doubling evaluates the integrand on the rings not yet
-converged, in batches of at most ``RING_BATCH_POINTS`` points.  Intervals
-use scipy's QUADPACK ``quad``.
+One adaptive rule integrates intervals, disks and planes: a panel rule with
+QUADPACK's qk21 constants, the 10-point Gauss and 21-point Kronrod rules.  A
+panel is accepted when, for every component, QUADPACK's local error estimate
+is at most the panel's width's share of the tolerance; the others are
+bisected, up to 200 panels.  Disk and plane integrals are nested: the panel
+rule runs over the radius (or the compactified radius), and over each ring
+runs a nested adaptive trapezoid rule.  Each generation of panels gets all
+the ring means of its nodes from one ``_circle_mean`` call, which at each
+doubling evaluates the integrand on the rings not yet converged, in batches
+of at most ``RING_BATCH_POINTS`` points.
 
-Numbers that no caller varies (the panel and subdivision budgets, the plane
+Numbers that no caller varies (the panel budget, the plane
 compactification scale, the ring tolerance fraction, the ODE method and the
 Newton tolerances) are constants written beside their use, like the scenario
 constants.
@@ -29,11 +29,9 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 from scipy.integrate import solve_ivp
 
 from .errors import NyquistError, QuadratureBudgetError, StiffODEError
@@ -227,31 +225,6 @@ def _circle_mean(f, center: complex, r, rel_tol: float, abs_tol: float,
         value=shaped(means), estimate=float(np.max(err[..., ~ok])))
 
 
-def integrate_interval(f, a: float, b: float, spec: QuadratureSpec) -> float:
-    """Adaptive integral of a scalar function over [a, b].
-
-    Raises QuadratureBudgetError when scipy reports trouble and its error
-    estimate exceeds the tolerances of ``spec``; the message says "budget
-    exceeded" only when QUADPACK hit its limit of 200 subintervals, and
-    otherwise names what QUADPACK reported.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        out = integrate.quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                             limit=200, full_output=1)
-    if len(out) > 3:  # QUADPACK reported trouble
-        y, err = out[0], out[1]
-        if err > max(spec.abs_tol, 100.0 * spec.rel_tol * abs(y)):
-            # the first sentence of QUADPACK's message, on one line
-            report = " ".join(out[3].split()).split(". ")[0].rstrip(".")
-            what = ("quadrature budget exceeded"
-                    if report.startswith("The maximum number of subdivisions")
-                    else "quadrature failed")
-            raise QuadratureBudgetError(f"{what}: {report}", value=float(y),
-                                        estimate=float(err))
-    return float(out[0])
-
-
 # QUADPACK's qk21 rule (Piessens et al., QUADPACK, 1983): the 21 Kronrod
 # abscissae on [-1, 1] in increasing order, their weights, and the weights of
 # the 10-point Gauss rule, whose abscissae are every other Kronrod one (zero
@@ -303,21 +276,17 @@ def _gk21(values, half):
     return resk * half, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
 
 
-def _integrate_panels(f, center: complex, edges, spec: QuadratureSpec, substitution,
-                      grading):
-    """Integral over the rings about center, by adaptive Gauss-Kronrod panels.
+def integrate_interval(f, edges, spec: QuadratureSpec):
+    """Integral of f over edges[0]..edges[-1], by adaptive Gauss-Kronrod panels.
 
-    The outer variable x runs over ``edges[0]..edges[-1]``, split at the inner
-    edges; ``substitution(x)`` gives the ring radii r(x) and the factors
-    J(x) such that the integral is int J(x) (ring mean of f at r(x)) dx.
-    Each generation maps the 21 qk21 nodes of every open panel to radii and
-    gets all their ring means from one ``_circle_mean`` call (at a tenth of
-    the tolerances), graded by ``grading(r)`` unless ``grading`` is None.  A
-    panel is accepted when, for every component k, its ``_gk21`` estimate is
-    at most its width's share of max(abs_tol, rel_tol |I_k|), with I_k the
-    current integral; the others are bisected.  More than ``PANEL_BUDGET``
-    panels raises QuadratureBudgetError.  A scalar f gives a float, a vector
-    f an array of its k integrals.
+    ``f`` takes a 1-D array of points and returns their values, shape (n,)
+    for a scalar integrand or (k, n) for k components.  The inner edges split
+    the interval into the first panels.  Each generation calls f once, on the
+    21 qk21 nodes of every open panel.  A panel is accepted when, for every
+    component k, its ``_gk21`` estimate is at most its width's share of
+    max(abs_tol, rel_tol |I_k|), with I_k the current integral; the others are
+    bisected.  More than ``PANEL_BUDGET`` panels raises QuadratureBudgetError.
+    A scalar f gives a float, a vector f an array of its k integrals.
     """
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1], edges[1:]
@@ -327,12 +296,9 @@ def _integrate_panels(f, center: complex, edges, spec: QuadratureSpec, substitut
     while True:
         half = 0.5 * (b - a)
         x = (0.5 * (a + b))[:, None] + half[:, None] * _GK_NODES
-        r, jacobian = substitution(x.ravel())
-        means = _circle_mean(f, center, r, spec.rel_tol * RING_TOL_FRACTION,
-                             spec.abs_tol * RING_TOL_FRACTION,
-                             grading=None if grading is None else grading(r))
-        scalar = means.ndim == 1
-        value, err = _gk21((means * jacobian).reshape(-1, *x.shape), half)
+        values = np.asarray(f(x.ravel()))
+        scalar = values.ndim == 1
+        value, err = _gk21(values.reshape(-1, *x.shape), half)
         total = done_value + value.sum(axis=-1)
         tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
         ok = np.all(err <= tol[:, None] * ((b - a) / length), axis=0)
@@ -351,26 +317,43 @@ def _integrate_panels(f, center: complex, edges, spec: QuadratureSpec, substitut
                 value=float(total[0]) if scalar else total, estimate=estimate)
 
 
-def _disk_grading(center: complex, peak, r):
-    """Grading of the rings of radii r about center toward one peak (q, width).
+def _rings(f, center: complex, spec: QuadratureSpec, substitution, grading):
+    """The outer integrand x -> J(x) (ring mean of f at r(x)) of a disk or plane.
 
-    With s = |q - center|, a ring passes the peak at the angle arg(q - center)
-    with angular half-width about w = sqrt(((r - s)^2 + width^2) / (r s)), so
-    the rings get (1, arg(q - center), peak_beta(w)), elementwise in r.  Where
-    w >= 1/2, which includes a peak at the centre, that is the uniform rule
-    (beta = 1, without dividing by r s, which may underflow to 0); when no
-    ring is graded this returns None.
+    ``substitution(x)`` gives the radii r(x) and the factors J(x); all the
+    ring means of one call come from one ``_circle_mean`` call, at a tenth of
+    the tolerances, graded by ``grading(r)`` unless ``grading`` is None.
     """
-    q, width = peak
-    d = complex(q) - center
-    s = abs(d)
-    r = np.asarray(r, dtype=float)
-    near = (r - s) ** 2 + width ** 2
-    graded = 4.0 * near < r * s
+    rel_tol, abs_tol = spec.rel_tol * RING_TOL_FRACTION, spec.abs_tol * RING_TOL_FRACTION
+
+    def outer(x):
+        r, jacobian = substitution(x)
+        return jacobian * _circle_mean(f, center, r, rel_tol, abs_tol,
+                                       grading=None if grading is None else grading(r))
+
+    return outer
+
+
+def _peak_grading(q: complex, width: float, K: int, r):
+    """Grading of the rings of radii r about 0 toward the K peaks where y^K = q.
+
+    In rho = r^K and phi = K theta they are one peak at rho = s = |q|,
+    phi = arg q, of radial width ``width``.  A ring passes it with angular
+    half-width about w = sqrt(((rho - s)^2 + width^2) / (rho s)) in phi, so the
+    rings get (K, arg q, peak_beta(w)), elementwise in r.  Where w >= 1/2,
+    which includes a peak at the centre, that is the uniform rule (beta = 1,
+    without dividing by rho s, which may underflow to 0); when no ring is
+    graded this returns None.
+    """
+    q = complex(q)
+    s = abs(q)
+    rho = np.asarray(r, dtype=float) ** K
+    near = (rho - s) ** 2 + width ** 2
+    graded = 4.0 * near < rho * s
     if not graded.any():
         return None
-    w = np.sqrt(near / np.where(graded, r * s, 1.0))
-    return 1, math.atan2(d.imag, d.real), np.where(graded, peak_beta(w), 1.0)
+    w = np.sqrt(near / np.where(graded, rho * s, 1.0))
+    return K, math.atan2(q.imag, q.real), np.where(graded, peak_beta(w), 1.0)
 
 
 def _disk_substitution(x):
@@ -384,21 +367,22 @@ def integrate_disk(f, center: complex, radius: float, spec: QuadratureSpec, peak
     as an array, sharing every ring mean.
 
     ``peak = (q, width)``, when given, says that f peaks at q with radial width
-    ``width``.  It sets both the grading of every ring (see ``_disk_grading``)
-    and the initial panels in the radius: with s = |q - center|, those of
-    s - 5 width, s, s + 5 width, s + 50 width and radius / 2 that lie strictly
-    inside (0, radius) split [0, radius].  Without a peak the rings are
-    uniform and the radius starts as one panel.
+    ``width``.  It sets both the grading of every ring (``_peak_grading`` of
+    q - center with K = 1) and the first panels in the radius: with
+    s = |q - center|, those of s - 5 width, s, s + 5 width, s + 50 width and
+    radius / 2 that lie strictly inside (0, radius) split [0, radius].  Without
+    a peak the rings are uniform and the radius starts as one panel.
     """
     edges = [0.0, radius]
     grading = None
     if peak is not None:
         q, width = peak
-        s = abs(complex(q) - center)
+        d = complex(q) - center
+        s = abs(d)
         candidates = (s - 5.0 * width, s, s + 5.0 * width, s + 50.0 * width, radius * 0.5)
         edges = [0.0, *sorted({x for x in candidates if 0.0 < x < radius}), radius]
-        grading = functools.partial(_disk_grading, center, peak)
-    return _integrate_panels(f, center, edges, spec, _disk_substitution, grading)
+        grading = functools.partial(_peak_grading, d, width, 1)
+    return integrate_interval(_rings(f, center, spec, _disk_substitution, grading), edges, spec)
 
 
 def integrate_circle(f, center: complex, radius: float, spec: QuadratureSpec):
@@ -420,7 +404,7 @@ def _plane_substitution(t):
     return np.sqrt(PLANE_SCALE * t / (1.0 - t)), np.pi * PLANE_SCALE / (1.0 - t) ** 2
 
 
-def integrate_plane(f, spec: QuadratureSpec, peaks=None):
+def integrate_plane(f, spec: QuadratureSpec, peak=None):
     """Improper integral of f over the plane.
 
     Uses the compactifying substitution t = |z|^2 / (s + |z|^2) with s = 8,
@@ -429,11 +413,13 @@ def integrate_plane(f, spec: QuadratureSpec, peaks=None):
     integrated by the panel rule from the one panel [0, 1].
     The integrand must decay at least like |z|^-4, so that the transformed
     integrand stays bounded.  Like ``integrate_disk``,
-    a vector-valued ``f`` gives an array of integrals.  ``peaks(r)``, when
-    given, returns the ``(K, psi0, beta)`` grading of the rings of radii r
-    (see ``_circle_mean``).
+    a vector-valued ``f`` gives an array of integrals.  ``peak = (q, width, K)``,
+    when given, says that f peaks at the K points where y^K = q, and grades
+    the rings toward them (see ``_peak_grading``).
     """
-    return _integrate_panels(f, 0j, [0.0, 1.0], spec, _plane_substitution, peaks)
+    grading = None if peak is None else functools.partial(_peak_grading, *peak)
+    return integrate_interval(_rings(f, 0j, spec, _plane_substitution, grading), [0.0, 1.0],
+                              spec)
 
 
 # ----------------------------------------------------------------------------

@@ -195,7 +195,7 @@ def branch_mass(profile: RadialProfile, spec: QuadratureSpec) -> float:
     def integrand(r):
         return r ** (2 * N + 1) * np.exp(profile.u_at(r))
 
-    return math.tau * lam * integrate_interval(integrand, 0.0, 1.0, spec)
+    return math.tau * lam * integrate_interval(integrand, (0.0, 1.0), spec)
 
 
 def harnack_diagnostic(point: BranchPoint) -> float:

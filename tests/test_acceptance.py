@@ -284,3 +284,12 @@ def test_every_package_function_runs(seed42_report):
                     if site not in called and name not in UNREACHED_BY_DESIGN)
     _report("00-reachability", not missed,
             f"({len(functions)} functions, {len(missed)} never called: {', '.join(missed)})")
+
+
+def test_one_adaptive_rule(seed42_report):
+    # every adaptive integral runs through the package's own panel rule:
+    # nothing in scipy's QUADPACK wrapper may run
+    quadpack = sorted(f"{Path(f).name}:{line}" for f, line in seed42_report[2]
+                      if Path(f).name == "_quadpack_py.py")
+    _report("00-one-adaptive-rule", not quadpack,
+            f"({len(quadpack)} QUADPACK functions called: {', '.join(quadpack)})")

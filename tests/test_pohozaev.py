@@ -145,7 +145,7 @@ class TestTwoDirectionPass:
         rep = pohozaev_check(field, h, grad_h, N, center, radius, SPEC, peak=peak)
         # the reference keeps the peak's breakpoints but integrates every ring
         # with the uniform rule, so it also checks the graded disk
-        monkeypatch.setattr(numerics, "_disk_grading", lambda *args: None)
+        monkeypatch.setattr(numerics, "_peak_grading", lambda *args: None)
         for i, xi in enumerate(((1.0, 0.0), (0.0, 1.0))):
             ref = _scalar_terms(field, h, grad_h, N, center, radius, xi, peak)
             got = (rep.volume_term[i], rep.flux_term[i], rep.boundary_kinetic[i])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liouville_lab.errors import ShootingError
 from liouville_lab.numerics import QuadratureSpec
@@ -105,6 +107,15 @@ class TestBranch:
         assert pt.mass == pytest.approx(24 * math.pi, rel=2e-2)
         # closed-form oracle: mass = 8 pi (N+1) b/(1+b)
         assert pt.mass == pytest.approx(24 * math.pi * 1000.0 / 1001.0, rel=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(min_value=0, max_value=8),
+           log_b=st.floats(min_value=math.log(1e-3), max_value=math.log(1e5)))
+    def test_mass_matches_closed_form(self, N, log_b):
+        # the branch's quantized mass 8 pi (N+1) b/(1+b), across N and six decades of b
+        b = math.exp(log_b)
+        mass = branch_mass(closed_form_profile(N, b), SPEC)
+        assert mass == pytest.approx(8 * math.pi * (N + 1) * b / (1 + b), rel=1e-9)
 
     def test_mass_cap_enforced(self):
         prof = closed_form_profile(0, 1.0)

@@ -36,7 +36,7 @@ SURFACE = {
     "numerics._circle_mean(grading)",
     "numerics._circle_mean(m_max)",
     "numerics.integrate_disk(peak)",
-    "numerics.integrate_plane(peaks)",
+    "numerics.integrate_plane(peak)",
     "pohozaev.SolutionField.laplacian",
     "pohozaev.coefficient_contrast(check)",
     "pohozaev.pohozaev_check(peak)",
