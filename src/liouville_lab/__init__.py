@@ -35,7 +35,6 @@ from .maxima import (
     solve_maxima_system,
 )
 from .numerics import (
-    FourierCoefficients,
     QuadratureSpec,
     circle_fourier,
     integrate_disk,

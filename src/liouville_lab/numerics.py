@@ -1,7 +1,8 @@
 """Shared numerical substrate.
 
 Adaptive quadrature on intervals, disks, circles and the whole plane; discrete
-Fourier analysis on circles and the polar Fourier sum; an adaptive ODE
+Fourier analysis on circles into complex coefficients c_n, the trace of the
+harmonic polynomial Re sum c_n y^n on the unit circle; an adaptive ODE
 integrator; root finding; small dense linear algebra with singular-value
 diagnostics.
 
@@ -49,43 +50,17 @@ class QuadratureSpec:
             raise ValueError("tolerances must be positive")
 
 
-@dataclass
-class FourierCoefficients:
-    """Real trigonometric coefficients: a[n] for cos(n*theta), b[n] for sin."""
-
-    a: np.ndarray  # indices 0..n_max
-    b: np.ndarray  # indices 1..n_max, stored with leading slot b[0] unused = 0
-
-    def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
-        if self.a.size != self.b.size:
-            raise ValueError("a and b must share length (b[0] is a dummy slot)")
-        if self.a.size < 2:
-            raise ValueError("n_max must be >= 1")
-        if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
-            raise ValueError("coefficients must be finite")
-
-    @property
-    def n_max(self) -> int:
-        return self.a.size - 1
-
-
 # ----------------------------------------------------------------------------
 # circle Fourier analysis
 
-def polar_sum(a, b, r, theta):
-    """sum_n r^n (a[n] cos(n theta) + b[n] sin(n theta)), elementwise in r and theta."""
-    n = np.arange(len(a))
-    nth = np.multiply.outer(theta, n)
-    return (np.asarray(r)[..., None] ** n * (a * np.cos(nth) + b * np.sin(nth))).sum(axis=-1)
+def circle_fourier(values: np.ndarray, n_max: int) -> np.ndarray:
+    """Complex Fourier coefficients c[0..n_max] of uniform circle samples.
 
-
-def circle_fourier(values: np.ndarray, n_max: int) -> FourierCoefficients:
-    """Trapezoidal Fourier coefficients of uniform circle samples.
-
-    Exact (up to aliasing) for band-limited data; requires at least 4*n_max
-    samples.
+    The samples are read as sum_n Re(c_n e^(i n theta)), so c_n = a_n - i b_n
+    for the trace sum_n (a_n cos n theta + b_n sin n theta), and c_0 is the
+    mean.  The harmonic function with this trace on the unit circle is
+    Re sum_n c_n y^n.  Trapezoidal, so exact (up to aliasing) for band-limited
+    data; requires at least 4*n_max samples.
     """
     values = np.asarray(values, dtype=float)
     m = values.size
@@ -94,14 +69,9 @@ def circle_fourier(values: np.ndarray, n_max: int) -> FourierCoefficients:
     if m < 4 * n_max:
         raise NyquistError(
             f"Nyquist violation: {m} samples cannot resolve n_max={n_max} (need >= {4 * n_max})")
-    spec = np.fft.rfft(values)
-    a = np.zeros(n_max + 1)
-    b = np.zeros(n_max + 1)
-    a[0] = spec[0].real / m
-    upto = min(n_max, m // 2)
-    a[1:upto + 1] = 2.0 * spec[1:upto + 1].real / m
-    b[1:upto + 1] = -2.0 * spec[1:upto + 1].imag / m
-    return FourierCoefficients(a=a, b=b)
+    c = 2.0 * np.fft.rfft(values)[:n_max + 1] / m
+    c[0] /= 2.0
+    return c
 
 
 def sample_circle(f, center: complex, radius: float, m: int) -> np.ndarray:
@@ -152,6 +122,10 @@ def _ring_nodes(m: int, odd: bool, K: int, beta: float):
 # batches of rings are split by rows, which bounds the integrand's temporaries
 RING_BATCH_POINTS = 1 << 13
 
+# QUADPACK's roundoff floor 50 eps: no error test asks a mean of values f to
+# move by less than this fraction of the mean of |f|
+ROUNDOFF = 50.0 * np.finfo(float).eps
+
 
 def _circle_mean(f, center: complex, r, rel_tol: float, abs_tol: float,
                  m_max: int = 1 << 20, grading=None):
@@ -161,7 +135,10 @@ def _circle_mean(f, center: complex, r, rel_tol: float, abs_tol: float,
     has the shape of ``r`` (a float for one radius and a scalar f).  Every
     ring starts at m = 64 points and the rule is nested: when m doubles (up to
     m_max) only the m/2 new odd-index points are evaluated and added to the
-    running sum.  Each doubling calls f on the points of all rows that have
+    running sum.  A mean has converged when it moved by at most
+    max(abs_tol, rel_tol |mean|) in the last doubling, or by at most the
+    roundoff floor ``ROUNDOFF`` mean|f|, which QUADPACK's panel estimate has
+    too.  Each doubling calls f on the points of all rows that have
     not yet converged, flattened to 1-D, in calls of at most
     ``RING_BATCH_POINTS`` points; a row whose mean has converged is not
     evaluated again.  A vector integrand returning shape (k, n) for n points
@@ -189,15 +166,21 @@ def _circle_mean(f, center: complex, r, rel_tol: float, abs_tol: float,
         weights = None if uniform else np.stack(
             [np.ones(n.size) if w is None else w for n, w in tables])
         per_call = max(1, RING_BATCH_POINTS // nodes.shape[1])
-        sums = []
+        sums, abs_sums = [], []
         for chunk in np.split(rows, np.arange(per_call, rows.size, per_call)):
             pick = row_beta[chunk]
             z = center + scale[chunk, None] * nodes[pick]
             values = np.asarray(f(z.ravel()))
             values = values.reshape(values.shape[:-1] + z.shape)
-            sums.append(values.sum(axis=-1) if uniform
-                        else (values * weights[pick]).sum(axis=-1))
-        return np.concatenate(sums, axis=-1)
+            if uniform:
+                sums.append(values.sum(axis=-1))
+                values = np.abs(values)   # f's own array stays untouched
+            else:
+                values = values * weights[pick]
+                sums.append(values.sum(axis=-1))
+                np.abs(values, out=values)
+            abs_sums.append(values.sum(axis=-1))
+        return np.concatenate(sums, axis=-1), np.concatenate(abs_sums, axis=-1)
 
     def shaped(means):
         means = means.reshape(means.shape[:-1] + shape)
@@ -205,20 +188,23 @@ def _circle_mean(f, center: complex, r, rel_tol: float, abs_tol: float,
 
     m = 64
     rows = np.arange(r.size)
-    total = ring_sums(m, False, rows)
+    total, abs_total = ring_sums(m, False, rows)
     prev = total / m
     means = np.empty_like(prev)
     components = tuple(range(total.ndim - 1))
     while m <= m_max:
         m *= 2
-        total = total + ring_sums(m, True, rows)
+        odd, odd_abs = ring_sums(m, True, rows)
+        total, abs_total = total + odd, abs_total + odd_abs
         cur = total / m
         err = np.abs(cur - prev)
-        ok = np.all(err <= np.maximum(abs_tol, rel_tol * np.abs(cur)), axis=components)
+        tol = np.maximum(np.maximum(abs_tol, rel_tol * np.abs(cur)), ROUNDOFF * abs_total / m)
+        ok = np.all(err <= tol, axis=components)
         means[..., rows[ok]] = cur[..., ok]
         if ok.all():
             return shaped(means)
-        rows, total, prev = rows[~ok], total[..., ~ok], cur[..., ~ok]
+        rows, prev = rows[~ok], cur[..., ~ok]
+        total, abs_total = total[..., ~ok], abs_total[..., ~ok]
     means[..., rows] = prev
     raise QuadratureBudgetError(
         "quadrature budget exceeded: circle average did not converge",
@@ -273,7 +259,7 @@ def _gk21(values, half):
     spread = resasc > 0
     scaled = resasc * np.minimum(1.0, (200.0 * err / np.where(spread, resasc, 1.0)) ** 1.5)
     err = np.where(spread, scaled, err)
-    return resk * half, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+    return resk * half, np.maximum(err, ROUNDOFF * resabs)
 
 
 def integrate_interval(f, edges, spec: QuadratureSpec):

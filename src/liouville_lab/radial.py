@@ -16,10 +16,9 @@ branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import minimize_scalar
 
 from .errors import ShootingError
@@ -28,7 +27,11 @@ from .numerics import QuadratureSpec, integrate_interval, newton_scalar, ode_int
 
 @dataclass
 class RadialProfile:
-    """A radial solution sample along the Gelfand branch."""
+    """A radial solution sample along the Gelfand branch.
+
+    The samples are kept for cross-checks; u_at and u_prime_at evaluate the
+    closed form of the family member b (b = 0 is u = 0, lambda = 0).
+    """
 
     N: int
     lam: float
@@ -36,7 +39,6 @@ class RadialProfile:
     r_grid: np.ndarray
     u: np.ndarray
     u_prime: np.ndarray
-    _spline: CubicHermiteSpline | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.r_grid = np.asarray(self.r_grid, dtype=float)
@@ -47,20 +49,11 @@ class RadialProfile:
         if abs(self.u[-1]) > 1e-9:
             raise ValueError("profile must satisfy u(1) = 0")
 
-    def _get_spline(self) -> CubicHermiteSpline:
-        if self._spline is None:
-            self._spline = CubicHermiteSpline(self.r_grid, self.u, self.u_prime)
-        return self._spline
-
     def u_at(self, r):
-        if self.b > 0:
-            return closed_form_u(self.N, self.b, r)
-        return self._get_spline()(np.clip(r, self.r_grid[0], self.r_grid[-1]))
+        return closed_form_u(self.N, self.b, r)
 
     def u_prime_at(self, r):
-        if self.b > 0:
-            return closed_form_u_prime(self.N, self.b, r)
-        return self._get_spline().derivative()(np.clip(r, self.r_grid[0], self.r_grid[-1]))
+        return closed_form_u_prime(self.N, self.b, r)
 
 
 @dataclass
@@ -95,42 +88,29 @@ def closed_form_u_prime(N: int, b: float, r):
 
 def closed_form_profile(N: int, b: float) -> RadialProfile:
     """Closed-form Gelfand profile on 2000 geometric radii in [1e-6, 1];
-    u(1) = 0 exactly, PDE residual analytic zero."""
-    if b <= 0:
-        raise ValueError("b must be positive")
+    u(1) = 0 exactly, PDE residual analytic zero.  b = 0 is the degenerate
+    member u = 0, lambda = 0 (the Bessel case)."""
+    if b < 0:
+        raise ValueError("b must be non-negative")
     r = np.geomspace(1e-6, 1.0, 2000)
     r[-1] = 1.0
     return RadialProfile(N=N, lam=lambda_of_b(N, b), b=b, r_grid=r,
                          u=closed_form_u(N, b, r), u_prime=closed_form_u_prime(N, b, r))
 
 
-def zero_potential_profile() -> RadialProfile:
-    """Degenerate branch member u = 0, lambda = 0 at N = 0 (the Bessel case)."""
-    r = np.linspace(1e-6, 1.0, 512)
-    return RadialProfile(N=0, lam=0.0, b=0.0, r_grid=r,
-                         u=np.zeros_like(r), u_prime=np.zeros_like(r))
-
-
 def profile_residual(profile: RadialProfile) -> float:
     """Max PDE residual u'' + u'/r + lambda r^2N e^u on 200 interior check points.
 
-    u'' comes from differentiating the Hermite interpolant of u', so the check
-    uses only the stored samples.
+    u, u' and u'' are those of the closed form of the family member b, so the
+    residual tests that lambda is lambda(b).
     """
     r = np.linspace(0.05, 0.95, 200)
-    if profile.b > 0:
-        up = closed_form_u_prime(profile.N, profile.b, r)
-        m = profile.N + 1
-        b = profile.b
-        upp = -4.0 * m * b * ((2 * m - 1) * r ** (2 * m - 2) * (1 + b * r ** (2 * m))
-                              - 2 * m * b * r ** (4 * m - 2)) / (1.0 + b * r ** (2 * m)) ** 2
-        u = closed_form_u(profile.N, b, r)
-    else:
-        spl = CubicHermiteSpline(profile.r_grid, profile.u_prime,
-                                 np.gradient(profile.u_prime, profile.r_grid))
-        up = spl(r)
-        upp = spl.derivative()(r)
-        u = profile.u_at(r)
+    m = profile.N + 1
+    b = profile.b
+    up = closed_form_u_prime(profile.N, b, r)
+    upp = -4.0 * m * b * ((2 * m - 1) * r ** (2 * m - 2) * (1 + b * r ** (2 * m))
+                          - 2 * m * b * r ** (4 * m - 2)) / (1.0 + b * r ** (2 * m)) ** 2
+    u = closed_form_u(profile.N, b, r)
     res = upp + up / r + profile.lam * r ** (2 * profile.N) * np.exp(u)
     return float(np.max(np.abs(res)))
 

@@ -22,7 +22,7 @@ from .bubbles import BubbleParams
 from .errors import DichotomyError, LiouvilleLabError
 from .harmonic import FourierBoundaryData, LayerField, layer_from_coefficients
 from .interaction import InteractionParams
-from .numerics import FourierCoefficients, QuadratureSpec, circle_fourier, sample_circle
+from .numerics import QuadratureSpec, circle_fourier, sample_circle
 from .report import ReportEntry, sort_entries
 
 
@@ -228,7 +228,7 @@ def scenario_farfield(mu: float) -> list:
         secular = (float(np.mean(vals)) - base) * L ** (2 * N + 2)
         entries.append(_entry("farfield/secular-coefficient", {"N": N, "L": L},
                               secular, 0.0, 1e-2, "derived"))
-        c2 = coeffs.a[2 * N + 2] * L ** (2 * N + 2)
+        c2 = coeffs[2 * N + 2].real * L ** (2 * N + 2)
         entries.append(_entry("farfield/cos-2N2-coefficient", {"N": N, "L": L},
                               c2, 2.0, 1e-2, "derived"))
     # rescaled profile around a maximum
@@ -255,7 +255,7 @@ def _random_layer(rng, N: int, delta: float, L: int) -> LayerField:
     forced = int(rng.integers(1, n_modes + 1))
     A[forced] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)
     dn = delta ** np.arange(n_modes + 1, dtype=float)
-    return layer_from_coefficients(N=N, delta=delta, L=L, A=A * dn, B=B * dn)
+    return layer_from_coefficients(N=N, delta=delta, L=L, c=(A - 1j * B) * dn)
 
 
 def scenario_layer_dichotomy(seed: int) -> list:
@@ -281,8 +281,7 @@ def scenario_layer_dichotomy(seed: int) -> list:
     # constructed counter-example: gradient vanishes at the first root yet is
     # Theta(delta*) at another
     ds = 1.0
-    layer = layer_from_coefficients(N=1, delta=delta, L=2,
-                                    A=[0.0, 2.0 * ds / 3.0, -ds / 3.0], B=[0.0, 0.0, 0.0])
+    layer = layer_from_coefficients(N=1, delta=delta, L=2, c=[0.0, 2.0 * ds / 3.0, -ds / 3.0])
     res = harmonic.grad_h_at_roots(layer)
     g0 = abs(res.gradients[0])
     entries.append(_entry("layer/counterexample-vanishing-root", {"N": 1},
@@ -298,7 +297,7 @@ def scenario_layer_dichotomy(seed: int) -> list:
     for N in (1, 2):
         params = BubbleParams(N=N, mu=mu, p=0j, h=1.0)
         killer = harmonic.bubble_oscillation_killer(params, dl)
-        A, _ = killer.monomial_coefficients()
+        A = killer.monomial_coefficients().real
         lead = A[N + 1] / (4.0 * dl ** (2 * N + 2))
         entries.append(_entry("layer/killer-mode-N1", {"N": N, "delta": dl, "mu": mu},
                               lead, 1.0, 0.1, "paper"))
@@ -308,12 +307,11 @@ def scenario_layer_dichotomy(seed: int) -> list:
     # build_layer arithmetic and the Phi == 0 fallback
     a = np.zeros(5)
     a[1], a[2] = 0.3, 0.5
-    phi = FourierBoundaryData(radius=1.0, coefficients=FourierCoefficients(a=a, b=np.zeros(5)))
+    phi = FourierBoundaryData(radius=1.0, coefficients=a)
     layer = harmonic.build_layer(phi, BubbleParams(N=2, mu=mu, p=0j, h=1.0), 0.1, L=2)
     entries.append(_entry("layer/delta-star-sum", {"N": 2, "delta": 0.1},
                           layer.delta_star, 0.035, 1e-12, "derived"))
-    zero = FourierBoundaryData(radius=1.0,
-                               coefficients=FourierCoefficients(a=np.zeros(5), b=np.zeros(5)))
+    zero = FourierBoundaryData(radius=1.0, coefficients=np.zeros(5))
     layer0 = harmonic.build_layer(zero, BubbleParams(N=1, mu=mu, p=0j, h=1.0), 0.1, L=2)
     entries.append(_entry("layer/delta-star-fallback", {"N": 1, "delta": 0.1},
                           layer0.delta_star, 1e-4, 1e-18, "paper"))
@@ -423,12 +421,12 @@ def scenario_pohozaev(mu: float) -> list:
     # coefficient contrast for the linear layer
     mu_c = 14.0
     ds = 1e-5
-    layer = layer_from_coefficients(N=1, delta=0.05, L=1, A=[0.0, ds], B=[0.0, 0.0])
+    layer = layer_from_coefficients(N=1, delta=0.05, L=1, c=[0.0, ds])
     params = BubbleParams(N=1, mu=mu_c, p=0j, h=1.0)
     val, orth = pohozaev.coefficient_contrast(params, layer, 0, 0.3, spec)
     entries.append(_entry("pohozaev/contrast-ratio", {"N": 1, "mu": mu_c},
                           val / (8.0 * math.pi * ds), 1.0, 0.1, "derived"))
-    layer2 = layer_from_coefficients(N=1, delta=0.05, L=1, A=[0.0, 2.0 * ds], B=[0.0, 0.0])
+    layer2 = layer_from_coefficients(N=1, delta=0.05, L=1, c=[0.0, 2.0 * ds])
     val_dbl = pohozaev.coefficient_contrast(params, layer2, 0, 0.3, spec)[0]
     entries.append(_entry("pohozaev/contrast-linearity", {"N": 1, "mu": mu_c},
                           val_dbl / (2.0 * val), 1.0, 1e-2, "trivial"))
@@ -512,7 +510,7 @@ def scenario_branch(N: int) -> list:
     entries.append(_bound_entry("branch/mode-N1-eigenvalue-resolved", {"N": 1, "mode": 2},
                                 abs(evN1 - kernels.principal_eigenvalue(prof, 2, n=256)),
                                 1e-3, "derived"))
-    bessel = kernels.principal_eigenvalue(radial.zero_potential_profile(), 0, n=1024)
+    bessel = kernels.principal_eigenvalue(radial.closed_form_profile(0, 0.0), 0, n=1024)
     entries.append(_entry("branch/bessel-eigenvalue", {"N": 0, "lambda": 0.0},
                           bessel, 5.783185962946785, 1e-3, "derived"))
     # per-mode solves of the linearized operator: log growth for mode 0, linear
@@ -565,7 +563,7 @@ def scenario_conjecture_disk(N: int, mu: float) -> list:
     center = (rho_c - 1.0 / delta) * np.exp(0.3j)
     vals = sample_circle(angular_tail, center, rho_c, 4096)
     coeffs = circle_fourier(vals, 64)
-    coeffs.a[0] = 0.0
+    coeffs[0] = 0.0
     data = FourierBoundaryData(radius=rho_c, coefficients=coeffs)
 
     def phi0(y):
@@ -577,17 +575,16 @@ def scenario_conjecture_disk(N: int, mu: float) -> list:
     trace1 = sample_circle(phi0, 0j, 1.0, 512)
     c1 = circle_fourier(trace1, 16)
     entries.append(_entry("conjecture/zero-mean", inputs,
-                          abs(c1.a[0]), 0.0, 1e-10, "trivial"))
-    c1.a[0] = 0.0   # provably zero (mean value property); drop the Fourier noise
-    delta_star = float(np.sum(np.abs(c1.a[1:N + 2]) + np.abs(c1.b[1:N + 2])))
+                          abs(c1[0].real), 0.0, 1e-10, "trivial"))
+    c1[0] = 0.0   # provably zero (mean value property); drop the Fourier noise
+    delta_star = float(np.sum(np.abs(c1.real[1:N + 2]) + np.abs(c1.imag[1:N + 2])))
     entries.append(_bound_entry("conjecture/delta-star-lower", inputs,
                                 delta_star / delta ** (2 * N + 2), 0.1, "paper",
                                 direction=">="))
     entries.append(_bound_entry("conjecture/delta-star-upper", inputs,
                                 delta_star / delta ** (N + 2), 100.0, "paper"))
 
-    layer = layer_from_coefficients(N=N, delta=delta, L=N + 1,
-                                    A=c1.a[:2 * N + 4], B=c1.b[:2 * N + 4],
+    layer = layer_from_coefficients(N=N, delta=delta, L=N + 1, c=c1[:2 * N + 4],
                                     delta_star=delta_star)
     dich = harmonic.grad_h_at_roots(layer)
     entries.append(_bound_entry("conjecture/dichotomy", inputs,

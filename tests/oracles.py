@@ -1,8 +1,8 @@
 """Test oracles independent of the package's quadrature and report code.
 
-A brute-force polar Riemann sum, finite-difference gradient and Laplacian
-checks, and parsers that read a rendered report back into ``ReportEntry``
-records.
+A brute-force polar Riemann sum, a term-by-term trigonometric sum,
+finite-difference gradient and Laplacian checks, and parsers that read a
+rendered report back into ``ReportEntry`` records.
 """
 
 from __future__ import annotations
@@ -60,6 +60,19 @@ def riemann_sum(f, grid: PolarGrid) -> float:
     dth = math.tau / grid.angles.size
     vals = f(grid.points())
     return float(np.sum(vals * r[:, None] * dr[:, None] * dth))
+
+
+# ----------------------------------------------------------------------------
+# trigonometric sums
+
+def trig_sum(c, r, theta):
+    """sum_n r^n (a_n cos n theta + b_n sin n theta) for c_n = a_n - i b_n,
+    summed term by term (the polar form of Re sum c_n (r e^(i theta))^n)."""
+    total = 0.0
+    for n, cn in enumerate(c):
+        a, b = cn.real, -cn.imag
+        total = total + np.asarray(r) ** n * (a * np.cos(n * theta) + b * np.sin(n * theta))
+    return total
 
 
 # ----------------------------------------------------------------------------

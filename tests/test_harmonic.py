@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liouville_lab.bubbles import BubbleParams
 from liouville_lab.errors import DegenerateLayerError, DichotomyError
@@ -13,14 +15,30 @@ from liouville_lab.harmonic import (
     harmonic_extend,
     layer_from_coefficients,
 )
-from liouville_lab.numerics import FourierCoefficients, polar_sum
-from oracles import fd_laplacian
+from oracles import fd_laplacian, trig_sum
 
 
 def _data(radius, a, b):
+    """Boundary data with trace sum a_n cos n theta + b_n sin n theta."""
     return FourierBoundaryData(radius=radius,
-                               coefficients=FourierCoefficients(a=np.asarray(a, dtype=float),
-                                                                b=np.asarray(b, dtype=float)))
+                               coefficients=np.asarray(a, dtype=float) - 1j * np.asarray(b))
+
+
+def _coefficients(zero_mean=False):
+    """Random c[0..n], 1 <= n <= 8, with |Re c_n|, |Im c_n| <= 1 and c[0] real.
+
+    Parts below 1e-12 are 0: a finite difference of one would underflow.
+    """
+    part = st.floats(min_value=-1.0, max_value=1.0).map(lambda x: x if abs(x) > 1e-12 else 0.0)
+    return st.tuples(st.just(0.0) if zero_mean else part,
+                     st.lists(st.tuples(part, part), min_size=1, max_size=8)).map(
+        lambda t: np.array([t[0]] + [complex(x, y) for x, y in t[1]]))
+
+
+# a point t of the disk |t| <= 0.9
+UNIT_POINTS = st.tuples(st.floats(min_value=0.0, max_value=0.9),
+                        st.floats(min_value=-math.pi, max_value=math.pi)).map(
+    lambda t: t[0] * complex(math.cos(t[1]), math.sin(t[1])))
 
 
 class TestHarmonicExtend:
@@ -41,23 +59,33 @@ class TestHarmonicExtend:
         with pytest.raises(ValueError):
             harmonic_extend(data, 1.5 + 0j)
 
-    def test_harmonicity_and_mean_value(self):
-        rng = np.random.default_rng(5)
-        a = np.concatenate([[0.0], rng.standard_normal(6) * 0.5])
-        b = np.concatenate([[0.0], rng.standard_normal(6) * 0.5])
-        data = _data(2.0, a, b)
-        for z0 in (0.3 + 0.4j, -0.8 + 0.1j):
-            assert abs(fd_laplacian(lambda z: harmonic_extend(data, z), z0)) <= 1e-6
-        theta = 2 * np.pi * np.arange(256) / 256
-        ring = harmonic_extend(data, 0.5 * np.exp(1j * theta))
-        assert np.mean(ring) == pytest.approx(harmonic_extend(data, 0j), abs=1e-10)
+    @settings(max_examples=50, deadline=None)
+    @given(c=_coefficients(), radius=st.floats(min_value=0.5, max_value=4.0),
+           t=UNIT_POINTS, s=st.floats(min_value=0.01, max_value=1.0))
+    def test_harmonicity_and_mean_value(self, c, radius, t, s):
+        data = FourierBoundaryData(radius=radius, coefficients=c)
+        z0 = t * radius
+        # the five-point stencil errs by (h^2/6) |F''''| plus 8 eps |F| / h^2,
+        # with the derivatives of F(y / radius) at most n^k |c_n| / radius^k
+        n = np.arange(c.size)
+        h = 1e-3 * radius
+        lap = fd_laplacian(lambda z: harmonic_extend(data, z), z0, h=h)
+        assert abs(lap) <= (1e-6 * np.sum(n ** 4 * np.abs(c))
+                            + 1e-8 * np.sum(np.abs(c))) / radius ** 2
+        # the mean over a circle inside the disk is the value at its centre;
+        # the trapezoid rule is exact for more points than the degree
+        rr = s * (0.95 * radius - abs(z0))
+        m = 4 * c.size
+        ring = harmonic_extend(data, z0 + rr * np.exp(1j * math.tau * np.arange(m) / m))
+        assert abs(np.mean(ring) - harmonic_extend(data, z0)) <= 1e-13 * np.sum(np.abs(c))
 
-    def test_matches_boundary_trace(self):
-        data = _data(1.5, [0, 0.2, 0.5], [0, -0.3, 0.1])
-        theta = 2 * np.pi * np.arange(32) / 32
-        vals = harmonic_extend(data, 1.5 * np.exp(1j * theta))
-        expected = polar_sum(data.coefficients.a, data.coefficients.b, 1.0, theta)
-        assert np.max(np.abs(vals - expected)) <= 1e-12
+    @settings(max_examples=50, deadline=None)
+    @given(c=_coefficients(), radius=st.floats(min_value=0.5, max_value=4.0))
+    def test_matches_boundary_trace(self, c, radius):
+        data = FourierBoundaryData(radius=radius, coefficients=c)
+        theta = math.tau * np.arange(32) / 32
+        vals = harmonic_extend(data, radius * np.exp(1j * theta))
+        assert np.max(np.abs(vals - trig_sum(c, 1.0, theta))) <= 1e-13 * np.sum(np.abs(c))
 
 
 class TestOscillationKiller:
@@ -66,7 +94,7 @@ class TestOscillationKiller:
         delta = 0.05
         params = BubbleParams(N=N, mu=12.0, p=0j, h=1.0)
         killer = bubble_oscillation_killer(params, delta)
-        A, _ = killer.monomial_coefficients()
+        A = killer.monomial_coefficients().real
         assert 0.9 <= A[N + 1] / (4 * delta ** (2 * N + 2)) <= 1.1
         # the second displayed coefficient is 2 delta^(4N+4) (half the printed 4)
         assert 0.9 <= A[2 * N + 2] / (2 * delta ** (4 * N + 4)) <= 1.1
@@ -75,12 +103,11 @@ class TestOscillationKiller:
     def test_odd_modes_vanish(self):
         killer = bubble_oscillation_killer(BubbleParams(N=1, mu=12.0, p=0j, h=1.0), 0.05)
         c = killer.coefficients
-        odd = np.concatenate([c.a[1::2], c.b[1::2]])
-        assert np.max(np.abs(odd)) <= 1e-12
+        assert np.max(np.abs(c[1::2])) <= 1e-12
 
     def test_mean_removed(self):
         killer = bubble_oscillation_killer(BubbleParams(N=2, mu=10.0, p=0j, h=1.0), 0.04)
-        assert killer.coefficients.a[0] == 0.0
+        assert killer.coefficients[0] == 0.0
 
 
 class TestBuildLayer:
@@ -129,10 +156,25 @@ class TestBuildLayer:
         assert np.all(layer.h0(zs) > 0)
 
 
+class TestLayerGradient:
+    @settings(max_examples=50, deadline=None)
+    @given(c=_coefficients(zero_mean=True), y=UNIT_POINTS.map(lambda t: 2.0 * t))
+    @example(c=np.array([0.0, 0.3 - 0.7j, 0.2 + 0.1j, -0.4j]), y=0j)
+    def test_gradient_is_central_differences_of_phi0(self, c, y):
+        layer = layer_from_coefficients(N=1, delta=0.1, L=1, c=c, delta_star=1.0)
+        h = 1e-5
+        fd = ((layer.phi0(y + h) - layer.phi0(y - h)) / (2 * h),
+              (layer.phi0(y + 1j * h) - layer.phi0(y - 1j * h)) / (2 * h))
+        # central differences err by (h^2/6) |F'''| plus eps |F| / h
+        n = np.arange(c.size)
+        size = np.sum(np.abs(c) * n ** 3 * (1.0 + abs(y) + h) ** n)
+        assert np.hypot(*np.subtract(layer.phi0_gradient(y), fd)) <= 1e-8 * size
+
+
 class TestGradHAtRoots:
     def test_single_mode_uniform_gradient(self):
         ds = 0.37
-        layer = layer_from_coefficients(N=3, delta=0.1, L=1, A=[0.0, ds], B=[0.0, 0.0])
+        layer = layer_from_coefficients(N=3, delta=0.1, L=1, c=[0.0, ds])
         res = grad_h_at_roots(layer)
         assert res.index == 0
         assert res.ratio == pytest.approx(1.0, rel=1e-12)
@@ -140,8 +182,7 @@ class TestGradHAtRoots:
 
     def test_constructed_counterexample(self):
         ds = 0.2
-        layer = layer_from_coefficients(
-            N=1, delta=0.1, L=2, A=[0.0, 2 * ds / 3.0, -ds / 3.0], B=[0.0, 0.0, 0.0])
+        layer = layer_from_coefficients(N=1, delta=0.1, L=2, c=[0.0, 2 * ds / 3.0, -ds / 3.0])
         assert layer.delta_star == pytest.approx(ds, abs=1e-15)
         res = grad_h_at_roots(layer)
         px, py = layer.phi0_gradient(1.0 + 0j)
@@ -151,11 +192,10 @@ class TestGradHAtRoots:
 
     def test_scale_equivariance(self):
         base = layer_from_coefficients(N=2, delta=0.1, L=3,
-                                       A=[0.0, 0.4, -0.1, 0.05], B=[0.0, 0.2, 0.3, 0.0])
+                                       c=[0.0, 0.4 - 0.2j, -0.1 - 0.3j, 0.05])
         res = grad_h_at_roots(base)
         for alpha in (0.5, 3.0):
-            scaled = layer_from_coefficients(N=2, delta=0.1, L=3,
-                                             A=alpha * base.A, B=alpha * base.B)
+            scaled = layer_from_coefficients(N=2, delta=0.1, L=3, c=alpha * base.c)
             res2 = grad_h_at_roots(scaled)
             assert res2.index == res.index
             assert res2.ratio == pytest.approx(res.ratio, rel=1e-12)
@@ -173,7 +213,7 @@ class TestGradHAtRoots:
             forced = int(rng.integers(1, 7))
             A[forced] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)
             dn = 0.1 ** np.arange(7, dtype=float)
-            layer = layer_from_coefficients(N=N, delta=0.1, L=6, A=A * dn, B=B * dn)
+            layer = layer_from_coefficients(N=N, delta=0.1, L=6, c=(A - 1j * B) * dn)
             res = grad_h_at_roots(layer, threshold=0.0)
             worst = min(worst, res.ratio)
         assert worst >= 0.05
@@ -181,6 +221,6 @@ class TestGradHAtRoots:
     def test_dichotomy_violation_raises(self):
         # gradient identically zero cannot happen with nonzero data; force the
         # threshold up instead
-        layer = layer_from_coefficients(N=1, delta=0.1, L=1, A=[0.0, 1.0], B=[0.0, 0.0])
+        layer = layer_from_coefficients(N=1, delta=0.1, L=1, c=[0.0, 1.0])
         with pytest.raises(DichotomyError):
             grad_h_at_roots(layer, threshold=10.0)

@@ -14,7 +14,7 @@ from liouville_lab.kernels import (
     potential,
     principal_eigenvalue,
 )
-from liouville_lab.radial import closed_form_profile, zero_potential_profile
+from liouville_lab.radial import closed_form_profile
 
 
 class TestKernelFunctions:
@@ -177,7 +177,7 @@ class TestPrincipalEigenvalue:
         from scipy.special import jn_zeros
         expected = jn_zeros(0, 1)[0] ** 2
         assert expected == pytest.approx(5.7832, abs=1e-4)
-        ev = principal_eigenvalue(zero_potential_profile(), 0, n=1024)
+        ev = principal_eigenvalue(closed_form_profile(0, 0.0), 0, n=1024)
         assert ev == pytest.approx(expected, abs=1e-3)
 
     @pytest.mark.parametrize("N", [0, 1])
@@ -201,7 +201,6 @@ class TestPrincipalEigenvalue:
 
     def test_requires_solution(self):
         prof = closed_form_profile(0, 1.0)
-        prof.u = prof.u + 0.1  # break it
-        prof.b = 0.0           # force sampled-data path
+        prof.lam = prof.lam + 0.1   # lambda off the branch: no longer a solution
         with pytest.raises(ValueError):
             principal_eigenvalue(prof, 0)
