@@ -167,13 +167,11 @@ def build_layer(Phi: FourierBoundaryData, params: BubbleParams, delta: float,
     return LayerField(N=params.N, delta=delta, L=L, c=c * dn, delta_star=delta_star, tail=tail)
 
 
-def layer_from_coefficients(N: int, delta: float, L: int, c,
-                            delta_star: float | None = None) -> LayerField:
-    """Layer field from explicit monomial coefficients c (c[0] = 0)."""
+def layer_from_coefficients(N: int, delta: float, L: int, c) -> LayerField:
+    """Layer field from explicit monomial coefficients c (c[0] = 0), with
+    delta* = sum_{n=1..L} |a_n| + |b_n|."""
     c = np.asarray(c, dtype=complex)
-    if delta_star is None:
-        delta_star = float(np.sum(_l1(c[1:L + 1])))
-    return LayerField(N=N, delta=delta, L=L, c=c, delta_star=delta_star)
+    return LayerField(N=N, delta=delta, L=L, c=c, delta_star=float(np.sum(_l1(c[1:L + 1]))))
 
 
 # the least max-root gradient ratio |grad phi0| / delta* that certifies the dichotomy

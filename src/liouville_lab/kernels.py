@@ -21,9 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicHermiteSpline
-from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import GrowthBoundError, UnresolvedSpectrumError
 from .numerics import QuadratureSpec, ode_integrate
@@ -145,6 +142,8 @@ def _mode_ode(c: float, l: int):
 
 def _pair_mode_l(l: int) -> FundamentalPair:
     """Series-launched g1 ~ r^l and reduction-of-order g2 ~ r^-l for l >= 2."""
+    from scipy.interpolate import CubicHermiteSpline
+
     c, r_max = MODE_C, MODE_R_MAX
     # keep r0^l representable: the pair spans ~10^(2 l log10(rmax/r0)) overall
     r0 = max(1e-3, 10.0 ** (-150.0 / l))
@@ -242,6 +241,9 @@ def mode_solve(mode: int, rhs: Callable) -> ModeSolution:
     A = max |rhs| (1+r)^3; a ratio above CERTIFICATE_THRESHOLD raises
     GrowthBoundError.
     """
+    from scipy.integrate import cumulative_trapezoid
+    from scipy.interpolate import CubicHermiteSpline
+
     pair = fundamental_pair(mode)
     r = np.geomspace(1e-4, MODE_R_MAX, 4000)
     f = np.asarray(rhs(r), dtype=float)
@@ -303,6 +305,8 @@ def _assemble_tridiagonal(profile: RadialProfile, mode: int, n: int):
 
 
 def _smallest_eig(profile: RadialProfile, mode: int, n: int) -> float:
+    from scipy.linalg import eigh_tridiagonal, solve_banded
+
     d, e_off, lump, diag, off = _assemble_tridiagonal(profile, mode, n)
     lam0 = eigh_tridiagonal(d, e_off, select="i", select_range=(0, 0))[0][0]
     # shifted-inverse polish on the unscaled lumped-mass pencil

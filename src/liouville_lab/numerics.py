@@ -22,6 +22,9 @@ compactification scale, the ring tolerance fraction, the ODE method and the
 Newton tolerances) are constants written beside their use, like the scenario
 constants.
 
+The module imports only numpy; the ODE integrator imports scipy's
+``solve_ivp`` on first use, so a run that integrates no ODE never loads scipy.
+
 Scalar fields are callables ``f(z)`` taking a complex number or a complex
 ndarray and returning real values of the same shape.
 """
@@ -33,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import NyquistError, QuadratureBudgetError, StiffODEError
 
@@ -417,7 +419,7 @@ class ODETrajectory:
 
     r: np.ndarray
     y: np.ndarray  # shape (dim, len(r))
-    sol: object = field(repr=False, default=None)
+    sol: object = field(repr=False)
 
     def __call__(self, r):
         return self.sol(r)
@@ -430,6 +432,8 @@ class ODETrajectory:
 def ode_integrate(rhs, initial, r0: float, r_end: float,
                   spec: QuadratureSpec) -> ODETrajectory:
     """Integrate y' = rhs(r, y) from r0 to r_end with dense output (DOP853)."""
+    from scipy.integrate import solve_ivp
+
     y0 = np.atleast_1d(np.asarray(initial, dtype=float))
     try:
         sol = solve_ivp(rhs, (r0, r_end), y0, method="DOP853", rtol=spec.rel_tol,

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ShootingError
 from .numerics import QuadratureSpec, integrate_interval, newton_scalar, ode_integrate
@@ -213,6 +212,8 @@ class BranchTrace:
 
 def trace_branch(N: int, b_values, spec: QuadratureSpec) -> BranchTrace:
     """(lambda(b), u(0;b)) diagram with fold location and masses."""
+    from scipy.optimize import minimize_scalar
+
     b_values = np.asarray(sorted(b_values), dtype=float)
     if not (b_values[0] < 1.0 < b_values[-1] or np.any(b_values == 1.0)):
         raise ValueError("b values must span the fold at b = 1")

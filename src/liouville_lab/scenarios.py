@@ -577,15 +577,13 @@ def scenario_conjecture_disk(N: int, mu: float) -> list:
     entries.append(_entry("conjecture/zero-mean", inputs,
                           abs(c1[0].real), 0.0, 1e-10, "trivial"))
     c1[0] = 0.0   # provably zero (mean value property); drop the Fourier noise
-    delta_star = float(np.sum(np.abs(c1.real[1:N + 2]) + np.abs(c1.imag[1:N + 2])))
+    layer = layer_from_coefficients(N=N, delta=delta, L=N + 1, c=c1[:2 * N + 4])
     entries.append(_bound_entry("conjecture/delta-star-lower", inputs,
-                                delta_star / delta ** (2 * N + 2), 0.1, "paper",
+                                layer.delta_star / delta ** (2 * N + 2), 0.1, "paper",
                                 direction=">="))
     entries.append(_bound_entry("conjecture/delta-star-upper", inputs,
-                                delta_star / delta ** (N + 2), 100.0, "paper"))
+                                layer.delta_star / delta ** (N + 2), 100.0, "paper"))
 
-    layer = layer_from_coefficients(N=N, delta=delta, L=N + 1, c=c1[:2 * N + 4],
-                                    delta_star=delta_star)
     dich = harmonic.grad_h_at_roots(layer)
     entries.append(_bound_entry("conjecture/dichotomy", inputs,
                                 dich.ratio, harmonic.DICHOTOMY_THRESHOLD, "paper",

@@ -9,6 +9,7 @@ from liouville_lab.bubbles import BubbleParams
 from liouville_lab.errors import DegenerateLayerError, DichotomyError
 from liouville_lab.harmonic import (
     FourierBoundaryData,
+    LayerField,
     bubble_oscillation_killer,
     build_layer,
     grad_h_at_roots,
@@ -161,7 +162,7 @@ class TestLayerGradient:
     @given(c=_coefficients(zero_mean=True), y=UNIT_POINTS.map(lambda t: 2.0 * t))
     @example(c=np.array([0.0, 0.3 - 0.7j, 0.2 + 0.1j, -0.4j]), y=0j)
     def test_gradient_is_central_differences_of_phi0(self, c, y):
-        layer = layer_from_coefficients(N=1, delta=0.1, L=1, c=c, delta_star=1.0)
+        layer = LayerField(N=1, delta=0.1, L=1, c=c, delta_star=1.0)
         h = 1e-5
         fd = ((layer.phi0(y + h) - layer.phi0(y - h)) / (2 * h),
               (layer.phi0(y + 1j * h) - layer.phi0(y - 1j * h)) / (2 * h))

@@ -273,11 +273,17 @@ class TestCli:
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "id.json"
         proc = subprocess.run(
-            [sys.executable, "-m", "liouville_lab.cli", "verify", "--scenario",
-             "identities", "--out", str(out), "--format", "json"],
+            [sys.executable, "-X", "importtime", "-m", "liouville_lab.cli", "verify",
+             "--scenario", "identities", "--out", str(out), "--format", "json"],
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert out.exists()
+        # only the branch scenario's layers need scipy; -X importtime names
+        # every module the run loaded, one per stderr line
+        scipy_lines = [line for line in proc.stderr.splitlines()
+                       if line.startswith("import time:")
+                       and line.rsplit("|", 1)[-1].strip().split(".")[0] == "scipy"]
+        assert scipy_lines == [], "\n".join(scipy_lines)
 
 
 # a value inside each input's range that differs from its default

@@ -25,12 +25,10 @@ SURFACE = {
     "harmonic.FourierBoundaryData.is_zero(tol)",
     "harmonic.LayerField.tail",
     "harmonic.grad_h_at_roots(threshold)",
-    "harmonic.layer_from_coefficients(delta_star)",
     "interaction.InteractionParams.beta_s",
     "kernels.principal_eigenvalue(n)",
     "maxima.MaximaConfiguration.R",
     "maxima.MaximaConfiguration.from_roots(R)",
-    "numerics.ODETrajectory.sol",
     "numerics.QuadratureSpec.abs_tol",
     "numerics.QuadratureSpec.rel_tol",
     "numerics._circle_mean(grading)",
