@@ -116,7 +116,10 @@ def density_peak(params: BubbleParams):
     """``(1 + p, c^(-1/2), N + 1)``: the density peaks where y^(N+1) = 1 + p.
 
     In rho = r^(N+1) the N+1 maxima are one peak at 1 + p, of radial width
-    about c^(-1/2); this is the ``peak`` argument of ``integrate_plane``.
+    about c^(-1/2); this is the ``peak`` argument of ``integrate_plane``.  Its
+    K = N + 1 also declares (N+1)-fold symmetry, so each ring averages over
+    one sector of angle 2 pi/(N+1): pass it only with integrands that depend
+    on y through y^(N+1) and |y|, as the density and the moments do.
     """
     return 1.0 + params.p, params.coefficient ** -0.5, params.N + 1
 

@@ -9,13 +9,14 @@ diagnostics.
 One adaptive rule integrates intervals, disks and planes: a panel rule with
 QUADPACK's qk21 constants, the 10-point Gauss and 21-point Kronrod rules.  A
 panel is accepted when, for every component, QUADPACK's local error estimate
-is at most the panel's width's share of the tolerance; the others are
-bisected, up to 200 panels.  Disk and plane integrals are nested: the panel
-rule runs over the radius (or the compactified radius), and over each ring
-runs a nested adaptive trapezoid rule.  Each generation of panels gets all
-the ring means of its nodes from one ``_circle_mean`` call, which at each
-doubling evaluates the integrand on the rings not yet converged, in batches
-of at most ``RING_BATCH_POINTS`` points.
+is at most the panel's width's share of the tolerance, or is its own roundoff
+floor; the others are bisected, up to 200 panels.  Disk and plane integrals
+are nested: the panel rule runs over the radius (or the compactified radius),
+and over each ring runs a nested adaptive trapezoid rule, on one sector of
+angle 2 pi/K when a plane's peak hint declares K-fold symmetry.  Each
+generation of panels gets all the ring means of its nodes from one
+``_circle_mean`` call, which at each doubling evaluates the integrand on the
+rings not yet converged, in batches of at most ``RING_BATCH_POINTS`` points.
 
 Numbers that no caller varies (the panel budget, the plane
 compactification scale, the ring tolerance fraction, the ODE method and the
@@ -96,21 +97,25 @@ def peak_beta(w):
 
 @functools.lru_cache(maxsize=None)
 def _ring_nodes(m: int, odd: bool, K: int, beta: float):
-    """Nodes exp(i theta_k) and weights theta'(Phi_k) of the m-point ring rule.
+    """Nodes exp(i theta_k) and weights of the m-point rule on one 2 pi/K sector.
 
-    Phi_k = tau k / m for k = 0..m-1, or for the odd k only.  With beta < 1 the
-    angle theta = g(K Phi) / K follows the Moebius circle map
+    The integrand is taken to be K-fold symmetric about the ring's centre, so
+    the m-point trapezoid rule over the sector [0, tau/K) gives the same mean
+    as the Km-point rule over the whole circle.  x_k = tau k / m for
+    k = 0..m-1, or for the odd k only.  With beta < 1 the angle
+    theta = g(x) / K follows the Moebius circle map
     g(x) = 2 atan(beta tan(x/2)), continued so that g(x + tau) = g(x) + tau,
-    which crowds the nodes toward the K angles tau j / K with width about
-    beta; the weights are g'(K Phi).  beta = 1 gives the unit roots
-    exp(i tau k / m) and weights None (all ones).  The arrays are read-only and
-    cached: only powers of two and power-of-two betas reach the cache.
+    which crowds the nodes toward the sector's start with width about beta;
+    the weights are g'(x).  beta = 1 gives the nodes exp(i tau k / (K m)) and
+    weights None (all ones).  K = 1 is the whole circle.  The arrays are
+    read-only and cached: only powers of two and power-of-two betas reach the
+    cache.
     """
     k = np.arange(1, m, 2) if odd else np.arange(m)
     if beta == 1.0:
-        nodes, weights = np.exp(1j * math.tau * k / m), None
+        nodes, weights = np.exp(1j * math.tau * k / (K * m)), None
     else:
-        x = K * math.tau * k / m
+        x = math.tau * k / m
         s, c = np.sin(x), np.cos(x)
         theta = (x - 2.0 * np.arctan((1.0 - beta) * s / ((1.0 + beta) + (1.0 - beta) * c))) / K
         nodes = np.exp(1j * theta)
@@ -146,12 +151,15 @@ def _circle_mean(f, center: complex, r, rel_tol: float, abs_tol: float,
     evaluated again.  A vector integrand returning shape (k, n) for n points
     gives k means per ring, converged only when every component is.
 
-    ``grading = (K, psi0, beta)`` grades each ring toward K equally spaced
-    peaks at the angles (psi0 + tau j) / K: the trapezoid runs in Phi, with
-    theta = (psi0 + g(K Phi)) / K for the circle map g of ``_ring_nodes`` and
-    each value weighted by g'(K Phi).  K is shared; psi0 and beta may be one
-    value per row.  The rule stays nested and spectral.  No grading, or
-    beta = 1, is the uniform rule.
+    ``grading = (K, psi0, beta)`` declares that f is K-fold symmetric about
+    ``center``, f(center + e^(i tau/K) dz) = f(center + dz), with K equally
+    spaced peaks at the angles (psi0 + tau j) / K.  Each ring then runs over
+    the one sector of angle tau/K that starts at its peak: the trapezoid runs
+    in x, with theta = (psi0 + g(x)) / K for the circle map g of
+    ``_ring_nodes`` and each value weighted by g'(x).  K is shared; psi0 and
+    beta may be one value per row.  The rule stays nested and spectral.
+    beta = 1 is the uniform rule on the sector, and no grading the uniform
+    rule on the whole circle.  The symmetry is not checked here.
     """
     shape = np.shape(r)
     r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -252,7 +260,7 @@ def _gk21(values, half):
     of half-widths ``half``.  The estimate is QUADPACK's: |K - G| scaled by
     resasc, the mean deviation of the integrand from its mean, as
     resasc min(1, (200 |K - G| / resasc)^1.5), and at least 50 eps resabs,
-    the roundoff floor.
+    the roundoff floor, which comes back as the third array.
     """
     resk = values @ _GK_KRONROD
     resabs = np.abs(values) @ _GK_KRONROD * half
@@ -261,7 +269,8 @@ def _gk21(values, half):
     spread = resasc > 0
     scaled = resasc * np.minimum(1.0, (200.0 * err / np.where(spread, resasc, 1.0)) ** 1.5)
     err = np.where(spread, scaled, err)
-    return resk * half, np.maximum(err, ROUNDOFF * resabs)
+    floor = ROUNDOFF * resabs
+    return resk * half, np.maximum(err, floor), floor
 
 
 def integrate_interval(f, edges, spec: QuadratureSpec):
@@ -272,9 +281,10 @@ def integrate_interval(f, edges, spec: QuadratureSpec):
     the interval into the first panels.  Each generation calls f once, on the
     21 qk21 nodes of every open panel.  A panel is accepted when, for every
     component k, its ``_gk21`` estimate is at most its width's share of
-    max(abs_tol, rel_tol |I_k|), with I_k the current integral; the others are
-    bisected.  More than ``PANEL_BUDGET`` panels raises QuadratureBudgetError.
-    A scalar f gives a float, a vector f an array of its k integrals.
+    max(abs_tol, rel_tol |I_k|), with I_k the current integral, or is its own
+    roundoff floor, which no bisection can lower; the others are bisected.
+    More than ``PANEL_BUDGET`` panels raises QuadratureBudgetError.  A scalar
+    f gives a float, a vector f an array of its k integrals.
     """
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1], edges[1:]
@@ -286,10 +296,10 @@ def integrate_interval(f, edges, spec: QuadratureSpec):
         x = (0.5 * (a + b))[:, None] + half[:, None] * _GK_NODES
         values = np.asarray(f(x.ravel()))
         scalar = values.ndim == 1
-        value, err = _gk21(values.reshape(-1, *x.shape), half)
+        value, err, floor = _gk21(values.reshape(-1, *x.shape), half)
         total = done_value + value.sum(axis=-1)
         tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
-        ok = np.all(err <= tol[:, None] * ((b - a) / length), axis=0)
+        ok = np.all((err <= tol[:, None] * ((b - a) / length)) | (err <= floor), axis=0)
         done_value = done_value + value[:, ok].sum(axis=-1)
         done_err = done_err + err[:, ok].sum(axis=-1)
         done += int(ok.sum())
@@ -392,6 +402,32 @@ def _plane_substitution(t):
     return np.sqrt(PLANE_SCALE * t / (1.0 - t)), np.pi * PLANE_SCALE / (1.0 - t) ** 2
 
 
+# the relative asymmetry a K-peak hint tolerates: the plane callers' K-fold
+# symmetric integrands measure at most 1e-13 on the probe ring (rounding in
+# z^K, N = 1..3 and mu up to 60), while a 1e-3 asymmetry,
+# bubble_density * (1 + 1e-3 x), measures 1.5e-3
+SYMMETRY_TOL = 1e-8
+
+
+def _check_symmetry(f, q, K):
+    """Raise ValueError unless f(e^(i tau/K) z) = f(z) on the ring |z| = |q|^(1/K).
+
+    The 64 probe points start half a step past the peak angle arg(q) / K, so
+    that none lands on a peak (K < 128): there a steep f can be pure rounding
+    of z^K - q, as the moments' I1 part is, 3e-7 of max|f| at mu = 20.
+    """
+    theta = math.atan2(q.imag, q.real) / K + math.tau * (np.arange(64) + 0.5) / 64
+    z = abs(q) ** (1.0 / K) * np.exp(1j * theta)
+    values = np.asarray(f(np.concatenate([z, z * np.exp(1j * math.tau / K)])))
+    values = values.reshape(values.shape[:-1] + (2, 64))
+    asymmetry = np.max(np.abs(values[..., 0, :] - values[..., 1, :]))
+    if asymmetry > SYMMETRY_TOL * np.max(np.abs(values[..., 0, :])):
+        raise ValueError(
+            f"peak hint with K = {K} requires f to be {K}-fold symmetric about 0, "
+            f"f(e^(i tau/{K}) z) = f(z); measured max|f(z) - f(e^(i tau/{K}) z)| = "
+            f"{asymmetry:.3e}")
+
+
 def integrate_plane(f, spec: QuadratureSpec, peak=None):
     """Improper integral of f over the plane.
 
@@ -402,9 +438,16 @@ def integrate_plane(f, spec: QuadratureSpec, peak=None):
     The integrand must decay at least like |z|^-4, so that the transformed
     integrand stays bounded.  Like ``integrate_disk``,
     a vector-valued ``f`` gives an array of integrals.  ``peak = (q, width, K)``,
-    when given, says that f peaks at the K points where y^K = q, and grades
-    the rings toward them (see ``_peak_grading``).
+    when given, says that f peaks at the K points where y^K = q and that f is
+    K-fold symmetric, f(e^(i tau/K) z) = f(z).  It grades the rings toward the
+    peaks (see ``_peak_grading``), and each graded ring averages over one
+    sector of angle tau/K (see ``_circle_mean``).  For K > 1 the symmetry is
+    checked first on the 64 points of a ring through the peaks: if
+    max|f(z) - f(e^(i tau/K) z)| exceeds ``SYMMETRY_TOL`` max|f(z)| this
+    raises ValueError.
     """
+    if peak is not None and peak[2] > 1:
+        _check_symmetry(f, peak[0], peak[2])
     grading = None if peak is None else functools.partial(_peak_grading, *peak)
     return integrate_interval(_rings(f, 0j, spec, _plane_substitution, grading), [0.0, 1.0],
                               spec)

@@ -105,6 +105,14 @@ class TestMomentIntegrals:
         assert abs(i0) <= 1e-6 * mass
         assert abs(i1) <= 1e-6 * mass
 
+    def test_steep_bubble(self):
+        # at mu = 20 and p = 0 the I1 part is pure rounding of z^3 - 1 at the
+        # maxima, 3e-7 of the peak value: the symmetry probe must pass between them
+        i0, i1 = moment_integrals(BubbleParams(N=2, mu=20.0, p=0j, h=72.0), SPEC)
+        mass = 24 * math.pi
+        assert abs(i0) <= 1e-6 * mass
+        assert abs(i1) <= 1e-6 * mass
+
     def test_sixteen_pi(self):
         assert second_moment(SPEC) == pytest.approx(16 * math.pi, rel=1e-6)
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liouville_lab import numerics
-from liouville_lab.bubbles import BubbleParams, bubble_density, density_peak
+from liouville_lab.bubbles import BubbleParams, bubble_density, bubble_gradient, density_peak
 from liouville_lab.errors import NyquistError, QuadratureBudgetError, StiffODEError
 from liouville_lab.numerics import (
     QuadratureSpec,
@@ -54,6 +54,13 @@ class TestIntegratePlane:
         base = integrate_plane(f, SPEC)
         rotated = integrate_plane(lambda z: f(z * rot), SPEC)
         assert abs(rotated - base) <= 10 * SPEC.rel_tol * abs(base)
+
+    def test_peak_hint_requires_the_symmetry(self):
+        # the hint's K = 3 sector would average one third of an asymmetric f
+        params = BubbleParams(N=2, mu=6.0, p=0.02, h=72.0)
+        with pytest.raises(ValueError, match="3-fold symmetric"):
+            integrate_plane(lambda z: bubble_density(params, z) * (1.0 + 0.1 * z.real), SPEC,
+                            peak=density_peak(params))
 
     def test_budget_exceeded(self):
         # 1/(1+|z|^2) is not integrable over the plane: no budget suffices
@@ -206,9 +213,10 @@ class TestGradedRing:
 
     @pytest.mark.parametrize("params", CASES, ids=lambda p: f"N{p.N}")
     def test_graded_matches_uniform(self, params):
+        # every component (N+1)-fold symmetric, as the grading's sector requires
         def f(z):
             d = bubble_density(params, z)
-            return np.stack([d, d * z.real, d * (1.0 - np.abs(z) ** 2)])
+            return np.stack([d, d * (z ** (params.N + 1)).real, d * (1.0 - np.abs(z) ** 2)])
 
         peak = density_peak(params)
         r0 = _peak_radius(params)
@@ -238,7 +246,8 @@ class TestGradedRing:
         assert graded == pytest.approx(_mpmath_peak_mean(params), rel=1e-13)
 
     def test_peak_ring_point_count(self):
-        # N = 3, mu = 8: the uniform rule needs 16384 points on this ring
+        # N = 3, mu = 8: the uniform rule needs 16384 points on this ring; the
+        # graded rule 128 on its quarter-circle sector (512 on the whole circle)
         params = BubbleParams(N=3, mu=8.0, p=0j, h=128.0)
         counts = []
         for grading in (None, _peak_grading(*density_peak(params), 1.0)):
@@ -246,17 +255,41 @@ class TestGradedRing:
             _circle_mean(f, 0j, 1.0, self.REL, self.ABS, grading=grading)
             counts.append(sum(z.size for z in calls))
         uniform, graded = counts
-        assert graded <= 1024 < uniform
+        assert graded <= 256 < uniform
 
     def test_unit_beta_is_the_uniform_rule(self):
+        # the uniform rule on the sector [0, tau/3)
         nodes, weights = _ring_nodes(256, True, 3, 1.0)
         assert weights is None
-        assert np.array_equal(nodes, np.exp(1j * math.tau * np.arange(1, 256, 2) / 256))
+        assert np.array_equal(nodes, np.exp(1j * math.tau * np.arange(1, 256, 2) / (3 * 256)))
         def f(z):
             return bubble_density(self.CASES[1], z)
 
         assert _circle_mean(f, 0j, 1.02, self.REL, self.ABS, grading=(2, 0.3, 1.0)) \
-            == _circle_mean(f, 0j, 1.02, self.REL, self.ABS)
+            == pytest.approx(_circle_mean(f, 0j, 1.02, self.REL, self.ABS), rel=1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(K=st.integers(min_value=2, max_value=4),
+       scale=st.floats(min_value=0.6, max_value=1.4),
+       psi0=st.floats(min_value=-math.pi, max_value=math.pi),
+       exponent=st.integers(min_value=0, max_value=6))
+def test_sector_rule_matches_the_whole_circle(K, scale, psi0, exponent):
+    # the N = K - 1 bubble density is K-fold symmetric, so one graded sector
+    # of tau/K gives the mean of the whole circle
+    params = BubbleParams(N=K - 1, mu=8.0, p=0.1 * np.exp(0.9j), h=8.0 * K ** 2)
+    r = scale * _peak_radius(params)
+    beta = 0.5 ** exponent
+    f, calls = _recording(lambda z: bubble_density(params, z))
+    sector = _circle_mean(f, 0j, r, TestGradedRing.REL, TestGradedRing.ABS,
+                          grading=(K, psi0, beta))
+    whole = _circle_mean(lambda z: bubble_density(params, z), 0j, r, TestGradedRing.REL,
+                         TestGradedRing.ABS)
+    assert sector == pytest.approx(whole, rel=1e-13)
+    # a graded sector starts at its peak psi0 / K, a uniform one (beta = 1) at 0
+    start = psi0 / K if beta < 1.0 else 0.0
+    offset = np.mod(np.angle(np.concatenate(calls)) - start + 1e-12, math.tau)
+    assert np.all(offset < math.tau / K + 1e-12)
 
 
 def _mpmath_ring_mean(params, center, r, psi):
@@ -417,8 +450,8 @@ class TestGaussKronrod:
     def test_local_error_estimate(self):
         # two components on the one panel [-1, 1]: 1 + x^2, and |x| with its kink
         x = numerics._GK_NODES
-        value, err = numerics._gk21(np.stack([1.0 + x ** 2, np.abs(x)])[:, None, :],
-                                    np.array([1.0]))
+        value, err, _ = numerics._gk21(np.stack([1.0 + x ** 2, np.abs(x)])[:, None, :],
+                                       np.array([1.0]))
         assert value.shape == err.shape == (2, 1)
         # a polynomial of degree <= 19 leaves only the roundoff floor 50 eps resabs
         assert value[0, 0] == pytest.approx(8.0 / 3.0, rel=1e-15)
@@ -433,22 +466,25 @@ class TestBatchedRings:
     REL, ABS = 1e-10, 1e-13
 
     def _f(self, z):
+        # three 2-fold symmetric components, as K = 2 grading requires; the
+        # third is d dV/dtheta = dd/dtheta, whose mean is 0 on every ring
         d = bubble_density(self.PEAK, z)
-        return np.stack([d, d * z.real])
+        vx, vy = bubble_gradient(self.PEAK, z)
+        return np.stack([d, d * (z * z).real, d * (z.real * vy - z.imag * vx)])
 
     @settings(max_examples=20, deadline=None)
     @given(rows=st.lists(st.tuples(st.floats(min_value=0.6, max_value=1.4),
                                    st.integers(min_value=0, max_value=6),
                                    st.floats(min_value=-math.pi, max_value=math.pi)),
                          min_size=1, max_size=6))
-    # the d x component's mean, about -5e-13, keeps moving by its roundoff
-    # of about 2e-13 > abs_tol: only the roundoff floor lets this ring converge
+    # the d dV/dtheta component's mean, 0 up to roundoff, keeps moving by
+    # about 2e-11 > abs_tol: only the roundoff floor lets this ring converge
     @example(rows=[(1.015625, 5, 1.0)])
     def test_batch_equals_one_row_calls(self, rows):
         r, exponent, psi0 = (np.array(v) for v in zip(*rows))
         beta = 0.5 ** exponent
         batch = _circle_mean(self._f, 0j, r, self.REL, self.ABS, grading=(2, psi0, beta))
-        assert batch.shape == (2, len(rows))
+        assert batch.shape == (3, len(rows))
         for i in range(len(rows)):
             one = _circle_mean(self._f, 0j, r[i], self.REL, self.ABS,
                                grading=(2, psi0[i], beta[i]))

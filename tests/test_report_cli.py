@@ -205,6 +205,16 @@ class TestCli:
         run_scenario("bubble", {"seed": 42, "tol": 1e-10})
         assert seen and set(seen) == {1e-10}
 
+    @pytest.mark.parametrize("tol", ["1e-14", "1e-2"])
+    def test_bubble_tol_range_ends_exit_zero(self, tmp_path, tol):
+        # at 1e-14 the peak panels' estimates are their roundoff floors, which
+        # exceed their share of the tolerance; no bisection can lower them
+        out = tmp_path / "bubble.json"
+        code = main(["verify", "--scenario", "bubble", "--tol", tol,
+                     "--out", str(out), "--format", "json"])
+        entries = parse_json(out.read_text(encoding="utf-8"))
+        assert code == 0 and entries and all(e.pass_ for e in entries)
+
     def test_override_outside_domain_exit_two(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         code = main(["verify", "--scenario", "identities", "--N", "300",
