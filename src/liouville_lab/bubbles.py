@@ -116,7 +116,9 @@ def density_peak(params: BubbleParams):
     """``(1 + p, c^(-1/2), N + 1)``: the density peaks where y^(N+1) = 1 + p.
 
     In rho = r^(N+1) the N+1 maxima are one peak at 1 + p, of radial width
-    about c^(-1/2); this is the ``peak`` argument of ``integrate_plane``.  Its
+    about c^(-1/2); this is the ``peak`` argument of ``integrate_plane``, which
+    grades the rings toward it and places its first panels at the peak's
+    radius by the edge rule it shares with ``integrate_disk``.  Its
     K = N + 1 also declares (N+1)-fold symmetry, so each ring averages over
     one sector of angle 2 pi/(N+1): pass it only with integrands that depend
     on y through y^(N+1) and |y|, as the density and the moments do.

@@ -7,12 +7,14 @@ integrator; root finding; small dense linear algebra with singular-value
 diagnostics.
 
 One adaptive rule integrates intervals, disks and planes: a panel rule with
-QUADPACK's qk21 constants, the 10-point Gauss and 21-point Kronrod rules.  A
-panel is accepted when, for every component, QUADPACK's local error estimate
-is at most the panel's width's share of the tolerance, or is its own roundoff
-floor; the others are bisected, up to 200 panels.  Disk and plane integrals
-are nested: the panel rule runs over the radius (or the compactified radius),
-and over each ring runs a nested adaptive trapezoid rule, on one sector of
+QUADPACK's qk21 constants, the 10-point Gauss and 21-point Kronrod rules.  It
+stops when, for every component, the panels' error estimates sum to within
+the tolerance (QUADPACK's global test), or when every panel above its share
+of the tolerance is at its roundoff floor; else it bisects those not at it,
+up to 200 panels.  Disk and plane integrals are nested: the panel rule runs
+over the radius (or the compactified radius), from first panels that one
+rule places at a hinted peak, and over each ring runs a nested adaptive
+trapezoid rule, on one sector of
 angle 2 pi/K when a plane's peak hint declares K-fold symmetry.  Each
 generation of panels gets all the ring means of its nodes from one
 ``_circle_mean`` call, which at each doubling evaluates the integrand on the
@@ -279,40 +281,39 @@ def integrate_interval(f, edges, spec: QuadratureSpec):
     ``f`` takes a 1-D array of points and returns their values, shape (n,)
     for a scalar integrand or (k, n) for k components.  The inner edges split
     the interval into the first panels.  Each generation calls f once, on the
-    21 qk21 nodes of every open panel.  A panel is accepted when, for every
-    component k, its ``_gk21`` estimate is at most its width's share of
-    max(abs_tol, rel_tol |I_k|), with I_k the current integral, or is its own
-    roundoff floor, which no bisection can lower; the others are bisected.
-    More than ``PANEL_BUDGET`` panels raises QuadratureBudgetError.  A scalar
-    f gives a float, a vector f an array of its k integrals.
+    21 qk21 nodes of its new panels; a held panel keeps its value, ``_gk21``
+    estimate and roundoff floor.  With tol_k = max(abs_tol, rel_tol |I_k|), I_k
+    the sum of the n panels' values, the integral is done when for every k
+    their estimates sum to at most tol_k (QUADPACK's global test).  Else the
+    panels whose estimate of some k exceeds tol_k / n and their own roundoff
+    floor are bisected; if there are none, the excess is roundoff and it is
+    done.  More than ``PANEL_BUDGET`` panels raises QuadratureBudgetError.  A
+    scalar f gives a float, a vector f an array of its k integrals.
     """
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1], edges[1:]
-    length = edges[-1] - edges[0]
-    done_value = done_err = 0.0
-    done = 0
+    held = ()
     while True:
         half = 0.5 * (b - a)
         x = (0.5 * (a + b))[:, None] + half[:, None] * _GK_NODES
         values = np.asarray(f(x.ravel()))
         scalar = values.ndim == 1
-        value, err, floor = _gk21(values.reshape(-1, *x.shape), half)
-        total = done_value + value.sum(axis=-1)
+        new = (a, b, *_gk21(values.reshape(-1, *x.shape), half))
+        held = tuple(np.concatenate(p, axis=-1) for p in zip(held, new)) if held else new
+        a, b, value, err, floor = held
+        total, total_err = value.sum(axis=-1), err.sum(axis=-1)
         tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
-        ok = np.all((err <= tol[:, None] * ((b - a) / length)) | (err <= floor), axis=0)
-        done_value = done_value + value[:, ok].sum(axis=-1)
-        done_err = done_err + err[:, ok].sum(axis=-1)
-        done += int(ok.sum())
-        if ok.all():
-            return float(done_value[0]) if scalar else done_value
-        a, b = a[~ok], b[~ok]
-        mid = 0.5 * (a + b)
-        a, b = np.column_stack([a, mid]).ravel(), np.column_stack([mid, b]).ravel()
-        if done + a.size > PANEL_BUDGET:
-            estimate = float(np.max(done_err + err.sum(axis=-1)))
+        split = np.any((err > tol[:, None] / a.size) & (err > floor), axis=0)
+        if np.all(total_err <= tol) or not split.any():
+            return float(total[0]) if scalar else total
+        if a.size + split.sum() > PANEL_BUDGET:
             raise QuadratureBudgetError(
                 f"quadrature budget exceeded: more than {PANEL_BUDGET} panels",
-                value=float(total[0]) if scalar else total, estimate=estimate)
+                value=float(total[0]) if scalar else total, estimate=float(np.max(total_err)))
+        held = tuple(part[..., ~split] for part in held)
+        a, b = a[split], b[split]
+        mid = 0.5 * (a + b)
+        a, b = np.column_stack([a, mid]).ravel(), np.column_stack([mid, b]).ravel()
 
 
 def _rings(f, center: complex, spec: QuadratureSpec, substitution, grading):
@@ -354,6 +355,13 @@ def _peak_grading(q: complex, width: float, K: int, r):
     return K, math.atan2(q.imag, q.real), np.where(graded, peak_beta(w), 1.0)
 
 
+def _peak_edges(s: float, width: float, end: float, *extra):
+    """Inner first edges on [0, end] for a radial peak at s: those of s - 5 width,
+    s, s + 5 width, s + 50 width and ``extra`` strictly inside (0, end), sorted."""
+    candidates = (s - 5.0 * width, s, s + 5.0 * width, s + 50.0 * width, *extra)
+    return sorted({x for x in candidates if 0.0 < x < end})
+
+
 def _disk_substitution(x):
     return x, math.tau * x
 
@@ -366,19 +374,16 @@ def integrate_disk(f, center: complex, radius: float, spec: QuadratureSpec, peak
 
     ``peak = (q, width)``, when given, says that f peaks at q with radial width
     ``width``.  It sets both the grading of every ring (``_peak_grading`` of
-    q - center with K = 1) and the first panels in the radius: with
-    s = |q - center|, those of s - 5 width, s, s + 5 width, s + 50 width and
-    radius / 2 that lie strictly inside (0, radius) split [0, radius].  Without
-    a peak the rings are uniform and the radius starts as one panel.
+    q - center with K = 1) and the first panels in the radius: the
+    ``_peak_edges`` of s = |q - center|, and radius / 2, split [0, radius].
+    Without a peak the rings are uniform and the radius starts as one panel.
     """
     edges = [0.0, radius]
     grading = None
     if peak is not None:
         q, width = peak
         d = complex(q) - center
-        s = abs(d)
-        candidates = (s - 5.0 * width, s, s + 5.0 * width, s + 50.0 * width, radius * 0.5)
-        edges = [0.0, *sorted({x for x in candidates if 0.0 < x < radius}), radius]
+        edges = [0.0, *_peak_edges(abs(d), width, radius, 0.5 * radius), radius]
         grading = functools.partial(_peak_grading, d, width, 1)
     return integrate_interval(_rings(f, center, spec, _disk_substitution, grading), edges, spec)
 
@@ -434,23 +439,32 @@ def integrate_plane(f, spec: QuadratureSpec, peak=None):
     Uses the compactifying substitution t = |z|^2 / (s + |z|^2) with s = 8,
     under which
     integral f = int_0^1 (theta-average of f at r(t)) * pi * s / (1-t)^2 dt,
-    integrated by the panel rule from the one panel [0, 1].
+    integrated by the panel rule from the one panel [0, 1] without a peak.
     The integrand must decay at least like |z|^-4, so that the transformed
     integrand stays bounded.  Like ``integrate_disk``,
     a vector-valued ``f`` gives an array of integrals.  ``peak = (q, width, K)``,
     when given, says that f peaks at the K points where y^K = q and that f is
     K-fold symmetric, f(e^(i tau/K) z) = f(z).  It grades the rings toward the
     peaks (see ``_peak_grading``), and each graded ring averages over one
-    sector of angle tau/K (see ``_circle_mean``).  For K > 1 the symmetry is
+    sector of angle tau/K (see ``_circle_mean``).  As in ``integrate_disk``,
+    [0, 1] is split at t(r) for the ``_peak_edges`` r of the peaks' radius
+    |q|^(1/K), of radial width width / (K |q|^(1 - 1/K)).  For K > 1 the symmetry is
     checked first on the 64 points of a ring through the peaks: if
     max|f(z) - f(e^(i tau/K) z)| exceeds ``SYMMETRY_TOL`` max|f(z)| this
     raises ValueError.
     """
-    if peak is not None and peak[2] > 1:
-        _check_symmetry(f, peak[0], peak[2])
-    grading = None if peak is None else functools.partial(_peak_grading, *peak)
-    return integrate_interval(_rings(f, 0j, spec, _plane_substitution, grading), [0.0, 1.0],
-                              spec)
+    edges = [0.0, 1.0]
+    grading = None
+    if peak is not None:
+        q, width, K = peak
+        if K > 1:
+            _check_symmetry(f, q, K)
+        r_s = abs(q) ** (1.0 / K)
+        w = width / (K * r_s ** (K - 1)) if r_s > 0 else width ** (1.0 / K)
+        edges = [0.0, *(r * r / (PLANE_SCALE + r * r) for r in _peak_edges(r_s, w, math.inf)),
+                 1.0]
+        grading = functools.partial(_peak_grading, q, width, K)
+    return integrate_interval(_rings(f, 0j, spec, _plane_substitution, grading), edges, spec)
 
 
 # ----------------------------------------------------------------------------

@@ -175,8 +175,9 @@ def pohozaev_check(field: SolutionField, h, grad_h, N: int, center: complex,
 def _maximum_peak(params: BubbleParams, s: int):
     """The maximum Q_s and the width eps = e^(-mu/2) of the density peak there.
 
-    As the ``peak`` of a disk centred on Q_s it leaves the rings uniform and
-    puts the radial breakpoints at 5 eps, 50 eps and radius / 2.
+    As the ``peak`` of ``integrate_disk`` it grades the rings toward Q_s
+    (uniform on a disk centred there) and places the first panels in the
+    radius by the peak-edge rule the disk shares with the plane.
     """
     return complex(find_maxima(params).Q[s]), math.exp(-params.mu / 2.0)
 

@@ -220,14 +220,15 @@ def scenario_farfield(mu: float) -> list:
         entries.append(_bound_entry("farfield/slope", {"N": N, "mu": mu},
                                     slope, -(2.0 * N + 2.0), "derived"))
         # measured subleading coefficients of the trace at L = 30: the secular
-        # L^-(2N+2) term vanishes and the cos((2N+2) theta) coefficient is 2
+        # L^-(2N+2) term is -2/c, from the mean of -2 log(1 + c|F|^2) on |y| = L,
+        # and the cos((2N+2) theta) coefficient is 2
         L = 30.0
         vals = sample_circle(lambda z: bubbles.eval_bubble(params, z), 0j, L, 1024)
         coeffs = circle_fourier(vals, 3 * N + 4)
         base = (-mu + 2.0 * math.log(params.D / params.h) - 4.0 * (N + 1) * math.log(L))
         secular = (float(np.mean(vals)) - base) * L ** (2 * N + 2)
-        entries.append(_entry("farfield/secular-coefficient", {"N": N, "L": L},
-                              secular, 0.0, 1e-2, "derived"))
+        entries.append(_entry("farfield/secular-coefficient", {"N": N, "mu": mu, "L": L},
+                              secular, -2.0 / params.coefficient, 1e-2, "derived"))
         c2 = coeffs[2 * N + 2].real * L ** (2 * N + 2)
         entries.append(_entry("farfield/cos-2N2-coefficient", {"N": N, "L": L},
                               c2, 2.0, 1e-2, "derived"))
@@ -399,9 +400,9 @@ def scenario_pohozaev(mu: float) -> list:
         params = BubbleParams(N=N, mu=mu, p=0j, h=8.0 * (N + 1) ** 2)
         field = pohozaev.bubble_field(params)
         h, grad_h = pohozaev.constant_field(params.h)
-        q0 = bubbles.find_maxima(params).Q[0]
+        peak = pohozaev._maximum_peak(params, 0)
+        q0 = peak[0]
         centers = (q0, q0 * np.exp(0.25j), q0 + 0.05 + 0.02j)
-        peak = (q0, math.exp(-mu / 2.0))
         worst = 0.0
         for center in centers:
             for radius in radii:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liouville_lab import numerics
 from liouville_lab.bubbles import (
     BubbleParams,
     bubble_gradient,
@@ -17,7 +19,7 @@ from liouville_lab.bubbles import (
     rescaled_profile_gap,
     total_mass,
 )
-from liouville_lab.errors import MaximaError
+from liouville_lab.errors import MaximaError, QuadratureBudgetError
 from liouville_lab.numerics import QuadratureSpec
 from oracles import fd_check, make_polar_grid, riemann_sum
 
@@ -111,9 +113,22 @@ class TestTotalMass:
         (BubbleParams(N=0, mu=0.0, p=0j, h=8.0), 8 * math.pi),
         (BubbleParams(N=1, mu=6.0, p=0.02, h=32.0), 16 * math.pi),
         (BubbleParams(N=3, mu=10.0, p=0j, h=1.0), 32 * math.pi),
+        # peaks 2.7e-7 and 1.5e-7 wide in r: the first panels must sit at the peak
+        (BubbleParams(N=3, mu=30.0, p=0j, h=1.0), 32 * math.pi),
+        (BubbleParams(N=1, mu=30.0, p=0j, h=32.0), 16 * math.pi),
     ])
     def test_examples(self, params, expected):
         assert total_mass(params, SPEC) == pytest.approx(expected, rel=1e-6)
+
+    def test_unresolved_peak_raises(self, monkeypatch):
+        # at mu = 40 the rings through the peak (about 7e-10 wide in r) do not
+        # converge in absolute coordinates; the mass must end in a named error,
+        # never come back as the 1.3e-13 of a quadrature that missed the peak.
+        # A smaller ring budget reaches that error sooner.
+        monkeypatch.setattr(numerics, "_circle_mean",
+                            functools.partial(numerics._circle_mean, m_max=1 << 12))
+        with pytest.raises(QuadratureBudgetError):
+            total_mass(BubbleParams(N=2, mu=40.0, p=0j, h=72.0), SPEC)
 
     def test_parameter_independence(self):
         # 3 x 3 x 3 grid: mass must not depend on mu, p, h

@@ -62,6 +62,13 @@ class TestIntegratePlane:
             integrate_plane(lambda z: bubble_density(params, z) * (1.0 + 0.1 * z.real), SPEC,
                             peak=density_peak(params))
 
+    def test_peak_at_the_centre(self):
+        # q = 0 puts the K peaks at r = 0, where the radial width in r is
+        # width^(1/K); the planar bubble is radial, so any K is a symmetry
+        val = integrate_plane(lambda z: 1 / (1 + np.abs(z) ** 2 / 8) ** 2, SPEC,
+                              peak=(0j, 0.01, 2))
+        assert val == pytest.approx(8 * math.pi, rel=1e-8)
+
     def test_budget_exceeded(self):
         # 1/(1+|z|^2) is not integrable over the plane: no budget suffices
         tiny = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15)
@@ -557,6 +564,31 @@ class TestDiskBreakpoints:
             assert seen[0] == [0.0, 1.0]
         else:
             assert seen[0][1:-1] == pytest.approx(expected, abs=1e-15)
+
+    def test_plane_points_from_the_peak(self, monkeypatch):
+        # the N = 2, mu = 40 peaks lie at r_s = 1, about 7e-10 wide in r: the
+        # plane's first edges must hold t(r_s) between edges 5 widths away
+        q, width, K = density_peak(BubbleParams(N=2, mu=40.0, p=0j, h=72.0))
+        r_s = abs(q) ** (1.0 / K)
+        w = width / (K * r_s ** (K - 1))
+
+        def t(r):
+            return r * r / (numerics.PLANE_SCALE + r * r)
+
+        seen = []
+
+        def spy(f, edges, spec):
+            seen.append(edges)
+            return 0.0
+
+        monkeypatch.setattr(numerics, "integrate_interval", spy)
+        integrate_plane(lambda z: np.ones(np.shape(z)), SPEC, peak=(q, width, K))
+        assert len(seen) == 1
+        edges = np.asarray(seen[0])
+        assert edges[0] == 0.0 and edges[-1] == 1.0 and np.all(np.diff(edges) > 0)
+        below, above = edges[edges < t(r_s)], edges[edges > t(r_s)]
+        assert below.max() >= t(r_s - 5.0 * w) - 1e-16
+        assert above.min() <= t(r_s + 5.0 * w) + 1e-16
 
 
 class TestVectorIntegrands:

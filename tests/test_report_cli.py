@@ -205,12 +205,23 @@ class TestCli:
         run_scenario("bubble", {"seed": 42, "tol": 1e-10})
         assert seen and set(seen) == {1e-10}
 
-    @pytest.mark.parametrize("tol", ["1e-14", "1e-2"])
-    def test_bubble_tol_range_ends_exit_zero(self, tmp_path, tol):
+    @pytest.mark.parametrize("scenario, flag, value", [
         # at 1e-14 the peak panels' estimates are their roundoff floors, which
         # exceed their share of the tolerance; no bisection can lower them
-        out = tmp_path / "bubble.json"
-        code = main(["verify", "--scenario", "bubble", "--tol", tol,
+        ("bubble", "tol", "1e-14"),
+        ("bubble", "tol", "1e-2"),
+        # the interaction kernel's disk of radius 0.5/eps has its peak of width 1
+        # at the centre, which needs more of the tolerance than its panels' width
+        ("interaction", "mu", "20"),
+        ("interaction", "mu", "24"),
+        ("conjecture-disk", "mu", "40"),
+        # the secular coefficient -2 e^(-mu) is of order one here
+        ("farfield", "mu", "0"),
+        ("farfield", "mu", "4"),
+    ])
+    def test_range_ends_exit_zero(self, tmp_path, scenario, flag, value):
+        out = tmp_path / "report.json"
+        code = main(["verify", "--scenario", scenario, f"--{flag}", value,
                      "--out", str(out), "--format", "json"])
         entries = parse_json(out.read_text(encoding="utf-8"))
         assert code == 0 and entries and all(e.pass_ for e in entries)
