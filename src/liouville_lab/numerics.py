@@ -19,6 +19,8 @@ angle 2 pi/K when a plane's peak hint declares K-fold symmetry.  Each
 generation of panels gets all the ring means of its nodes from one
 ``_circle_mean`` call, which at each doubling evaluates the integrand on the
 rings not yet converged, in batches of at most ``RING_BATCH_POINTS`` points.
+A disk call given nested radii about one centre integrates them all in one
+pass, the inner radii being edges of the first panels.
 
 Numbers that no caller varies (the panel budget, the plane
 compactification scale, the ring tolerance fraction, the ODE method and the
@@ -279,16 +281,16 @@ def integrate_interval(f, edges, spec: QuadratureSpec):
     """Integral of f over edges[0]..edges[-1], by adaptive Gauss-Kronrod panels.
 
     ``f`` takes a 1-D array of points and returns their values, shape (n,)
-    for a scalar integrand or (k, n) for k components.  The inner edges split
-    the interval into the first panels.  Each generation calls f once, on the
-    21 qk21 nodes of its new panels; a held panel keeps its value, ``_gk21``
-    estimate and roundoff floor.  With tol_k = max(abs_tol, rel_tol |I_k|), I_k
+    for a scalar integrand or (*k, n) for an array k of components.  The
+    inner edges split the interval into the first panels.  Each generation
+    calls f once, on the 21 qk21 nodes of its new panels; a held panel keeps
+    its value, ``_gk21`` estimate and roundoff floor.  With tol_k = max(abs_tol, rel_tol |I_k|), I_k
     the sum of the n panels' values, the integral is done when for every k
     their estimates sum to at most tol_k (QUADPACK's global test).  Else the
     panels whose estimate of some k exceeds tol_k / n and their own roundoff
     floor are bisected; if there are none, the excess is roundoff and it is
     done.  More than ``PANEL_BUDGET`` panels raises QuadratureBudgetError.  A
-    scalar f gives a float, a vector f an array of its k integrals.
+    scalar f gives a float, a vector f the array of its integrals, shape k.
     """
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1], edges[1:]
@@ -297,19 +299,20 @@ def integrate_interval(f, edges, spec: QuadratureSpec):
         half = 0.5 * (b - a)
         x = (0.5 * (a + b))[:, None] + half[:, None] * _GK_NODES
         values = np.asarray(f(x.ravel()))
-        scalar = values.ndim == 1
+        shape = values.shape[:-1]
         new = (a, b, *_gk21(values.reshape(-1, *x.shape), half))
         held = tuple(np.concatenate(p, axis=-1) for p in zip(held, new)) if held else new
         a, b, value, err, floor = held
         total, total_err = value.sum(axis=-1), err.sum(axis=-1)
         tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
         split = np.any((err > tol[:, None] / a.size) & (err > floor), axis=0)
+        result = float(total[0]) if not shape else total.reshape(shape)
         if np.all(total_err <= tol) or not split.any():
-            return float(total[0]) if scalar else total
+            return result
         if a.size + split.sum() > PANEL_BUDGET:
             raise QuadratureBudgetError(
                 f"quadrature budget exceeded: more than {PANEL_BUDGET} panels",
-                value=float(total[0]) if scalar else total, estimate=float(np.max(total_err)))
+                value=result, estimate=float(np.max(total_err)))
         held = tuple(part[..., ~split] for part in held)
         a, b = a[split], b[split]
         mid = 0.5 * (a + b)
@@ -366,34 +369,63 @@ def _disk_substitution(x):
     return x, math.tau * x
 
 
-def integrate_disk(f, center: complex, radius: float, spec: QuadratureSpec, peak=None):
-    """Integral of f over the closed disk B(center, radius).
+def integrate_disk(f, center: complex, radius, spec: QuadratureSpec, peak=None):
+    """Integral of f over the closed disk B(center, radius), or over nested disks.
 
     ``f`` may return shape (k, m) for m points; the k integrals then come back
     as an array, sharing every ring mean.
 
+    ``radius`` is one radius or a 1-D, strictly increasing sequence
+    R_1 < ... < R_n.  A sequence gives the integrals over every B(center, R_j)
+    from one pass over [0, R_n], as a trailing axis of length n: shape (n,)
+    for a scalar f, (k, n) for a vector f.  The inner radii are edges of the
+    first panels, so no panel straddles one; each ring mean is computed once,
+    and radius R_j's component is that mean times (r <= R_j).  Each component
+    then meets the panel rule's global test on its own.  A radius that is not
+    finite and positive, or a sequence that does not increase, raises
+    ValueError.
+
     ``peak = (q, width)``, when given, says that f peaks at q with radial width
     ``width``.  It sets both the grading of every ring (``_peak_grading`` of
     q - center with K = 1) and the first panels in the radius: the
-    ``_peak_edges`` of s = |q - center|, and radius / 2, split [0, radius].
-    Without a peak the rings are uniform and the radius starts as one panel.
+    ``_peak_edges`` of s = |q - center|, R_n / 2 and the inner radii split
+    [0, R_n].  Without a peak the rings are uniform and the first panels are
+    split at the inner radii only.
     """
-    edges = [0.0, radius]
+    radii = np.atleast_1d(np.asarray(radius, dtype=float))
+    if (radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii) & (radii > 0))
+            or np.any(np.diff(radii) <= 0)):
+        raise ValueError(
+            f"disk radius must be finite and positive, and a sequence of radii strictly "
+            f"increasing; got {radius!r}")
+    end, inner = float(radii[-1]), [float(r) for r in radii[:-1]]
+    edges = [0.0, *inner, end]
     grading = None
     if peak is not None:
         q, width = peak
         d = complex(q) - center
-        edges = [0.0, *_peak_edges(abs(d), width, radius, 0.5 * radius), radius]
+        edges = [0.0, *_peak_edges(abs(d), width, end, 0.5 * end, *inner), end]
         grading = functools.partial(_peak_grading, d, width, 1)
-    return integrate_interval(_rings(f, center, spec, _disk_substitution, grading), edges, spec)
+    rings = _rings(f, center, spec, _disk_substitution, grading)
+    if np.ndim(radius) == 0:
+        return integrate_interval(rings, edges, spec)
+
+    def nested(x):
+        return rings(x)[..., None, :] * (x <= radii[:, None])
+
+    return integrate_interval(nested, edges, spec)
 
 
-def integrate_circle(f, center: complex, radius: float, spec: QuadratureSpec):
+def integrate_circle(f, center: complex, radius, spec: QuadratureSpec):
     """Line integral of f along the circle of the given radius.
 
     ``f`` may return shape (k, m) for m points; the k line integrals then come
-    back as an array from one ring, converged when every component is.
+    back as an array from one ring, converged when every component is.  A 1-D
+    array of radii gives one line integral per radius, all rings from one
+    ``_circle_mean`` batch: shape (n,) for a scalar f, (k, n) for a vector f.
     """
+    if np.ndim(radius):
+        radius = np.asarray(radius, dtype=float)
     mean = _circle_mean(f, center, radius, spec.rel_tol, spec.abs_tol)
     return math.tau * radius * mean
 

@@ -10,7 +10,10 @@ unit direction xi,
 with nu the outward normal.  Each term is linear in xi, so ``pohozaev_check``
 returns it as the vector of its e1 and e2 components, all from one disk pass
 and one circle pass; the balance along any unit xi is the dot product of xi
-with each vector.  The report's residual is volume - flux - kinetic.  The
+with each vector.  The report's residual is volume - flux - kinetic.  Given
+an increasing sequence of radii about one centre, ``pohozaev_check`` still
+makes one disk pass, over the nested disks, and one circle pass, over all
+the circles, and each term gets one column per radius.  The
 coefficient-contrast integral int grad h0 |y|^2N e^V, also returned as its e1
 and e2 components from one disk pass, isolates the gradient of the coefficient
 field at a maximum and equals grad h0 times the local bubble mass 8 pi / h.
@@ -40,7 +43,9 @@ from .numerics import QuadratureSpec, integrate_circle, integrate_disk
 class PohozaevReport:
     """The Pohozaev balance along e1 and e2: residual = volume - flux - kinetic.
 
-    Each term is a length-2 array holding its e1 and e2 components.
+    Each term is a length-2 array holding its e1 and e2 components for one
+    radius, or a (2, n) array with one column per radius for a sequence of n
+    radii; ``radius`` is what the check was given.
     """
 
     volume_term: np.ndarray
@@ -48,7 +53,7 @@ class PohozaevReport:
     boundary_kinetic: np.ndarray
     residual: np.ndarray
     center: complex
-    radius: float
+    radius: float | tuple
 
     @property
     def scale(self) -> np.ndarray:
@@ -103,13 +108,15 @@ def radial_field(profile) -> SolutionField:
 
 
 def _spot_check_solution(field: SolutionField, h, N: int, center: complex,
-                         radius: float) -> float:
-    """Relative PDE residual at a few interior points (needs field.laplacian);
-    above 1e-6 raises NotASolutionError."""
+                         radius) -> float:
+    """Relative PDE residual at four interior points of each disk of the given
+    radius or radii (needs field.laplacian); above 1e-6 raises
+    NotASolutionError."""
     rel_tol = 1e-6
     if field.laplacian is None:
         return 0.0
-    pts = center + radius * np.array([0.3 + 0.1j, -0.2 + 0.4j, 0.1 - 0.5j, 0.55 + 0.3j])
+    offsets = np.array([0.3 + 0.1j, -0.2 + 0.4j, 0.1 - 0.5j, 0.55 + 0.3j])
+    pts = center + np.multiply.outer(np.atleast_1d(radius), offsets).ravel()
     worst = 0.0
     for z in pts:
         lap = float(field.laplacian(z))
@@ -123,20 +130,24 @@ def _spot_check_solution(field: SolutionField, h, N: int, center: complex,
 
 
 def pohozaev_check(field: SolutionField, h, grad_h, N: int, center: complex,
-                   radius: float, spec: QuadratureSpec,
+                   radius, spec: QuadratureSpec,
                    peak=None) -> PohozaevReport:
     """Evaluate the three Pohozaev terms along e1 and e2 on B(center, radius).
 
     h and grad_h are the coefficient field and its gradient.  The volume term
     is one 2-component disk integral; the flux and kinetic terms are one
-    4-component circle integral.  For N >= 1 the disk must avoid the origin.
-    A field with a Laplacian is first spot-checked as a solution.
+    4-component circle integral.  ``radius`` may be a strictly increasing
+    sequence R_1 < ... < R_n: the volume terms of all n nested disks then come
+    from one ``integrate_disk`` pass and the boundary terms of all n circles
+    from one ``integrate_circle`` batch, and every term is a (2, n) array.
+    For N >= 1 the (largest) disk must avoid the origin.  A field with a
+    Laplacian is first spot-checked as a solution, in every disk.
 
     ``peak = (q, width)`` locates the maximum of e^u and goes to
     ``integrate_disk``, which places the radial breakpoints around it and
     grades every ring of the disk toward q.
     """
-    if N >= 1 and abs(center) <= radius:
+    if N >= 1 and abs(center) <= np.max(radius):
         raise ValueError("for N >= 1 the disk must not contain the origin")
     _spot_check_solution(field, h, N, center, radius)
     n2 = 2 * N
@@ -155,7 +166,7 @@ def pohozaev_check(field: SolutionField, h, grad_h, N: int, center: complex,
 
     def boundary_integrand(z):
         # flux along e1, e2, then kinetic along e1, e2
-        nu = (z - center) / radius
+        nu = (z - center) / np.abs(z - center)
         ux, uy = field.gradient(z)
         flux = np.exp(field.value(z)) * np.abs(z) ** n2 * h(z)
         dnu = ux * nu.real + uy * nu.imag

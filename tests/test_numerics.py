@@ -591,6 +591,78 @@ class TestDiskBreakpoints:
         assert above.min() <= t(r_s + 5.0 * w) + 1e-16
 
 
+class TestNestedDisks:
+    # the pohozaev scenario's radii about a centre turned 0.25 rad from the
+    # N = 2, mu = 10 maximum q0 = 1: the peak lies 0.25 off, outside the
+    # three inner disks and inside the last two
+    RADII = (0.1, 0.15, 0.2, 0.28, 0.35)
+    PARAMS = BubbleParams(N=2, mu=10.0, p=0j, h=72.0)
+    PEAK = (1.0 + 0j, math.exp(-5.0))
+    SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
+
+    def _scalar(self, z):
+        return bubble_density(self.PARAMS, z)
+
+    def _vector(self, z):
+        # the Pohozaev volume integrand for constant h: 2N |y|^(2N-2) y h e^V
+        lever = 2 * self.PARAMS.N * bubble_density(self.PARAMS, z) / np.abs(z) ** 2
+        return np.stack([lever * z.real, lever * z.imag])
+
+    @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+    @pytest.mark.parametrize("center, peak", [
+        (np.exp(0.25j), PEAK),
+        (1.0 + 0j, PEAK),
+        # no hint: a smooth field whose first panels are the radii alone
+        (0.4 - 0.2j, None),
+    ], ids=["peak-outside-inner", "peak-at-centre", "no-peak"])
+    def test_equals_one_call_per_radius(self, vector, center, peak):
+        if peak is None:
+            f = _moment_fields if vector else (lambda z: _moment_fields(z)[0])
+            radii = (0.5, 1.0, 2.0, 3.0)
+        else:
+            f = self._vector if vector else self._scalar
+            radii = self.RADII
+        nested = integrate_disk(f, center, radii, self.SPEC, peak=peak)
+        for j, radius in enumerate(radii):
+            single = integrate_disk(f, center, radius, self.SPEC, peak=peak)
+            assert nested[..., j] == pytest.approx(single, rel=1e-12, abs=1e-14)
+
+    def test_shape(self):
+        radii = np.array([0.5, 1.0, 2.0])
+        assert integrate_disk(lambda z: _moment_fields(z)[2], 0j, radii, SPEC).shape == (3,)
+        assert integrate_disk(_moment_fields, 0j, radii, SPEC).shape == (3, 3)
+        assert integrate_disk(_moment_fields, 0j, [0.5, 1.0], SPEC).shape == (3, 2)
+        assert integrate_disk(_moment_fields, 0j, [1.0], SPEC).shape == (3, 1)
+        assert isinstance(integrate_disk(lambda z: _moment_fields(z)[2], 0j, 1.0, SPEC), float)
+        assert integrate_disk(_moment_fields, 0j, 1.0, SPEC).shape == (3,)
+
+    @pytest.mark.parametrize("peak", [None, PEAK], ids=["no-peak", "peak"])
+    def test_inner_radii_are_first_edges(self, monkeypatch, peak):
+        seen = []
+
+        def spy(f, edges, spec):
+            seen.append(edges)
+            return np.zeros(len(self.RADII))
+
+        monkeypatch.setattr(numerics, "integrate_interval", spy)
+        integrate_disk(self._scalar, np.exp(0.25j), self.RADII, self.SPEC, peak=peak)
+        assert len(seen) == 1
+        edges = seen[0]
+        assert edges[0] == 0.0 and edges[-1] == self.RADII[-1] and np.all(np.diff(edges) > 0)
+        assert set(self.RADII) <= set(edges)
+        if peak is None:
+            assert edges == [0.0, *self.RADII]
+
+    @pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf, 0.0, [0.2, 0.1],
+                                        [0.1, 0.1], [0.1, -0.2], [], [[0.1, 0.2]]],
+                             ids=["negative", "nan", "inf", "zero", "decreasing", "repeated",
+                                  "negative-in-sequence", "empty", "two-dimensional"])
+    @pytest.mark.parametrize("peak", [None, (0.05 + 0j, 0.01)], ids=["no-peak", "peak"])
+    def test_bad_radii_rejected(self, radius, peak):
+        with pytest.raises(ValueError, match="radius"):
+            integrate_disk(lambda z: np.ones(np.shape(z)), 0j, radius, SPEC, peak=peak)
+
+
 class TestVectorIntegrands:
     def test_plane_components_match_scalar_calls(self):
         vec = integrate_plane(_moment_fields, SPEC)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liouville_lab import numerics, pohozaev
+from liouville_lab import numerics, pohozaev, scenarios
 from liouville_lab.bubbles import BubbleParams, find_maxima
 from liouville_lab.errors import ContrastMismatchError, NotASolutionError
 from liouville_lab.harmonic import layer_from_coefficients
@@ -53,6 +53,39 @@ class TestPohozaevCheck:
         h, grad_h = constant_field(params.h)
         with pytest.raises(NotASolutionError):
             pohozaev_check(broken, h, grad_h, 0, 1.0 + 0j, 0.3, SPEC)
+        with pytest.raises(NotASolutionError):
+            pohozaev_check(broken, h, grad_h, 0, 1.0 + 0j, (0.1, 0.2, 0.3), SPEC)
+
+    def test_every_disk_is_spot_checked(self):
+        # a field that solves the equation only within 0.1 of the centre
+        params = BubbleParams(N=0, mu=4.0, p=0j, h=8.0)
+        field = bubble_field(params)
+        center = 1.0 + 0j
+        local = SolutionField(
+            value=field.value, gradient=field.gradient,
+            laplacian=lambda z: field.laplacian(z) * (1.0 + (abs(z - center) > 0.1)))
+        h, grad_h = constant_field(params.h)
+        pohozaev_check(local, h, grad_h, 0, center, (0.05, 0.1), SPEC)
+        with pytest.raises(NotASolutionError):
+            pohozaev_check(local, h, grad_h, 0, center, (0.05, 0.1, 0.3), SPEC)
+
+    @pytest.mark.parametrize("N", [0, 1, 2])
+    def test_radius_sequence_matches_one_call_per_radius(self, N):
+        # the pohozaev scenario's radii about a centre turned 0.25 rad from the
+        # maximum, so the peak lies outside the inner disks
+        params = BubbleParams(N=N, mu=10.0, p=0j, h=8.0 * (N + 1) ** 2)
+        field = bubble_field(params)
+        h, grad_h = constant_field(params.h)
+        q0 = complex(find_maxima(params).Q[0])
+        center, radii = q0 * np.exp(0.25j), (0.1, 0.15, 0.2, 0.28, 0.35)
+        peak = (q0, math.exp(-params.mu / 2.0))
+        rep = pohozaev_check(field, h, grad_h, N, center, radii, SPEC, peak=peak)
+        assert rep.residual.shape == rep.scale.shape == rep.volume_term.shape == (2, 5)
+        for j, radius in enumerate(radii):
+            single = pohozaev_check(field, h, grad_h, N, center, radius, SPEC, peak=peak)
+            for term in ("volume_term", "flux_term", "boundary_kinetic", "residual"):
+                gap = np.abs(getattr(rep, term)[:, j] - getattr(single, term))
+                assert np.all(gap <= 1e-12 * single.scale), term
 
     @settings(max_examples=8, deadline=None)
     @given(N=st.sampled_from([1, 2]), angle=st.floats(min_value=0.0, max_value=math.tau),
@@ -164,8 +197,10 @@ class TestTwoDirectionPass:
             monkeypatch.setattr(pohozaev, name, spy)
         params = BubbleParams(N=1, mu=10.0, p=0j, h=32.0)
         h, grad_h = constant_field(params.h)
-        pohozaev_check(bubble_field(params), h, grad_h, 1, 1.0 + 0j, 0.2, SPEC)
-        assert sorted(calls) == ["integrate_circle", "integrate_disk"]
+        for radius in (0.2, (0.1, 0.15, 0.2)):
+            calls.clear()
+            pohozaev_check(bubble_field(params), h, grad_h, 1, 1.0 + 0j, radius, SPEC)
+            assert sorted(calls) == ["integrate_circle", "integrate_disk"]
 
     @settings(max_examples=10, deadline=None)
     @given(alpha=st.floats(min_value=0.0, max_value=math.tau))
@@ -323,3 +358,31 @@ class TestCancellationStructure:
         contrast = coefficient_contrast(params, layer, 0, radius, SPEC) @ xi
         diff = rep_b.residual[0] - rep_a.residual[0]
         assert abs(abs(diff) - abs(contrast)) <= 0.1 * abs(contrast)
+
+
+class TestScenarioCost:
+    def test_nested_disks_per_centre(self, monkeypatch):
+        # one disk pass per (N, centre) pohozaev check, the radial check, two
+        # contrasts and two by-parts identities; the ring points are counts,
+        # so this guard does not depend on the machine's speed
+        disks, points = [], []
+        real_disk, real_mean = pohozaev.integrate_disk, numerics._circle_mean
+
+        def disk_spy(*args, **kwargs):
+            disks.append(args[2])
+            return real_disk(*args, **kwargs)
+
+        def mean_spy(f, *args, **kwargs):
+            def counted(z):
+                points.append(np.size(z))
+                return f(z)
+
+            return real_mean(counted, *args, **kwargs)
+
+        monkeypatch.setattr(pohozaev, "integrate_disk", disk_spy)
+        monkeypatch.setattr(numerics, "_circle_mean", mean_spy)
+        entries = scenarios.scenario_pohozaev(10.0)
+        assert entries and all(e.pass_ for e in entries)
+        assert len(disks) == 14
+        assert sum(points) <= 1_000_000
+

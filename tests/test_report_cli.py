@@ -218,6 +218,10 @@ class TestCli:
         # the secular coefficient -2 e^(-mu) is of order one here
         ("farfield", "mu", "0"),
         ("farfield", "mu", "4"),
+        # nested disks at low and high peak height: a spread bubble at 0 and a
+        # peak of width e^-7 at 14
+        ("pohozaev", "mu", "0"),
+        ("pohozaev", "mu", "14"),
     ])
     def test_range_ends_exit_zero(self, tmp_path, scenario, flag, value):
         out = tmp_path / "report.json"
