@@ -173,34 +173,42 @@ def find_maxima(params: BubbleParams) -> MaximaResult:
 # ----------------------------------------------------------------------------
 # far-field expansion
 
-def far_field_terms(params: BubbleParams, L: float, theta):
-    """The five-term far-field expansion of the centered bubble at |y| = L.
+def far_field_gap(params: BubbleParams, L: float, theta):
+    """The centered bubble's value at y = L e^(i theta) minus its five-term
+    far-field expansion
 
-    V(L e^{i theta}) = -mu + 2 log(D/h) - 4(N+1) log L
-                       + 4 cos((N+1) theta) / L^(N+1)
-                       + 2 cos((2N+2) theta) / L^(2N+2)
-                       + O(L^(-3N-3)) + O(e^-mu L^(-2N-2)).
+        V(L e^{i theta}) = -mu + 2 log(D/h) - 4(N+1) log L
+                           + 4 cos((N+1) theta) / L^(N+1)
+                           + 2 cos((2N+2) theta) / L^(2N+2)
+                           + O(L^(-3N-3)) + O(e^-mu L^(-2N-2)).
 
     The subleading coefficients follow from expanding -2 log(1+x); the secular
     L^(-2N-2) contribution cancels exactly and the cos((2N+2) theta)
     coefficient is 2.
+
+    The gap is formed without cancellation.  With w = y^-(N+1) and
+    g = |y^(N+1) - 1|^2, V = -mu + 2 log(D/h) - 4(N+1) log L
+    - 4 Re log1p(-w) - 2 log1p(1/(c g)), and 4 Re w, 2 Re w^2 are the two
+    cosine terms, so the gap is
+
+        -4 (Re log1p(-w) + Re w + Re w^2 / 2) - 2 log1p(1/(c g)).
+
+    The constant and log L terms cancel in closed form: subtracting them from
+    V in floats would leave the rounding of |V| (5.2e-14 at mu = 100, N = 2,
+    L = 40) against a gap of 5e-15.  Re log1p(-w) = log1p(|w|^2 - 2 Re w) / 2
+    keeps the relative accuracy of w.
     """
-    N, th = params.N, np.asarray(theta, dtype=float)
-    return (-params.mu + 2.0 * np.log(params.D / params.h)
-            - 4.0 * (N + 1) * np.log(L)
-            + 4.0 * np.cos((N + 1) * th) / L ** (N + 1)
-            + 2.0 * np.cos((2 * N + 2) * th) / L ** (2 * N + 2))
-
-
-def far_field_gap(params: BubbleParams, L: float, theta):
-    """Exact bubble value minus the five expansion terms at the angles theta
-    (centered bubble only)."""
     if params.p != 0:
         raise ValueError("far-field expansion is stated for the centered bubble (p = 0)")
     if L < 5:
         raise ValueError("far-field evaluation needs L >= 5")
+    n1 = params.N + 1
     y = L * np.exp(1j * np.asarray(theta, dtype=float))
-    return eval_bubble(params, y) - far_field_terms(params, L, theta)
+    w = y ** -n1
+    g = np.abs(y ** n1 - 1.0) ** 2
+    re_log = 0.5 * np.log1p(np.abs(w) ** 2 - 2.0 * w.real)
+    return (-4.0 * (re_log + w.real + 0.5 * (w * w).real)
+            - 2.0 * np.log1p(1.0 / (params.coefficient * g)))
 
 
 def far_field_max_gap(params: BubbleParams, L: float) -> float:

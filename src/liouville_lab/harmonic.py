@@ -195,11 +195,13 @@ def grad_h_at_roots(layer: LayerField,
     threshold signal a violated dichotomy.
     """
     roots = np.exp(1j * math.tau * np.arange(layer.N + 1) / (layer.N + 1))
-    hx, hy = layer.h0_gradient(roots)
-    ratios = np.hypot(*layer.phi0_gradient(roots)) / layer.delta_star
+    gx, gy = layer.phi0_gradient(roots)
+    h = layer.h0(roots)
+    ratios = np.hypot(gx, gy) / layer.delta_star
     s = int(np.argmax(ratios))
     if ratios[s] < threshold:
         raise DichotomyError(
             f"dichotomy violated: max gradient ratio {ratios[s]:.4f} < {threshold}")
-    return DichotomyResult(index=s, gradients=hx + 1j * hy, ratio=float(ratios[s]),
+    # grad h0 = h0 grad phi0, as ``LayerField.h0_gradient`` forms it
+    return DichotomyResult(index=s, gradients=h * gx + 1j * (h * gy), ratio=float(ratios[s]),
                            ratios=ratios)

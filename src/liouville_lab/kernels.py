@@ -17,6 +17,7 @@ problems are posed at c = 1/8 (h = 1) on 0 < r <= 100: c only rescales r.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -133,27 +134,39 @@ def _pair_mode1(c: float) -> FundamentalPair:
 
 
 def _mode_ode(c: float, l: int):
-    def rhs(r, y):
-        v = 8.0 * c / (1.0 + c * r * r) ** 2 - l * l / (r * r)
-        return [y[1], -y[1] / r - v * y[0]]
+    """L_l g = 0 in t = log r, state (g, g_t): g_tt = (l^2 - r^2 V(r)) g.
+
+    Since g'' + g'/r = g_tt / r^2, the 1/r and l^2/r^2 terms drop out, and
+    the launch g ~ r^l is g ~ e^(l t).  V is ``potential``.
+    """
+    def rhs(t, y):
+        s = c * math.exp(2.0 * t)
+        return [y[1], (l * l - 8.0 * s / (1.0 + s) ** 2) * y[0]]
 
     return rhs
 
 
 def _pair_mode_l(l: int) -> FundamentalPair:
-    """Series-launched g1 ~ r^l and reduction-of-order g2 ~ r^-l for l >= 2."""
+    """Series-launched g1 ~ r^l and reduction-of-order g2 ~ r^-l for l >= 2.
+
+    g1 is integrated in t = log r (see ``_mode_ode``) and sampled on 4000
+    geometric radii, with g1' = g_t / r; a cubic Hermite spline in r
+    interpolates between them.
+    """
     from scipy.interpolate import CubicHermiteSpline
 
     c, r_max = MODE_C, MODE_R_MAX
     # keep r0^l representable: the pair spans ~10^(2 l log10(rmax/r0)) overall
     r0 = max(1e-3, 10.0 ** (-150.0 / l))
     a2 = -2.0 * c / (l + 1.0)   # two-term launch g = r^l (1 + a2 r^2 + ...)
-    y0 = [r0 ** l * (1.0 + a2 * r0 ** 2), r0 ** (l - 1) * (l + (l + 2.0) * a2 * r0 ** 2)]
+    y0 = [r0 ** l * (1.0 + a2 * r0 ** 2), r0 ** l * (l + (l + 2.0) * a2 * r0 ** 2)]
     spec = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-300)
-    traj = ode_integrate(_mode_ode(c, l), y0, r0, r_max, spec)
+    traj = ode_integrate(_mode_ode(c, l), y0, math.log(r0), math.log(r_max), spec)
 
     grid = np.geomspace(r0, r_max, 4000)
-    vals = traj(grid)
+    t = np.log(grid)
+    vals = traj(t)
+    vals[1] /= grid
     g1_spline = CubicHermiteSpline(grid, vals[0], vals[1])
     g1p_spline = g1_spline.derivative()
 
@@ -172,7 +185,6 @@ def _pair_mode_l(l: int) -> FundamentalPair:
     # g2 ~ r^-l with unit leading coefficient.  Accumulate top-down: the
     # integrand spans ~300 orders of magnitude and a forward cumulative sum
     # cancels catastrophically.
-    t = np.log(grid)
     integrand = 1.0 / vals[0] ** 2         # d s / (s g1^2) = dt / g1^2
     seg = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(t)
     tail = 1.0 / (2.0 * l * vals[0][-1] ** 2)

@@ -167,12 +167,16 @@ def check_sine_sum_identity(N: int) -> float:
 
 
 def check_row_sum_independence(N: int) -> float:
-    """The diagonal D = sum_{j != l} d_|j-l| does not depend on l."""
-    d = interaction_coefficients_d(N)
-    sums = []
-    for l in range(N + 1):
-        sums.append(sum(d[abs(j - l) - 1] for j in range(N + 1) if j != l))
-    return float(np.max(np.abs(np.asarray(sums) - sums[0])))
+    """The diagonal D = sum_{j != l} d_|j-l| does not depend on l.
+
+    Row l of the (N+1)^2 table d_|j-l|, with 0.0 on the diagonal, is summed
+    left to right by ``cumsum``: the order of a plain loop over j, and adding
+    the diagonal's 0.0 is exact, so each row sum is that loop's bitwise.
+    """
+    d0 = np.concatenate(([0.0], interaction_coefficients_d(N)))
+    j = np.arange(N + 1)
+    sums = np.cumsum(d0[np.abs(j[:, None] - j)], axis=1)[:, -1]
+    return float(np.max(np.abs(sums - sums[0])))
 
 
 # ----------------------------------------------------------------------------
@@ -207,11 +211,11 @@ def solve_maxima_system(N: int, rhs) -> MaximaSystemSolution:
         raise ValueError("rhs must have N entries")
     mat = build_interaction_matrix(N)
     # exact summation: the cancellation D - sum_offdiag = d_l is exact in the
-    # reals and must survive in floats
-    margins = np.array([
-        math.fsum([mat.A[l, l]] + [-abs(mat.A[l, j]) for j in range(N) if j != l])
-        for l in range(N)
-    ])
+    # reals and must survive in floats; fsum is exact, so the margin is the
+    # rounded sum of row l of -|A| with A's diagonal put back, in any order
+    rows = -np.abs(mat.A)
+    np.fill_diagonal(rows, np.diag(mat.A))
+    margins = np.array([math.fsum(row) for row in rows])
     diagnostics: LinearSolveDiagnostics = solve_with_diagnostics(mat.A, rhs)
     m = diagnostics.solution
     l0 = -np.sum(mat.d * m)

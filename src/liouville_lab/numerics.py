@@ -423,9 +423,13 @@ def integrate_circle(f, center: complex, radius, spec: QuadratureSpec):
     back as an array from one ring, converged when every component is.  A 1-D
     array of radii gives one line integral per radius, all rings from one
     ``_circle_mean`` batch: shape (n,) for a scalar f, (k, n) for a vector f.
+    A radius that is not finite and positive raises ValueError.
     """
-    if np.ndim(radius):
-        radius = np.asarray(radius, dtype=float)
+    radii = np.asarray(radius, dtype=float)
+    if radii.ndim > 1 or radii.size == 0 or not np.all(np.isfinite(radii) & (radii > 0)):
+        raise ValueError(f"circle radius must be finite and positive; got {radius!r}")
+    if radii.ndim:
+        radius = radii
     mean = _circle_mean(f, center, radius, spec.rel_tol, spec.abs_tol)
     return math.tau * radius * mean
 
@@ -553,25 +557,6 @@ def newton_complex(f, fprime, z0: complex) -> complex:
     if abs(fz) <= 100 * tol:
         return z
     raise ValueError(f"Newton iteration did not converge (|f|={abs(fz):.3e})")
-
-
-def newton_scalar(f, x0: float) -> float:
-    """Scalar Newton with a secant-style finite-difference derivative, to |f| <= 1e-12."""
-    tol = 1e-12
-    fd_step = 1e-7
-    x = float(x0)
-    for _ in range(60):
-        fx = f(x)
-        if abs(fx) <= tol:
-            return x
-        d = (f(x + fd_step) - fx) / fd_step
-        if d == 0.0 or not np.isfinite(d):
-            break
-        x = x - fx / d
-    fx = f(x)
-    if abs(fx) <= 100 * tol:
-        return x
-    raise ValueError(f"scalar Newton did not converge (|f|={abs(fx):.3e})")
 
 
 @dataclass

@@ -110,7 +110,7 @@ def radial_field(profile) -> SolutionField:
 def _spot_check_solution(field: SolutionField, h, N: int, center: complex,
                          radius) -> float:
     """Relative PDE residual at four interior points of each disk of the given
-    radius or radii (needs field.laplacian); above 1e-6 raises
+    radius or radii (needs field.laplacian); above 1e-6, or not finite, raises
     NotASolutionError."""
     rel_tol = 1e-6
     if field.laplacian is None:
@@ -122,6 +122,8 @@ def _spot_check_solution(field: SolutionField, h, N: int, center: complex,
         lap = float(field.laplacian(z))
         src = abs(z) ** (2 * N) * float(h(z)) * math.exp(float(field.value(z)))
         res = abs(lap + src) / max(abs(lap), abs(src), 1.0)
+        if not math.isfinite(res):
+            raise NotASolutionError(f"not a solution: relative PDE residual {res} at z = {z}")
         worst = max(worst, res)
     if worst > rel_tol:
         raise NotASolutionError(

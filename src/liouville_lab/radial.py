@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShootingError
-from .numerics import QuadratureSpec, integrate_interval, newton_scalar, ode_integrate
+from .numerics import QuadratureSpec, integrate_interval, ode_integrate
 
 
 @dataclass
@@ -118,14 +118,23 @@ def profile_residual(profile: RadialProfile) -> float:
 # shooting solver
 
 def _shoot_once(N: int, lam: float, u0: float, spec: QuadratureSpec):
+    """One shot from r = 1e-4 to 1 of u and its sensitivity v = du/du0.
+
+    The state is (u, u', v, v'): the variational equation
+    v'' + v'/r + f v = 0, f = lam r^2N e^u, rides along, so v(1) is the exact
+    derivative of u(1; u0) (Hairer, Norsett & Wanner, Solving ODEs I, I.14).
+    The series launch u = u0 - a r^(2N+2), a = lam e^u0 / (2N+2)^2, is
+    differentiated with da/du0 = a.
+    """
     m = N + 1
     r0 = 1e-4
-    # series launch: u = u0 - lam e^{u0} r^(2m) / (2m)^2 + O(r^(4m))
     a = lam * math.exp(u0) / (2.0 * m) ** 2
-    y0 = [u0 - a * r0 ** (2 * m), -2.0 * m * a * r0 ** (2 * m - 1)]
+    lift, slope = a * r0 ** (2 * m), -2.0 * m * a * r0 ** (2 * m - 1)
+    y0 = [u0 - lift, slope, 1.0 - lift, slope]
 
     def rhs(r, y):
-        return [y[1], -y[1] / r - lam * r ** (2 * N) * math.exp(y[0])]
+        f = lam * r ** (2 * N) * math.exp(y[0])
+        return [y[1], -y[1] / r - f, y[3], -y[3] / r - f * y[2]]
 
     return ode_integrate(rhs, y0, r0, 1.0, spec)
 
@@ -134,21 +143,28 @@ def shoot_radial(N: int, lam: float, u_center_guess: float) -> RadialProfile:
     """Shooting solution of the radial problem at the given lambda.
 
     Newton runs on u(1; u0) = 0 from the supplied center guess (the guess
-    selects the branch).  The result, sampled on 2000 geometric radii in
-    [1e-4, 1], is cross-validated against the closed form; sup-norm
-    disagreement above 1e-6 is treated as failure.
+    selects the branch), to |u(1)| <= 1e-12, with the exact derivative v(1)
+    that each shot carries (see ``_shoot_once``).  The converged shot, sampled
+    on 2000 geometric radii in [1e-4, 1], is the profile; it is
+    cross-validated against the closed form, and sup-norm disagreement above
+    1e-6 is treated as failure.
     """
     spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
+    tol = 1e-12
+    u0 = float(u_center_guess)
+    for _ in range(60):
+        traj = _shoot_once(N, lam, u0, spec)
+        u1, _, v1, _ = traj.end_state
+        if abs(u1) <= tol:
+            break
+        if v1 == 0.0 or not math.isfinite(v1):
+            raise ShootingError("no radial solution found at this lambda/guess: "
+                                "the boundary value does not depend on u(0)")
+        u0 -= u1 / v1
+    else:
+        raise ShootingError(f"no radial solution found at this lambda/guess: Newton did "
+                            f"not converge (|u(1)|={abs(u1):.3e})")
 
-    def boundary_value(u0):
-        return _shoot_once(N, lam, u0, spec).end_state[0]
-
-    try:
-        u0 = newton_scalar(boundary_value, u_center_guess)
-    except ValueError as exc:
-        raise ShootingError(f"no radial solution found at this lambda/guess: {exc}") from exc
-
-    traj = _shoot_once(N, lam, u0, spec)
     r = np.geomspace(1e-4, 1.0, 2000)
     r[-1] = 1.0
     vals = traj(r)

@@ -167,13 +167,14 @@ def scenario_bubble(seed: int, tol: float) -> list:
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             if 0 < abs(z) <= 3:
                 pts.append(z)
-        res = max(abs(bubbles.bubble_residual(params, z)) for z in pts)
+        pts = np.array(pts)
+        res = float(np.max(np.abs(bubbles.bubble_residual(params, pts))))
         entries.append(_entry("bubble/residual",
                               {"N": params.N, "mu": params.mu, "h": params.h, "seed": seed},
                               res, 0.0, 1e-9, "paper"))
         # the kernel of the linearization at the planar bubble with c = h/8
         c = params.h / 8.0
-        kres = max(float(np.max(np.abs(r))) for r in kernels.kernel_residuals(np.array(pts), c))
+        kres = max(float(np.max(np.abs(r))) for r in kernels.kernel_residuals(pts, c))
         entries.append(_entry("bubble/kernel-residual", {"c": c, "seed": seed},
                               kres, 0.0, 1e-9, "paper"))
     mu = 6.0

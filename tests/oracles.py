@@ -1,7 +1,7 @@
 """Test oracles independent of the package's quadrature and report code.
 
-A brute-force polar Riemann sum, a term-by-term trigonometric sum,
-finite-difference gradient and Laplacian checks, and parsers that read a
+A brute-force polar Riemann sum, a term-by-term trigonometric sum, the
+interaction table's row sums and margins as plain loops, finite-difference gradient and Laplacian checks, and parsers that read a
 rendered report back into ``ReportEntry`` records.
 """
 
@@ -73,6 +73,21 @@ def trig_sum(c, r, theta):
         a, b = cn.real, -cn.imag
         total = total + np.asarray(r) ** n * (a * np.cos(n * theta) + b * np.sin(n * theta))
     return total
+
+
+def row_sums_loop(d) -> list:
+    """Row sums sum_{j != l} d_|j-l| of the (N+1)^2 interaction table, one
+    Python ``sum`` over j per row (N = len(d))."""
+    n = len(d)
+    return [sum(d[abs(j - l) - 1] for j in range(n + 1) if j != l) for l in range(n + 1)]
+
+
+def dominance_margins_loop(A) -> list:
+    """Row-dominance margins A_ll - sum_{j != l} |A_lj|, by ``math.fsum``
+    over each row's entries in column order."""
+    n = len(A)
+    return [math.fsum([A[l, l]] + [-abs(A[l, j]) for j in range(n) if j != l])
+            for l in range(n)]
 
 
 # ----------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,6 +222,30 @@ class TestFarField:
         cos_2n2 = 2 * spec[2 * N + 2].real * L ** (2 * N + 2)
         assert abs(secular) <= 1e-3
         assert cos_2n2 == pytest.approx(2.0, abs=1e-3)
+
+    @pytest.mark.parametrize("mu", [12.0, 100.0])
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("L", [10.0, 40.0])
+    def test_gap_matches_mpmath(self, mu, N, L):
+        # V minus the five terms at 60 digits, with e^mu exact; subtracting the
+        # terms from V in floats erred by up to 5.2e-14 here, 2 ulp of |V|
+        params = BubbleParams(N=N, mu=mu, p=0j, h=8.0 * (N + 1) ** 2)
+        thetas = math.tau * np.arange(64) / 64
+        n1 = N + 1
+        exact = []
+        with mpmath.workdps(60):
+            mu_, h, D = mpmath.mpf(mu), mpmath.mpf(params.h), mpmath.mpf(params.D)
+            c = h * mpmath.exp(mu_) / D
+            for th in thetas:
+                th = mpmath.mpf(th)
+                y = L * mpmath.expj(th)
+                V = mu_ - 2 * mpmath.log(1 + c * abs(y ** n1 - 1) ** 2)
+                terms = (-mu_ + 2 * mpmath.log(D / h) - 4 * n1 * mpmath.log(L)
+                         + 4 * mpmath.cos(n1 * th) / mpmath.mpf(L) ** n1
+                         + 2 * mpmath.cos(2 * n1 * th) / mpmath.mpf(L) ** (2 * n1))
+                exact.append(float(V - terms))
+        err = np.max(np.abs(far_field_gap(params, L, thetas) - np.array(exact)))
+        assert err <= 1e-16
 
     def test_offset_bubble_rejected(self):
         with pytest.raises(ValueError):

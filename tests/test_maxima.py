@@ -16,7 +16,7 @@ from liouville_lab.maxima import (
     oscillation_gradient,
     solve_maxima_system,
 )
-from oracles import fd_check
+from oracles import dominance_margins_loop, fd_check, row_sums_loop
 
 
 class TestGreenDisk:
@@ -156,6 +156,23 @@ class TestIdentities:
     def test_row_sum_independence(self):
         assert check_row_sum_independence(17) <= 1e-9 * 17 * 17
 
+    def test_row_sums_equal_the_loop(self, monkeypatch):
+        # the cumsum table adds each row left to right, like the loop's sum
+        seen = []
+        real_cumsum = np.cumsum
+
+        def cumsum_spy(a, *args, **kwargs):
+            out = real_cumsum(a, *args, **kwargs)
+            seen.append(out[:, -1])
+            return out
+
+        monkeypatch.setattr(np, "cumsum", cumsum_spy)
+        for N in range(1, 65):
+            residual = check_row_sum_independence(N)
+            sums = np.asarray(row_sums_loop(interaction_coefficients_d(N)))
+            assert list(seen[-1]) == list(sums)
+            assert residual == float(np.max(np.abs(sums - sums[0])))
+
     def test_d_symmetry_exact(self):
         for N in range(1, 65):
             d = interaction_coefficients_d(N)
@@ -182,6 +199,11 @@ class TestMaximaSystem:
             sol = solve_maxima_system(N, np.ones(N))
             assert np.max(np.abs(sol.dominance_margins - sol.matrix.d)
                           / sol.matrix.d) <= 1e-12
+
+    def test_margins_equal_the_loop(self):
+        for N in range(1, 65):
+            sol = solve_maxima_system(N, np.ones(N))
+            assert list(sol.dominance_margins) == dominance_margins_loop(sol.matrix.A)
 
     def test_min_singular_value_positive(self):
         for N in (1, 8, 64):

@@ -663,6 +663,25 @@ class TestNestedDisks:
             integrate_disk(lambda z: np.ones(np.shape(z)), 0j, radius, SPEC, peak=peak)
 
 
+class TestCircleRadii:
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf],
+                             ids=["negative", "zero", "nan", "inf"])
+    @pytest.mark.parametrize("in_array", [False, True], ids=["scalar", "in-array"])
+    def test_bad_radius_rejected(self, bad, in_array):
+        # unchecked, f = 1 integrates to -2 pi at radius -1 and to nan at a nan radius
+        radius = np.array([0.5, bad]) if in_array else bad
+        with pytest.raises(ValueError, match="radius"):
+            integrate_circle(lambda z: np.ones(np.shape(z)), 0j, radius, SPEC)
+
+    def test_good_radii_kept(self):
+        def one(z):
+            return np.ones(np.shape(z))
+
+        assert integrate_circle(one, 0j, 0.5, SPEC) == pytest.approx(math.pi, rel=1e-14)
+        both = integrate_circle(one, 0j, np.array([0.5, 2.0]), SPEC)
+        assert both == pytest.approx([math.pi, 4.0 * math.pi], rel=1e-14)
+
+
 class TestVectorIntegrands:
     def test_plane_components_match_scalar_calls(self):
         vec = integrate_plane(_moment_fields, SPEC)

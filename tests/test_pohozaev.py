@@ -56,6 +56,16 @@ class TestPohozaevCheck:
         with pytest.raises(NotASolutionError):
             pohozaev_check(broken, h, grad_h, 0, 1.0 + 0j, (0.1, 0.2, 0.3), SPEC)
 
+    def test_nan_residual_rejected(self):
+        # max(worst, nan) is worst, so a NaN residual needs its own test
+        params = BubbleParams(N=0, mu=4.0, p=0j, h=8.0)
+        field = bubble_field(params)
+        nan_lap = SolutionField(value=field.value, gradient=field.gradient,
+                                laplacian=lambda z: math.nan)
+        h, grad_h = constant_field(params.h)
+        with pytest.raises(NotASolutionError, match="nan"):
+            pohozaev_check(nan_lap, h, grad_h, 0, 1.0 + 0j, 0.3, SPEC)
+
     def test_every_disk_is_spot_checked(self):
         # a field that solves the equation only within 0.1 of the centre
         params = BubbleParams(N=0, mu=4.0, p=0j, h=8.0)

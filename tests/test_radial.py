@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liouville_lab import kernels, radial, scenarios
 from liouville_lab.errors import ShootingError
 from liouville_lab.numerics import QuadratureSpec
 from liouville_lab.radial import (
@@ -88,6 +89,33 @@ class TestShooting:
         with pytest.raises(ShootingError):
             shoot_radial(0, 3.0, 0.5)
 
+    @pytest.mark.parametrize("N,lam,u0", [(0, 1.0, 0.3), (2, 9.0, 2.0)])
+    def test_sensitivity_matches_central_difference(self, N, lam, u0):
+        # the variational columns (v, v') at r = 1 against central differences
+        # of (u, u') from two plain shots
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
+        step = 1e-4
+        _, _, v, vp = radial._shoot_once(N, lam, u0, spec).end_state
+        hi = radial._shoot_once(N, lam, u0 + step, spec).end_state
+        lo = radial._shoot_once(N, lam, u0 - step, spec).end_state
+        fd = (hi[:2] - lo[:2]) / (2.0 * step)
+        assert v == pytest.approx(fd[0], rel=1e-6)
+        assert vp == pytest.approx(fd[1], rel=1e-6)
+
+    def test_four_shots(self, monkeypatch):
+        # Newton with the exact derivative, and the converged shot is the profile
+        calls = []
+        real = radial.ode_integrate
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(radial, "ode_integrate", spy)
+        prof = shoot_radial(0, 1.0, 0.3)
+        assert prof.b == pytest.approx(3.0 - 2.0 * math.sqrt(2.0), abs=1e-9)
+        assert len(calls) <= 4
+
 
 class TestBranch:
     @pytest.mark.parametrize("N,expected", [(0, 2.0), (1, 8.0), (2, 18.0)])
@@ -153,3 +181,32 @@ class TestProfileValidation:
         with pytest.raises(ValueError):
             RadialProfile(N=0, lam=1.0, b=0.5, r_grid=r, u=np.ones_like(r),
                           u_prime=np.zeros_like(r))
+
+
+class TestScenarioCost:
+    def test_branch_integrations(self, monkeypatch):
+        # two shootings of at most four shots each and one mode-2 pair; the
+        # right-hand-side calls are counts, so this guard does not depend on
+        # the machine's speed
+        calls, rhs_calls = [], []
+
+        def spy_on(module):
+            real = module.ode_integrate
+
+            def spy(rhs, *args, **kwargs):
+                calls.append(module.__name__)
+
+                def counted(r, y):
+                    rhs_calls.append(1)
+                    return rhs(r, y)
+
+                return real(counted, *args, **kwargs)
+
+            monkeypatch.setattr(module, "ode_integrate", spy)
+
+        spy_on(radial)
+        spy_on(kernels)
+        entries = scenarios.scenario_branch(1)
+        assert entries and all(e.pass_ for e in entries)
+        assert len(calls) <= 9
+        assert len(rhs_calls) <= 7_000

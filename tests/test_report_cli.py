@@ -218,6 +218,8 @@ class TestCli:
         # the secular coefficient -2 e^(-mu) is of order one here
         ("farfield", "mu", "0"),
         ("farfield", "mu", "4"),
+        # the gap of about 5e-15 at N = 2, L = 40 against |V| of about 150
+        ("farfield", "mu", "100"),
         # nested disks at low and high peak height: a spread bubble at 0 and a
         # peak of width e^-7 at 14
         ("pohozaev", "mu", "0"),
