@@ -43,7 +43,6 @@ from .numerics import (
 )
 from .pohozaev import PohozaevReport, byparts_identity, coefficient_contrast, pohozaev_check
 from .radial import (
-    BranchPoint,
     RadialProfile,
     closed_form_profile,
     harnack_diagnostic,

@@ -134,12 +134,10 @@ def total_mass(params: BubbleParams, spec: QuadratureSpec | None = None) -> floa
 
 @dataclass
 class MaximaResult:
-    """Located maxima plus the closed-form first-order prediction."""
+    """Located maxima and their gap to the closed-form first-order prediction."""
 
     Q: np.ndarray            # N+1 maxima, ordered by angle
-    predicted: np.ndarray    # e^{i beta_l} (1 + p/(N+1))
-    gap: np.ndarray          # |Q_l - predicted_l|
-    m: np.ndarray            # perturbations relative to the first maximum
+    gap: np.ndarray          # |Q_l - e^{2 pi i l/(N+1)} (1 + p/(N+1))|
 
 
 def find_maxima(params: BubbleParams) -> MaximaResult:
@@ -163,11 +161,8 @@ def find_maxima(params: BubbleParams) -> MaximaResult:
             raise MaximaError(f"maxima not localized: {exc}") from exc
         roots.append(q)
     Q = np.asarray(sorted(roots, key=lambda q: np.angle(q) % math.tau))
-    beta = np.angle(Q[0]) % math.tau + math.tau * np.arange(n1) / n1
     predicted = np.exp(1j * math.tau * np.arange(n1) / n1) * (1.0 + params.p / n1)
-    gap = np.abs(Q - predicted)
-    m = Q * np.exp(-1j * beta) - abs(Q[0])
-    return MaximaResult(Q=Q, predicted=predicted, gap=gap, m=m)
+    return MaximaResult(Q=Q, gap=np.abs(Q - predicted))
 
 
 # ----------------------------------------------------------------------------

@@ -93,14 +93,14 @@ def bubble_oscillation_killer(params: BubbleParams, delta: float) -> FourierBoun
 
 @dataclass
 class LayerField:
-    """Harmonic layer phi0 = Re sum c_n y^n on B(0, 1/delta) with its scale delta*."""
+    """Harmonic layer phi0 = Re sum c_n y^n on B(0, 1/delta) with its scale delta*.
+
+    N fixes the N+1 roots of unity where ``grad_h_at_roots`` reads the layer.
+    """
 
     N: int
-    delta: float
-    L: int
     c: np.ndarray          # monomial coefficients of phi0 in y, c[0] = 0
     delta_star: float
-    tail: float = 0.0
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=complex)
@@ -154,7 +154,6 @@ def build_layer(Phi: FourierBoundaryData, params: BubbleParams, delta: float,
     dn = delta ** np.arange(c.size, dtype=float)
     gaps = dn * _l1(c)
     delta_star = float(np.sum(gaps[1:L + 1]))
-    tail = float(np.sum(gaps[L + 1:]))
 
     if Phi.is_zero():
         if killer.is_zero(1e-15):
@@ -164,14 +163,15 @@ def build_layer(Phi: FourierBoundaryData, params: BubbleParams, delta: float,
     if delta_star == 0.0:
         raise DegenerateLayerError("degenerate layer: all retained coefficient gaps vanish")
 
-    return LayerField(N=params.N, delta=delta, L=L, c=c * dn, delta_star=delta_star, tail=tail)
+    return LayerField(N=params.N, c=c * dn, delta_star=delta_star)
 
 
-def layer_from_coefficients(N: int, delta: float, L: int, c) -> LayerField:
+def layer_from_coefficients(N: int, L: int, c) -> LayerField:
     """Layer field from explicit monomial coefficients c (c[0] = 0), with
-    delta* = sum_{n=1..L} |a_n| + |b_n|."""
+    delta* = sum_{n=1..L} |a_n| + |b_n|.  The coefficients are taken in y, so
+    any powers of delta are already in them."""
     c = np.asarray(c, dtype=complex)
-    return LayerField(N=N, delta=delta, L=L, c=c, delta_star=float(np.sum(_l1(c[1:L + 1]))))
+    return LayerField(N=N, c=c, delta_star=float(np.sum(_l1(c[1:L + 1]))))
 
 
 # the least max-root gradient ratio |grad phi0| / delta* that certifies the dichotomy

@@ -93,7 +93,6 @@ class Decomposition:
     phi2: float
     phi3: float
     phi4: float
-    B: float
     remainder: float
 
 
@@ -113,7 +112,7 @@ def _fields(params: InteractionParams, z):
                * (1.0 + np.cos(2.0 * ang - 2.0 * params.theta_sl - 2.0 * params.beta_s))
                / (8.0 * B)))
     phi4 = (params.h_s / 4.0) * ((params.h_l - params.h_s) / params.h_l) * np.abs(w) ** 2 / B
-    return phi1, phi2, phi3, phi4, B, w
+    return phi1, phi2, phi3, phi4
 
 
 def decompose_difference(params: InteractionParams, z) -> Decomposition:
@@ -121,12 +120,12 @@ def decompose_difference(params: InteractionParams, z) -> Decomposition:
     eps = params.eps
     if abs(z) > 0.5 / eps:
         raise ValueError("rescaled point must satisfy |z| <= 0.5/eps")
-    phi1, phi2, phi3, phi4, B, _ = _fields(params, z)
+    phi1, phi2, phi3, phi4 = _fields(params, z)
     y = params.Q_s + eps * complex(z)
     diff = eval_bubble(params.bubble_s(), y) - eval_bubble(params.bubble_l(), y)
     rem = diff - (phi1 + phi2 + phi3 + phi4)
     return Decomposition(phi1=float(phi1), phi2=float(phi2), phi3=float(phi3),
-                         phi4=float(phi4), B=float(B), remainder=float(rem))
+                         phi4=float(phi4), remainder=float(rem))
 
 
 # ----------------------------------------------------------------------------
@@ -202,7 +201,7 @@ def interaction_coefficient(params: InteractionParams,
         return bubble_density(bubble_s, Q_s + eps * z, params.h_l) * eps ** 2 / params.M
 
     def integrand(z):
-        phi1, phi2, phi3, phi4, _, _ = _fields(params, z)
+        phi1, phi2, phi3, phi4 = _fields(params, z)
         return np.stack([phi3 + phi4, phi1, phi2]) * kernel(z)
 
     # in z the peak sits at 0 with width 1
@@ -241,7 +240,7 @@ def fit_kernel_coefficients(params: InteractionParams):
     rr = np.linspace(0.5, 20.0, 24)
     tt = 2.0 * math.pi * np.arange(32) / 32
     z = (rr[:, None] * np.exp(1j * tt[None, :])).ravel()
-    _, phi2, _, _, _, _ = _fields(params, z)
+    phi2 = _fields(params, z)[1]
     samples = phi2 / params.M
     _, k1, k2 = kernel_functions(z, params.h_s / 8.0)
     Amat = np.stack([k1, k2], axis=1)

@@ -75,26 +75,21 @@ def kernel_residuals(z, c: float):
 
 @dataclass
 class FundamentalPair:
-    """Fundamental system (g1, g2) with derivatives for one mode."""
+    """Fundamental system (g1, g2) of one mode, as values only.
+
+    The Wronskian r (g1 g2' - g1' g2) is fixed by the normalisation: 1 for
+    modes 0 and 1 (g1 -> 1, g2 ~ log(sqrt(c) r); g1 ~ r, g2 ~ -1/(2r)) and
+    -2l for l >= 2, where g2 = 2l g1 J with J' = -1/(r g1^2).
+    """
 
     g1: Callable
-    g1p: Callable
     g2: Callable
-    g2p: Callable
-
-    def wronskian(self, r):
-        r = np.asarray(r, dtype=float)
-        return r * (self.g1(r) * self.g2p(r) - self.g1p(r) * self.g2(r))
 
 
 def _pair_mode0(c: float) -> FundamentalPair:
     def g1(r):
         s = c * np.asarray(r, dtype=float) ** 2
         return (1.0 - s) / (1.0 + s)
-
-    def g1p(r):
-        r = np.asarray(r, dtype=float)
-        return -4.0 * c * r / (1.0 + c * r ** 2) ** 2
 
     # reduction of order across the zero at r = 1/sqrt(c) in closed form:
     # g2 = g1 * log(c r^2)/2 + 2/(1 + c r^2)
@@ -103,12 +98,7 @@ def _pair_mode0(c: float) -> FundamentalPair:
         s = c * r ** 2
         return g1(r) * 0.5 * np.log(s) + 2.0 / (1.0 + s)
 
-    def g2p(r):
-        r = np.asarray(r, dtype=float)
-        s = c * r ** 2
-        return g1p(r) * 0.5 * np.log(s) + g1(r) / r - 4.0 * c * r / (1.0 + s) ** 2
-
-    return FundamentalPair(g1, g1p, g2, g2p)
+    return FundamentalPair(g1, g2)
 
 
 def _pair_mode1(c: float) -> FundamentalPair:
@@ -116,21 +106,12 @@ def _pair_mode1(c: float) -> FundamentalPair:
         r = np.asarray(r, dtype=float)
         return r / (1.0 + c * r ** 2)
 
-    def g1p(r):
-        r = np.asarray(r, dtype=float)
-        return (1.0 - c * r ** 2) / (1.0 + c * r ** 2) ** 2
-
     # g2 = g1 * (-1/(2r^2) + 2c log r + c^2 r^2 / 2)
     def g2(r):
         r = np.asarray(r, dtype=float)
         return g1(r) * (-0.5 / r ** 2 + 2.0 * c * np.log(r) + 0.5 * c ** 2 * r ** 2)
 
-    def g2p(r):
-        r = np.asarray(r, dtype=float)
-        I = -0.5 / r ** 2 + 2.0 * c * np.log(r) + 0.5 * c ** 2 * r ** 2
-        return g1p(r) * I + g1(r) * (1.0 / r ** 3 + 2.0 * c / r + c ** 2 * r)
-
-    return FundamentalPair(g1, g1p, g2, g2p)
+    return FundamentalPair(g1, g2)
 
 
 def _mode_ode(c: float, l: int):
@@ -168,18 +149,12 @@ def _pair_mode_l(l: int) -> FundamentalPair:
     vals = traj(t)
     vals[1] /= grid
     g1_spline = CubicHermiteSpline(grid, vals[0], vals[1])
-    g1p_spline = g1_spline.derivative()
 
     def g1(r):
         r = np.asarray(r, dtype=float)
         out = np.where(r < r0, r ** l * (1.0 + a2 * np.minimum(r, r0) ** 2),
                        g1_spline(np.clip(r, r0, r_max)))
         return out
-
-    def g1p(r):
-        r = np.asarray(r, dtype=float)
-        inner = r ** np.maximum(l - 1, 0) * (l + (l + 2.0) * a2 * np.minimum(r, r0) ** 2)
-        return np.where(r < r0, inner, g1p_spline(np.clip(r, r0, r_max)))
 
     # J(r) = int_r^rmax ds/(s g1^2) + analytic tail;  g2 = 2l * g1 * J  so that
     # g2 ~ r^-l with unit leading coefficient.  Accumulate top-down: the
@@ -205,14 +180,7 @@ def _pair_mode_l(l: int) -> FundamentalPair:
         core = 2.0 * l * g1(r) * J(r)
         return np.where(r < r0, inner, core)
 
-    def g2p(r):
-        r = np.asarray(r, dtype=float)
-        rr = np.clip(r, r0, r_max)
-        inner = r ** (-l - 1) * (-l + (2.0 - l) * b2 * r ** 2)
-        core = 2.0 * l * (g1p(rr) * J(rr) - 1.0 / (rr * g1(rr)))
-        return np.where(r < r0, inner, core)
-
-    return FundamentalPair(g1, g1p, g2, g2p)
+    return FundamentalPair(g1, g2)
 
 
 def fundamental_pair(mode: int) -> FundamentalPair:
@@ -232,9 +200,8 @@ def fundamental_pair(mode: int) -> FundamentalPair:
 
 @dataclass
 class ModeSolution:
-    """Mode solution with its growth certificate."""
+    """Mode solution on its radii with its growth certificate."""
 
-    g: Callable
     grid: np.ndarray
     values: np.ndarray
     certificate: float   # sup_r |g(r)| / bound(r)
@@ -251,17 +218,18 @@ def mode_solve(mode: int, rhs: Callable) -> ModeSolution:
     at r = 100.  The certificate reports sup_r |g| / bound(r) over 4000
     geometric radii, with bound A log(2+r), A (1+r), or A/l^2 respectively and
     A = max |rhs| (1+r)^3; a ratio above CERTIFICATE_THRESHOLD raises
-    GrowthBoundError.
+    GrowthBoundError.  The Wronskian w0 = r (g1 g2' - g1' g2) is the pair's
+    closed-form constant (see ``FundamentalPair``): 1 for modes 0 and 1, -2l
+    for l >= 2.
     """
     from scipy.integrate import cumulative_trapezoid
-    from scipy.interpolate import CubicHermiteSpline
 
     pair = fundamental_pair(mode)
     r = np.geomspace(1e-4, MODE_R_MAX, 4000)
     f = np.asarray(rhs(r), dtype=float)
     envelope = max(float(np.max(np.abs(f) * (1.0 + r) ** 3)), 1e-300)
     g1, g2 = pair.g1(r), pair.g2(r)
-    w0 = np.median(pair.wronskian(np.linspace(1.0, 2.0, 9)))
+    w0 = 1.0 if mode <= 1 else -2.0 * mode
 
     int_g1f = cumulative_trapezoid(g1 * f * r, r, initial=0.0)
     int_g2f = cumulative_trapezoid(g2 * f * r, r, initial=0.0)
@@ -282,8 +250,7 @@ def mode_solve(mode: int, rhs: Callable) -> ModeSolution:
     if ratio > CERTIFICATE_THRESHOLD:
         raise GrowthBoundError(
             f"growth bound violated: certificate ratio {ratio:.2f} > {CERTIFICATE_THRESHOLD}")
-    spline = CubicHermiteSpline(r, vals, np.gradient(vals, r))
-    return ModeSolution(g=spline, grid=r, values=vals, certificate=ratio)
+    return ModeSolution(grid=r, values=vals, certificate=ratio)
 
 
 # ----------------------------------------------------------------------------

@@ -37,9 +37,9 @@ class MaximaConfiguration:
             raise ValueError("maxima must stay near the unit circle")
 
     @classmethod
-    def from_roots(cls, N: int, R: float = math.inf):
+    def from_roots(cls, N: int):
         beta = math.tau * np.arange(N + 1) / (N + 1)
-        return cls(N=N, Q=np.exp(1j * beta), R=R)
+        return cls(N=N, Q=np.exp(1j * beta))
 
 
 @dataclass
@@ -193,16 +193,14 @@ class MaximaSystemSolution:
     min_singular_value: float
     condition_number: float
     solve_residual: float
-    l0_residual: float
 
 
 def solve_maxima_system(N: int, rhs) -> MaximaSystemSolution:
     """Solve A m = rhs for the complex maxima perturbations m_1..m_N.
 
     Reports the strict row-dominance margin (equal to d_l: eliminating the
-    j = 0 column removes d_l from row l's off-diagonal sum), the minimum
-    singular value, and the residual of the eliminated l = 0 equation
-    -sum d_j m_j = mean(rhs).
+    j = 0 column removes d_l from row l's off-diagonal sum) and the minimum
+    singular value.
     """
     if N > SYSTEM_N_MAX:
         raise ValueError(f"perturbation system capped at N = {SYSTEM_N_MAX}")
@@ -217,16 +215,12 @@ def solve_maxima_system(N: int, rhs) -> MaximaSystemSolution:
     np.fill_diagonal(rows, np.diag(mat.A))
     margins = np.array([math.fsum(row) for row in rows])
     diagnostics: LinearSolveDiagnostics = solve_with_diagnostics(mat.A, rhs)
-    m = diagnostics.solution
-    l0 = -np.sum(mat.d * m)
-    l0_res = abs(l0 - np.mean(rhs))
     return MaximaSystemSolution(
-        m=m,
+        m=diagnostics.solution,
         matrix=mat,
         dominance_margins=margins,
         min_singular_value=diagnostics.min_singular_value,
         condition_number=diagnostics.condition_number,
         solve_residual=diagnostics.residual_norm,
-        l0_residual=float(l0_res),
     )
 

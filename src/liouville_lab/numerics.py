@@ -133,21 +133,24 @@ def _ring_nodes(m: int, odd: bool, K: int, beta: float):
 # batches of rings are split by rows, which bounds the integrand's temporaries
 RING_BATCH_POINTS = 1 << 13
 
+# the most points one ring gets: a mean not converged when m passes this
+# raises QuadratureBudgetError
+RING_MAX_POINTS = 1 << 20
+
 # QUADPACK's roundoff floor 50 eps: no error test asks a mean of values f to
 # move by less than this fraction of the mean of |f|
 ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
-def _circle_mean(f, center: complex, r, rel_tol: float, abs_tol: float,
-                 m_max: int = 1 << 20, grading=None):
+def _circle_mean(f, center: complex, r, rel_tol: float, abs_tol: float, grading=None):
     """Adaptive trapezoid averages of f over the circles of radii r about center.
 
     ``r`` is one radius or a 1-D array of them, one ring per row; the result
     has the shape of ``r`` (a float for one radius and a scalar f).  Every
-    ring starts at m = 64 points and the rule is nested: when m doubles (up to
-    m_max) only the m/2 new odd-index points are evaluated and added to the
-    running sum.  A mean has converged when it moved by at most
-    max(abs_tol, rel_tol |mean|) in the last doubling, or by at most the
+    ring starts at m = 64 points and the rule is nested: when m doubles (up
+    to ``RING_MAX_POINTS``) only the m/2 new odd-index points are evaluated
+    and added to the running sum.  A mean has converged when it moved by at
+    most max(abs_tol, rel_tol |mean|) in the last doubling, or by at most the
     roundoff floor ``ROUNDOFF`` mean|f|, which QUADPACK's panel estimate has
     too.  Each doubling calls f on the points of all rows that have
     not yet converged, flattened to 1-D, in calls of at most
@@ -206,7 +209,7 @@ def _circle_mean(f, center: complex, r, rel_tol: float, abs_tol: float,
     prev = total / m
     means = np.empty_like(prev)
     components = tuple(range(total.ndim - 1))
-    while m <= m_max:
+    while m <= RING_MAX_POINTS:
         m *= 2
         odd, odd_abs = ring_sums(m, True, rows)
         total, abs_total = total + odd, abs_total + odd_abs
@@ -510,8 +513,7 @@ def integrate_plane(f, spec: QuadratureSpec, peak=None):
 class ODETrajectory:
     """Adaptive trajectory with dense interpolation."""
 
-    r: np.ndarray
-    y: np.ndarray  # shape (dim, len(r))
+    y: np.ndarray  # shape (dim, steps): the state at each accepted step
     sol: object = field(repr=False)
 
     def __call__(self, r):
@@ -535,7 +537,7 @@ def ode_integrate(rhs, initial, r0: float, r_end: float,
         raise StiffODEError(f"stiff or singular ODE: {exc}") from exc
     if not sol.success:
         raise StiffODEError(f"stiff or singular ODE: {sol.message}")
-    return ODETrajectory(r=sol.t, y=sol.y, sol=sol.sol)
+    return ODETrajectory(y=sol.y, sol=sol.sol)
 
 
 # ----------------------------------------------------------------------------

@@ -45,15 +45,13 @@ class PohozaevReport:
 
     Each term is a length-2 array holding its e1 and e2 components for one
     radius, or a (2, n) array with one column per radius for a sequence of n
-    radii; ``radius`` is what the check was given.
+    radii, in the order the check was given them.
     """
 
     volume_term: np.ndarray
     flux_term: np.ndarray
     boundary_kinetic: np.ndarray
     residual: np.ndarray
-    center: complex
-    radius: float | tuple
 
     @property
     def scale(self) -> np.ndarray:
@@ -179,7 +177,7 @@ def pohozaev_check(field: SolutionField, h, grad_h, N: int, center: complex,
     boundary = integrate_circle(boundary_integrand, center, radius, spec)
     flux, kin = boundary[:2], boundary[2:]
     return PohozaevReport(volume_term=vol, flux_term=flux, boundary_kinetic=kin,
-                          residual=vol - flux - kin, center=center, radius=radius)
+                          residual=vol - flux - kin)
 
 
 # ----------------------------------------------------------------------------

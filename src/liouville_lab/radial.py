@@ -37,12 +37,10 @@ class RadialProfile:
     b: float
     r_grid: np.ndarray
     u: np.ndarray
-    u_prime: np.ndarray
 
     def __post_init__(self):
         self.r_grid = np.asarray(self.r_grid, dtype=float)
         self.u = np.asarray(self.u, dtype=float)
-        self.u_prime = np.asarray(self.u_prime, dtype=float)
         if self.N < 0 or self.lam < 0 or self.b < 0:
             raise ValueError("N, lambda, b must be non-negative")
         if abs(self.u[-1]) > 1e-9:
@@ -53,20 +51,6 @@ class RadialProfile:
 
     def u_prime_at(self, r):
         return closed_form_u_prime(self.N, self.b, r)
-
-
-@dataclass
-class BranchPoint:
-    """One point of the (lambda, u(0)) diagram with its mass."""
-
-    profile: RadialProfile
-    u_center: float
-    mass: float
-
-    def __post_init__(self):
-        cap = 8.0 * math.pi * (self.profile.N + 1) * 1.01
-        if self.mass > cap:
-            raise ValueError(f"mass {self.mass:.6f} exceeds the uniform bound {cap:.6f}")
 
 
 def lambda_of_b(N: int, b: float) -> float:
@@ -93,8 +77,7 @@ def closed_form_profile(N: int, b: float) -> RadialProfile:
         raise ValueError("b must be non-negative")
     r = np.geomspace(1e-6, 1.0, 2000)
     r[-1] = 1.0
-    return RadialProfile(N=N, lam=lambda_of_b(N, b), b=b, r_grid=r,
-                         u=closed_form_u(N, b, r), u_prime=closed_form_u_prime(N, b, r))
+    return RadialProfile(N=N, lam=lambda_of_b(N, b), b=b, r_grid=r, u=closed_form_u(N, b, r))
 
 
 def profile_residual(profile: RadialProfile) -> float:
@@ -139,24 +122,38 @@ def _shoot_once(N: int, lam: float, u0: float, spec: QuadratureSpec):
     return ode_integrate(rhs, y0, r0, 1.0, spec)
 
 
+# Newton gives up once the best |u(1)| has not improved in this many
+# consecutive shots: above the fold no root exists and the shots wander
+STALL_SHOTS = 5
+
+
 def shoot_radial(N: int, lam: float, u_center_guess: float) -> RadialProfile:
     """Shooting solution of the radial problem at the given lambda.
 
     Newton runs on u(1; u0) = 0 from the supplied center guess (the guess
     selects the branch), to |u(1)| <= 1e-12, with the exact derivative v(1)
-    that each shot carries (see ``_shoot_once``).  The converged shot, sampled
-    on 2000 geometric radii in [1e-4, 1], is the profile; it is
+    that each shot carries (see ``_shoot_once``), and fails once the best
+    |u(1)| has not improved in STALL_SHOTS consecutive shots.  The converged
+    shot, sampled on 2000 geometric radii in [1e-4, 1], is the profile; it is
     cross-validated against the closed form, and sup-norm disagreement above
     1e-6 is treated as failure.
     """
     spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
     tol = 1e-12
     u0 = float(u_center_guess)
+    best, stall = math.inf, 0
     for _ in range(60):
         traj = _shoot_once(N, lam, u0, spec)
         u1, _, v1, _ = traj.end_state
         if abs(u1) <= tol:
             break
+        if abs(u1) < best:
+            best, stall = abs(u1), 0
+        else:
+            stall += 1
+            if stall == STALL_SHOTS:
+                raise ShootingError(f"no radial solution found at this lambda/guess: best "
+                                    f"|u(1)|={best:.3e} unchanged for {STALL_SHOTS} shots")
         if v1 == 0.0 or not math.isfinite(v1):
             raise ShootingError("no radial solution found at this lambda/guess: "
                                 "the boundary value does not depend on u(0)")
@@ -167,8 +164,7 @@ def shoot_radial(N: int, lam: float, u_center_guess: float) -> RadialProfile:
 
     r = np.geomspace(1e-4, 1.0, 2000)
     r[-1] = 1.0
-    vals = traj(r)
-    u = vals[0].copy()
+    u = traj(r)[0]
     u[-1] = 0.0
     b = math.exp(u0 / 2.0) - 1.0
     if b <= 0:
@@ -177,7 +173,7 @@ def shoot_radial(N: int, lam: float, u_center_guess: float) -> RadialProfile:
     if gap > 1e-6:
         raise ShootingError(
             f"no radial solution found at this lambda/guess: closed-form cross-check gap {gap:.2e}")
-    return RadialProfile(N=N, lam=lam, b=b, r_grid=r, u=u, u_prime=vals[1])
+    return RadialProfile(N=N, lam=lam, b=b, r_grid=r, u=u)
 
 
 # ----------------------------------------------------------------------------
@@ -193,14 +189,13 @@ def branch_mass(profile: RadialProfile, spec: QuadratureSpec) -> float:
     return math.tau * lam * integrate_interval(integrand, (0.0, 1.0), spec)
 
 
-def harnack_diagnostic(point: BranchPoint) -> float:
-    """sup_r (u(r) + log lambda + 2(N+1) log r) over the solution's natural domain.
+def harnack_diagnostic(prof: RadialProfile) -> float:
+    """sup_r (u(r) + log lambda + 2(N+1) log r) over the profile's natural domain.
 
     The supremum sits on the bubble ring r = b^(-1/(2N+2)), which exits the
     unit disk for b < 1; the closed-form continuation is scanned far enough to
     cover it.  Along the branch the value is log(2(N+1)^2) identically.
     """
-    prof = point.profile
     if prof.b <= 0:
         raise ValueError("harnack diagnostic needs a genuine branch member (b > 0)")
     m = prof.N + 1
@@ -222,25 +217,26 @@ class FoldReport:
 
 @dataclass
 class BranchTrace:
-    points: list
+    masses: list     # branch_mass at each b, in increasing b
     fold: FoldReport
 
 
 def trace_branch(N: int, b_values, spec: QuadratureSpec) -> BranchTrace:
-    """(lambda(b), u(0;b)) diagram with fold location and masses."""
+    """Masses along the branch at the given b, sorted, and the fold of lambda(b).
+
+    The b values must span the fold at b = 1.  Each mass is the quadrature
+    ``branch_mass`` of the closed-form profile, and the fold is the maximum
+    of lambda(b) over the range of b.
+    """
     from scipy.optimize import minimize_scalar
 
     b_values = np.asarray(sorted(b_values), dtype=float)
     if not (b_values[0] < 1.0 < b_values[-1] or np.any(b_values == 1.0)):
         raise ValueError("b values must span the fold at b = 1")
-    points = []
-    for b in b_values:
-        prof = closed_form_profile(N, b)
-        points.append(BranchPoint(profile=prof, u_center=2.0 * math.log1p(b),
-                                  mass=branch_mass(prof, spec)))
+    masses = [branch_mass(closed_form_profile(N, b), spec) for b in b_values]
     res = minimize_scalar(lambda b: -lambda_of_b(N, b),
                           bounds=(b_values[0], b_values[-1]), method="bounded",
                           options={"xatol": 1e-10})
     fold = FoldReport(b_star=float(res.x), lambda_star=float(-res.fun))
-    return BranchTrace(points=points, fold=fold)
+    return BranchTrace(masses=masses, fold=fold)
 

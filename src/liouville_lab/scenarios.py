@@ -257,7 +257,7 @@ def _random_layer(rng, N: int, delta: float, L: int) -> LayerField:
     forced = int(rng.integers(1, n_modes + 1))
     A[forced] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)
     dn = delta ** np.arange(n_modes + 1, dtype=float)
-    return layer_from_coefficients(N=N, delta=delta, L=L, c=(A - 1j * B) * dn)
+    return layer_from_coefficients(N=N, L=L, c=(A - 1j * B) * dn)
 
 
 def scenario_layer_dichotomy(seed: int) -> list:
@@ -283,7 +283,7 @@ def scenario_layer_dichotomy(seed: int) -> list:
     # constructed counter-example: gradient vanishes at the first root yet is
     # Theta(delta*) at another
     ds = 1.0
-    layer = layer_from_coefficients(N=1, delta=delta, L=2, c=[0.0, 2.0 * ds / 3.0, -ds / 3.0])
+    layer = layer_from_coefficients(N=1, L=2, c=[0.0, 2.0 * ds / 3.0, -ds / 3.0])
     res = harmonic.grad_h_at_roots(layer)
     g0 = abs(res.gradients[0])
     entries.append(_entry("layer/counterexample-vanishing-root", {"N": 1},
@@ -421,12 +421,12 @@ def scenario_pohozaev(mu: float) -> list:
     # coefficient contrast for the linear layer
     mu_c = 14.0
     ds = 1e-5
-    layer = layer_from_coefficients(N=1, delta=0.05, L=1, c=[0.0, ds])
+    layer = layer_from_coefficients(N=1, L=1, c=[0.0, ds])
     params = BubbleParams(N=1, mu=mu_c, p=0j, h=1.0)
     val, orth = pohozaev.coefficient_contrast(params, layer, 0, 0.3, spec)
     entries.append(_entry("pohozaev/contrast-ratio", {"N": 1, "mu": mu_c},
                           val / (8.0 * math.pi * ds), 1.0, 0.1, "derived"))
-    layer2 = layer_from_coefficients(N=1, delta=0.05, L=1, c=[0.0, 2.0 * ds])
+    layer2 = layer_from_coefficients(N=1, L=1, c=[0.0, 2.0 * ds])
     val_dbl = pohozaev.coefficient_contrast(params, layer2, 0, 0.3, spec)[0]
     entries.append(_entry("pohozaev/contrast-linearity", {"N": 1, "mu": mu_c},
                           val_dbl / (2.0 * val), 1.0, 1e-2, "trivial"))
@@ -472,7 +472,7 @@ def scenario_branch(N: int) -> list:
         trace = radial.trace_branch(n, [0.1, 0.5, 1.0, 2.0, 10.0], spec)
         entries.append(_entry("branch/fold-lambda", {"N": n},
                               trace.fold.lambda_star, 2.0 * (n + 1) ** 2, 1e-4, "derived"))
-        masses = [pt.mass for pt in trace.points]
+        masses = trace.masses
         mono = min(np.diff(masses)) if len(masses) > 1 else 0.0
         entries.append(_bound_entry("branch/mass-monotone", {"N": n},
                                     -min(mono, 0.0), 0.0, "derived"))
@@ -480,11 +480,8 @@ def scenario_branch(N: int) -> list:
         entries.append(_bound_entry("branch/mass-bounded", {"N": n},
                                     max(masses), cap, "paper"))
         for b in (0.1, 1.0, 10.0, 100.0, 1000.0):
-            prof = radial.closed_form_profile(n, b)
-            pt = radial.BranchPoint(profile=prof, u_center=2.0 * math.log1p(b),
-                                    mass=radial.branch_mass(prof, spec))
             entries.append(_entry("branch/harnack", {"N": n, "b": b},
-                                  radial.harnack_diagnostic(pt),
+                                  radial.harnack_diagnostic(radial.closed_form_profile(n, b)),
                                   math.log(2.0 * (n + 1) ** 2), 1e-6, "derived"))
         big = radial.closed_form_profile(n, 1000.0)
         mass_big = radial.branch_mass(big, spec)
@@ -577,7 +574,7 @@ def scenario_conjecture_disk(N: int, mu: float) -> list:
     entries.append(_entry("conjecture/zero-mean", inputs,
                           abs(c1[0].real), 0.0, 1e-10, "trivial"))
     c1[0] = 0.0   # provably zero (mean value property); drop the Fourier noise
-    layer = layer_from_coefficients(N=N, delta=delta, L=N + 1, c=c1[:2 * N + 4])
+    layer = layer_from_coefficients(N=N, L=N + 1, c=c1[:2 * N + 4])
     entries.append(_bound_entry("conjecture/delta-star-lower", inputs,
                                 layer.delta_star / delta ** (2 * N + 2), 0.1, "paper",
                                 direction=">="))

@@ -138,16 +138,6 @@ class TestBuildLayer:
         with pytest.raises(DegenerateLayerError, match="all retained coefficient gaps vanish"):
             build_layer(phi, params, 0.1, L=2)
 
-    def test_tail_bound(self):
-        rng = np.random.default_rng(9)
-        a = np.concatenate([[0.0], rng.uniform(-1, 1, 16)])
-        b = np.concatenate([[0.0], rng.uniform(-1, 1, 16)])
-        phi = _data(1.0, a, b)
-        delta, L = 0.1, 3
-        layer = build_layer(phi, BubbleParams(N=1, mu=12.0, p=0j, h=1.0), delta, L=L)
-        sup = np.max(np.abs(a) + np.abs(b))
-        assert layer.tail <= 10 * delta ** (L + 1) * sup
-
     def test_h0_normalisation(self):
         phi = _data(1.0, [0, 0.3, 0.5], [0, 0.2, 0])
         layer = build_layer(phi, BubbleParams(N=1, mu=12.0, p=0j, h=1.0), 0.1, L=2)
@@ -162,7 +152,7 @@ class TestLayerGradient:
     @given(c=_coefficients(zero_mean=True), y=UNIT_POINTS.map(lambda t: 2.0 * t))
     @example(c=np.array([0.0, 0.3 - 0.7j, 0.2 + 0.1j, -0.4j]), y=0j)
     def test_gradient_is_central_differences_of_phi0(self, c, y):
-        layer = LayerField(N=1, delta=0.1, L=1, c=c, delta_star=1.0)
+        layer = LayerField(N=1, c=c, delta_star=1.0)
         h = 1e-5
         fd = ((layer.phi0(y + h) - layer.phi0(y - h)) / (2 * h),
               (layer.phi0(y + 1j * h) - layer.phi0(y - 1j * h)) / (2 * h))
@@ -175,7 +165,7 @@ class TestLayerGradient:
 class TestGradHAtRoots:
     def test_single_mode_uniform_gradient(self):
         ds = 0.37
-        layer = layer_from_coefficients(N=3, delta=0.1, L=1, c=[0.0, ds])
+        layer = layer_from_coefficients(N=3, L=1, c=[0.0, ds])
         res = grad_h_at_roots(layer)
         assert res.index == 0
         assert res.ratio == pytest.approx(1.0, rel=1e-12)
@@ -183,7 +173,7 @@ class TestGradHAtRoots:
 
     def test_constructed_counterexample(self):
         ds = 0.2
-        layer = layer_from_coefficients(N=1, delta=0.1, L=2, c=[0.0, 2 * ds / 3.0, -ds / 3.0])
+        layer = layer_from_coefficients(N=1, L=2, c=[0.0, 2 * ds / 3.0, -ds / 3.0])
         assert layer.delta_star == pytest.approx(ds, abs=1e-15)
         res = grad_h_at_roots(layer)
         px, py = layer.phi0_gradient(1.0 + 0j)
@@ -192,11 +182,10 @@ class TestGradHAtRoots:
         assert res.ratio == pytest.approx(4.0 / 3.0, rel=1e-2)
 
     def test_scale_equivariance(self):
-        base = layer_from_coefficients(N=2, delta=0.1, L=3,
-                                       c=[0.0, 0.4 - 0.2j, -0.1 - 0.3j, 0.05])
+        base = layer_from_coefficients(N=2, L=3, c=[0.0, 0.4 - 0.2j, -0.1 - 0.3j, 0.05])
         res = grad_h_at_roots(base)
         for alpha in (0.5, 3.0):
-            scaled = layer_from_coefficients(N=2, delta=0.1, L=3, c=alpha * base.c)
+            scaled = layer_from_coefficients(N=2, L=3, c=alpha * base.c)
             res2 = grad_h_at_roots(scaled)
             assert res2.index == res.index
             assert res2.ratio == pytest.approx(res.ratio, rel=1e-12)
@@ -214,7 +203,7 @@ class TestGradHAtRoots:
             forced = int(rng.integers(1, 7))
             A[forced] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)
             dn = 0.1 ** np.arange(7, dtype=float)
-            layer = layer_from_coefficients(N=N, delta=0.1, L=6, c=(A - 1j * B) * dn)
+            layer = layer_from_coefficients(N=N, L=6, c=(A - 1j * B) * dn)
             res = grad_h_at_roots(layer, threshold=0.0)
             worst = min(worst, res.ratio)
         assert worst >= 0.05
@@ -222,6 +211,6 @@ class TestGradHAtRoots:
     def test_dichotomy_violation_raises(self):
         # gradient identically zero cannot happen with nonzero data; force the
         # threshold up instead
-        layer = layer_from_coefficients(N=1, delta=0.1, L=1, c=[0.0, 1.0])
+        layer = layer_from_coefficients(N=1, L=1, c=[0.0, 1.0])
         with pytest.raises(DichotomyError):
             grad_h_at_roots(layer, threshold=10.0)

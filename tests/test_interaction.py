@@ -35,8 +35,6 @@ class TestDecomposeDifference:
         dec = decompose_difference(params, 2.0 + 1.0j)
         for v in (dec.phi1, dec.phi2, dec.phi3, dec.phi4, dec.remainder):
             assert abs(v) <= 1e-12
-        dec0 = decompose_difference(params, 0j)
-        assert dec0.B == pytest.approx(1.0, abs=1e-15)
 
     def test_z_zero_values(self):
         params = _params(dp=1e-2)

@@ -98,12 +98,18 @@ class TestFundamentalPair:
             assert 0.1 <= pair.g1(np.array([r]))[0] / r ** mode <= 10.0
             assert 0.1 <= pair.g2(np.array([r]))[0] * r ** mode <= 10.0
 
-    @pytest.mark.parametrize("mode", [0, 1, 3, 8])
+    @pytest.mark.parametrize("mode", [0, 1, 2, 3, 8])
     def test_wronskian_constant(self, mode):
+        # r (g1 g2' - g1' g2) by central differences of the values against the
+        # closed-form constant that mode_solve divides by: 1, or -2l for l >= 2
         pair = fundamental_pair(mode)
         rs = np.geomspace(0.05, 50.0, 40)
-        w = pair.wronskian(rs)
-        assert np.max(np.abs(w / w[len(w) // 2] - 1.0)) <= 1e-6
+        h = 1e-5 * rs
+        g1p = (pair.g1(rs + h) - pair.g1(rs - h)) / (2 * h)
+        g2p = (pair.g2(rs + h) - pair.g2(rs - h)) / (2 * h)
+        w = rs * (pair.g1(rs) * g2p - g1p * pair.g2(rs))
+        expected, tol = (1.0, 1e-9) if mode <= 1 else (-2.0 * mode, 1e-3)
+        assert np.max(np.abs(w / expected - 1.0)) <= tol
 
     def test_numeric_mode_cross_validated(self):
         # independent re-integration at brutal tolerance

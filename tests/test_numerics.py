@@ -159,11 +159,12 @@ class TestCircleMean:
         assert mean[1] == pytest.approx(_circle_mean(peaked, 0j, 1.0, 1e-10, 1e-13), rel=1e-14)
         assert sum(z.size for z in calls) > 128
 
-    def test_vector_budget_error_carries_value_and_estimate(self):
+    def test_vector_budget_error_carries_value_and_estimate(self, monkeypatch):
         rng = np.random.default_rng(0)
+        monkeypatch.setattr(numerics, "RING_MAX_POINTS", 1024)
         with pytest.raises(QuadratureBudgetError) as info:
             _circle_mean(lambda z: np.stack([np.ones(z.shape), rng.standard_normal(z.shape)]),
-                         0j, 1.0, 1e-12, 1e-15, m_max=1024)
+                         0j, 1.0, 1e-12, 1e-15)
         assert info.value.value.shape == (2,) and info.value.estimate > 0
 
 
@@ -237,12 +238,13 @@ class TestGradedRing:
                                   self.ABS, grading=_peak_grading(*peak, r))
             assert scalar == pytest.approx(uniform[0], rel=1e-13)
 
-    def test_budget_error_carries_value_and_estimate(self):
+    def test_budget_error_carries_value_and_estimate(self, monkeypatch):
         params = self.CASES[3]
         r = _peak_radius(params)
+        monkeypatch.setattr(numerics, "RING_MAX_POINTS", 64)
         with pytest.raises(QuadratureBudgetError) as info:
             _circle_mean(lambda z: bubble_density(params, z), 0j, r, 1e-14, 1e-15,
-                         m_max=64, grading=_peak_grading(*density_peak(params), r))
+                         grading=_peak_grading(*density_peak(params), r))
         assert np.isfinite(info.value.value) and info.value.estimate > 0
 
     @pytest.mark.parametrize("params", CASES, ids=lambda p: f"N{p.N}")
@@ -523,7 +525,7 @@ class TestBatchedRings:
                for x in r[::37]]
         assert np.all(np.abs(batch[::37] - one) <= 1e-14 * np.abs(one))
 
-    def test_ring_that_never_converges_in_a_batch(self):
+    def test_ring_that_never_converges_in_a_batch(self, monkeypatch):
         rng = np.random.default_rng(1)
 
         def f(z):   # noise on the unit ring only
@@ -531,8 +533,9 @@ class TestBatchedRings:
             return np.where(noisy, rng.standard_normal(z.shape), np.abs(z) ** 2)
 
         r = np.array([0.5, 1.0, 1.5])
+        monkeypatch.setattr(numerics, "RING_MAX_POINTS", 1024)
         with pytest.raises(QuadratureBudgetError) as info:
-            _circle_mean(f, 0j, r, self.REL, self.ABS, m_max=1024)
+            _circle_mean(f, 0j, r, self.REL, self.ABS)
         value = info.value.value
         assert value.shape == (3,) and np.all(np.isfinite(value)) and info.value.estimate > 0
         assert value[[0, 2]] == pytest.approx([0.25, 2.25], rel=1e-14)

@@ -236,7 +236,7 @@ class TestTwoDirectionPass:
 
 class TestCoefficientContrast:
     def _layer(self, ds):
-        return layer_from_coefficients(N=1, delta=0.05, L=1, c=[0.0, ds])
+        return layer_from_coefficients(N=1, L=1, c=[0.0, ds])
 
     def test_linear_layer_ratio(self):
         ds = 1e-5
@@ -262,8 +262,7 @@ class TestCoefficientContrast:
         ang = 0.7
         params = BubbleParams(N=1, mu=14.0, p=0j, h=1.0)
         base = coefficient_contrast(params, self._layer(ds), 0, 0.3, SPEC)[0]
-        rotated_layer = layer_from_coefficients(N=1, delta=0.05, L=1,
-                                                c=[0.0, ds * np.exp(-1j * ang)])
+        rotated_layer = layer_from_coefficients(N=1, L=1, c=[0.0, ds * np.exp(-1j * ang)])
         val = coefficient_contrast(params, rotated_layer, 0, 0.3, SPEC) \
             @ (math.cos(ang), math.sin(ang))
         assert val == pytest.approx(base, rel=2e-2)
@@ -273,7 +272,7 @@ class TestCoefficientContrast:
         # each written for its single xi
         ds = 1e-5
         params = BubbleParams(N=1, mu=14.0, p=0j, h=1.0)
-        layer = layer_from_coefficients(N=1, delta=0.05, L=1, c=[0.0, ds * np.exp(-0.7j)])
+        layer = layer_from_coefficients(N=1, L=1, c=[0.0, ds * np.exp(-0.7j)])
         q0 = complex(find_maxima(params).Q[0])
         eps = math.exp(-params.mu / 2.0)
         calls = []
@@ -352,7 +351,7 @@ class TestCancellationStructure:
         radius = 0.25
         xi = (1.0, 0.0)
         peak = (q0, math.exp(-mu / 2.0))
-        layer = layer_from_coefficients(N=1, delta=0.05, L=1, c=[0.0, ds])
+        layer = layer_from_coefficients(N=1, L=1, c=[0.0, ds])
         # the constant-coefficient balance freezes the layered field at the maximum
         h_const, grad_const = constant_field(params.h * float(layer.h0(q0)))
         rep_a = pohozaev_check(field, h_const, grad_const, 1, q0, radius, SPEC, peak=peak)

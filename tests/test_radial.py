@@ -9,7 +9,6 @@ from liouville_lab import kernels, radial, scenarios
 from liouville_lab.errors import ShootingError
 from liouville_lab.numerics import QuadratureSpec
 from liouville_lab.radial import (
-    BranchPoint,
     RadialProfile,
     branch_mass,
     closed_form_profile,
@@ -24,10 +23,17 @@ from liouville_lab.radial import (
 SPEC = QuadratureSpec(rel_tol=1e-10)
 
 
-def _point(N, b):
-    prof = closed_form_profile(N, b)
-    return BranchPoint(profile=prof, u_center=2 * math.log1p(b),
-                       mass=branch_mass(prof, SPEC))
+def _spy_calls(monkeypatch, module, name):
+    """Record one entry per call of module.name, then call through."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 class TestClosedForm:
@@ -104,17 +110,24 @@ class TestShooting:
 
     def test_four_shots(self, monkeypatch):
         # Newton with the exact derivative, and the converged shot is the profile
-        calls = []
-        real = radial.ode_integrate
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(radial, "ode_integrate", spy)
+        calls = _spy_calls(monkeypatch, radial, "ode_integrate")
         prof = shoot_radial(0, 1.0, 0.3)
         assert prof.b == pytest.approx(3.0 - 2.0 * math.sqrt(2.0), abs=1e-9)
         assert len(calls) <= 4
+
+    def test_above_fold_stops_when_stalled(self, monkeypatch):
+        # no root above lambda* = 2: three improving shots, then five that do
+        # not improve the best |u(1)|
+        calls = _spy_calls(monkeypatch, radial, "ode_integrate")
+        with pytest.raises(ShootingError, match="unchanged"):
+            shoot_radial(0, 3.0, 0.5)
+        assert len(calls) <= 8
+
+    def test_near_fold_converges(self):
+        # lambda = 1.99 lies just below the fold; one Newton step there does
+        # not decrease |u(1)|, and the stall rule must not stop it
+        prof = shoot_radial(0, 1.99, 1.4)
+        assert lambda_of_b(0, prof.b) == pytest.approx(1.99, rel=1e-9)
 
 
 class TestBranch:
@@ -126,15 +139,15 @@ class TestBranch:
 
     def test_mass_monotone_and_bounded(self):
         trace = trace_branch(1, [0.1, 0.5, 1.0, 2.0, 10.0, 100.0], SPEC)
-        masses = [pt.mass for pt in trace.points]
+        masses = trace.masses
         assert all(b > a for a, b in zip(masses, masses[1:]))
         assert max(masses) <= 16 * math.pi
 
     def test_mass_limit(self):
-        pt = _point(2, 1000.0)
-        assert pt.mass == pytest.approx(24 * math.pi, rel=2e-2)
+        mass = branch_mass(closed_form_profile(2, 1000.0), SPEC)
+        assert mass == pytest.approx(24 * math.pi, rel=2e-2)
         # closed-form oracle: mass = 8 pi (N+1) b/(1+b)
-        assert pt.mass == pytest.approx(24 * math.pi * 1000.0 / 1001.0, rel=1e-8)
+        assert mass == pytest.approx(24 * math.pi * 1000.0 / 1001.0, rel=1e-8)
 
     @settings(max_examples=40, deadline=None)
     @given(N=st.integers(min_value=0, max_value=8),
@@ -145,11 +158,6 @@ class TestBranch:
         mass = branch_mass(closed_form_profile(N, b), SPEC)
         assert mass == pytest.approx(8 * math.pi * (N + 1) * b / (1 + b), rel=1e-9)
 
-    def test_mass_cap_enforced(self):
-        prof = closed_form_profile(0, 1.0)
-        with pytest.raises(ValueError):
-            BranchPoint(profile=prof, u_center=2 * math.log(2.0), mass=9 * math.pi)
-
     def test_requires_fold_coverage(self):
         with pytest.raises(ValueError):
             trace_branch(0, [2.0, 3.0], SPEC)
@@ -159,13 +167,13 @@ class TestHarnack:
     @pytest.mark.parametrize("N,expected", [(0, math.log(2.0)), (1, math.log(8.0))])
     def test_constant_value(self, N, expected):
         for b in (0.1, 1.0, 10.0, 100.0, 1000.0):
-            assert harnack_diagnostic(_point(N, b)) == pytest.approx(expected, abs=1e-6)
+            assert harnack_diagnostic(closed_form_profile(N, b)) == pytest.approx(expected,
+                                                                                  abs=1e-6)
 
     def test_supremum_location(self):
         for N, b in ((0, 4.0), (1, 9.0), (2, 0.25)):
-            pt = _point(N, b)
             r_star = b ** (-1.0 / (2 * (N + 1)))
-            prof = pt.profile
+            prof = closed_form_profile(N, b)
             m = N + 1
 
             def diag(r):
@@ -179,8 +187,7 @@ class TestProfileValidation:
     def test_boundary_enforced(self):
         r = np.linspace(0.1, 1.0, 50)
         with pytest.raises(ValueError):
-            RadialProfile(N=0, lam=1.0, b=0.5, r_grid=r, u=np.ones_like(r),
-                          u_prime=np.zeros_like(r))
+            RadialProfile(N=0, lam=1.0, b=0.5, r_grid=r, u=np.ones_like(r))
 
 
 class TestScenarioCost:
@@ -210,3 +217,11 @@ class TestScenarioCost:
         assert entries and all(e.pass_ for e in entries)
         assert len(calls) <= 9
         assert len(rhs_calls) <= 7_000
+
+    def test_branch_masses(self, monkeypatch):
+        # one mass per trace point (3 x 5) and per mass-limit check (3); the
+        # Harnack diagnostic reads the profile only
+        calls = _spy_calls(monkeypatch, radial, "branch_mass")
+        entries = scenarios.scenario_branch(1)
+        assert entries and all(e.pass_ for e in entries)
+        assert len(calls) <= 18

@@ -23,16 +23,13 @@ SURFACE = {
     "errors.QuadratureBudgetError.__init__(estimate)",
     "errors.QuadratureBudgetError.__init__(value)",
     "harmonic.FourierBoundaryData.is_zero(tol)",
-    "harmonic.LayerField.tail",
     "harmonic.grad_h_at_roots(threshold)",
     "interaction.InteractionParams.beta_s",
     "kernels.principal_eigenvalue(n)",
     "maxima.MaximaConfiguration.R",
-    "maxima.MaximaConfiguration.from_roots(R)",
     "numerics.QuadratureSpec.abs_tol",
     "numerics.QuadratureSpec.rel_tol",
     "numerics._circle_mean(grading)",
-    "numerics._circle_mean(m_max)",
     "numerics.integrate_disk(peak)",
     "numerics.integrate_plane(peak)",
     "pohozaev.SolutionField.laplacian",
