@@ -1,4 +1,9 @@
-"""Exception types raised by the numerical laboratory."""
+"""Exception types raised by the numerical laboratory.
+
+A laboratory function raises only when it cannot compute its number or its
+input is outside its domain.  Whether a claim of the paper holds is decided by
+a report record, never by an exception.
+"""
 
 
 class LiouvilleLabError(Exception):
@@ -26,28 +31,12 @@ class MaximaError(LiouvilleLabError):
     """Maxima not localized: Newton diverged or precondition violated."""
 
 
-class GrowthBoundError(LiouvilleLabError):
-    """Growth bound violated: mode-solution certificate ratio too large."""
-
-
-class InteractionMismatchError(LiouvilleLabError):
-    """Interaction mismatch between closed form and quadrature."""
-
-
 class KernelFitError(LiouvilleLabError):
     """Kernel fit failed: least-squares residual too large."""
 
 
-class DichotomyError(LiouvilleLabError):
-    """Dichotomy violated: gradient small at every root of unity."""
-
-
 class DegenerateLayerError(LiouvilleLabError):
     """Degenerate layer: no boundary data and no bubble trace."""
-
-
-class ContrastMismatchError(LiouvilleLabError):
-    """Contrast mismatch: coefficient integral off its predicted value."""
 
 
 class NotASolutionError(LiouvilleLabError):

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
 from .bubbles import BubbleParams, eval_bubble
-from .errors import DegenerateLayerError, DichotomyError
+from .errors import DegenerateLayerError
 from .numerics import circle_fourier, sample_circle
 
 
@@ -124,12 +124,6 @@ class LayerField:
         """Coefficient field e^{phi0}; h0(0) = 1 exactly."""
         return np.exp(self.phi0(y))
 
-    def h0_gradient(self, y):
-        """grad h0 = h0 grad phi0, elementwise in y."""
-        gx, gy = self.phi0_gradient(y)
-        h = self.h0(y)
-        return h * gx, h * gy
-
 
 def build_layer(Phi: FourierBoundaryData, params: BubbleParams, delta: float,
                 L: int) -> LayerField:
@@ -186,22 +180,18 @@ class DichotomyResult:
     ratios: np.ndarray
 
 
-def grad_h_at_roots(layer: LayerField,
-                    threshold: float = DICHOTOMY_THRESHOLD) -> DichotomyResult:
-    """Gradient of h0 at the N+1 roots of unity (N = layer.N) and the dichotomy certificate.
+def grad_h_at_roots(layer: LayerField) -> DichotomyResult:
+    """Gradient of h0 at the N+1 roots of unity (N = layer.N) and the dichotomy ratio.
 
-    The certificate ratio uses grad phi0 (the h0 factor is 1 + O(delta*)), so
-    it is exactly invariant under rescaling the layer.  All ratios below the
-    threshold signal a violated dichotomy.
+    The ratio uses grad phi0 (the h0 factor is 1 + O(delta*)), so it is
+    exactly invariant under rescaling the layer.  It is returned whatever its
+    size; the report's records compare it with ``DICHOTOMY_THRESHOLD``.
     """
     roots = np.exp(1j * math.tau * np.arange(layer.N + 1) / (layer.N + 1))
     gx, gy = layer.phi0_gradient(roots)
     h = layer.h0(roots)
     ratios = np.hypot(gx, gy) / layer.delta_star
     s = int(np.argmax(ratios))
-    if ratios[s] < threshold:
-        raise DichotomyError(
-            f"dichotomy violated: max gradient ratio {ratios[s]:.4f} < {threshold}")
-    # grad h0 = h0 grad phi0, as ``LayerField.h0_gradient`` forms it
+    # grad h0 = h0 grad phi0
     return DichotomyResult(index=s, gradients=h * gx + 1j * (h * gy), ratio=float(ratios[s]),
                            ratios=ratios)

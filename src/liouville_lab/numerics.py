@@ -513,15 +513,11 @@ def integrate_plane(f, spec: QuadratureSpec, peak=None):
 class ODETrajectory:
     """Adaptive trajectory with dense interpolation."""
 
-    y: np.ndarray  # shape (dim, steps): the state at each accepted step
+    end_state: np.ndarray  # the state at r_end
     sol: object = field(repr=False)
 
     def __call__(self, r):
         return self.sol(r)
-
-    @property
-    def end_state(self) -> np.ndarray:
-        return self.y[:, -1]
 
 
 def ode_integrate(rhs, initial, r0: float, r_end: float,
@@ -537,7 +533,8 @@ def ode_integrate(rhs, initial, r0: float, r_end: float,
         raise StiffODEError(f"stiff or singular ODE: {exc}") from exc
     if not sol.success:
         raise StiffODEError(f"stiff or singular ODE: {sol.message}")
-    return ODETrajectory(y=sol.y, sol=sol.sol)
+    # a copy, so that the trajectory does not keep every accepted step alive
+    return ODETrajectory(end_state=sol.y[:, -1].copy(), sol=sol.sol)
 
 
 # ----------------------------------------------------------------------------

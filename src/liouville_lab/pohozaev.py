@@ -34,7 +34,7 @@ from .bubbles import (
     eval_bubble,
     find_maxima,
 )
-from .errors import ContrastMismatchError, NotASolutionError
+from .errors import NotASolutionError
 from .harmonic import LayerField
 from .numerics import QuadratureSpec, integrate_circle, integrate_disk
 
@@ -197,34 +197,21 @@ def _maximum_peak(params: BubbleParams, s: int):
 # coefficient contrast
 
 def coefficient_contrast(params: BubbleParams, layer: LayerField, s: int,
-                         radius: float, spec: QuadratureSpec,
-                         check: bool = True) -> np.ndarray:
+                         radius: float, spec: QuadratureSpec) -> np.ndarray:
     """int_{B(Q_s, radius)} grad h0 |y|^2N e^V dy, as its e1 and e2 components.
 
     Both components come from one disk pass; the contrast along a unit xi is
-    the dot product with xi.  Comparable to grad h0(Q_s) times the per-bubble
-    mass 8 pi / h; a gap along grad h0(Q_s) beyond 10% of the delta*-scale
-    raises ContrastMismatchError.
+    the dot product with xi.  Where the bubble is concentrated in the disk it
+    is close to grad h0(Q_s) times the per-bubble mass 8 pi / h; the report's
+    contrast records compare the two.
     """
     peak = _maximum_peak(params, s)
-    q_s = peak[0]
 
     def integrand(z):
         gx, gy = layer.phi0_gradient(z)
         return np.stack([gx, gy]) * bubble_density(params, z, layer.h0(z))
 
-    value = integrate_disk(integrand, q_s, radius, spec, peak=peak)
-
-    grad = np.array(layer.h0_gradient(q_s), dtype=float)
-    predicted = grad * 8.0 * math.pi / params.h
-    norm = np.hypot(*grad)
-    tol = 0.10 * 8.0 * math.pi / params.h * max(norm, layer.delta_star)
-    gap = value - predicted
-    along = abs(gap @ grad) / norm if norm > 0 else np.hypot(*gap)
-    if check and along > tol:
-        raise ContrastMismatchError(
-            f"contrast mismatch: gap {along:.6e} along grad h0 exceeds {tol:.6e}")
-    return value
+    return integrate_disk(integrand, peak[0], radius, spec, peak=peak)
 
 
 # ----------------------------------------------------------------------------

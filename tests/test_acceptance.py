@@ -14,6 +14,7 @@ import pytest
 
 import liouville_lab
 from liouville_lab import cli, numerics
+from liouville_lab.report import ReportEntry
 from liouville_lab.scenarios import run_scenario
 
 GOLDEN = Path(__file__).parent / "golden" / "all-seed42.json"
@@ -218,6 +219,30 @@ def test_no_lost_digits(seed42_report):
         if moved > LOST_DECADES:
             lost.append(f"{g['check_id']}{g['params']}: +{moved:.2f} decades")
     _report("00-lost-digits", not lost, f"({len(golden)} checks) " + "; ".join(lost[:8]))
+
+
+# Two-sided records that pass at measured = 0 although they expect a nonzero
+# value, each with its reason.
+VACUOUS_BY_DESIGN = {
+    # at mu = 12 the expected -2 e^-mu is -1.2e-5 against a tolerance of 1e-2;
+    # a tolerance that scales with it waits on the far-field numerics
+    "farfield/secular-coefficient",
+}
+
+
+def test_no_vacuous_records(seed42_report):
+    # a record whose verdict is the same at measured = 0 checks nothing: with
+    # expected = 5e-3 and tolerance 0.1, any value in [-0.095, 0.105] passes
+    records = seed42_report[0]
+    assert VACUOUS_BY_DESIGN <= {r["check_id"] for r in records}, \
+        "stale VACUOUS_BY_DESIGN entry"
+    vacuous = sorted({r["check_id"] for r in records
+                      if "bound" not in r["params"] and r["expected"] != 0
+                      and r["check_id"] not in VACUOUS_BY_DESIGN
+                      and ReportEntry(r["check_id"], r["params"], 0.0, r["expected"],
+                                      r["tolerance"], r["provenance"]).pass_})
+    _report("00-no-vacuous-records", not vacuous,
+            f"({len(vacuous)} pass at measured = 0: {', '.join(vacuous)})")
 
 
 # The force balance at the maxima and the per-mode linear theory, checked in

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liouville_lab.bubbles import BubbleParams
-from liouville_lab.errors import DegenerateLayerError, DichotomyError
+from liouville_lab.errors import DegenerateLayerError
 from liouville_lab.harmonic import (
     FourierBoundaryData,
     LayerField,
@@ -204,13 +204,12 @@ class TestGradHAtRoots:
             A[forced] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)
             dn = 0.1 ** np.arange(7, dtype=float)
             layer = layer_from_coefficients(N=N, L=6, c=(A - 1j * B) * dn)
-            res = grad_h_at_roots(layer, threshold=0.0)
+            res = grad_h_at_roots(layer)
             worst = min(worst, res.ratio)
         assert worst >= 0.05
 
-    def test_dichotomy_violation_raises(self):
-        # gradient identically zero cannot happen with nonzero data; force the
-        # threshold up instead
-        layer = layer_from_coefficients(N=1, L=1, c=[0.0, 1.0])
-        with pytest.raises(DichotomyError):
-            grad_h_at_roots(layer, threshold=10.0)
+    def test_violated_dichotomy_returns_its_ratio(self):
+        # F = -y + y^3/3 has F' = y^2 - 1, which vanishes at both roots of unity
+        # for N = 1: the ratio is returned, and the report's records judge it
+        layer = layer_from_coefficients(N=1, L=3, c=[0.0, -1.0, 0.0, 1.0 / 3.0])
+        assert grad_h_at_roots(layer).ratio <= 1e-15

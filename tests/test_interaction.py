@@ -5,7 +5,7 @@ import pytest
 
 from liouville_lab.bubbles import BubbleParams
 from liouville_lab import interaction
-from liouville_lab.errors import InteractionMismatchError, KernelFitError
+from liouville_lab.errors import KernelFitError
 from liouville_lab.interaction import (
     InteractionParams,
     closed_form_interaction,
@@ -17,6 +17,7 @@ from liouville_lab.interaction import (
     second_moment,
 )
 from liouville_lab.numerics import QuadratureSpec
+from liouville_lab.scenarios import run_scenario
 
 SPEC = QuadratureSpec(rel_tol=1e-9)
 
@@ -115,6 +116,14 @@ class TestMomentIntegrals:
         assert second_moment(SPEC) == pytest.approx(16 * math.pi, rel=1e-6)
 
 
+def _assert_pure_records_fail(mu):
+    entries = run_scenario("interaction", {"mu": mu})
+    pure = [e for e in entries if e.check_id in ("interaction/pure-separation",
+                                                 "interaction/pure-coefficient")]
+    assert len(pure) == 2 and not any(e.pass_ for e in pure)
+    assert not [e for e in entries if e.check_id == "interaction/error"]
+
+
 class TestInteractionCoefficient:
     def test_coincident_bubbles(self):
         params = _params(mu=16.0, dp=0.0, M=0.01)
@@ -128,14 +137,14 @@ class TestInteractionCoefficient:
         res = interaction_coefficient(params, SPEC)
         # derived closed form: 2 pi M / (3 (N+1)^2) = pi M / 6 for N = 1
         assert res.closed_form == pytest.approx(math.pi * 0.01 / 6.0, rel=1e-12)
-        assert res.relative_gap <= 0.10
+        assert abs(res.quadrature / res.closed_form - 1.0) <= 0.10
 
     def test_pure_coefficient(self):
         params = _params(mu=16.0, dp=0.0, dh=0.01 * 0.01, M=0.01)
         res = interaction_coefficient(params, SPEC)
         # derived closed form: 8 pi (h_l - h_s)/M = 0.08 pi
         assert res.closed_form == pytest.approx(0.08 * math.pi, rel=1e-10)
-        assert res.relative_gap <= 0.10
+        assert abs(res.quadrature / res.closed_form - 1.0) <= 0.10
 
     def test_pure_separation_higher_order(self):
         mu, M = 16.0, 0.01
@@ -144,16 +153,24 @@ class TestInteractionCoefficient:
                                    h_s=1.0, h_l=1.0, M=M, beta_s=2 * math.pi / 3.0)
         res = interaction_coefficient(params, SPEC)
         assert res.closed_form == pytest.approx(2 * math.pi * M / 27.0, rel=1e-12)
-        assert res.relative_gap <= 0.10
+        assert abs(res.quadrature / res.closed_form - 1.0) <= 0.10
 
-    def test_mismatch_raises_where_the_check_applies(self, monkeypatch):
-        # eps = e^-8 <= 1e-3 and mu_s = mu_l: a closed form twice the true one
-        # leaves a relative gap of 1/2 against the quadrature
-        params = _params(mu=16.0, dp=0.01, M=0.01)
+    def test_wrong_closed_form_fails_the_records(self, monkeypatch):
+        # a closed form twice the true one leaves the quadrature at half of it:
+        # both pure records fail, and nothing raises
         monkeypatch.setattr(interaction, "closed_form_interaction",
                             lambda p: 2.0 * closed_form_interaction(p))
-        with pytest.raises(InteractionMismatchError):
-            interaction_coefficient(params, SPEC)
+        _assert_pure_records_fail(16.0)
+
+    def test_wrong_quadrature_fails_the_records(self, monkeypatch):
+        # a phi3 + phi4 quadrature 20% too large fails both pure records
+        real = interaction.integrate_disk
+
+        def scaled(*args, **kwargs):
+            return real(*args, **kwargs) * np.array([1.2, 1.0, 1.0])
+
+        monkeypatch.setattr(interaction, "integrate_disk", scaled)
+        _assert_pure_records_fail(10.0)
 
     def test_moment_contributions_small(self):
         params = _params(mu=16.0, dp=0.01, M=0.01)

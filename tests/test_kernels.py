@@ -5,7 +5,7 @@ import pytest
 import sympy as sp
 
 from liouville_lab import kernels
-from liouville_lab.errors import GrowthBoundError, UnresolvedSpectrumError
+from liouville_lab.errors import UnresolvedSpectrumError
 from liouville_lab.kernels import (
     fundamental_pair,
     kernel_functions,
@@ -15,6 +15,7 @@ from liouville_lab.kernels import (
     principal_eigenvalue,
 )
 from liouville_lab.radial import closed_form_profile
+from liouville_lab.scenarios import run_scenario
 
 
 class TestKernelFunctions:
@@ -166,10 +167,14 @@ class TestModeSolve:
         rel = np.max(np.abs(5.0 * a.values - b.values)) / np.max(np.abs(b.values))
         assert rel <= 1e-10
 
-    def test_growth_bound_violation(self, monkeypatch):
+    def test_growth_bound_violation_is_a_record(self, monkeypatch):
+        # a certificate above the threshold fails its record; the solve itself
+        # does not raise, so the scenario runs to the end
         monkeypatch.setattr(kernels, "CERTIFICATE_THRESHOLD", 1e-3)
-        with pytest.raises(GrowthBoundError):
-            mode_solve(0, lambda r: (1 + r) ** -3.0)
+        entries = run_scenario("branch", {"N": 1})
+        records = [e for e in entries if e.check_id == "branch/mode-certificate"]
+        assert len(records) == 3 and not any(e.pass_ for e in records)
+        assert not [e for e in entries if e.check_id == "branch/error"]
 
     def test_mode_range(self):
         for mode in (-1, 65):

@@ -254,6 +254,17 @@ class TestCli:
         assert errors[0]["params"]["exception"] == "KernelFitError"
         assert "kernel fit failed" in errors[0]["params"]["message"]
 
+    def test_wrong_interaction_fails_records_not_the_scenario(self, tmp_path):
+        # at mu = 100 the quadrature misses the closed forms; the run still
+        # writes every interaction record, and the failing ones give exit 1
+        out = tmp_path / "x.json"
+        code = main(["verify", "--scenario", "interaction", "--mu", "100",
+                     "--out", str(out), "--format", "json"])
+        records = json.loads(out.read_text(encoding="utf-8"))
+        assert code == 1 and len(records) == 9
+        failed = {r["check_id"] for r in records if not r["pass"]}
+        assert {"interaction/pure-separation", "interaction/pure-coefficient"} <= failed
+
     def test_library_error_in_one_scenario_keeps_the_others(self, monkeypatch):
         def broken(**inputs):
             raise QuadratureBudgetError("quadrature budget exceeded: test")

@@ -23,7 +23,6 @@ SURFACE = {
     "errors.QuadratureBudgetError.__init__(estimate)",
     "errors.QuadratureBudgetError.__init__(value)",
     "harmonic.FourierBoundaryData.is_zero(tol)",
-    "harmonic.grad_h_at_roots(threshold)",
     "interaction.InteractionParams.beta_s",
     "kernels.principal_eigenvalue(n)",
     "maxima.MaximaConfiguration.R",
@@ -33,7 +32,6 @@ SURFACE = {
     "numerics.integrate_disk(peak)",
     "numerics.integrate_plane(peak)",
     "pohozaev.SolutionField.laplacian",
-    "pohozaev.coefficient_contrast(check)",
     "pohozaev.pohozaev_check(peak)",
     "scenarios._bound_entry(direction)",
     "scenarios.run_scenario(overrides)",
