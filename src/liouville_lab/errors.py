@@ -1,8 +1,8 @@
 """Exception types raised by the numerical laboratory.
 
 A laboratory function raises only when it cannot compute its number or its
-input is outside its domain.  Whether a claim of the paper holds is decided by
-a report record, never by an exception.
+input is outside its domain.  A claim of the paper is judged by a report
+record, never by an exception, and a raise fails only the records it stops.
 """
 
 
@@ -29,10 +29,6 @@ class StiffODEError(LiouvilleLabError):
 
 class MaximaError(LiouvilleLabError):
     """Maxima not localized: Newton diverged or precondition violated."""
-
-
-class KernelFitError(LiouvilleLabError):
-    """Kernel fit failed: least-squares residual too large."""
 
 
 class DegenerateLayerError(LiouvilleLabError):

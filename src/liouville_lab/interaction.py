@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bubbles import BubbleParams, bubble_density, density_peak, eval_bubble
-from .errors import KernelFitError
 from .kernels import kernel_functions
 from .numerics import QuadratureSpec, integrate_disk, integrate_plane
 
@@ -220,11 +219,9 @@ def fit_kernel_coefficients(params: InteractionParams):
     """Least-squares fit of phi2/M against the two translation kernels.
 
     Samples phi2/M on a 24 x 32 polar grid over 0.5 <= |z| <= 20 and fits
-    c1 phi1_kernel + c2 phi2_kernel with the kernels at c = h_s/8.  The fit
-    must recover the closed form within a few percent; a residual above 10% of
-    the fit norm raises KernelFitError.
+    c1 phi1_kernel + c2 phi2_kernel with the kernels at c = h_s/8.  Returns
+    (c1, c2, residual / fit norm); the report's kernel-fit records judge them.
     """
-    residual_cap = 0.10
     rr = np.linspace(0.5, 20.0, 24)
     tt = 2.0 * math.pi * np.arange(32) / 32
     z = (rr[:, None] * np.exp(1j * tt[None, :])).ravel()
@@ -233,9 +230,5 @@ def fit_kernel_coefficients(params: InteractionParams):
     _, k1, k2 = kernel_functions(z, params.h_s / 8.0)
     Amat = np.stack([k1, k2], axis=1)
     coef = np.linalg.lstsq(Amat, samples, rcond=None)[0]
-    fit_norm = float(np.linalg.norm(Amat @ coef))
-    resid = float(np.linalg.norm(Amat @ coef - samples))
-    if fit_norm > 0 and resid > residual_cap * fit_norm:
-        raise KernelFitError(
-            f"kernel fit failed: residual {resid:.3e} exceeds {residual_cap} of norm {fit_norm:.3e}")
-    return float(coef[0]), float(coef[1])
+    resid = float(np.linalg.norm(Amat @ coef - samples) / np.linalg.norm(Amat @ coef))
+    return float(coef[0]), float(coef[1]), resid

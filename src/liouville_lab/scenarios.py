@@ -13,6 +13,7 @@ constant written beside that check.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,12 +68,24 @@ def _bound_entry(check_id, params, value, bound, provenance, direction="<=") -> 
     """One-sided check encoded as a violation margin (0 when satisfied)."""
     value = float(value)
     bound = float(bound)
-    violation = max(value - bound, 0.0) if direction == "<=" else max(bound - value, 0.0)
-    params = dict(params)
-    params["value"] = value
-    params["bound"] = bound
-    return ReportEntry(check_id=check_id, params=params, measured=violation,
-                       expected=0.0, tolerance=0.0, provenance=provenance)
+    # np.maximum keeps a NaN; with 0.0 first it also keeps the sign of a zero violation
+    violation = np.maximum(0.0, value - bound if direction == "<=" else bound - value)
+    return _entry(check_id, {**params, "value": value, "bound": bound}, violation, 0.0, 0.0,
+                  provenance)
+
+
+@contextmanager
+def _records(entries: list, params: dict, *check_ids: str):
+    """A LiouvilleLabError in the block fails each of ``check_ids`` that it has not
+    yet appended to ``entries``, and the scenario goes on."""
+    start = len(entries)
+    try:
+        yield entries
+    except LiouvilleLabError as exc:
+        written = {e.check_id for e in entries[start:]}
+        failed = {**params, "exception": type(exc).__name__, "message": str(exc)}
+        entries.extend(_entry(check_id, failed, 1.0, 0.0, 0.0, "derived")
+                       for check_id in check_ids if check_id not in written)
 
 
 # ----------------------------------------------------------------------------
@@ -84,12 +97,12 @@ def scenario_identities(seed: int, N: int) -> list:
                           maxima.check_half_angle_identity(), 0.0, 1e-12, "paper"))
     worst_sine = worst_root = worst_row = 0.0
     for n in range(1, N + 1):
-        worst_sine = max(worst_sine, maxima.check_sine_sum_identity(n) / max(n * n, 1))
+        worst_sine = np.maximum(worst_sine, maxima.check_sine_sum_identity(n) / (n * n))
         # the force balance at the exact roots of unity is the root-sum identity
         # N = 2 sum_{j != l} Q_l / (Q_l - Q_j), doubled
         balance = maxima.force_balance_residuals(maxima.MaximaConfiguration.from_roots(n))
-        worst_root = max(worst_root, float(np.max(balance)) / n)
-        worst_row = max(worst_row, maxima.check_row_sum_independence(n) / max(n * n, 1))
+        worst_root = np.maximum(worst_root, np.max(balance) / n)
+        worst_row = np.maximum(worst_row, maxima.check_row_sum_independence(n) / (n * n))
     entries.append(_entry("identities/sine-sum", {"N_max": N},
                           worst_sine, 0.0, 1e-9, "paper"))
     entries.append(_entry("identities/root-sum", {"N_max": N},
@@ -107,11 +120,10 @@ def scenario_identities(seed: int, N: int) -> list:
         rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         sol = maxima.solve_maxima_system(n, rhs)
         d = sol.matrix.d
-        worst_margin = max(worst_margin,
-                           float(np.max(np.abs(sol.dominance_margins - d) / d)))
-        min_sigma = min(min_sigma, sol.min_singular_value)
-        worst_solve = max(worst_solve,
-                          sol.solve_residual / (sol.condition_number * np.linalg.norm(rhs)))
+        worst_margin = np.maximum(worst_margin, np.max(np.abs(sol.dominance_margins - d) / d))
+        min_sigma = np.minimum(min_sigma, sol.min_singular_value)
+        worst_solve = np.maximum(worst_solve, sol.solve_residual
+                                 / (sol.condition_number * np.linalg.norm(rhs)))
     entries.append(_entry("identities/matrix-margin", {"N_max": N},
                           worst_margin, 0.0, 1e-12, "paper"))
     entries.append(_bound_entry("identities/matrix-min-singular", {"N_max": N},
@@ -174,7 +186,7 @@ def scenario_bubble(seed: int, tol: float) -> list:
                               res, 0.0, 1e-9, "paper"))
         # the kernel of the linearization at the planar bubble with c = h/8
         c = params.h / 8.0
-        kres = max(float(np.max(np.abs(r))) for r in kernels.kernel_residuals(pts, c))
+        kres = np.max(np.abs(kernels.kernel_residuals(pts, c)))
         entries.append(_entry("bubble/kernel-residual", {"c": c, "seed": seed},
                               kres, 0.0, 1e-9, "paper"))
     mu = 6.0
@@ -188,7 +200,7 @@ def scenario_bubble(seed: int, tol: float) -> list:
         result = bubbles.find_maxima(params)
         entries.append(_bound_entry("bubble/maxima-first-order", {"N": N, "p": abs(p)},
                                     float(np.max(result.gap)), 5.0 * abs(p) ** 2, "paper"))
-        grad = max(np.hypot(*bubbles.bubble_gradient(params, q)) for q in result.Q)
+        grad = np.max([np.hypot(*bubbles.bubble_gradient(params, q)) for q in result.Q])
         entries.append(_entry("bubble/maxima-gradient", {"N": N, "p": abs(p)},
                               grad, 0.0, 1e-10, "derived"))
         root_res = float(np.max(np.abs(result.Q ** (N + 1) - (1.0 + p))))
@@ -269,7 +281,7 @@ def scenario_layer_dichotomy(seed: int) -> list:
     for _ in range(draws):
         N = int(rng.integers(1, 5))
         layer = _random_layer(rng, N, delta, L=6)
-        min_ratio = min(min_ratio, harmonic.grad_h_at_roots(layer).ratio)
+        min_ratio = np.minimum(min_ratio, harmonic.grad_h_at_roots(layer).ratio)
     entries.append(_bound_entry("layer/dichotomy-min-ratio",
                                 {"draws": draws, "delta": delta, "seed": seed},
                                 min_ratio, harmonic.DICHOTOMY_THRESHOLD, "paper",
@@ -325,25 +337,28 @@ def scenario_interaction(mu: float) -> list:
     spec = QuadratureSpec(rel_tol=1e-9)
     sep = InteractionParams(N=1, mu_s=mu, mu_l=mu, p_s=0j,
                             p_l=-eps * M * np.exp(0.3j), h_s=1.0, h_l=1.0, M=M)
-    res = interaction.interaction_coefficient(sep, spec)
-    entries.append(_entry("interaction/pure-separation", {"N": 1, "mu": mu},
-                          res.quadrature / res.closed_form, 1.0, 0.10, "derived"))
-    entries.append(_bound_entry("interaction/phi1-moment", {"N": 1, "mu": mu},
-                                abs(res.phi1_integral), 10.0 * eps, "paper"))
-    entries.append(_bound_entry("interaction/phi2-moment", {"N": 1, "mu": mu},
-                                abs(res.phi2_integral), 10.0 * eps, "paper"))
     coef = InteractionParams(N=1, mu_s=mu, mu_l=mu, p_s=0j, p_l=0j,
                              h_s=1.0, h_l=1.0 + 0.01 * M, M=M)
-    res2 = interaction.interaction_coefficient(coef, spec)
-    entries.append(_entry("interaction/pure-coefficient", {"N": 1, "mu": mu},
-                          res2.quadrature / res2.closed_form, 1.0, 0.10, "derived"))
     both = InteractionParams(N=1, mu_s=mu, mu_l=mu, p_s=0j,
                              p_l=-eps * M * np.exp(0.3j), h_s=1.0, h_l=1.0 + 0.01 * M, M=M)
-    res3 = interaction.interaction_coefficient(both, spec)
-    # additive up to the h_l cross-factor on the separation term, O(|h_l - h_s|)
-    entries.append(_entry("interaction/additivity", {"N": 1, "mu": mu},
-                          res3.quadrature / (res.quadrature + res2.quadrature), 1.0, 1e-3,
-                          "derived"))
+    with _records(entries, {"N": 1, "mu": mu}, "interaction/pure-separation",
+                  "interaction/phi1-moment", "interaction/phi2-moment",
+                  "interaction/pure-coefficient", "interaction/additivity"):
+        res = interaction.interaction_coefficient(sep, spec)
+        entries.append(_entry("interaction/pure-separation", {"N": 1, "mu": mu},
+                              res.quadrature / res.closed_form, 1.0, 0.10, "derived"))
+        entries.append(_bound_entry("interaction/phi1-moment", {"N": 1, "mu": mu},
+                                    abs(res.phi1_integral), 10.0 * eps, "paper"))
+        entries.append(_bound_entry("interaction/phi2-moment", {"N": 1, "mu": mu},
+                                    abs(res.phi2_integral), 10.0 * eps, "paper"))
+        res2 = interaction.interaction_coefficient(coef, spec)
+        entries.append(_entry("interaction/pure-coefficient", {"N": 1, "mu": mu},
+                              res2.quadrature / res2.closed_form, 1.0, 0.10, "derived"))
+        res3 = interaction.interaction_coefficient(both, spec)
+        # additive up to the h_l cross-factor on the separation term, O(|h_l - h_s|)
+        entries.append(_entry("interaction/additivity", {"N": 1, "mu": mu},
+                              res3.quadrature / (res.quadrature + res2.quadrature), 1.0, 1e-3,
+                              "derived"))
 
     # decomposition remainder: size and eps-halving
     z = 2.0 + 1.0j
@@ -372,10 +387,12 @@ def scenario_interaction(mu: float) -> list:
                            p_l=-2.0 * eps * M * np.exp(0.9j), h_s=1.0, h_l=1.0,
                            M=M, beta_s=math.tau / 3.0)
     c1, c2 = interaction.kernel_coefficients(kp)
-    f1, f2 = interaction.fit_kernel_coefficients(kp)
+    f1, f2, fit_residual = interaction.fit_kernel_coefficients(kp)
     scale = math.hypot(c1, c2)
     entries.append(_entry("interaction/kernel-fit", {"N": 2, "mu": mu},
                           math.hypot(f1 - c1, f2 - c2) / scale, 0.0, 0.05, "derived"))
+    entries.append(_bound_entry("interaction/kernel-fit-residual", {"N": 2, "mu": mu},
+                                fit_residual, 0.10, "derived"))
     rot = InteractionParams(N=2, mu_s=mu, mu_l=mu, p_s=0j,
                             p_l=kp.p_l * np.exp(1j * math.pi / 2.0), h_s=1.0, h_l=1.0,
                             M=M, beta_s=math.tau / 3.0)
@@ -393,18 +410,17 @@ def scenario_pohozaev(mu: float) -> list:
     spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
     radii = (0.1, 0.15, 0.2, 0.28, 0.35)
     for N in (0, 1, 2):
-        params = BubbleParams(N=N, mu=mu, p=0j, h=8.0 * (N + 1) ** 2)
-        field = pohozaev.bubble_field(params)
-        h, grad_h = pohozaev.constant_field(params.h)
-        peak = pohozaev._maximum_peak(params, 0)
-        q0 = peak[0]
-        centers = (q0, q0 * np.exp(0.25j), q0 + 0.05 + 0.02j)
-        worst = 0.0
-        for center in centers:
-            rep = pohozaev.pohozaev_check(field, h, grad_h, N, center, radii, spec, peak=peak)
-            worst = max(worst, float(np.max(np.abs(rep.residual) / rep.scale)))
-        entries.append(_entry("pohozaev/bubble-residual", {"N": N, "mu": mu},
-                              worst, 0.0, 1e-6, "paper"))
+        key = {"N": N, "mu": mu}
+        with _records(entries, key, "pohozaev/bubble-residual"):
+            params = BubbleParams(N=N, mu=mu, p=0j, h=8.0 * (N + 1) ** 2)
+            field = pohozaev.bubble_field(params)
+            h, grad_h = pohozaev.constant_field(params.h)
+            peak = pohozaev._maximum_peak(params, 0)
+            q0 = peak[0]
+            reps = [pohozaev.pohozaev_check(field, h, grad_h, N, center, radii, spec, peak=peak)
+                    for center in (q0, q0 * np.exp(0.25j), q0 + 0.05 + 0.02j)]
+            worst = np.max([np.abs(rep.residual) / rep.scale for rep in reps])
+            entries.append(_entry("pohozaev/bubble-residual", key, worst, 0.0, 1e-6, "paper"))
     # radial Gelfand solution at N = 0
     prof = radial.closed_form_profile(0, 1.0)
     rfield = pohozaev.radial_field(prof)
@@ -446,14 +462,16 @@ def scenario_pohozaev(mu: float) -> list:
         return wx, wy
 
     wf = pohozaev.SolutionField(value=w_value, gradient=w_gradient)
-    mismatch = pohozaev.byparts_identity(params_bp, wf, 0, 0.3, spec=spec)
-    entries.append(_bound_entry("pohozaev/byparts-kernel", {"N": 1, "mu": mu},
-                                abs(mismatch), 1e-4, "derived"))
+    with _records(entries, {"N": 1, "mu": mu}, "pohozaev/byparts-kernel"):
+        mismatch = pohozaev.byparts_identity(params_bp, wf, 0, 0.3, spec=spec)
+        entries.append(_bound_entry("pohozaev/byparts-kernel", {"N": 1, "mu": mu},
+                                    abs(mismatch), 1e-4, "derived"))
     zero_f = pohozaev.SolutionField(value=lambda z: np.zeros(np.shape(z)),
                                     gradient=lambda z: (np.zeros(np.shape(z)),
                                                         np.zeros(np.shape(z))))
-    zm = pohozaev.byparts_identity(params_bp, zero_f, 0, 0.3, spec=spec)
-    entries.append(_entry("pohozaev/byparts-zero", {"N": 1}, abs(zm), 0.0, 1e-14, "trivial"))
+    with _records(entries, {"N": 1}, "pohozaev/byparts-zero"):
+        zm = pohozaev.byparts_identity(params_bp, zero_f, 0, 0.3, spec=spec)
+        entries.append(_entry("pohozaev/byparts-zero", {"N": 1}, abs(zm), 0.0, 1e-14, "trivial"))
     return entries
 
 
@@ -468,12 +486,11 @@ def scenario_branch(N: int) -> list:
         entries.append(_entry("branch/fold-lambda", {"N": n},
                               trace.fold.lambda_star, 2.0 * (n + 1) ** 2, 1e-4, "derived"))
         masses = trace.masses
-        mono = min(np.diff(masses)) if len(masses) > 1 else 0.0
         entries.append(_bound_entry("branch/mass-monotone", {"N": n},
-                                    -min(mono, 0.0), 0.0, "derived"))
+                                    -np.min(np.diff(masses), initial=0.0), 0.0, "derived"))
         cap = 8.0 * math.pi * (n + 1)
         entries.append(_bound_entry("branch/mass-bounded", {"N": n},
-                                    max(masses), cap, "paper"))
+                                    np.max(masses), cap, "paper"))
         for b in (0.1, 1.0, 10.0, 100.0, 1000.0):
             entries.append(_entry("branch/harnack", {"N": n, "b": b},
                                   radial.harnack_diagnostic(radial.closed_form_profile(n, b)),
@@ -584,10 +601,11 @@ def scenario_conjecture_disk(N: int, mu: float) -> list:
     g = dich.gradients[dich.index]
     xi = np.array([g.real, g.imag]) / abs(g)
     spec = QuadratureSpec(rel_tol=1e-9)
-    val = pohozaev.coefficient_contrast(params, layer, dich.index, 0.3, spec) @ xi
     predicted = abs(g) * 8.0 * math.pi / params.h
-    entries.append(_entry("conjecture/contrast-ratio", inputs,
-                          val / predicted, 1.0, 0.1, "derived"))
+    with _records(entries, inputs, "conjecture/contrast-ratio"):
+        val = pohozaev.coefficient_contrast(params, layer, dich.index, 0.3, spec) @ xi
+        entries.append(_entry("conjecture/contrast-ratio", inputs,
+                              val / predicted, 1.0, 0.1, "derived"))
 
     # the Dirichlet image term in the force balance at the maxima of a shifted
     # bubble is O(sigma R^-2), sigma their distance from the roots of unity
@@ -618,12 +636,6 @@ _SCENARIO_FUNCS = {
 }
 
 
-def _error_entry(name: str, exc: LiouvilleLabError) -> ReportEntry:
-    """Failing record for a scenario that raised: one exception measured, none expected."""
-    return _entry(f"{name}/error", {"exception": type(exc).__name__, "message": str(exc)},
-                  1.0, 0.0, 0.0, "derived")
-
-
 def _check_overrides(name: str, overrides: dict, reads: dict) -> None:
     """Raise ValueError unless each override is ``seed`` or one of ``reads``, in range."""
     accepted = {"seed": SEED, **reads}
@@ -641,10 +653,9 @@ def _check_overrides(name: str, overrides: dict, reads: dict) -> None:
 def _run_one(name: str, overrides: dict) -> list:
     inputs = {key: type(s.default)(overrides.get(key, s.default))
               for key, s in INPUTS[name].items()}
-    try:
-        return _SCENARIO_FUNCS[name](**inputs)
-    except LiouvilleLabError as exc:
-        return [_error_entry(name, exc)]
+    with _records([], {}, f"{name}/error") as entries:
+        entries.extend(_SCENARIO_FUNCS[name](**inputs))
+    return entries
 
 
 def run_scenario(name: str, overrides: dict | None = None) -> list:
@@ -652,8 +663,8 @@ def run_scenario(name: str, overrides: dict | None = None) -> list:
 
     Overrides are checked against ``INPUTS`` before anything runs: one the
     scenario does not read, or one outside its range, raises ValueError.  A
-    LiouvilleLabError inside a scenario becomes its failing ``<name>/error``
-    record.
+    LiouvilleLabError fails only the records it stops; one raised outside them
+    becomes the scenario's failing ``<name>/error`` record.
     """
     overrides = overrides or {}
     if name not in SCENARIOS:

@@ -265,14 +265,13 @@ def test_paper_claims_in_report(seed42_report, check_id, count, ceiling):
 
 
 # Package code that the seed-42 `all` run cannot reach by design: the CSV
-# writer and its number format, the --config parser, the record of a scenario
-# that raised, and an exception constructor that runs only on a raise.
+# writer and its number format, the --config parser, and an exception
+# constructor that runs only on a raise.
 UNREACHED_BY_DESIGN = {
     "config.parse_config",
     "errors.QuadratureBudgetError.__init__",
     "report._fmt",
     "report.render_csv",
-    "scenarios._error_entry",
 }
 
 

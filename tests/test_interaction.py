@@ -5,7 +5,6 @@ import pytest
 
 from liouville_lab.bubbles import BubbleParams
 from liouville_lab import interaction
-from liouville_lab.errors import KernelFitError
 from liouville_lab.interaction import (
     InteractionParams,
     closed_form_interaction,
@@ -215,14 +214,16 @@ class TestKernelCoefficients:
         params = _params(N=2, mu=16.0, dp=0.02, dp_angle=0.9, M=0.01,
                          beta_s=2 * math.pi / 3)
         c1, c2 = kernel_coefficients(params)
-        f1, f2 = fit_kernel_coefficients(params)
+        f1, f2, residual = fit_kernel_coefficients(params)
         assert math.hypot(f1 - c1, f2 - c2) <= 0.05 * math.hypot(c1, c2)
+        assert residual <= 0.10
 
     def test_fit_failure_at_large_eps(self):
+        # at eps = e^-1 the translation kernels do not span phi2: the fit
+        # residual exceeds the 10% of the fit norm that the report allows
         params = InteractionParams(N=1, mu_s=2.0, mu_l=2.0, p_s=0j,
                                    p_l=-0.3 * math.exp(-1.0), h_s=1.0, h_l=1.0, M=1.0)
-        with pytest.raises(KernelFitError):
-            fit_kernel_coefficients(params)
+        assert fit_kernel_coefficients(params)[2] > 0.10
 
 
 class TestInteractionParamsValidation:

@@ -1,8 +1,11 @@
+import contextlib
+import dataclasses
 import json
 import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import liouville_lab.scenarios as scenarios_mod
@@ -157,6 +160,26 @@ class TestScenarios:
                     if e.check_id == "branch/harnack" and e.params["N"] == 1]
         assert harnacks and all(e.expected == pytest.approx(math.log(8.0)) for e in harnacks)
 
+    def test_guards_name_the_records_their_blocks_write(self, monkeypatch):
+        # the ids a guard names matter only when its block raises: each block
+        # must write exactly those records, in that order
+        guard = scenarios_mod._records
+        blocks = []
+
+        @contextlib.contextmanager
+        def watched(entries, params, *check_ids):
+            start = len(entries)
+            with guard(entries, params, *check_ids) as guarded:
+                yield guarded
+            blocks.append((check_ids, tuple(e.check_id for e in entries[start:])))
+
+        monkeypatch.setattr(scenarios_mod, "_records", watched)
+        for name in ("pohozaev", "interaction", "conjecture-disk"):
+            scenarios_mod._SCENARIO_FUNCS[name](
+                **{key: s.default for key, s in INPUTS[name].items()})
+        assert len(blocks) == 7
+        assert all(named == written for named, written in blocks), blocks
+
 
 class TestCli:
     def test_exit_zero_and_report(self, tmp_path):
@@ -242,17 +265,17 @@ class TestCli:
         assert "Traceback" not in err and not out.exists()
 
     def test_library_error_becomes_failing_record(self, tmp_path, capsys):
-        # at mu = 8 the translation-kernel fit is too coarse and raises KernelFitError
+        # at mu = 8 the translation-kernel fit is too coarse: its residual
+        # record fails, and nothing else does
         out = tmp_path / "x.json"
         code = main(["verify", "--scenario", "interaction", "--mu", "8",
                      "--out", str(out), "--format", "json"])
         assert code == 1
         assert "Traceback" not in capsys.readouterr().err
         records = json.loads(out.read_text(encoding="utf-8"))
-        errors = [r for r in records if r["check_id"] == "interaction/error"]
-        assert len(errors) == 1 and not errors[0]["pass"]
-        assert errors[0]["params"]["exception"] == "KernelFitError"
-        assert "kernel fit failed" in errors[0]["params"]["message"]
+        assert len(records) == 10
+        failed = [r["check_id"] for r in records if not r["pass"]]
+        assert failed == ["interaction/kernel-fit-residual"]
 
     def test_wrong_interaction_fails_records_not_the_scenario(self, tmp_path):
         # at mu = 100 the quadrature misses the closed forms; the run still
@@ -261,7 +284,7 @@ class TestCli:
         code = main(["verify", "--scenario", "interaction", "--mu", "100",
                      "--out", str(out), "--format", "json"])
         records = json.loads(out.read_text(encoding="utf-8"))
-        assert code == 1 and len(records) == 9
+        assert code == 1 and len(records) == 10
         failed = {r["check_id"] for r in records if not r["pass"]}
         assert {"interaction/pure-separation", "interaction/pure-coefficient"} <= failed
 
@@ -276,6 +299,47 @@ class TestCli:
         assert [e.check_id for e in failed] == ["moments/error"]
         assert failed[0].params["exception"] == "QuadratureBudgetError"
         assert any(e.check_id.startswith("identities/") for e in entries)
+
+    def test_library_error_fails_only_the_records_it_feeds(self, monkeypatch):
+        original = scenarios_mod.pohozaev.byparts_identity
+        calls = []
+
+        def first_call_raises(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise QuadratureBudgetError("quadrature budget exceeded: test")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios_mod.pohozaev, "byparts_identity", first_call_raises)
+        entries = run_scenario("pohozaev", {"mu": 10.0})
+        failed = [e for e in entries if not e.pass_]
+        assert len(entries) == 9 and [e.check_id for e in failed] == ["pohozaev/byparts-kernel"]
+        assert failed[0].params["exception"] == "QuadratureBudgetError"
+        assert failed[0].params["N"] == 1 and failed[0].params["mu"] == 10.0
+        assert "pohozaev/error" not in {e.check_id for e in entries}
+
+    def test_nan_pohozaev_residual_fails(self, monkeypatch):
+        original = scenarios_mod.pohozaev.pohozaev_check
+
+        def nan_residual(*args, **kwargs):
+            rep = original(*args, **kwargs)
+            return dataclasses.replace(rep, residual=np.full_like(rep.residual, np.nan))
+
+        monkeypatch.setattr(scenarios_mod.pohozaev, "pohozaev_check", nan_residual)
+        entries = run_scenario("pohozaev", {"mu": 10.0})
+        residual = [e for e in entries if e.check_id == "pohozaev/bubble-residual"]
+        assert len(residual) == 3 and not any(e.pass_ for e in residual)
+
+    def test_nan_dichotomy_ratio_fails(self, monkeypatch):
+        original = scenarios_mod.harmonic.grad_h_at_roots
+
+        def nan_ratio(layer):
+            return dataclasses.replace(original(layer), ratio=math.nan)
+
+        monkeypatch.setattr(scenarios_mod.harmonic, "grad_h_at_roots", nan_ratio)
+        entries = run_scenario("layer-dichotomy", {"seed": 42})
+        (ratio,) = [e for e in entries if e.check_id == "layer/dichotomy-min-ratio"]
+        assert not ratio.pass_
 
     def test_io_failure_exit_three(self, tmp_path):
         target = tmp_path / "no-such-dir" / "x.json"
