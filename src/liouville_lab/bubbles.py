@@ -106,10 +106,48 @@ def bubble_residual(params: BubbleParams, y) -> float | np.ndarray:
     return float(res) if res.ndim == 0 else res
 
 
+def _kernel_terms(params: BubbleParams, y):
+    """(F, c|F|^2, |y|^2N) at points y, with F = y^(N+1) - 1 - p, by products only.
+
+    The one implementation of the pieces of the bubble kernel
+    |y|^2N h e^V = h e^mu |y|^2N / (1 + c|F|^2)^2: y^(N+1) is a chain of
+    complex products, |w|^2 is w.real^2 + w.imag^2 and |y|^2N a power of |y|^2
+    by products, so a point costs no pow, hypot, exp or log.  |y|^2N is the
+    number 1.0 when N = 0.
+    """
+    y = np.asarray(y, dtype=complex)
+    if params.N:
+        # np.square of a strided .real runs faster than x * x, to the same bits
+        r2 = np.square(y.real)
+        r2 += np.square(y.imag)
+        weight = r2
+        for _ in range(params.N - 1):
+            weight = weight * r2
+        F = y * y
+        for _ in range(params.N - 1):
+            F *= y
+        F -= 1.0 + params.p
+    else:
+        F, weight = y - (1.0 + params.p), 1.0
+    q = np.square(F.real)
+    q += np.square(F.imag)
+    q *= params.coefficient
+    return F, q, weight
+
+
 def bubble_density(params: BubbleParams, y, h=None):
-    """Mass density |y|^(2N) h e^V; h defaults to params.h (a number or an array)."""
+    """Mass density |y|^(2N) h e^V; h defaults to params.h (a number or an array).
+
+    Evaluated as h e^mu |y|^2N / (1 + c|F|^2)^2 from ``_kernel_terms``, with
+    e^mu one scalar: products and one division per point, where
+    exp(``eval_bubble``) would be exp of log1p at every point.
+    ``eval_bubble`` keeps its ``**`` form: the ``bubble/rotation-symmetry``
+    record reads exactly 0 through it, and products would leave rounding there.
+    """
     h = params.h if h is None else h
-    return np.abs(y) ** (2 * params.N) * h * np.exp(eval_bubble(params, y))
+    _, q, weight = _kernel_terms(params, y)
+    d = 1.0 + q
+    return (h * np.exp(params.mu)) * weight / (d * d)
 
 
 def density_peak(params: BubbleParams):

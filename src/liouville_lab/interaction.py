@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubbles import BubbleParams, bubble_density, density_peak, eval_bubble
+from .bubbles import BubbleParams, _kernel_terms, bubble_density, density_peak, eval_bubble
 from .kernels import kernel_functions
 from .numerics import QuadratureSpec, integrate_disk, integrate_plane
 
@@ -136,16 +136,23 @@ def moment_integrals(params: BubbleParams, spec: QuadratureSpec):
     I0 = int (1-q)/(1+q)^3 |z|^2N dz with q the bubble quadratic form,
     I1 = int c (z^(N+1) - 1 - p) |z|^2N / (1+q)^3 dz (complex; both parts vanish).
     The rings are graded toward the bubble's maxima, where both integrands peak.
+    The pieces F = z^(N+1) - 1 - p, q = c|F|^2 and |z|^2N come by products
+    from ``bubbles._kernel_terms`` and (1+q)^3 is d*d*d, so a point costs one
+    division and no transcendental call; the three components are written
+    into one (3, n) array.
     """
     c = params.coefficient
-    off = 1.0 + params.p
 
     def integrand(z):
-        zz = z ** (params.N + 1) - off
-        q = c * np.abs(zz) ** 2
-        w = np.abs(z) ** (2 * params.N) / (1.0 + q) ** 3
-        i1 = c * zz * w
-        return np.stack([(1.0 - q) * w, i1.real, i1.imag])
+        F, q, weight = _kernel_terms(params, z)
+        d = 1.0 + q
+        w = weight / (d * d * d)
+        out = np.empty((3,) + q.shape)
+        np.multiply(1.0 - q, w, out=out[0])
+        w *= c
+        np.multiply(F.real, w, out=out[1])
+        np.multiply(F.imag, w, out=out[2])
+        return out
 
     i0, i1_re, i1_im = integrate_plane(integrand, spec, peak=density_peak(params))
     return float(i0), complex(i1_re, i1_im)

@@ -146,6 +146,11 @@ def pohozaev_check(field: SolutionField, h, grad_h, N: int, center: complex,
     ``peak = (q, width)`` locates the maximum of e^u and goes to
     ``integrate_disk``, which places the radial breakpoints around it and
     grades every ring of the disk toward q.
+
+    The volume integrand's weight |y|^2N and lever 2N |y|^(2N-2) are powers
+    of |y|^2 = x^2 + y^2 by products, with no pow or hypot per point; e^u
+    stays exp of the field's value, and for a bubble field that value is
+    ``eval_bubble`` in its ``**`` form (see ``bubbles.bubble_density``).
     """
     if N >= 1 and abs(center) <= np.max(radius):
         raise ValueError("for N >= 1 the disk must not contain the origin")
@@ -153,14 +158,21 @@ def pohozaev_check(field: SolutionField, h, grad_h, N: int, center: complex,
     n2 = 2 * N
 
     def volume_integrand(z):
-        # grad(|y|^2N h) e^u, with grad |y|^2N = 2N |y|^(2N-2) y
-        hx, hy = grad_h(z)
-        weight = np.abs(z) ** n2
-        gx, gy = weight * hx, weight * hy
+        # grad(|y|^2N h) e^u, with grad |y|^2N = 2N |y|^(2N-2) y; the powers
+        # of |y|^2 are products
+        gx, gy = grad_h(z)
         if N:
-            lever = n2 * np.abs(z) ** (n2 - 2) * h(z)
-            gx, gy = gx + lever * z.real, gy + lever * z.imag
-        return np.stack([gx, gy]) * np.exp(field.value(z))
+            r2 = np.square(z.real) + np.square(z.imag)
+            below = 1.0   # |y|^(2N-2)
+            for _ in range(N - 1):
+                below = below * r2
+            weight, lever = below * r2, n2 * below * h(z)
+            gx, gy = weight * gx + lever * z.real, weight * gy + lever * z.imag
+        e_u = np.exp(field.value(z))
+        out = np.empty((2,) + e_u.shape)
+        np.multiply(gx, e_u, out=out[0])
+        np.multiply(gy, e_u, out=out[1])
+        return out
 
     vol = integrate_disk(volume_integrand, center, radius, spec, peak=peak)
 
@@ -234,7 +246,7 @@ def byparts_identity(params: BubbleParams, w_field: SolutionField, s: int,
 
     def volume_integrand(z):
         # d_xi |y|^2N / |y|^2N = 2N y_xi / |y|^2 for xi = e1
-        lever = (2 * N) * z.real / np.abs(z) ** 2
+        lever = (2 * N) * z.real / (np.square(z.real) + np.square(z.imag))
         return lever * bubble_density(params, z) * w_field.value(z)
 
     volume = integrate_disk(volume_integrand, q_s, radius, spec, peak=peak)
@@ -243,7 +255,7 @@ def byparts_identity(params: BubbleParams, w_field: SolutionField, s: int,
         z = np.asarray(z, dtype=complex)
         nu = (z - q_s) / radius
         # y_xi/|y|^2 for xi = e1 and its gradient
-        r2 = np.abs(z) ** 2
+        r2 = np.square(z.real) + np.square(z.imag)
         field_val = z.real / r2
         gx = (r2 - 2.0 * z.real * z.real) / r2 ** 2
         gy = -2.0 * z.real * z.imag / r2 ** 2

@@ -341,22 +341,28 @@ def scenario_interaction(mu: float) -> list:
                              h_s=1.0, h_l=1.0 + 0.01 * M, M=M)
     both = InteractionParams(N=1, mu_s=mu, mu_l=mu, p_s=0j,
                              p_l=-eps * M * np.exp(0.3j), h_s=1.0, h_l=1.0 + 0.01 * M, M=M)
-    with _records(entries, {"N": 1, "mu": mu}, "interaction/pure-separation",
-                  "interaction/phi1-moment", "interaction/phi2-moment",
-                  "interaction/pure-coefficient", "interaction/additivity"):
+    key = {"N": 1, "mu": mu}
+    res = res2 = None
+    with _records(entries, key, "interaction/pure-separation",
+                  "interaction/phi1-moment", "interaction/phi2-moment"):
         res = interaction.interaction_coefficient(sep, spec)
-        entries.append(_entry("interaction/pure-separation", {"N": 1, "mu": mu},
+        entries.append(_entry("interaction/pure-separation", key,
                               res.quadrature / res.closed_form, 1.0, 0.10, "derived"))
-        entries.append(_bound_entry("interaction/phi1-moment", {"N": 1, "mu": mu},
+        entries.append(_bound_entry("interaction/phi1-moment", key,
                                     abs(res.phi1_integral), 10.0 * eps, "paper"))
-        entries.append(_bound_entry("interaction/phi2-moment", {"N": 1, "mu": mu},
+        entries.append(_bound_entry("interaction/phi2-moment", key,
                                     abs(res.phi2_integral), 10.0 * eps, "paper"))
+    with _records(entries, key, "interaction/pure-coefficient"):
         res2 = interaction.interaction_coefficient(coef, spec)
-        entries.append(_entry("interaction/pure-coefficient", {"N": 1, "mu": mu},
+        entries.append(_entry("interaction/pure-coefficient", key,
                               res2.quadrature / res2.closed_form, 1.0, 0.10, "derived"))
+    with _records(entries, key, "interaction/additivity"):
+        if res is None or res2 is None:
+            raise LiouvilleLabError(
+                "not computed: the pure-separation or pure-coefficient quadrature raised")
         res3 = interaction.interaction_coefficient(both, spec)
         # additive up to the h_l cross-factor on the separation term, O(|h_l - h_s|)
-        entries.append(_entry("interaction/additivity", {"N": 1, "mu": mu},
+        entries.append(_entry("interaction/additivity", key,
                               res3.quadrature / (res.quadrature + res2.quadrature), 1.0, 1e-3,
                               "derived"))
 

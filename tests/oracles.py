@@ -1,8 +1,9 @@
 """Test oracles independent of the package's quadrature and report code.
 
 A brute-force polar Riemann sum, a term-by-term trigonometric sum, the
-interaction table's row sums and margins as plain loops, finite-difference gradient and Laplacian checks, and parsers that read a
-rendered report back into ``ReportEntry`` records.
+interaction table's row sums and margins as plain loops, finite-difference
+gradient and Laplacian checks, the bubble density in mpmath, and parsers that
+read a rendered report back into ``ReportEntry`` records.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from liouville_lab.errors import LiouvilleLabError
@@ -129,6 +131,30 @@ def fd_laplacian(f, point: complex, h: float = 1e-4) -> float:
     """Five-point Laplacian stencil, used to certify harmonicity."""
     return (f(point + h) + f(point - h) + f(point + 1j * h) + f(point - 1j * h)
             - 4.0 * f(point)) / h ** 2
+
+
+# ----------------------------------------------------------------------------
+# high-precision bubble density
+
+def bubble_density_mp(params, y, dps: int = 50) -> np.ndarray:
+    """|y|^2N h e^V = h e^mu |y|^2N / (1 + c|y^(N+1) - 1 - p|^2)^2 at each point
+    of y, in mpmath at ``dps`` digits, rounded to floats.
+
+    The float inputs y, p, mu and h are taken as exact, so the oracle measures
+    the rounding of an evaluation, not of its inputs.
+    """
+    n1 = params.N + 1
+    with mpmath.workdps(dps):
+        h = mpmath.mpf(params.h)
+        e_mu = mpmath.exp(mpmath.mpf(params.mu))
+        c = h * e_mu / (8 * n1 ** 2)
+        off = 1 + mpmath.mpc(params.p)
+        values = []
+        for point in np.ravel(y):
+            w = mpmath.mpc(complex(point))
+            d = 1 + c * abs(w ** n1 - off) ** 2
+            values.append(float(h * e_mu * abs(w) ** (2 * params.N) / (d * d)))
+    return np.reshape(values, np.shape(y))
 
 
 # ----------------------------------------------------------------------------

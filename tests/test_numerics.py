@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liouville_lab import numerics
+from liouville_lab import numerics, scenarios
 from liouville_lab.bubbles import BubbleParams, bubble_density, bubble_gradient, density_peak
 from liouville_lab.errors import NyquistError, QuadratureBudgetError, StiffODEError
 from liouville_lab.numerics import (
@@ -112,6 +112,34 @@ def _recording(f):
         return f(z)
 
     return g, calls
+
+
+class TestRingPointCounts:
+    """The integrand points the two ring-heavy scenarios evaluate at their
+    defaults, counted at the ``_circle_mean`` boundary: a cheaper integrand
+    must gain per point, with every convergence decision where it was."""
+
+    @staticmethod
+    def _points(monkeypatch, run):
+        counted = []
+
+        def counting(f, *args, **kwargs):
+            g, calls = _recording(f)
+            try:
+                return _circle_mean(g, *args, **kwargs)
+            finally:
+                counted.extend(z.size for z in calls)
+
+        monkeypatch.setattr(numerics, "_circle_mean", counting)
+        run()
+        return sum(counted)
+
+    def test_moments(self, monkeypatch):
+        assert self._points(monkeypatch, scenarios.scenario_moments) == 1_725_696
+
+    def test_pohozaev(self, monkeypatch):
+        mu = scenarios.INPUTS["pohozaev"]["mu"].default
+        assert self._points(monkeypatch, lambda: scenarios.scenario_pohozaev(mu)) == 851_328
 
 
 def _moment_fields(z):

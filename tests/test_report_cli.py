@@ -177,7 +177,7 @@ class TestScenarios:
         for name in ("pohozaev", "interaction", "conjecture-disk"):
             scenarios_mod._SCENARIO_FUNCS[name](
                 **{key: s.default for key, s in INPUTS[name].items()})
-        assert len(blocks) == 7
+        assert len(blocks) == 9
         assert all(named == written for named, written in blocks), blocks
 
 
@@ -317,6 +317,30 @@ class TestCli:
         assert failed[0].params["exception"] == "QuadratureBudgetError"
         assert failed[0].params["N"] == 1 and failed[0].params["mu"] == 10.0
         assert "pohozaev/error" not in {e.check_id for e in entries}
+
+    def test_separation_error_spares_the_coefficient_record(self, monkeypatch):
+        # the pure-separation quadrature raises; pure-coefficient has its own
+        # block and passes, and additivity, which needs both, fails unrun
+        original = scenarios_mod.interaction.interaction_coefficient
+        calls = []
+
+        def separation_raises(params, spec):
+            calls.append(params)
+            if params.h_l == params.h_s:
+                raise QuadratureBudgetError("quadrature budget exceeded: test")
+            return original(params, spec)
+
+        monkeypatch.setattr(scenarios_mod.interaction, "interaction_coefficient",
+                            separation_raises)
+        entries = run_scenario("interaction", {"mu": 16.0})
+        status = {e.check_id: e.pass_ for e in entries}
+        assert len(entries) == 10 and len(calls) == 2
+        assert status["interaction/pure-coefficient"]
+        assert [e.check_id for e in entries if not e.pass_] == [
+            "interaction/additivity", "interaction/phi1-moment",
+            "interaction/phi2-moment", "interaction/pure-separation"]
+        additivity = next(e for e in entries if e.check_id == "interaction/additivity")
+        assert additivity.params["message"].startswith("not computed")
 
     def test_nan_pohozaev_residual_fails(self, monkeypatch):
         original = scenarios_mod.pohozaev.pohozaev_check
