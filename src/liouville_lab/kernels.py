@@ -10,21 +10,20 @@ Per Fourier mode l the radial operator is
 
     L_l g = g'' + g'/r + (8c/(1+c r^2)^2 - l^2/r^2) g,
 
-with closed-form fundamental pairs for l = 0, 1 and series-launched numerical
-solutions for l >= 2 (second solutions by reduction of order).  The mode
+with a closed-form fundamental pair for every l: for l = 0, 1 the second
+solution comes from reduction of order, and for l >= 2 both solutions are
+r^(+-l) times a rational function of c r^2 (see ``_pair_mode_l``).  The mode
 problems are posed at c = 1/8 (h = 1) on 0 < r <= 100: c only rescales r.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import UnresolvedSpectrumError
-from .numerics import QuadratureSpec, ode_integrate
 from .radial import RadialProfile, profile_residual
 
 
@@ -79,7 +78,7 @@ class FundamentalPair:
 
     The Wronskian r (g1 g2' - g1' g2) is fixed by the normalisation: 1 for
     modes 0 and 1 (g1 -> 1, g2 ~ log(sqrt(c) r); g1 ~ r, g2 ~ -1/(2r)) and
-    -2l for l >= 2, where g2 = 2l g1 J with J' = -1/(r g1^2).
+    -2l for l >= 2 (g1 ~ r^l, g2 ~ r^-l).
     """
 
     g1: Callable
@@ -114,78 +113,31 @@ def _pair_mode1(c: float) -> FundamentalPair:
     return FundamentalPair(g1, g2)
 
 
-def _mode_ode(c: float, l: int):
-    """L_l g = 0 in t = log r, state (g, g_t): g_tt = (l^2 - r^2 V(r)) g.
-
-    Since g'' + g'/r = g_tt / r^2, the 1/r and l^2/r^2 terms drop out, and
-    the launch g ~ r^l is g ~ e^(l t).  V is ``potential``.
-    """
-    def rhs(t, y):
-        s = c * math.exp(2.0 * t)
-        return [y[1], (l * l - 8.0 * s / (1.0 + s) ** 2) * y[0]]
-
-    return rhs
-
-
 def _pair_mode_l(l: int) -> FundamentalPair:
-    """Series-launched g1 ~ r^l and reduction-of-order g2 ~ r^-l for l >= 2.
+    """Closed-form pair for l >= 2, with s = c r^2 and a = (l - 1)/(l + 1):
 
-    g1 is integrated in t = log r (see ``_mode_ode``) and sampled on 4000
-    geometric radii, with g1' = g_t / r; a cubic Hermite spline in r
-    interpolates between them.
+        g1 = r^l (1 + a s)/(1 + s),   g2 = r^-l (1 + s/a)/(1 + s),
+
+    normalised so that g1 ~ r^l and g2 ~ r^-l at 0, which fixes the
+    Wronskian at -2l.
     """
-    from scipy.interpolate import CubicHermiteSpline
-
-    c, r_max = MODE_C, MODE_R_MAX
-    # keep r0^l representable: the pair spans ~10^(2 l log10(rmax/r0)) overall
-    r0 = max(1e-3, 10.0 ** (-150.0 / l))
-    a2 = -2.0 * c / (l + 1.0)   # two-term launch g = r^l (1 + a2 r^2 + ...)
-    y0 = [r0 ** l * (1.0 + a2 * r0 ** 2), r0 ** l * (l + (l + 2.0) * a2 * r0 ** 2)]
-    spec = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-300)
-    traj = ode_integrate(_mode_ode(c, l), y0, math.log(r0), math.log(r_max), spec)
-
-    grid = np.geomspace(r0, r_max, 4000)
-    t = np.log(grid)
-    vals = traj(t)
-    vals[1] /= grid
-    g1_spline = CubicHermiteSpline(grid, vals[0], vals[1])
+    c, a = MODE_C, (l - 1.0) / (l + 1.0)
 
     def g1(r):
         r = np.asarray(r, dtype=float)
-        out = np.where(r < r0, r ** l * (1.0 + a2 * np.minimum(r, r0) ** 2),
-                       g1_spline(np.clip(r, r0, r_max)))
-        return out
-
-    # J(r) = int_r^rmax ds/(s g1^2) + analytic tail;  g2 = 2l * g1 * J  so that
-    # g2 ~ r^-l with unit leading coefficient.  Accumulate top-down: the
-    # integrand spans ~300 orders of magnitude and a forward cumulative sum
-    # cancels catastrophically.
-    integrand = 1.0 / vals[0] ** 2         # d s / (s g1^2) = dt / g1^2
-    seg = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(t)
-    tail = 1.0 / (2.0 * l * vals[0][-1] ** 2)
-    J_grid = np.empty_like(t)
-    J_grid[-1] = tail
-    J_grid[:-1] = tail + np.cumsum(seg[::-1])[::-1]
-    logJ_spline = CubicHermiteSpline(t, np.log(J_grid), -integrand / J_grid)
-
-    def J(r):
-        r = np.clip(np.asarray(r, dtype=float), r0, r_max)
-        return np.exp(logJ_spline(np.log(r)))
-
-    b2 = 2.0 * c / (l - 1.0)   # series g2 ~ r^-l (1 + b2 r^2 + ...)
+        s = c * r ** 2
+        return r ** l * (1.0 + a * s) / (1.0 + s)
 
     def g2(r):
         r = np.asarray(r, dtype=float)
-        inner = r ** (-l) * (1.0 + b2 * r ** 2)
-        core = 2.0 * l * g1(r) * J(r)
-        return np.where(r < r0, inner, core)
+        s = c * r ** 2
+        return r ** -l * (1.0 + s / a) / (1.0 + s)
 
     return FundamentalPair(g1, g2)
 
 
 def fundamental_pair(mode: int) -> FundamentalPair:
-    """Fundamental system for the mode ODE: closed form for l in {0, 1},
-    series-launched numeric plus reduction of order for 2 <= l <= 64."""
+    """Fundamental system for the mode ODE, in closed form for 0 <= l <= 64."""
     if not 0 <= mode <= 64:
         raise ValueError("mode must lie in 0..64")
     if mode == 0:
@@ -283,7 +235,7 @@ def _smallest_eig(profile: RadialProfile, mode: int, n: int) -> float:
     from scipy.linalg import eigh_tridiagonal, solve_banded
 
     d, e_off, lump, diag, off = _assemble_tridiagonal(profile, mode, n)
-    lam0 = eigh_tridiagonal(d, e_off, select="i", select_range=(0, 0))[0][0]
+    lam0 = eigh_tridiagonal(d, e_off, eigvals_only=True, select="i", select_range=(0, 0))[0]
     # shifted-inverse polish on the unscaled lumped-mass pencil
     shift = lam0 - 1e-8 * max(1.0, abs(lam0))
     ad = diag - shift * lump

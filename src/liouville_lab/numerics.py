@@ -23,12 +23,12 @@ A disk call given nested radii about one centre integrates them all in one
 pass, the inner radii being edges of the first panels.
 
 Numbers that no caller varies (the panel budget, the plane
-compactification scale, the ring tolerance fraction, the ODE method and the
-Newton tolerances) are constants written beside their use, like the scenario
-constants.
+compactification scale, the ring tolerance fraction, the ODE method, LSODA,
+and the Newton tolerances) are constants written beside their use, like the
+scenario constants.
 
-The module imports only numpy; the ODE integrator imports scipy's
-``solve_ivp`` on first use, so a run that integrates no ODE never loads scipy.
+The module imports only numpy; the ODE integrator imports scipy's LSODA
+(``odeint``) on first use, so a run that integrates no ODE never loads scipy.
 
 Scalar fields are callables ``f(z)`` taking a complex number or a complex
 ndarray and returning real values of the same shape.
@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -509,32 +510,27 @@ def integrate_plane(f, spec: QuadratureSpec, peak=None):
 # ----------------------------------------------------------------------------
 # ODE integration
 
-@dataclass
-class ODETrajectory:
-    """Adaptive trajectory with dense interpolation."""
+def ode_integrate(rhs, initial, r, spec: QuadratureSpec) -> np.ndarray:
+    """States of y' = rhs(r, y), y(r[0]) = initial, at the increasing radii r.
 
-    end_state: np.ndarray  # the state at r_end
-    sol: object = field(repr=False)
-
-    def __call__(self, r):
-        return self.sol(r)
-
-
-def ode_integrate(rhs, initial, r0: float, r_end: float,
-                  spec: QuadratureSpec) -> ODETrajectory:
-    """Integrate y' = rhs(r, y) from r0 to r_end with dense output (DOP853)."""
-    from scipy.integrate import solve_ivp
+    Returns shape (k, len(r)).  LSODA (scipy's ``odeint``) steps and
+    interpolates in compiled code; an unsuccessful return, or a ValueError,
+    OverflowError or FloatingPointError raised by rhs, is a StiffODEError
+    carrying LSODA's message, and no ``ODEintWarning`` leaves the call.
+    """
+    from scipy.integrate import ODEintWarning, odeint
 
     y0 = np.atleast_1d(np.asarray(initial, dtype=float))
     try:
-        sol = solve_ivp(rhs, (r0, r_end), y0, method="DOP853", rtol=spec.rel_tol,
-                        atol=spec.abs_tol, dense_output=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ODEintWarning)
+            states, info = odeint(rhs, y0, r, rtol=spec.rel_tol, atol=spec.abs_tol,
+                                  tfirst=True, full_output=True)
     except (ValueError, OverflowError, FloatingPointError) as exc:
         raise StiffODEError(f"stiff or singular ODE: {exc}") from exc
-    if not sol.success:
-        raise StiffODEError(f"stiff or singular ODE: {sol.message}")
-    # a copy, so that the trajectory does not keep every accepted step alive
-    return ODETrajectory(end_state=sol.y[:, -1].copy(), sol=sol.sol)
+    if info["message"] != "Integration successful.":
+        raise StiffODEError(f"stiff or singular ODE: {info['message']}")
+    return states.T
 
 
 # ----------------------------------------------------------------------------

@@ -100,17 +100,24 @@ def profile_residual(profile: RadialProfile) -> float:
 # ----------------------------------------------------------------------------
 # shooting solver
 
-def _shoot_once(N: int, lam: float, u0: float, spec: QuadratureSpec):
-    """One shot from r = 1e-4 to 1 of u and its sensitivity v = du/du0.
+# every shot is sampled on the profile's 2000 geometric radii in [1e-4, 1]
+SHOT_RADII = np.geomspace(1e-4, 1.0, 2000)
+SHOT_RADII[-1] = 1.0
+SHOT_RADII.flags.writeable = False
 
-    The state is (u, u', v, v'): the variational equation
-    v'' + v'/r + f v = 0, f = lam r^2N e^u, rides along, so v(1) is the exact
-    derivative of u(1; u0) (Hairer, Norsett & Wanner, Solving ODEs I, I.14).
-    The series launch u = u0 - a r^(2N+2), a = lam e^u0 / (2N+2)^2, is
-    differentiated with da/du0 = a.
+
+def _shoot_once(N: int, lam: float, u0: float, spec: QuadratureSpec) -> np.ndarray:
+    """One shot of u and its sensitivity v = du/du0, sampled on ``SHOT_RADII``.
+
+    Returns the states (u, u', v, v'), shape (4, 2000); the last column is
+    r = 1.  The variational equation v'' + v'/r + f v = 0, f = lam r^2N e^u,
+    rides along, so v(1) is the exact derivative of u(1; u0) (Hairer, Norsett
+    & Wanner, Solving ODEs I, I.14).  The series launch
+    u = u0 - a r^(2N+2), a = lam e^u0 / (2N+2)^2, is differentiated with
+    da/du0 = a.
     """
     m = N + 1
-    r0 = 1e-4
+    r0 = SHOT_RADII[0]
     a = lam * math.exp(u0) / (2.0 * m) ** 2
     lift, slope = a * r0 ** (2 * m), -2.0 * m * a * r0 ** (2 * m - 1)
     y0 = [u0 - lift, slope, 1.0 - lift, slope]
@@ -119,7 +126,7 @@ def _shoot_once(N: int, lam: float, u0: float, spec: QuadratureSpec):
         f = lam * r ** (2 * N) * math.exp(y[0])
         return [y[1], -y[1] / r - f, y[3], -y[3] / r - f * y[2]]
 
-    return ode_integrate(rhs, y0, r0, 1.0, spec)
+    return ode_integrate(rhs, y0, SHOT_RADII, spec)
 
 
 # Newton gives up once the best |u(1)| has not improved in this many
@@ -138,13 +145,13 @@ def shoot_radial(N: int, lam: float, u_center_guess: float) -> RadialProfile:
     cross-validated against the closed form, and sup-norm disagreement above
     1e-6 is treated as failure.
     """
-    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
+    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-16)
     tol = 1e-12
     u0 = float(u_center_guess)
     best, stall = math.inf, 0
     for _ in range(60):
-        traj = _shoot_once(N, lam, u0, spec)
-        u1, _, v1, _ = traj.end_state
+        states = _shoot_once(N, lam, u0, spec)
+        u1, _, v1, _ = states[:, -1]
         if abs(u1) <= tol:
             break
         if abs(u1) < best:
@@ -162,18 +169,16 @@ def shoot_radial(N: int, lam: float, u_center_guess: float) -> RadialProfile:
         raise ShootingError(f"no radial solution found at this lambda/guess: Newton did "
                             f"not converge (|u(1)|={abs(u1):.3e})")
 
-    r = np.geomspace(1e-4, 1.0, 2000)
-    r[-1] = 1.0
-    u = traj(r)[0]
+    u = states[0].copy()
     u[-1] = 0.0
     b = math.exp(u0 / 2.0) - 1.0
     if b <= 0:
         raise ShootingError("no radial solution found at this lambda/guess: negative family parameter")
-    gap = float(np.max(np.abs(u - closed_form_u(N, b, r))))
+    gap = float(np.max(np.abs(u - closed_form_u(N, b, SHOT_RADII))))
     if gap > 1e-6:
         raise ShootingError(
             f"no radial solution found at this lambda/guess: closed-form cross-check gap {gap:.2e}")
-    return RadialProfile(N=N, lam=lam, b=b, r_grid=r, u=u)
+    return RadialProfile(N=N, lam=lam, b=b, r_grid=SHOT_RADII, u=u)
 
 
 # ----------------------------------------------------------------------------

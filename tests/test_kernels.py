@@ -99,21 +99,40 @@ class TestFundamentalPair:
             assert 0.1 <= pair.g1(np.array([r]))[0] / r ** mode <= 10.0
             assert 0.1 <= pair.g2(np.array([r]))[0] * r ** mode <= 10.0
 
-    @pytest.mark.parametrize("mode", [0, 1, 2, 3, 8])
+    @pytest.mark.parametrize("mode", [0, 1, 2, 3, 8, 64])
     def test_wronskian_constant(self, mode):
-        # r (g1 g2' - g1' g2) by central differences of the values against the
-        # closed-form constant that mode_solve divides by: 1, or -2l for l >= 2
+        # r (g1 g2' - g1' g2) by five-point central differences of the values
+        # against the closed-form constant that mode_solve divides by: 1, or
+        # -2l for l >= 2
         pair = fundamental_pair(mode)
         rs = np.geomspace(0.05, 50.0, 40)
-        h = 1e-5 * rs
-        g1p = (pair.g1(rs + h) - pair.g1(rs - h)) / (2 * h)
-        g2p = (pair.g2(rs + h) - pair.g2(rs - h)) / (2 * h)
-        w = rs * (pair.g1(rs) * g2p - g1p * pair.g2(rs))
-        expected, tol = (1.0, 1e-9) if mode <= 1 else (-2.0 * mode, 1e-3)
-        assert np.max(np.abs(w / expected - 1.0)) <= tol
+        h = 1e-4 * rs
+
+        def deriv(g):
+            return (8 * (g(rs + h) - g(rs - h)) - (g(rs + 2 * h) - g(rs - 2 * h))) / (12 * h)
+
+        w = rs * (pair.g1(rs) * deriv(pair.g2) - deriv(pair.g1) * pair.g2(rs))
+        expected = 1.0 if mode <= 1 else -2.0 * mode
+        assert np.max(np.abs(w / expected - 1.0)) <= 1e-9
+
+    @pytest.mark.parametrize("mode", [2, 3, 8, 64])
+    def test_higher_mode_closed_form_residual(self, mode):
+        # g1 = r^l (1 + a s)/(1 + s), g2 = r^-l (1 + s/a)/(1 + s), s = c r^2,
+        # a = (l - 1)/(l + 1), against their values and the mode equation
+        r = sp.symbols("r", positive=True)
+        c = sp.Rational(1, 8)
+        a = sp.Rational(mode - 1, mode + 1)
+        s = c * r ** 2
+        pair = fundamental_pair(mode)
+        rs = np.geomspace(0.05, 50.0, 9)
+        for g, num in ((r ** mode * (1 + a * s) / (1 + s), pair.g1),
+                       (r ** -mode * (1 + s / a) / (1 + s), pair.g2)):
+            assert _sympy_mode_residual(g, r, c, mode) == 0
+            ref = np.array([float(g.subs(r, rv)) for rv in rs])
+            assert np.max(np.abs(num(rs) / ref - 1.0)) <= 1e-13
 
     def test_numeric_mode_cross_validated(self):
-        # independent re-integration at brutal tolerance
+        # independent integration of the mode-3 equation at brutal tolerance
         from liouville_lab.numerics import QuadratureSpec, ode_integrate
 
         pair = fundamental_pair(3)
@@ -121,12 +140,12 @@ class TestFundamentalPair:
         c, l = 0.125, 3
         a2 = -2 * c / (l + 1)
         y0 = [r0 ** l * (1 + a2 * r0 ** 2), r0 ** (l - 1) * (l + (l + 2) * a2 * r0 ** 2)]
-        traj = ode_integrate(
-            lambda r, y: [y[1], -y[1] / r - (8 * c / (1 + c * r * r) ** 2 - l * l / (r * r)) * y[0]],
-            y0, r0, 100.0, QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300))
         rs = np.geomspace(0.01, 90.0, 60)
-        ref = traj(rs)[0]
-        assert np.max(np.abs(pair.g1(rs) - ref) / np.abs(ref)) <= 1e-7
+        states = ode_integrate(
+            lambda r, y: [y[1], -y[1] / r - (8 * c / (1 + c * r * r) ** 2 - l * l / (r * r)) * y[0]],
+            y0, np.concatenate([[r0], rs]), QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300))
+        ref = states[0, 1:]
+        assert np.max(np.abs(pair.g1(rs) - ref) / np.abs(ref)) <= 1e-10
 
 
 class TestModeSolve:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -811,10 +812,12 @@ class TestCircleFourier:
 
 class TestOdeIntegrate:
     def test_logarithm(self):
-        traj = ode_integrate(lambda r, y: [y[1], -y[1] / r], [0.0, 1.0], 1.0, 10.0,
-                             QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13))
         rs = np.linspace(1.0, 10.0, 30)
-        assert np.max(np.abs(traj(rs)[0] - np.log(rs))) <= 1e-9
+        states = ode_integrate(lambda r, y: [y[1], -y[1] / r], [0.0, 1.0], rs,
+                               QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13))
+        assert states.shape == (2, 30)
+        assert states[0, 0] == 0.0
+        assert np.max(np.abs(states[0] - np.log(rs))) <= 1e-9
 
     def test_mode_zero_closed_form(self):
         # candidate (1 - c r^2)/(1 + c r^2), c = 1/8, substituted into the ODE
@@ -830,28 +833,44 @@ class TestOdeIntegrate:
             return [y[1], -y[1] / r - 8 * c / (1 + c * r ** 2) ** 2 * y[0]]
 
         r0 = 0.1
-        traj = ode_integrate(rhs, [g(r0), gp(r0)], r0, 10.0,
-                             QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14))
         rs = np.linspace(r0, 10.0, 50)
-        assert np.max(np.abs(traj(rs)[0] - g(rs))) <= 1e-8
+        states = ode_integrate(rhs, [g(r0), gp(r0)], rs,
+                               QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14))
+        assert np.max(np.abs(states[0] - g(rs))) <= 1e-8
 
     def test_zero_rhs_constant(self):
-        traj = ode_integrate(lambda r, y: [0.0], [2.5], 0.0, 5.0, SPEC)
-        assert np.max(np.abs(traj(np.linspace(0, 5, 10))[0] - 2.5)) <= 1e-12
+        states = ode_integrate(lambda r, y: [0.0], [2.5], np.linspace(0, 5, 10), SPEC)
+        assert np.max(np.abs(states[0] - 2.5)) <= 1e-12
 
     def test_tighter_tolerance_reduces_error(self):
         # a tenfold tolerance drop must cut the end-state error at least 4x
         def err(tol):
             spec = QuadratureSpec(rel_tol=tol, abs_tol=tol * 1e-4)
-            traj = ode_integrate(lambda r, y: [y[1], -y[1] / r], [0.0, 1.0], 1.0, 10.0, spec)
-            return abs(traj.end_state[0] - math.log(10.0))
+            states = ode_integrate(lambda r, y: [y[1], -y[1] / r], [0.0, 1.0], [1.0, 10.0], spec)
+            return abs(states[0, -1] - math.log(10.0))
 
         assert err(1e-6) / err(1e-7) >= 4.0
 
     def test_stiff_failure(self):
         with pytest.raises(StiffODEError):
-            ode_integrate(lambda r, y: [y[0] ** 2], [1.0], 0.0, 5.0,
+            ode_integrate(lambda r, y: [y[0] ** 2], [1.0], [0.0, 5.0],
                           QuadratureSpec(rel_tol=1e-10, abs_tol=1e-12))
+
+    def test_blow_up_emits_no_warning(self):
+        # y' = y^2 blows up at r = 1: LSODA's failure is a StiffODEError with
+        # its message, and no ODEintWarning leaves the call
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StiffODEError, match="Excess work"):
+                ode_integrate(lambda r, y: [y[0] ** 2], [1.0], [0.0, 5.0],
+                              QuadratureSpec(rel_tol=1e-10, abs_tol=1e-12))
+
+    def test_rhs_overflow_is_stiff_failure(self):
+        def rhs(r, y):
+            raise OverflowError("math range error")
+
+        with pytest.raises(StiffODEError, match="math range error"):
+            ode_integrate(rhs, [1.0], [0.0, 1.0], SPEC)
 
 
 class TestFdCheck:
