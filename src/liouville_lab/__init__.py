@@ -44,7 +44,6 @@ from .numerics import (
 from .pohozaev import PohozaevReport, byparts_identity, coefficient_contrast, pohozaev_check
 from .radial import (
     RadialProfile,
-    closed_form_profile,
     harnack_diagnostic,
     shoot_radial,
     trace_branch,

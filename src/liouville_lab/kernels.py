@@ -10,10 +10,11 @@ Per Fourier mode l the radial operator is
 
     L_l g = g'' + g'/r + (8c/(1+c r^2)^2 - l^2/r^2) g,
 
-with a closed-form fundamental pair for every l: for l = 0, 1 the second
-solution comes from reduction of order, and for l >= 2 both solutions are
-r^(+-l) times a rational function of c r^2 (see ``_pair_mode_l``).  The mode
-problems are posed at c = 1/8 (h = 1) on 0 < r <= 100: c only rescales r.
+with a closed-form fundamental pair for every l, returned as values by
+``fundamental_pair``: for l = 0, 1 the second solution comes from reduction of
+order, and for l >= 2 both solutions are r^(+-l) times a rational function of
+c r^2.  The mode problems are posed at c = 1/8 (h = 1) on 0 < r <= 100: c only
+rescales r.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import UnresolvedSpectrumError
-from .radial import RadialProfile, profile_residual
+from .radial import RadialProfile
 
 
 # bubble constant c = h/8 and outer radius of the mode problems
@@ -72,79 +73,33 @@ def kernel_residuals(z, c: float):
 # ----------------------------------------------------------------------------
 # fundamental pairs
 
-@dataclass
-class FundamentalPair:
-    """Fundamental system (g1, g2) of one mode, as values only.
+def fundamental_pair(mode: int, r):
+    """Fundamental system (g1, g2) of mode l at the radii r, as arrays, for
+    0 <= l <= 64.  With c = MODE_C and s = c r^2:
 
-    The Wronskian r (g1 g2' - g1' g2) is fixed by the normalisation: 1 for
-    modes 0 and 1 (g1 -> 1, g2 ~ log(sqrt(c) r); g1 ~ r, g2 ~ -1/(2r)) and
-    -2l for l >= 2 (g1 ~ r^l, g2 ~ r^-l).
+        l = 0:   g1 = (1 - s)/(1 + s),       g2 = g1 log(s)/2 + 2/(1 + s),
+        l = 1:   g1 = r/(1 + s),             g2 = g1 (-1/(2r^2) + 2c log r + c^2 r^2/2),
+        l >= 2:  g1 = r^l (1 + a s)/(1 + s), g2 = r^-l (1 + s/a)/(1 + s),
+
+    with a = (l - 1)/(l + 1).  For l = 0, 1 the second solution is reduction
+    of order in closed form, smooth through the zero of g1 at r = 1/sqrt(c)
+    for l = 0.  The normalisation fixes the Wronskian r (g1 g2' - g1' g2): 1
+    for l = 0 (g1 -> 1, g2 ~ log(sqrt(c) r) at 0) and l = 1 (g1 ~ r,
+    g2 ~ -1/(2r)), and -2l for l >= 2 (g1 ~ r^l, g2 ~ r^-l).
     """
-
-    g1: Callable
-    g2: Callable
-
-
-def _pair_mode0(c: float) -> FundamentalPair:
-    def g1(r):
-        s = c * np.asarray(r, dtype=float) ** 2
-        return (1.0 - s) / (1.0 + s)
-
-    # reduction of order across the zero at r = 1/sqrt(c) in closed form:
-    # g2 = g1 * log(c r^2)/2 + 2/(1 + c r^2)
-    def g2(r):
-        r = np.asarray(r, dtype=float)
-        s = c * r ** 2
-        return g1(r) * 0.5 * np.log(s) + 2.0 / (1.0 + s)
-
-    return FundamentalPair(g1, g2)
-
-
-def _pair_mode1(c: float) -> FundamentalPair:
-    def g1(r):
-        r = np.asarray(r, dtype=float)
-        return r / (1.0 + c * r ** 2)
-
-    # g2 = g1 * (-1/(2r^2) + 2c log r + c^2 r^2 / 2)
-    def g2(r):
-        r = np.asarray(r, dtype=float)
-        return g1(r) * (-0.5 / r ** 2 + 2.0 * c * np.log(r) + 0.5 * c ** 2 * r ** 2)
-
-    return FundamentalPair(g1, g2)
-
-
-def _pair_mode_l(l: int) -> FundamentalPair:
-    """Closed-form pair for l >= 2, with s = c r^2 and a = (l - 1)/(l + 1):
-
-        g1 = r^l (1 + a s)/(1 + s),   g2 = r^-l (1 + s/a)/(1 + s),
-
-    normalised so that g1 ~ r^l and g2 ~ r^-l at 0, which fixes the
-    Wronskian at -2l.
-    """
-    c, a = MODE_C, (l - 1.0) / (l + 1.0)
-
-    def g1(r):
-        r = np.asarray(r, dtype=float)
-        s = c * r ** 2
-        return r ** l * (1.0 + a * s) / (1.0 + s)
-
-    def g2(r):
-        r = np.asarray(r, dtype=float)
-        s = c * r ** 2
-        return r ** -l * (1.0 + s / a) / (1.0 + s)
-
-    return FundamentalPair(g1, g2)
-
-
-def fundamental_pair(mode: int) -> FundamentalPair:
-    """Fundamental system for the mode ODE, in closed form for 0 <= l <= 64."""
     if not 0 <= mode <= 64:
         raise ValueError("mode must lie in 0..64")
+    c = MODE_C
+    r = np.asarray(r, dtype=float)
+    s = c * r ** 2
     if mode == 0:
-        return _pair_mode0(MODE_C)
+        g1 = (1.0 - s) / (1.0 + s)
+        return g1, g1 * 0.5 * np.log(s) + 2.0 / (1.0 + s)
     if mode == 1:
-        return _pair_mode1(MODE_C)
-    return _pair_mode_l(mode)
+        g1 = r / (1.0 + s)
+        return g1, g1 * (-0.5 / r ** 2 + 2.0 * c * np.log(r) + 0.5 * c ** 2 * r ** 2)
+    a = (mode - 1.0) / (mode + 1.0)
+    return r ** mode * (1.0 + a * s) / (1.0 + s), r ** -mode * (1.0 + s / a) / (1.0 + s)
 
 
 # ----------------------------------------------------------------------------
@@ -172,15 +127,14 @@ def mode_solve(mode: int, rhs: Callable) -> ModeSolution:
     A = max |rhs| (1+r)^3.  It is returned whatever its size; the record
     branch/mode-certificate compares it with CERTIFICATE_THRESHOLD.  The
     Wronskian w0 = r (g1 g2' - g1' g2) is the pair's closed-form constant (see
-    ``FundamentalPair``): 1 for modes 0 and 1, -2l for l >= 2.
+    ``fundamental_pair``): 1 for modes 0 and 1, -2l for l >= 2.
     """
     from scipy.integrate import cumulative_trapezoid
 
-    pair = fundamental_pair(mode)
     r = np.geomspace(1e-4, MODE_R_MAX, 4000)
     f = np.asarray(rhs(r), dtype=float)
     envelope = max(float(np.max(np.abs(f) * (1.0 + r) ** 3)), 1e-300)
-    g1, g2 = pair.g1(r), pair.g2(r)
+    g1, g2 = fundamental_pair(mode, r)
     w0 = 1.0 if mode <= 1 else -2.0 * mode
 
     int_g1f = cumulative_trapezoid(g1 * f * r, r, initial=0.0)
@@ -265,17 +219,14 @@ def principal_eigenvalue(profile: RadialProfile, mode: int, n: int = 512) -> flo
     """Smallest Dirichlet eigenvalue of the linearized mode operator.
 
     Shifted-inverse iteration on a graded-mesh collocation of
-    -g'' - g'/r - (lambda r^2N e^u - mode^2/r^2) g = Lambda g, g(1) = 0.
-    The profile must solve the radial equation (residual <= 1e-6).
-    Raises UnresolvedSpectrumError if doubling the mesh moves the eigenvalue
-    by more than 1e-3 relative.
+    -g'' - g'/r - (lambda r^2N e^u - mode^2/r^2) g = Lambda g, g(1) = 0,
+    about the family member ``profile``, which solves the radial equation by
+    construction.  Raises UnresolvedSpectrumError if doubling the mesh moves
+    the eigenvalue by more than 1e-3 relative.
     """
     resolve_tol = 1e-3
     if mode < 0:
         raise ValueError("mode must be non-negative")
-    res = profile_residual(profile)
-    if res > 1e-6:
-        raise ValueError(f"profile does not solve the radial equation (residual {res:.2e})")
     coarse = _smallest_eig(profile, mode, n)
     fine = _smallest_eig(profile, mode, 2 * n)
     if abs(fine - coarse) > resolve_tol * max(1.0, abs(fine)):

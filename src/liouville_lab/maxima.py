@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import LinearSolveDiagnostics, solve_with_diagnostics
+from .numerics import solve_with_diagnostics
 
 
 @dataclass
@@ -214,13 +214,8 @@ def solve_maxima_system(N: int, rhs) -> MaximaSystemSolution:
     rows = -np.abs(mat.A)
     np.fill_diagonal(rows, np.diag(mat.A))
     margins = np.array([math.fsum(row) for row in rows])
-    diagnostics: LinearSolveDiagnostics = solve_with_diagnostics(mat.A, rhs)
-    return MaximaSystemSolution(
-        m=diagnostics.solution,
-        matrix=mat,
-        dominance_margins=margins,
-        min_singular_value=diagnostics.min_singular_value,
-        condition_number=diagnostics.condition_number,
-        solve_residual=diagnostics.residual_norm,
-    )
+    m, min_sigma, cond, residual = solve_with_diagnostics(mat.A, rhs)
+    return MaximaSystemSolution(m=m, matrix=mat, dominance_margins=margins,
+                                min_singular_value=min_sigma, condition_number=cond,
+                                solve_residual=residual)
 

@@ -554,24 +554,12 @@ def newton_complex(f, fprime, z0: complex) -> complex:
     raise ValueError(f"Newton iteration did not converge (|f|={abs(fz):.3e})")
 
 
-@dataclass
-class LinearSolveDiagnostics:
-    solution: np.ndarray
-    min_singular_value: float
-    condition_number: float
-    residual_norm: float
-
-
-def solve_with_diagnostics(A: np.ndarray, rhs: np.ndarray) -> LinearSolveDiagnostics:
-    """Dense solve with singular-value diagnostics."""
+def solve_with_diagnostics(A: np.ndarray, rhs: np.ndarray):
+    """Dense solve with singular-value diagnostics: returns
+    ``(x, min_singular_value, condition_number, residual_norm)``."""
     A = np.asarray(A)
     rhs = np.asarray(rhs)
     x = np.linalg.solve(A, rhs)
     svals = np.linalg.svd(A, compute_uv=False)
-    res = float(np.linalg.norm(A @ x - rhs))
-    return LinearSolveDiagnostics(
-        solution=x,
-        min_singular_value=float(svals[-1]),
-        condition_number=float(svals[0] / svals[-1]),
-        residual_norm=res,
-    )
+    return (x, float(svals[-1]), float(svals[0] / svals[-1]),
+            float(np.linalg.norm(A @ x - rhs)))

@@ -1,16 +1,17 @@
 """Radial Gelfand branch of the singular Dirichlet problem on the unit disk.
 
 The problem u'' + u'/r + lambda r^2N e^u = 0, u(1) = 0 has the closed-form
-one-parameter family (via t = r^(N+1))
+one-parameter family (via t = r^(N+1); Joseph & Lundgren, Arch. Rational
+Mech. Anal. 49, 1973)
 
-    u(r) = log( 8 b / (lt (1 + b r^(2N+2))^2) ),
-    lt   = 8 b / (1 + b)^2,
-    lambda = (N+1)^2 lt,
+    u(r) = 2 log(1 + b) - 2 log(1 + b r^(2N+2)),
+    lambda = lambda(b) = 8 (N+1)^2 b / (1 + b)^2,
 
-double-valued in lambda with fold at b = 1, lambda* = 2(N+1)^2.  A shooting
-solver cross-validates the family, and the spherical-Harnack diagnostic
-sup (u + log lambda + 2(N+1) log r) equals log(2(N+1)^2) along the whole
-branch.
+double-valued in lambda with fold at b = 1, lambda* = 2(N+1)^2.  A radial
+profile is the family member ``RadialProfile(N, b)``, so it solves the problem
+by construction.  A shooting solver cross-validates the family, and the
+spherical-Harnack diagnostic sup (u + log lambda + 2(N+1) log r) equals
+log(2(N+1)^2) along the whole branch.
 """
 
 from __future__ import annotations
@@ -24,27 +25,24 @@ from .errors import ShootingError
 from .numerics import QuadratureSpec, integrate_interval, ode_integrate
 
 
-@dataclass
+@dataclass(frozen=True)
 class RadialProfile:
-    """A radial solution sample along the Gelfand branch.
+    """The member b of the Gelfand family with weight |x|^2N.
 
-    The samples are kept for cross-checks; u_at and u_prime_at evaluate the
-    closed form of the family member b (b = 0 is u = 0, lambda = 0).
+    lambda is lambda(b), and u_at and u_prime_at evaluate the closed form, so
+    u(1) = 0 holds exactly.  b = 0 is u = 0, lambda = 0 (the Bessel case).
     """
 
     N: int
-    lam: float
     b: float
-    r_grid: np.ndarray
-    u: np.ndarray
 
     def __post_init__(self):
-        self.r_grid = np.asarray(self.r_grid, dtype=float)
-        self.u = np.asarray(self.u, dtype=float)
-        if self.N < 0 or self.lam < 0 or self.b < 0:
-            raise ValueError("N, lambda, b must be non-negative")
-        if abs(self.u[-1]) > 1e-9:
-            raise ValueError("profile must satisfy u(1) = 0")
+        if self.N < 0 or self.b < 0:
+            raise ValueError("N and b must be non-negative")
+
+    @property
+    def lam(self) -> float:
+        return lambda_of_b(self.N, self.b)
 
     def u_at(self, r):
         return closed_form_u(self.N, self.b, r)
@@ -58,7 +56,7 @@ def lambda_of_b(N: int, b: float) -> float:
 
 
 def closed_form_u(N: int, b: float, r):
-    # log(8b/lt) = 2 log(1+b); written so u(1) = 0 is exact in floats
+    # written so that u(1) = 0 is exact in floats
     r = np.asarray(r, dtype=float)
     return 2.0 * np.log1p(b) - 2.0 * np.log1p(b * r ** (2 * (N + 1)))
 
@@ -69,38 +67,10 @@ def closed_form_u_prime(N: int, b: float, r):
     return -4.0 * m * b * r ** (2 * m - 1) / (1.0 + b * r ** (2 * m))
 
 
-def closed_form_profile(N: int, b: float) -> RadialProfile:
-    """Closed-form Gelfand profile on 2000 geometric radii in [1e-6, 1];
-    u(1) = 0 exactly, PDE residual analytic zero.  b = 0 is the degenerate
-    member u = 0, lambda = 0 (the Bessel case)."""
-    if b < 0:
-        raise ValueError("b must be non-negative")
-    r = np.geomspace(1e-6, 1.0, 2000)
-    r[-1] = 1.0
-    return RadialProfile(N=N, lam=lambda_of_b(N, b), b=b, r_grid=r, u=closed_form_u(N, b, r))
-
-
-def profile_residual(profile: RadialProfile) -> float:
-    """Max PDE residual u'' + u'/r + lambda r^2N e^u on 200 interior check points.
-
-    u, u' and u'' are those of the closed form of the family member b, so the
-    residual tests that lambda is lambda(b).
-    """
-    r = np.linspace(0.05, 0.95, 200)
-    m = profile.N + 1
-    b = profile.b
-    up = closed_form_u_prime(profile.N, b, r)
-    upp = -4.0 * m * b * ((2 * m - 1) * r ** (2 * m - 2) * (1 + b * r ** (2 * m))
-                          - 2 * m * b * r ** (4 * m - 2)) / (1.0 + b * r ** (2 * m)) ** 2
-    u = closed_form_u(profile.N, b, r)
-    res = upp + up / r + profile.lam * r ** (2 * profile.N) * np.exp(u)
-    return float(np.max(np.abs(res)))
-
-
 # ----------------------------------------------------------------------------
 # shooting solver
 
-# every shot is sampled on the profile's 2000 geometric radii in [1e-4, 1]
+# every shot is sampled on 2000 geometric radii in [1e-4, 1]
 SHOT_RADII = np.geomspace(1e-4, 1.0, 2000)
 SHOT_RADII[-1] = 1.0
 SHOT_RADII.flags.writeable = False
@@ -134,16 +104,17 @@ def _shoot_once(N: int, lam: float, u0: float, spec: QuadratureSpec) -> np.ndarr
 STALL_SHOTS = 5
 
 
-def shoot_radial(N: int, lam: float, u_center_guess: float) -> RadialProfile:
+def shoot_radial(N: int, lam: float, u_center_guess: float) -> tuple[RadialProfile, np.ndarray]:
     """Shooting solution of the radial problem at the given lambda.
 
     Newton runs on u(1; u0) = 0 from the supplied center guess (the guess
     selects the branch), to |u(1)| <= 1e-12, with the exact derivative v(1)
     that each shot carries (see ``_shoot_once``), and fails once the best
-    |u(1)| has not improved in STALL_SHOTS consecutive shots.  The converged
-    shot, sampled on 2000 geometric radii in [1e-4, 1], is the profile; it is
-    cross-validated against the closed form, and sup-norm disagreement above
-    1e-6 is treated as failure.
+    |u(1)| has not improved in STALL_SHOTS consecutive shots.  Returns
+    ``(profile, u)``: the family member b = e^(u0/2) - 1 of the converged
+    center value u0, and the converged shot u on ``SHOT_RADII``, with u(1) set
+    to 0.  The shot is cross-validated against the closed form of that member,
+    and sup-norm disagreement above 1e-6 is treated as failure.
     """
     spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-16)
     tol = 1e-12
@@ -178,7 +149,7 @@ def shoot_radial(N: int, lam: float, u_center_guess: float) -> RadialProfile:
     if gap > 1e-6:
         raise ShootingError(
             f"no radial solution found at this lambda/guess: closed-form cross-check gap {gap:.2e}")
-    return RadialProfile(N=N, lam=lam, b=b, r_grid=SHOT_RADII, u=u)
+    return RadialProfile(N, b), u
 
 
 # ----------------------------------------------------------------------------
@@ -215,15 +186,10 @@ def harnack_diagnostic(prof: RadialProfile) -> float:
 
 
 @dataclass
-class FoldReport:
-    b_star: float
-    lambda_star: float
-
-
-@dataclass
 class BranchTrace:
-    masses: list     # branch_mass at each b, in increasing b
-    fold: FoldReport
+    masses: list          # branch_mass at each b, in increasing b
+    b_star: float         # the fold: where lambda(b) is largest
+    lambda_star: float
 
 
 def trace_branch(N: int, b_values, spec: QuadratureSpec) -> BranchTrace:
@@ -238,10 +204,8 @@ def trace_branch(N: int, b_values, spec: QuadratureSpec) -> BranchTrace:
     b_values = np.asarray(sorted(b_values), dtype=float)
     if not (b_values[0] < 1.0 < b_values[-1] or np.any(b_values == 1.0)):
         raise ValueError("b values must span the fold at b = 1")
-    masses = [branch_mass(closed_form_profile(N, b), spec) for b in b_values]
+    masses = [branch_mass(RadialProfile(N, b), spec) for b in b_values]
     res = minimize_scalar(lambda b: -lambda_of_b(N, b),
                           bounds=(b_values[0], b_values[-1]), method="bounded",
                           options={"xatol": 1e-10})
-    fold = FoldReport(b_star=float(res.x), lambda_star=float(-res.fun))
-    return BranchTrace(masses=masses, fold=fold)
-
+    return BranchTrace(masses=masses, b_star=float(res.x), lambda_star=float(-res.fun))

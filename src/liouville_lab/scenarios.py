@@ -428,7 +428,7 @@ def scenario_pohozaev(mu: float) -> list:
             worst = np.max([np.abs(rep.residual) / rep.scale for rep in reps])
             entries.append(_entry("pohozaev/bubble-residual", key, worst, 0.0, 1e-6, "paper"))
     # radial Gelfand solution at N = 0
-    prof = radial.closed_form_profile(0, 1.0)
+    prof = radial.RadialProfile(0, 1.0)
     rfield = pohozaev.radial_field(prof)
     h, grad_h = pohozaev.constant_field(prof.lam)
     rep = pohozaev.pohozaev_check(rfield, h, grad_h, 0, 0j, 0.5, spec)
@@ -490,7 +490,8 @@ def scenario_branch(N: int) -> list:
     for n in sorted({0, 1, 2, N}):
         trace = radial.trace_branch(n, [0.1, 0.5, 1.0, 2.0, 10.0], spec)
         entries.append(_entry("branch/fold-lambda", {"N": n},
-                              trace.fold.lambda_star, 2.0 * (n + 1) ** 2, 1e-4, "derived"))
+                              trace.lambda_star, 2.0 * (n + 1) ** 2, 1e-4, "derived"))
+        entries.append(_entry("branch/fold-b", {"N": n}, trace.b_star, 1.0, 1e-6, "derived"))
         masses = trace.masses
         entries.append(_bound_entry("branch/mass-monotone", {"N": n},
                                     -np.min(np.diff(masses), initial=0.0), 0.0, "derived"))
@@ -499,25 +500,23 @@ def scenario_branch(N: int) -> list:
                                     np.max(masses), cap, "paper"))
         for b in (0.1, 1.0, 10.0, 100.0, 1000.0):
             entries.append(_entry("branch/harnack", {"N": n, "b": b},
-                                  radial.harnack_diagnostic(radial.closed_form_profile(n, b)),
+                                  radial.harnack_diagnostic(radial.RadialProfile(n, b)),
                                   math.log(2.0 * (n + 1) ** 2), 1e-6, "derived"))
-        big = radial.closed_form_profile(n, 1000.0)
-        mass_big = radial.branch_mass(big, spec)
+        mass_big = radial.branch_mass(radial.RadialProfile(n, 1000.0), spec)
         entries.append(_entry("branch/mass-limit", {"N": n, "b": 1000.0},
                               mass_big, cap, 2e-2, "derived"))
     # shooting against the closed form, both branch roots at lambda = 1 (N = 0)
     for b_true, guess in ((3.0 - 2.0 * math.sqrt(2.0), 0.3), (3.0 + 2.0 * math.sqrt(2.0), 3.8)):
-        prof = radial.shoot_radial(0, 1.0, guess)
-        gap = float(np.max(np.abs(prof.u - radial.closed_form_u(0, b_true, prof.r_grid))))
+        u = radial.shoot_radial(0, 1.0, guess)[1]
+        gap = float(np.max(np.abs(u - radial.closed_form_u(0, b_true, radial.SHOT_RADII))))
         entries.append(_entry("branch/shooting-gap", {"N": 0, "lambda": 1.0, "b": b_true},
                               gap, 0.0, 1e-8, "derived"))
     # fold-point eigenvalue and mode monotonicity
     for n in (0, 1, 2):
-        prof = radial.closed_form_profile(n, 1.0)
-        ev = kernels.principal_eigenvalue(prof, 0)
+        ev = kernels.principal_eigenvalue(radial.RadialProfile(n, 1.0), 0)
         entries.append(_entry("branch/fold-eigenvalue", {"N": n, "b": 1.0},
                               ev, 0.0, 1e-3, "derived"))
-    prof = radial.closed_form_profile(1, 1.0)
+    prof = radial.RadialProfile(1, 1.0)
     ev8 = kernels.principal_eigenvalue(prof, 8)
     entries.append(_bound_entry("branch/high-mode-positive", {"N": 1, "mode": 8},
                                 ev8, 0.0, "derived", direction=">="))
@@ -525,7 +524,7 @@ def scenario_branch(N: int) -> list:
     entries.append(_bound_entry("branch/mode-N1-eigenvalue-resolved", {"N": 1, "mode": 2},
                                 abs(evN1 - kernels.principal_eigenvalue(prof, 2, n=256)),
                                 1e-3, "derived"))
-    bessel = kernels.principal_eigenvalue(radial.closed_form_profile(0, 0.0), 0, n=1024)
+    bessel = kernels.principal_eigenvalue(radial.RadialProfile(0, 0.0), 0, n=1024)
     entries.append(_entry("branch/bessel-eigenvalue", {"N": 0, "lambda": 0.0},
                           bessel, 5.783185962946785, 1e-3, "derived"))
     # per-mode solves of the linearized operator: log growth for mode 0, linear

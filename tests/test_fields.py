@@ -23,8 +23,6 @@ UNREAD = {
         "the named kernel component beside phi2 and phi3; tests read it",
     "maxima.MaximaSystemSolution.m":
         "the unknowns the solver returns; tests check them against the closed form",
-    "radial.FoldReport.b_star":
-        "where the fold sits; tests check it against b = 1",
 }
 
 

@@ -14,7 +14,7 @@ from liouville_lab.kernels import (
     potential,
     principal_eigenvalue,
 )
-from liouville_lab.radial import closed_form_profile
+from liouville_lab.radial import RadialProfile
 from liouville_lab.scenarios import run_scenario
 
 
@@ -55,15 +55,13 @@ def _sympy_mode_residual(expr, r, c, mode):
 
 class TestFundamentalPair:
     def test_mode0_values(self):
-        pair = fundamental_pair(0)
-        assert pair.g1(np.array([1e-12]))[0] == pytest.approx(1.0, abs=1e-10)
-        assert pair.g1(np.array([1e6]))[0] == pytest.approx(-1.0, abs=1e-10)
+        assert fundamental_pair(0, np.array([1e-12]))[0][0] == pytest.approx(1.0, abs=1e-10)
+        assert fundamental_pair(0, np.array([1e6]))[0][0] == pytest.approx(-1.0, abs=1e-10)
 
     def test_mode1_closed_form_and_residual(self):
         c = 0.125
-        pair = fundamental_pair(1)
         rs = np.linspace(0.2, 10.0, 25)
-        assert np.max(np.abs(pair.g1(rs) - rs / (1 + c * rs ** 2))) <= 1e-15
+        assert np.max(np.abs(fundamental_pair(1, rs)[0] - rs / (1 + c * rs ** 2))) <= 1e-15
         r = sp.symbols("r", positive=True)
         res = _sympy_mode_residual(r / (1 + sp.Rational(1, 8) * r ** 2), r, sp.Rational(1, 8), 1)
         assert abs(float(res.subs(r, 3.7))) <= 1e-9
@@ -80,38 +78,37 @@ class TestFundamentalPair:
             assert abs(float(res.subs(r, rv))) <= 1e-9
 
     def test_mode1_second_solution_behaviour(self):
-        pair = fundamental_pair(1)
-        assert pair.g2(np.array([1e-3]))[0] * 1e-3 == pytest.approx(-0.5, rel=1e-3)
-        big = pair.g2(np.array([1e4]))[0] / 1e4
+        assert fundamental_pair(1, np.array([1e-3]))[1][0] * 1e-3 == pytest.approx(-0.5, rel=1e-3)
+        big = fundamental_pair(1, np.array([1e4]))[1][0] / 1e4
         assert abs(big) == pytest.approx(0.125 / 2, rel=1e-2)
 
     def test_mode0_log_growth(self):
         # at c = 1/8 the limit carries the offset -log(sqrt(c) r)
-        pair = fundamental_pair(0)
         for r in (100.0, 1000.0):
-            val = pair.g2(np.array([r]))[0]
+            val = fundamental_pair(0, np.array([r]))[1][0]
             assert val == pytest.approx(-math.log(math.sqrt(0.125) * r), rel=5e-3)
 
     @pytest.mark.parametrize("mode", [2, 5, 8, 64])
     def test_asymptotic_bands(self, mode):
-        pair = fundamental_pair(mode)
         for r in (0.01, 100.0):
-            assert 0.1 <= pair.g1(np.array([r]))[0] / r ** mode <= 10.0
-            assert 0.1 <= pair.g2(np.array([r]))[0] * r ** mode <= 10.0
+            g1, g2 = fundamental_pair(mode, np.array([r]))
+            assert 0.1 <= g1[0] / r ** mode <= 10.0
+            assert 0.1 <= g2[0] * r ** mode <= 10.0
 
     @pytest.mark.parametrize("mode", [0, 1, 2, 3, 8, 64])
     def test_wronskian_constant(self, mode):
         # r (g1 g2' - g1' g2) by five-point central differences of the values
         # against the closed-form constant that mode_solve divides by: 1, or
         # -2l for l >= 2
-        pair = fundamental_pair(mode)
         rs = np.geomspace(0.05, 50.0, 40)
         h = 1e-4 * rs
 
-        def deriv(g):
-            return (8 * (g(rs + h) - g(rs - h)) - (g(rs + 2 * h) - g(rs - 2 * h))) / (12 * h)
+        def g(r):
+            return np.array(fundamental_pair(mode, r))
 
-        w = rs * (pair.g1(rs) * deriv(pair.g2) - deriv(pair.g1) * pair.g2(rs))
+        d = (8 * (g(rs + h) - g(rs - h)) - (g(rs + 2 * h) - g(rs - 2 * h))) / (12 * h)
+        g1, g2 = g(rs)
+        w = rs * (g1 * d[1] - d[0] * g2)
         expected = 1.0 if mode <= 1 else -2.0 * mode
         assert np.max(np.abs(w / expected - 1.0)) <= 1e-9
 
@@ -123,19 +120,17 @@ class TestFundamentalPair:
         c = sp.Rational(1, 8)
         a = sp.Rational(mode - 1, mode + 1)
         s = c * r ** 2
-        pair = fundamental_pair(mode)
         rs = np.geomspace(0.05, 50.0, 9)
-        for g, num in ((r ** mode * (1 + a * s) / (1 + s), pair.g1),
-                       (r ** -mode * (1 + s / a) / (1 + s), pair.g2)):
+        for g, num in zip((r ** mode * (1 + a * s) / (1 + s), r ** -mode * (1 + s / a) / (1 + s)),
+                          fundamental_pair(mode, rs)):
             assert _sympy_mode_residual(g, r, c, mode) == 0
             ref = np.array([float(g.subs(r, rv)) for rv in rs])
-            assert np.max(np.abs(num(rs) / ref - 1.0)) <= 1e-13
+            assert np.max(np.abs(num / ref - 1.0)) <= 1e-13
 
     def test_numeric_mode_cross_validated(self):
         # independent integration of the mode-3 equation at brutal tolerance
         from liouville_lab.numerics import QuadratureSpec, ode_integrate
 
-        pair = fundamental_pair(3)
         r0 = 1e-3
         c, l = 0.125, 3
         a2 = -2 * c / (l + 1)
@@ -145,7 +140,7 @@ class TestFundamentalPair:
             lambda r, y: [y[1], -y[1] / r - (8 * c / (1 + c * r * r) ** 2 - l * l / (r * r)) * y[0]],
             y0, np.concatenate([[r0], rs]), QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300))
         ref = states[0, 1:]
-        assert np.max(np.abs(pair.g1(rs) - ref) / np.abs(ref)) <= 1e-10
+        assert np.max(np.abs(fundamental_pair(3, rs)[0] - ref) / np.abs(ref)) <= 1e-10
 
 
 class TestModeSolve:
@@ -198,7 +193,7 @@ class TestModeSolve:
     def test_mode_range(self):
         for mode in (-1, 65):
             with pytest.raises(ValueError):
-                fundamental_pair(mode)
+                fundamental_pair(mode, 1.0)
 
 
 class TestPrincipalEigenvalue:
@@ -207,30 +202,24 @@ class TestPrincipalEigenvalue:
         from scipy.special import jn_zeros
         expected = jn_zeros(0, 1)[0] ** 2
         assert expected == pytest.approx(5.7832, abs=1e-4)
-        ev = principal_eigenvalue(closed_form_profile(0, 0.0), 0, n=1024)
+        ev = principal_eigenvalue(RadialProfile(0, 0.0), 0, n=1024)
         assert ev == pytest.approx(expected, abs=1e-3)
 
     @pytest.mark.parametrize("N", [0, 1])
     def test_fold_degeneracy(self, N):
-        ev = principal_eigenvalue(closed_form_profile(N, 1.0), 0)
+        ev = principal_eigenvalue(RadialProfile(N, 1.0), 0)
         assert abs(ev) <= 1e-3
 
     def test_high_mode_positive(self):
         for b in (0.5, 1.0, 100.0):
-            ev = principal_eigenvalue(closed_form_profile(1, b), 8)
+            ev = principal_eigenvalue(RadialProfile(1, b), 8)
             assert ev > 0
 
     def test_monotone_in_mode(self):
-        prof = closed_form_profile(0, 1.0)
+        prof = RadialProfile(0, 1.0)
         evs = [principal_eigenvalue(prof, m, n=256) for m in range(4)]
         assert all(b >= a - 1e-10 for a, b in zip(evs, evs[1:]))
 
     def test_unresolved_spectrum(self):
         with pytest.raises(UnresolvedSpectrumError):
-            principal_eigenvalue(closed_form_profile(0, 1.0), 0, n=4)
-
-    def test_requires_solution(self):
-        prof = closed_form_profile(0, 1.0)
-        prof.lam = prof.lam + 0.1   # lambda off the branch: no longer a solution
-        with pytest.raises(ValueError):
-            principal_eigenvalue(prof, 0)
+            principal_eigenvalue(RadialProfile(0, 1.0), 0, n=4)

@@ -903,12 +903,12 @@ class TestLinearAlgebra:
     def test_solve_with_diagnostics(self):
         A = np.array([[2.0, 1.0], [1.0, 3.0]])
         rhs = np.array([1.0, 2.0])
-        diag = solve_with_diagnostics(A, rhs)
-        assert np.allclose(A @ diag.solution, rhs)
+        x, min_sigma, cond, residual = solve_with_diagnostics(A, rhs)
+        assert np.allclose(A @ x, rhs)
         svals = np.linalg.svd(A, compute_uv=False)
-        assert diag.min_singular_value == pytest.approx(svals[-1])
-        assert diag.condition_number == pytest.approx(svals[0] / svals[-1])
-        assert diag.residual_norm <= 1e-14
+        assert min_sigma == pytest.approx(svals[-1])
+        assert cond == pytest.approx(svals[0] / svals[-1])
+        assert residual <= 1e-14
 
 
 class TestQuadratureSpecValidation:

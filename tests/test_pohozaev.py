@@ -20,7 +20,7 @@ from liouville_lab.pohozaev import (
     pohozaev_check,
     radial_field,
 )
-from liouville_lab.radial import closed_form_profile
+from liouville_lab.radial import RadialProfile
 
 SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
 
@@ -38,7 +38,7 @@ class TestPohozaevCheck:
             assert np.all(np.abs(rep.residual) <= 1e-6 * rep.scale)
 
     def test_radial_gelfand_solution(self):
-        prof = closed_form_profile(0, 1.0)
+        prof = RadialProfile(0, 1.0)
         field = radial_field(prof)
         h, grad_h = constant_field(prof.lam)
         rep = pohozaev_check(field, h, grad_h, 0, 0j, 0.5, SPEC)

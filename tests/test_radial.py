@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,13 +10,12 @@ from liouville_lab import radial, scenarios
 from liouville_lab.errors import ShootingError
 from liouville_lab.numerics import QuadratureSpec
 from liouville_lab.radial import (
+    SHOT_RADII,
     RadialProfile,
     branch_mass,
-    closed_form_profile,
     closed_form_u,
     harnack_diagnostic,
     lambda_of_b,
-    profile_residual,
     shoot_radial,
     trace_branch,
 )
@@ -38,23 +38,42 @@ def _spy_calls(monkeypatch, module, name):
 
 class TestClosedForm:
     def test_gelfand_base_case(self):
-        prof = closed_form_profile(0, 1.0)
+        prof = RadialProfile(0, 1.0)
         assert prof.lam == pytest.approx(2.0, rel=1e-15)
         assert prof.u_at(1e-12) == pytest.approx(math.log(4.0), abs=1e-9)
 
     def test_singular_weight_case(self):
-        prof = closed_form_profile(1, 1.0)
+        prof = RadialProfile(1, 1.0)
         assert prof.lam == pytest.approx(8.0, rel=1e-15)
         assert prof.u_at(1e-12) == pytest.approx(math.log(4.0), abs=1e-9)
 
+    @pytest.mark.parametrize("N", [0, 1, 2, 3])
+    def test_solves_the_radial_problem(self, N):
+        # u'' + u'/r + lambda(b) r^2N e^u simplifies to 0 for every b > 0
+        r, b = sp.symbols("r b", positive=True)
+        u = 2 * sp.log(1 + b) - 2 * sp.log(1 + b * r ** (2 * N + 2))
+        lam = 8 * (N + 1) ** 2 * b / (1 + b) ** 2
+        res = sp.diff(u, r, 2) + sp.diff(u, r) / r + lam * r ** (2 * N) * sp.exp(u)
+        assert sp.simplify(res) == 0
+        # and the profile evaluates these forms
+        rs = np.geomspace(0.05, 1.0, 9)
+        for bv in (0.3, 2.0, 17.0):
+            prof = RadialProfile(N, bv)
+            assert prof.lam == pytest.approx(float(lam.subs(b, bv)), rel=1e-14)
+            ref = np.array([float(u.subs({b: bv, r: rv})) for rv in rs])
+            assert np.max(np.abs(prof.u_at(rs) - ref)) <= 1e-13
+
     @pytest.mark.parametrize("N,b", [(0, 0.3), (1, 2.0), (3, 17.0)])
     def test_boundary_condition(self, N, b):
-        prof = closed_form_profile(N, b)
-        assert prof.u[-1] == 0.0
-        assert abs(profile_residual(prof)) <= 1e-10
+        assert RadialProfile(N, b).u_at(1.0) == 0.0
+
+    @pytest.mark.parametrize("N,b", [(-1, 1.0), (0, -0.1)])
+    def test_rejects_negative_parameters(self, N, b):
+        with pytest.raises(ValueError):
+            RadialProfile(N, b)
 
     def test_center_blowup(self):
-        u0 = [closed_form_profile(0, b).u_at(1e-12) for b in (10.0, 100.0, 1000.0)]
+        u0 = [RadialProfile(0, b).u_at(1e-12) for b in (10.0, 100.0, 1000.0)]
         lam = [lambda_of_b(0, b) for b in (10.0, 100.0, 1000.0)]
         assert u0[0] < u0[1] < u0[2]
         assert lam[0] > lam[1] > lam[2]
@@ -62,32 +81,32 @@ class TestClosedForm:
 
 class TestShooting:
     def test_lower_branch_root(self):
-        prof = shoot_radial(0, 1.0, 0.3)
+        prof, u = shoot_radial(0, 1.0, 0.3)
         b = 3.0 - 2.0 * math.sqrt(2.0)
         assert prof.b == pytest.approx(b, abs=1e-9)
-        gap = np.max(np.abs(prof.u - closed_form_u(0, b, prof.r_grid)))
+        gap = np.max(np.abs(u - closed_form_u(0, b, SHOT_RADII)))
         assert gap <= 1e-8
 
     def test_upper_branch_root(self):
-        prof = shoot_radial(0, 1.0, 3.8)
+        prof, _ = shoot_radial(0, 1.0, 3.8)
         assert prof.b == pytest.approx(3.0 + 2.0 * math.sqrt(2.0), abs=1e-8)
 
     def test_fold_point(self):
-        prof = shoot_radial(1, 8.0, math.log(4.0) + 0.01)
+        prof, _ = shoot_radial(1, 8.0, math.log(4.0) + 0.01)
         assert prof.b == pytest.approx(1.0, abs=1e-4)
 
     def test_roots_bracket_fold(self):
-        lo = shoot_radial(0, 1.0, 0.3)
-        hi = shoot_radial(0, 1.0, 3.8)
+        lo, _ = shoot_radial(0, 1.0, 0.3)
+        hi, _ = shoot_radial(0, 1.0, 3.8)
         assert lo.b < 1.0 < hi.b
 
     def test_singular_weight_branches(self):
         # N = 2: lambda(b) = 9 * 8b/(1+b)^2, so lambda = 9 has roots 3 +/- 2 sqrt 2
         lam = 9.0
-        lo = shoot_radial(2, lam, 0.3)
-        hi = shoot_radial(2, lam, 4.0)
-        gap_lo = np.max(np.abs(lo.u - closed_form_u(2, lo.b, lo.r_grid)))
-        gap_hi = np.max(np.abs(hi.u - closed_form_u(2, hi.b, hi.r_grid)))
+        lo, u_lo = shoot_radial(2, lam, 0.3)
+        hi, u_hi = shoot_radial(2, lam, 4.0)
+        gap_lo = np.max(np.abs(u_lo - closed_form_u(2, lo.b, SHOT_RADII)))
+        gap_hi = np.max(np.abs(u_hi - closed_form_u(2, hi.b, SHOT_RADII)))
         assert gap_lo <= 1e-8 and gap_hi <= 1e-8
         assert lo.b < 1.0 < hi.b
 
@@ -111,7 +130,7 @@ class TestShooting:
     def test_four_shots(self, monkeypatch):
         # Newton with the exact derivative, and the converged shot is the profile
         calls = _spy_calls(monkeypatch, radial, "ode_integrate")
-        prof = shoot_radial(0, 1.0, 0.3)
+        prof, _ = shoot_radial(0, 1.0, 0.3)
         assert prof.b == pytest.approx(3.0 - 2.0 * math.sqrt(2.0), abs=1e-9)
         assert len(calls) <= 4
 
@@ -126,7 +145,7 @@ class TestShooting:
     def test_near_fold_converges(self):
         # lambda = 1.99 lies just below the fold; one Newton step there does
         # not decrease |u(1)|, and the stall rule must not stop it
-        prof = shoot_radial(0, 1.99, 1.4)
+        prof, _ = shoot_radial(0, 1.99, 1.4)
         assert lambda_of_b(0, prof.b) == pytest.approx(1.99, rel=1e-9)
 
 
@@ -134,8 +153,8 @@ class TestBranch:
     @pytest.mark.parametrize("N,expected", [(0, 2.0), (1, 8.0), (2, 18.0)])
     def test_fold_location(self, N, expected):
         trace = trace_branch(N, [0.1, 0.5, 1.0, 2.0, 10.0], SPEC)
-        assert trace.fold.lambda_star == pytest.approx(expected, rel=1e-4)
-        assert trace.fold.b_star == pytest.approx(1.0, abs=1e-3)
+        assert trace.lambda_star == pytest.approx(expected, rel=1e-4)
+        assert trace.b_star == pytest.approx(1.0, abs=1e-3)
 
     def test_mass_monotone_and_bounded(self):
         trace = trace_branch(1, [0.1, 0.5, 1.0, 2.0, 10.0, 100.0], SPEC)
@@ -144,7 +163,7 @@ class TestBranch:
         assert max(masses) <= 16 * math.pi
 
     def test_mass_limit(self):
-        mass = branch_mass(closed_form_profile(2, 1000.0), SPEC)
+        mass = branch_mass(RadialProfile(2, 1000.0), SPEC)
         assert mass == pytest.approx(24 * math.pi, rel=2e-2)
         # closed-form oracle: mass = 8 pi (N+1) b/(1+b)
         assert mass == pytest.approx(24 * math.pi * 1000.0 / 1001.0, rel=1e-8)
@@ -155,7 +174,7 @@ class TestBranch:
     def test_mass_matches_closed_form(self, N, log_b):
         # the branch's quantized mass 8 pi (N+1) b/(1+b), across N and six decades of b
         b = math.exp(log_b)
-        mass = branch_mass(closed_form_profile(N, b), SPEC)
+        mass = branch_mass(RadialProfile(N, b), SPEC)
         assert mass == pytest.approx(8 * math.pi * (N + 1) * b / (1 + b), rel=1e-9)
 
     def test_requires_fold_coverage(self):
@@ -167,13 +186,13 @@ class TestHarnack:
     @pytest.mark.parametrize("N,expected", [(0, math.log(2.0)), (1, math.log(8.0))])
     def test_constant_value(self, N, expected):
         for b in (0.1, 1.0, 10.0, 100.0, 1000.0):
-            assert harnack_diagnostic(closed_form_profile(N, b)) == pytest.approx(expected,
+            assert harnack_diagnostic(RadialProfile(N, b)) == pytest.approx(expected,
                                                                                   abs=1e-6)
 
     def test_supremum_location(self):
         for N, b in ((0, 4.0), (1, 9.0), (2, 0.25)):
             r_star = b ** (-1.0 / (2 * (N + 1)))
-            prof = closed_form_profile(N, b)
+            prof = RadialProfile(N, b)
             m = N + 1
 
             def diag(r):
@@ -181,13 +200,6 @@ class TestHarnack:
 
             assert diag(r_star) >= diag(r_star * 1.01)
             assert diag(r_star) >= diag(r_star * 0.99)
-
-
-class TestProfileValidation:
-    def test_boundary_enforced(self):
-        r = np.linspace(0.1, 1.0, 50)
-        with pytest.raises(ValueError):
-            RadialProfile(N=0, lam=1.0, b=0.5, r_grid=r, u=np.ones_like(r))
 
 
 class TestScenarioCost:
