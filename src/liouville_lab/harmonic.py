@@ -160,12 +160,17 @@ def build_layer(Phi: FourierBoundaryData, params: BubbleParams, delta: float,
     return LayerField(N=params.N, c=c * dn, delta_star=delta_star)
 
 
+def layer_scale(c, L: int):
+    """delta* = sum_{n=1..L} |a_n| + |b_n| of monomial coefficients c, along the last axis."""
+    return np.sum(_l1(np.asarray(c, dtype=complex)[..., 1:L + 1]), axis=-1)
+
+
 def layer_from_coefficients(N: int, L: int, c) -> LayerField:
     """Layer field from explicit monomial coefficients c (c[0] = 0), with
-    delta* = sum_{n=1..L} |a_n| + |b_n|.  The coefficients are taken in y, so
-    any powers of delta are already in them."""
+    delta* = ``layer_scale(c, L)``.  The coefficients are taken in y, so any
+    powers of delta are already in them."""
     c = np.asarray(c, dtype=complex)
-    return LayerField(N=N, c=c, delta_star=float(np.sum(_l1(c[1:L + 1]))))
+    return LayerField(N=N, c=c, delta_star=float(layer_scale(c, L)))
 
 
 # the least max-root gradient ratio |grad phi0| / delta* that certifies the dichotomy
@@ -180,6 +185,26 @@ class DichotomyResult:
     ratios: np.ndarray
 
 
+def _roots_of_unity(N: int) -> np.ndarray:
+    return np.exp(1j * math.tau * np.arange(N + 1) / (N + 1))
+
+
+def root_gradients(N: int, c, delta_star):
+    """grad phi0 at the N+1 roots of unity for a stack of layers, and their ratios.
+
+    Row k of ``c`` holds the monomial coefficients of one layer (c[k, 0] = 0)
+    and ``delta_star[k]`` its scale.  Returns ``(g, ratios)``, both of shape
+    (k, N+1): g = conj F'(root) = gx + i gy, and |grad phi0| / delta*.  One
+    ``polyder`` along the rows and one Horner pass of ``polyval`` over all
+    rows do for each layer the arithmetic of ``LayerField.phi0_gradient``,
+    in its order, so a stack of one is that layer's gradient bitwise.
+    """
+    c = np.asarray(c, dtype=complex)
+    g = np.conj(polyval(_roots_of_unity(N), polyder(c, axis=1).T, tensor=True))
+    ratios = np.hypot(g.real, g.imag) / np.asarray(delta_star, dtype=float).reshape(-1, 1)
+    return g, ratios
+
+
 def grad_h_at_roots(layer: LayerField) -> DichotomyResult:
     """Gradient of h0 at the N+1 roots of unity (N = layer.N) and the dichotomy ratio.
 
@@ -187,11 +212,10 @@ def grad_h_at_roots(layer: LayerField) -> DichotomyResult:
     exactly invariant under rescaling the layer.  It is returned whatever its
     size; the report's records compare it with ``DICHOTOMY_THRESHOLD``.
     """
-    roots = np.exp(1j * math.tau * np.arange(layer.N + 1) / (layer.N + 1))
-    gx, gy = layer.phi0_gradient(roots)
-    h = layer.h0(roots)
-    ratios = np.hypot(gx, gy) / layer.delta_star
+    g, ratios = root_gradients(layer.N, layer.c[None, :], layer.delta_star)
+    g, ratios = g[0], ratios[0]
+    h = layer.h0(_roots_of_unity(layer.N))
     s = int(np.argmax(ratios))
     # grad h0 = h0 grad phi0
-    return DichotomyResult(index=s, gradients=h * gx + 1j * (h * gy), ratio=float(ratios[s]),
-                           ratios=ratios)
+    return DichotomyResult(index=s, gradients=h * g.real + 1j * (h * g.imag),
+                           ratio=float(ratios[s]), ratios=ratios)

@@ -96,21 +96,31 @@ class Decomposition:
 
 
 def _fields(params: InteractionParams, z):
+    """phi1..phi4 at the rescaled points z, by products.
+
+    |w|^2 and |z|^2 are sums of squares, and the angular factor
+    |z|^2 (1 + cos(2 arg z - 2 theta_sl - 2 beta_s)) is
+    |z|^2 + Re(z^2 e^{-2i(theta_sl + beta_s)}), so no point needs an angle, a
+    cosine or a division by |z|, and z = 0 is exact.
+    """
     z = np.asarray(z, dtype=complex)
     eps = params.eps
-    w = z + 0.5 * params.N * eps * z * z * np.exp(-1j * params.beta_s)
-    B = 1.0 + params.h_s / 8.0 * np.abs(w) ** 2
-    dmu = params.mu_s - params.mu_l
-    dlt = params.delta_p
-    phi1 = dmu * (1.0 - params.h_s / 8.0 * np.abs(w) ** 2) / B
-    phi2 = (params.h_s / (2.0 * (params.N + 1) * eps)) \
-        * (w * np.conj(dlt) * np.exp(-1j * params.beta_s)).real / B
-    ang = np.angle(z)
-    phi3 = (params.h_s * abs(dlt) ** 2 / (4.0 * (params.N + 1) ** 2 * eps ** 2 * B)
-            * (1.0 - params.h_s * np.abs(z) ** 2
-               * (1.0 + np.cos(2.0 * ang - 2.0 * params.theta_sl - 2.0 * params.beta_s))
-               / (8.0 * B)))
-    phi4 = (params.h_s / 4.0) * ((params.h_l - params.h_s) / params.h_l) * np.abs(w) ** 2 / B
+    h8 = params.h_s / 8.0
+    rot = np.exp(-1j * params.beta_s)
+    turn = np.exp(-2j * (params.theta_sl + params.beta_s))
+    tilt = np.conj(params.delta_p) * rot
+    x, y = z.real, z.imag
+    zz = z * z
+    w = z + (0.5 * params.N * eps * rot) * zz
+    wr, wi = w.real, w.imag
+    w2 = wr * wr + wi * wi
+    B = 1.0 + h8 * w2
+    phi1 = (params.mu_s - params.mu_l) * (1.0 - h8 * w2) / B
+    phi2 = (params.h_s / (2.0 * (params.N + 1) * eps)) * (wr * tilt.real - wi * tilt.imag) / B
+    angular = x * x + y * y + zz.real * turn.real - zz.imag * turn.imag
+    phi3 = (params.h_s * abs(params.delta_p) ** 2 / (4.0 * (params.N + 1) ** 2 * eps ** 2)
+            * (1.0 - h8 * angular / B) / B)
+    phi4 = (params.h_s / 4.0) * ((params.h_l - params.h_s) / params.h_l) * w2 / B
     return phi1, phi2, phi3, phi4
 
 

@@ -213,7 +213,7 @@ def solve_maxima_system(N: int, rhs) -> MaximaSystemSolution:
     # rounded sum of row l of -|A| with A's diagonal put back, in any order
     rows = -np.abs(mat.A)
     np.fill_diagonal(rows, np.diag(mat.A))
-    margins = np.array([math.fsum(row) for row in rows])
+    margins = np.array([math.fsum(row) for row in rows.tolist()])
     m, min_sigma, cond, residual = solve_with_diagnostics(mat.A, rhs)
     return MaximaSystemSolution(m=m, matrix=mat, dominance_margins=margins,
                                 min_singular_value=min_sigma, condition_number=cond,

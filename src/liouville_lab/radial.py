@@ -37,8 +37,8 @@ class RadialProfile:
     b: float
 
     def __post_init__(self):
-        if self.N < 0 or self.b < 0:
-            raise ValueError("N and b must be non-negative")
+        if self.N < 0 or not 0 <= self.b < math.inf:
+            raise ValueError("N must be non-negative and b finite and non-negative")
 
     @property
     def lam(self) -> float:
@@ -175,14 +175,19 @@ def harnack_diagnostic(prof: RadialProfile) -> float:
     if prof.b <= 0:
         raise ValueError("harnack diagnostic needs a genuine branch member (b > 0)")
     m = prof.N + 1
-    r_star = prof.b ** (-1.0 / (2.0 * m))
-    r_hi = max(1.0, 4.0 * r_star)
-    # coarse scan plus a fine window around the bubble ring, where the
+    b = prof.b
+    # scanned in t = log r, where the value is
+    # 2 log1p(b) + log lambda + 2m t - 2 log1p(b e^{2mt}): a coarse grid plus
+    # a fine window around the bubble ring t* = -log(b) / 2m, where the
     # supremum sits
-    r = np.concatenate([np.geomspace(1e-6, r_hi, 20001),
-                        np.geomspace(r_star / 1.5, r_star * 1.5, 4001)])
-    vals = closed_form_u(prof.N, prof.b, r) + math.log(prof.lam) + 2.0 * m * np.log(r)
-    return float(np.max(vals))
+    t_star = -math.log(b) / (2.0 * m)
+    t_hi = max(0.0, t_star + math.log(4.0))
+    half = math.log(1.5)
+    t = np.concatenate([np.linspace(math.log(1e-6), t_hi, 20001),
+                        np.linspace(t_star - half, t_star + half, 4001)])
+    s = 2.0 * m * t
+    vals = s - 2.0 * np.log1p(b * np.exp(s))
+    return float(np.max(vals)) + 2.0 * math.log1p(b) + math.log(prof.lam)
 
 
 @dataclass

@@ -6,7 +6,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liouville_lab import radial, scenarios
+from liouville_lab import kernels, radial, scenarios
 from liouville_lab.errors import ShootingError
 from liouville_lab.numerics import QuadratureSpec
 from liouville_lab.radial import (
@@ -71,6 +71,12 @@ class TestClosedForm:
     def test_rejects_negative_parameters(self, N, b):
         with pytest.raises(ValueError):
             RadialProfile(N, b)
+
+    @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_b(self, b):
+        # nan < 0 is False, so a sign test alone lets NaN through
+        with pytest.raises(ValueError):
+            RadialProfile(1, b)
 
     def test_center_blowup(self):
         u0 = [RadialProfile(0, b).u_at(1e-12) for b in (10.0, 100.0, 1000.0)]
@@ -224,6 +230,15 @@ class TestScenarioCost:
         assert entries and all(e.pass_ for e in entries)
         assert len(calls) <= 8
         assert len(rhs_calls) <= 5_000
+
+    def test_branch_eigen_solves(self, monkeypatch):
+        # two solves (n and 2n points) for each of the three fold eigenvalues,
+        # the mode-8 one and the Bessel one, and one each at 256, 512 and 1024
+        # points for the mode-2 refinement check
+        calls = _spy_calls(monkeypatch, kernels, "_smallest_eig")
+        entries = scenarios.scenario_branch(1)
+        assert entries and all(e.pass_ for e in entries)
+        assert len(calls) == 13
 
     def test_branch_masses(self, monkeypatch):
         # one mass per trace point (3 x 5) and per mass-limit check (3); the

@@ -355,12 +355,13 @@ class TestCli:
         assert len(residual) == 3 and not any(e.pass_ for e in residual)
 
     def test_nan_dichotomy_ratio_fails(self, monkeypatch):
-        original = scenarios_mod.harmonic.grad_h_at_roots
+        original = scenarios_mod.harmonic.root_gradients
 
-        def nan_ratio(layer):
-            return dataclasses.replace(original(layer), ratio=math.nan)
+        def nan_ratio(*args):
+            g, ratios = original(*args)
+            return g, np.full_like(ratios, math.nan)
 
-        monkeypatch.setattr(scenarios_mod.harmonic, "grad_h_at_roots", nan_ratio)
+        monkeypatch.setattr(scenarios_mod.harmonic, "root_gradients", nan_ratio)
         entries = run_scenario("layer-dichotomy", {"seed": 42})
         (ratio,) = [e for e in entries if e.check_id == "layer/dichotomy-min-ratio"]
         assert not ratio.pass_
