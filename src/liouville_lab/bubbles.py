@@ -6,8 +6,9 @@ A bubble with parameters (N, mu, p, h) is
 
 which solves  Delta V + |y|^(2N) h e^V = 0  on the plane.  One formula covers
 both the unit-coefficient convention (h = 1) and the classical normalisation
-h = 8(N+1)^2.  Exact first and second derivatives come from Wirtinger
-calculus on F(y) = y^(N+1) - 1 - p.
+h = 8(N+1)^2.  The exact gradient and Laplacian come from Wirtinger calculus
+on F(y) = y^(N+1) - 1 - p, and the N+1 maxima are the roots of F in closed
+form.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaximaError
-from .numerics import QuadratureSpec, integrate_plane, newton_complex
+from .numerics import QuadratureSpec, integrate_plane
 
 
 @dataclass(frozen=True)
@@ -60,43 +60,35 @@ def eval_bubble(params: BubbleParams, y) -> float | np.ndarray:
 
 
 def _dz_terms(params: BubbleParams, y):
-    """Wirtinger pieces of log(1 + c|F|^2): S = d_z, plus d_z S and d_zbar S."""
-    n1 = params.N + 1
+    """Wirtinger pieces of log(1 + c|F|^2): S = d_z, and d_zbar S = c|F'|^2 / (1 + c|F|^2)^2."""
     y = np.asarray(y, dtype=complex)
     c = params.coefficient
     F = _F(params, y)
-    Fp = n1 * y ** params.N
-    Fpp = params.N * n1 * y ** (params.N - 1) if params.N >= 1 else np.zeros_like(y)
+    Fp = (params.N + 1) * y ** params.N
     denom = 1.0 + c * np.abs(F) ** 2
-    S = c * Fp * np.conj(F) / denom
-    dzS = c * Fpp * np.conj(F) / denom - c ** 2 * Fp ** 2 * np.conj(F) ** 2 / denom ** 2
-    dzbarS = c * np.abs(Fp) ** 2 / denom ** 2
-    return S, dzS, dzbarS
+    return c * Fp * np.conj(F) / denom, c * np.abs(Fp) ** 2 / denom ** 2
 
 
 def bubble_gradient(params: BubbleParams, y):
     """Exact gradient (V_x, V_y)."""
-    S, _, _ = _dz_terms(params, y)
+    S, _ = _dz_terms(params, y)
     return -4.0 * S.real, 4.0 * S.imag
 
 
-def bubble_hessian(params: BubbleParams, y):
-    """Exact Hessian entries (V_xx, V_xy, V_yy)."""
-    _, dzS, dzbarS = _dz_terms(params, y)
-    vxx = -4.0 * dzS.real - 4.0 * dzbarS.real
-    vyy = 4.0 * dzS.real - 4.0 * dzbarS.real
-    vxy = 4.0 * dzS.imag
-    return vxx, vxy, vyy
-
-
 def bubble_laplacian(params: BubbleParams, y):
-    """Laplacian assembled from the closed-form second derivatives."""
-    vxx, _, vyy = bubble_hessian(params, y)
-    return vxx + vyy
+    """Exact Laplacian -8 d_zbar S, with S = d_z log(1 + c|F|^2).
+
+    Delta = 4 d_z d_zbar and V = mu - 2 log(1 + c|F|^2), so Delta V is
+    -8 d_zbar S = -8 c|F'|^2 / (1 + c|F|^2)^2.  F' is formed as (N+1) y^N by
+    ``**``, not from ``_kernel_terms``: the density is built there, and the
+    ``bubble/residual`` record would cancel to exactly 0.
+    """
+    _, dzbarS = _dz_terms(params, y)
+    return -8.0 * dzbarS
 
 
 def bubble_residual(params: BubbleParams, y) -> float | np.ndarray:
-    """Delta V + |y|^(2N) h e^V, assembled from closed-form second derivatives.
+    """Delta V + |y|^(2N) h e^V, from ``bubble_laplacian`` and ``bubble_density``.
 
     Vanishes analytically; the returned value measures floating-point
     cancellation only.
@@ -170,37 +162,30 @@ def total_mass(params: BubbleParams, spec: QuadratureSpec | None = None) -> floa
     return integrate_plane(lambda z: bubble_density(params, z), spec, peak=density_peak(params))
 
 
+def roots_of_unity(N: int) -> np.ndarray:
+    """The N+1 roots of unity e^(2 pi i l/(N+1)), l = 0..N."""
+    return np.exp(1j * math.tau * np.arange(N + 1) / (N + 1))
+
+
 @dataclass
 class MaximaResult:
     """Located maxima and their gap to the closed-form first-order prediction."""
 
-    Q: np.ndarray            # N+1 maxima, ordered by angle
+    Q: np.ndarray            # N+1 maxima, Q_l nearest e^(2 pi i l/(N+1))
     gap: np.ndarray          # |Q_l - e^{2 pi i l/(N+1)} (1 + p/(N+1))|
 
 
 def find_maxima(params: BubbleParams) -> MaximaResult:
-    """Locate the N+1 maxima of the bubble.
+    """The N+1 maxima of the bubble, Q_l = (1 + p)^(1/(N+1)) e^(2 pi i l/(N+1)).
 
-    Newton runs on y^(N+1) - (1+p) = 0, the exact zero set of the bubble
-    gradient, seeded at the (N+1)-th roots of unity.  Requires |p| < 0.3 so
-    every seed stays in its basin.
+    They are the roots of y^(N+1) = 1 + p, the zero set of the gradient.  The
+    principal root has argument below pi/(2(N+1)) since |p| < 1, so Q_l is
+    the maximum nearest the l-th root of unity.
     """
-    if abs(params.p) >= 0.3:
-        raise MaximaError("maxima not localized: |p| >= 0.3 leaves the Newton basin")
     n1 = params.N + 1
-    target = 1.0 + params.p
-    roots = []
-    for l in range(n1):
-        seed = np.exp(1j * math.tau * l / n1)
-        try:
-            q = newton_complex(lambda z: z ** n1 - target,
-                               lambda z: n1 * z ** (n1 - 1), seed)
-        except ValueError as exc:
-            raise MaximaError(f"maxima not localized: {exc}") from exc
-        roots.append(q)
-    Q = np.asarray(sorted(roots, key=lambda q: np.angle(q) % math.tau))
-    predicted = np.exp(1j * math.tau * np.arange(n1) / n1) * (1.0 + params.p / n1)
-    return MaximaResult(Q=Q, gap=np.abs(Q - predicted))
+    w = roots_of_unity(params.N)
+    Q = (1.0 + params.p) ** (1.0 / n1) * w
+    return MaximaResult(Q=Q, gap=np.abs(Q - w * (1.0 + params.p / n1)))
 
 
 # ----------------------------------------------------------------------------
@@ -260,7 +245,6 @@ def rescaled_profile_gap(params: BubbleParams, z: complex) -> float:
     eps = np.exp(-params.mu / 2.0)
     if abs(z) > 0.5 / eps:
         raise ValueError("rescaled evaluation point must satisfy |z| <= 0.5/eps")
-    q0 = find_maxima(params).Q
-    q0 = q0[np.argmin(np.abs(q0 - 1.0))]
+    q0 = find_maxima(params).Q[0]
     u = -2.0 * np.log1p(params.h / 8.0 * abs(z) ** 2)
     return float(eval_bubble(params, q0 + eps * z) + 2.0 * np.log(eps) - u)

@@ -27,10 +27,6 @@ class StiffODEError(LiouvilleLabError):
     """Stiff or singular ODE: adaptive step size underflowed."""
 
 
-class MaximaError(LiouvilleLabError):
-    """Maxima not localized: Newton diverged or precondition violated."""
-
-
 class DegenerateLayerError(LiouvilleLabError):
     """Degenerate layer: no boundary data and no bubble trace."""
 

@@ -21,13 +21,12 @@ comparable to delta* at at least one root.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
-from .bubbles import BubbleParams, eval_bubble
+from .bubbles import BubbleParams, eval_bubble, roots_of_unity
 from .errors import DegenerateLayerError
 from .numerics import circle_fourier, sample_circle
 
@@ -185,10 +184,6 @@ class DichotomyResult:
     ratios: np.ndarray
 
 
-def _roots_of_unity(N: int) -> np.ndarray:
-    return np.exp(1j * math.tau * np.arange(N + 1) / (N + 1))
-
-
 def root_gradients(N: int, c, delta_star):
     """grad phi0 at the N+1 roots of unity for a stack of layers, and their ratios.
 
@@ -200,7 +195,7 @@ def root_gradients(N: int, c, delta_star):
     in its order, so a stack of one is that layer's gradient bitwise.
     """
     c = np.asarray(c, dtype=complex)
-    g = np.conj(polyval(_roots_of_unity(N), polyder(c, axis=1).T, tensor=True))
+    g = np.conj(polyval(roots_of_unity(N), polyder(c, axis=1).T, tensor=True))
     ratios = np.hypot(g.real, g.imag) / np.asarray(delta_star, dtype=float).reshape(-1, 1)
     return g, ratios
 
@@ -214,7 +209,7 @@ def grad_h_at_roots(layer: LayerField) -> DichotomyResult:
     """
     g, ratios = root_gradients(layer.N, layer.c[None, :], layer.delta_star)
     g, ratios = g[0], ratios[0]
-    h = layer.h0(_roots_of_unity(layer.N))
+    h = layer.h0(roots_of_unity(layer.N))
     s = int(np.argmax(ratios))
     # grad h0 = h0 grad phi0
     return DichotomyResult(index=s, gradients=h * g.real + 1j * (h * g.imag),

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bubbles import roots_of_unity
 from .numerics import solve_with_diagnostics
 
 
@@ -38,8 +39,7 @@ class MaximaConfiguration:
 
     @classmethod
     def from_roots(cls, N: int):
-        beta = math.tau * np.arange(N + 1) / (N + 1)
-        return cls(N=N, Q=np.exp(1j * beta))
+        return cls(N=N, Q=roots_of_unity(N))
 
 
 @dataclass

@@ -3,8 +3,7 @@
 Adaptive quadrature on intervals, disks, circles and the whole plane; discrete
 Fourier analysis on circles into complex coefficients c_n, the trace of the
 harmonic polynomial Re sum c_n y^n on the unit circle; an adaptive ODE
-integrator; root finding; small dense linear algebra with singular-value
-diagnostics.
+integrator; small dense linear algebra with singular-value diagnostics.
 
 One adaptive rule integrates intervals, disks and planes: a panel rule with
 QUADPACK's qk21 constants, the 10-point Gauss and 21-point Kronrod rules.  It
@@ -23,9 +22,8 @@ A disk call given nested radii about one centre integrates them all in one
 pass, the inner radii being edges of the first panels.
 
 Numbers that no caller varies (the panel budget, the plane
-compactification scale, the ring tolerance fraction, the ODE method, LSODA,
-and the Newton tolerances) are constants written beside their use, like the
-scenario constants.
+compactification scale, the ring tolerance fraction and the ODE method,
+LSODA) are constants written beside their use, like the scenario constants.
 
 The module imports only numpy; the ODE integrator imports scipy's LSODA
 (``odeint``) on first use, so a run that integrates no ODE never loads scipy.
@@ -534,25 +532,7 @@ def ode_integrate(rhs, initial, r, spec: QuadratureSpec) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# root finding and small linear algebra
-
-def newton_complex(f, fprime, z0: complex) -> complex:
-    """Newton iteration for a holomorphic equation f(z) = 0, to |f| <= 1e-14."""
-    tol = 1e-14
-    z = complex(z0)
-    for _ in range(60):
-        fz = f(z)
-        if abs(fz) <= tol:
-            return z
-        dz = fz / fprime(z)
-        z = z - dz
-        if not np.isfinite(z.real) or not np.isfinite(z.imag):
-            break
-    fz = f(z)
-    if abs(fz) <= 100 * tol:
-        return z
-    raise ValueError(f"Newton iteration did not converge (|f|={abs(fz):.3e})")
-
+# small linear algebra
 
 def solve_with_diagnostics(A: np.ndarray, rhs: np.ndarray):
     """Dense solve with singular-value diagnostics: returns

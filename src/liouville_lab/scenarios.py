@@ -176,7 +176,7 @@ def scenario_bubble(seed: int, tol: float) -> list:
     for params in _BUBBLE_SETS:
         pts = []
         while len(pts) < 100:
-            z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            z = complex(*rng.uniform(-3, 3, size=2))
             if 0 < abs(z) <= 3:
                 pts.append(z)
         pts = np.array(pts)
@@ -629,7 +629,7 @@ def scenario_conjecture_disk(N: int, mu: float) -> list:
     # bubble is O(sigma R^-2), sigma their distance from the roots of unity
     p = 0.1
     Q = bubbles.find_maxima(BubbleParams(N=N, mu=mu, p=p, h=1.0)).Q
-    sigma = float(np.max(np.abs(Q - np.exp(1j * math.tau * np.arange(N + 1) / (N + 1)))))
+    sigma = float(np.max(np.abs(Q - bubbles.roots_of_unity(N))))
     for R in (20.0, 100.0):
         _, image = maxima.oscillation_gradient(maxima.MaximaConfiguration(N=N, Q=Q, R=R))
         entries.append(_bound_entry("conjecture/image-term", {"N": N, "R": R, "p": p},

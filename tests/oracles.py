@@ -2,8 +2,8 @@
 
 A brute-force polar Riemann sum, a term-by-term trigonometric sum, the
 interaction table's row sums and margins as plain loops, finite-difference
-gradient and Laplacian checks, the bubble density in mpmath, and parsers that
-read a rendered report back into ``ReportEntry`` records.
+gradient and Laplacian checks, the bubble density and maxima in mpmath, and
+parsers that read a rendered report back into ``ReportEntry`` records.
 """
 
 from __future__ import annotations
@@ -155,6 +155,21 @@ def bubble_density_mp(params, y, dps: int = 50) -> np.ndarray:
             d = 1 + c * abs(w ** n1 - off) ** 2
             values.append(float(h * e_mu * abs(w) ** (2 * params.N) / (d * d)))
     return np.reshape(values, np.shape(y))
+
+
+def maxima_mp(N: int, p: complex, dps: int = 30) -> np.ndarray:
+    """The N+1 roots of y^(N+1) = 1 + p by mpmath's polynomial root finder at
+    ``dps`` digits, rounded to complex floats; entry l is the root nearest
+    e^(2 pi i l/(N+1)).  The float p is taken as exact."""
+    n1 = N + 1
+    with mpmath.workdps(dps):
+        roots = mpmath.polyroots([1] + [0] * N + [-(1 + mpmath.mpc(p))],
+                                 maxsteps=200, extraprec=2 * dps)
+        ordered = [None] * n1
+        for r in roots:
+            ordered[int(mpmath.nint(mpmath.arg(r) * n1 / (2 * mpmath.pi))) % n1] = complex(r)
+    assert None not in ordered, "two roots nearest one root of unity"
+    return np.array(ordered)
 
 
 # ----------------------------------------------------------------------------

@@ -17,11 +17,12 @@ from liouville_lab.bubbles import (
     far_field_max_gap,
     find_maxima,
     rescaled_profile_gap,
+    roots_of_unity,
     total_mass,
 )
-from liouville_lab.errors import MaximaError, QuadratureBudgetError
+from liouville_lab.errors import QuadratureBudgetError
 from liouville_lab.numerics import QuadratureSpec
-from oracles import fd_check, make_polar_grid, riemann_sum
+from oracles import fd_check, make_polar_grid, maxima_mp, riemann_sum
 
 SPEC = QuadratureSpec()
 
@@ -179,9 +180,25 @@ class TestFindMaxima:
         result = find_maxima(params)
         assert np.max(np.abs(result.Q ** 5 - 1.2)) <= 1e-12
 
-    def test_large_offset_rejected(self):
-        with pytest.raises(MaximaError):
-            find_maxima(BubbleParams(N=1, mu=8.0, p=0.5, h=8.0))
+    @pytest.mark.parametrize("p", [0.1 * np.exp(-0.4j), -0.05j], ids=["0.1e^-0.4i", "-0.05i"])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_root_order_for_negative_imaginary_offset(self, N, p):
+        # Q[l] is the maximum nearest the l-th root of unity, so the gap
+        # compares each maximum with its own first-order prediction, also
+        # where arg Q_0 < 0
+        result = find_maxima(BubbleParams(N=N, mu=8.0, p=p, h=8.0))
+        assert np.max(result.gap) <= 5 * abs(p) ** 2
+        nearest = np.argmin(np.abs(result.Q[:, None] - roots_of_unity(N)[None, :]), axis=1)
+        assert nearest.tolist() == list(range(N + 1))
+
+    @pytest.mark.parametrize("N", range(7))
+    def test_maxima_match_mpmath(self, N):
+        # the roots of y^(N+1) = 1 + p at 30 digits, at offsets up to |p| = 0.9
+        for p_abs in (0.0, 0.1, 0.5, 0.9):
+            for angle in (0.4, -0.4, 2.5, -2.5):
+                p = p_abs * complex(math.cos(angle), math.sin(angle))
+                result = find_maxima(BubbleParams(N=N, mu=8.0, p=p, h=8.0))
+                assert np.max(np.abs(result.Q - maxima_mp(N, p))) <= 1e-14, (p_abs, angle)
 
 
 class TestFarField:

@@ -888,12 +888,6 @@ class TestFdCheck:
 
 
 class TestRootFinding:
-    def test_newton_complex(self):
-        from liouville_lab.numerics import newton_complex
-        root = newton_complex(lambda z: z ** 3 - 1.0, lambda z: 3 * z ** 2,
-                              np.exp(2j * np.pi / 3) * 1.1)
-        assert root == pytest.approx(np.exp(2j * np.pi / 3), abs=1e-12)
-
     def test_integrate_interval(self):
         val = integrate_interval(lambda x: np.exp(-x), (0.0, 5.0), SPEC)
         assert val == pytest.approx(1.0 - math.exp(-5.0), rel=1e-9)

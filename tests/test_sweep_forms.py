@@ -1,12 +1,14 @@
 """The light suite's array sweeps against the per-item forms they replaced.
 
 The layer dichotomy draws its 200 layers as rows and reads each N's rows in
-one gradient pass; the interaction fields are formed by products; the
-Harnack diagnostic scans a uniform grid in t = log r.  The forms they
-replaced are kept here as references: the per-draw layer loop must give the
-same minimum ratio bitwise and leave the generator in the same state, the
-fields must match the angle-and-cosine form to 1e-13 of each field's largest
-value, and the Harnack value must match the geometric-grid scan to 1e-14.
+one gradient pass; the bubble scenario draws each candidate point with one
+call; the interaction fields are formed by products; the Harnack diagnostic
+scans a uniform grid in t = log r.  The forms they replaced are kept here as
+references: the per-draw layer loop must give the same minimum ratio bitwise
+and the scalar-draw point loop the same points, each leaving the generator
+in the same state; the fields must match the angle-and-cosine form to 1e-13
+of each field's largest value, and the Harnack value must match the
+geometric-grid scan to 1e-14.
 """
 
 import math
@@ -14,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from liouville_lab import harmonic, interaction, scenarios
+from liouville_lab import bubbles, harmonic, interaction, scenarios
 from liouville_lab.harmonic import grad_h_at_roots, layer_from_coefficients
 from liouville_lab.interaction import InteractionParams, decompose_difference
 from liouville_lab.radial import RadialProfile, closed_form_u, harnack_diagnostic
@@ -100,6 +102,44 @@ class TestDichotomySweep:
             g, ratios = harmonic.root_gradients(layer.N, layer.c[None, :], layer.delta_star)
             assert np.array_equal(g[0].real, gx) and np.array_equal(g[0].imag, gy)
             assert np.array_equal(ratios[0], np.hypot(gx, gy) / layer.delta_star)
+
+
+def reference_bubble_points(seed):
+    """The scalar-draw loop: 100 points in 0 < |z| <= 3 per parameter set, and
+    the generator."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    for _ in scenarios._BUBBLE_SETS:
+        pts = []
+        while len(pts) < 100:
+            z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            if 0 < abs(z) <= 3:
+                pts.append(z)
+        sets.append(np.array(pts))
+    return sets, rng
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_bubble_points_bitwise(seed, monkeypatch):
+    drawn, generators = [], []
+    real_residual, real_rng = bubbles.bubble_residual, np.random.default_rng
+
+    def residual_spy(params, y):
+        drawn.append(np.array(y))
+        return real_residual(params, y)
+
+    def rng_spy(seed):
+        generators.append(real_rng(seed))
+        return generators[-1]
+
+    monkeypatch.setattr(bubbles, "bubble_residual", residual_spy)
+    monkeypatch.setattr(np.random, "default_rng", rng_spy)
+    scenarios.scenario_bubble(seed, 1e-8)
+    monkeypatch.undo()
+    sets, reference_rng = reference_bubble_points(seed)
+    assert [pts.tobytes() for pts in drawn] == [pts.tobytes() for pts in sets]
+    (rng,) = generators
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def reference_fields(params, z):
