@@ -164,7 +164,7 @@ def _assemble_tridiagonal(profile: RadialProfile, mode: int, n: int):
     x = (np.arange(n + 1) / n) ** 2          # graded mesh clustering at r = 0
     h = np.diff(x)
     rm = 0.5 * (x[:-1] + x[1:])
-    w_pot = mode ** 2 / rm ** 2 - profile.lam * rm ** (2 * profile.N) * np.exp(profile.u_at(rm))
+    w_pot = mode ** 2 / rm ** 2 - profile.density(rm)
 
     # element e adds to nodes e and e + 1
     k = rm / h

@@ -7,7 +7,10 @@ unit direction xi,
       - oint e^u |y|^2N h (xi . nu)
       = oint (d_nu u d_xi u - 1/2 |grad u|^2 (xi . nu)),
 
-with nu the outward normal.  Each term is linear in xi, so ``pohozaev_check``
+with nu the outward normal.  ``pohozaev_check`` takes h constant and reads
+e^u only through the field's source density |y|^2N h e^u, the one the
+bubble module (``bubble_density``) or the radial profile
+(``RadialProfile.density``) gives.  Each term is linear in xi, so the check
 returns it as the vector of its e1 and e2 components, all from one disk pass
 and one circle pass; the balance along any unit xi is the dot product of xi
 with each vector.  The report's residual is volume - flux - kinetic.  Given
@@ -31,7 +34,6 @@ from .bubbles import (
     bubble_density,
     bubble_gradient,
     bubble_laplacian,
-    eval_bubble,
     find_maxima,
 )
 from .errors import NotASolutionError
@@ -61,31 +63,24 @@ class PohozaevReport:
 
 @dataclass
 class SolutionField:
-    """A field with value and gradient callables (plus optional Laplacian)."""
+    """A solution u of Delta u + density = 0, as the Pohozaev terms read it.
 
-    value: object
+    ``density`` is the source |y|^2N h e^u with the constant h folded in, and
+    N its order; ``gradient`` gives (u_x, u_y).  No term reads u itself.  A
+    Laplacian, when given, lets ``pohozaev_check`` spot-check the field.
+    """
+
+    N: int
     gradient: object
+    density: object
     laplacian: object = None
-
-
-def constant_field(value: float):
-    """Constant coefficient field with its (zero) gradient."""
-
-    def h(z):
-        return np.full(np.shape(z), value) if np.ndim(z) else value
-
-    def grad_h(z):
-        if np.ndim(z):
-            return np.zeros(np.shape(z)), np.zeros(np.shape(z))
-        return 0.0, 0.0
-
-    return h, grad_h
 
 
 def bubble_field(params: BubbleParams) -> SolutionField:
     return SolutionField(
-        value=lambda z: eval_bubble(params, z),
+        N=params.N,
         gradient=lambda z: bubble_gradient(params, z),
+        density=lambda z: bubble_density(params, z),
         laplacian=lambda z: bubble_laplacian(params, z),
     )
 
@@ -93,85 +88,65 @@ def bubble_field(params: BubbleParams) -> SolutionField:
 def radial_field(profile) -> SolutionField:
     """Field view of a radial profile (gradient along the radial direction)."""
 
-    def value(z):
-        return profile.u_at(np.abs(z))
-
     def gradient(z):
         z = np.asarray(z, dtype=complex)
         r = np.abs(z)
         up = profile.u_prime_at(np.maximum(r, 1e-14))
         return up * z.real / np.maximum(r, 1e-14), up * z.imag / np.maximum(r, 1e-14)
 
-    return SolutionField(value=value, gradient=gradient)
+    return SolutionField(N=profile.N, gradient=gradient,
+                         density=lambda z: profile.density(np.abs(z)))
 
 
-def _spot_check_solution(field: SolutionField, h, N: int, center: complex,
-                         radius) -> float:
+def _spot_check_solution(field: SolutionField, center: complex, radius) -> None:
     """Relative PDE residual at four interior points of each disk of the given
     radius or radii (needs field.laplacian); above 1e-6, or not finite, raises
     NotASolutionError."""
     rel_tol = 1e-6
     if field.laplacian is None:
-        return 0.0
+        return
     offsets = np.array([0.3 + 0.1j, -0.2 + 0.4j, 0.1 - 0.5j, 0.55 + 0.3j])
     pts = center + np.multiply.outer(np.atleast_1d(radius), offsets).ravel()
-    worst = 0.0
-    for z in pts:
-        lap = float(field.laplacian(z))
-        src = abs(z) ** (2 * N) * float(h(z)) * math.exp(float(field.value(z)))
-        res = abs(lap + src) / max(abs(lap), abs(src), 1.0)
-        if not math.isfinite(res):
-            raise NotASolutionError(f"not a solution: relative PDE residual {res} at z = {z}")
-        worst = max(worst, res)
-    if worst > rel_tol:
+    lap, src = field.laplacian(pts), field.density(pts)
+    scale = np.maximum(np.maximum(np.abs(lap), np.abs(src)), 1.0)
+    worst = float(np.max(np.abs(lap + src) / scale))
+    if not worst <= rel_tol:   # a NaN fails this test too
         raise NotASolutionError(
             f"not a solution: relative PDE residual {worst:.2e} exceeds {rel_tol}")
-    return worst
 
 
-def pohozaev_check(field: SolutionField, h, grad_h, N: int, center: complex,
-                   radius, spec: QuadratureSpec,
+def pohozaev_check(field: SolutionField, center: complex, radius, spec: QuadratureSpec,
                    peak=None) -> PohozaevReport:
     """Evaluate the three Pohozaev terms along e1 and e2 on B(center, radius).
 
-    h and grad_h are the coefficient field and its gradient.  The volume term
-    is one 2-component disk integral; the flux and kinetic terms are one
-    4-component circle integral.  ``radius`` may be a strictly increasing
-    sequence R_1 < ... < R_n: the volume terms of all n nested disks then come
-    from one ``integrate_disk`` pass and the boundary terms of all n circles
-    from one ``integrate_circle`` batch, and every term is a (2, n) array.
-    For N >= 1 the (largest) disk must avoid the origin.  A field with a
-    Laplacian is first spot-checked as a solution, in every disk.
+    The volume term is one 2-component disk integral; the flux and kinetic
+    terms are one 4-component circle integral.  ``radius`` may be a strictly
+    increasing sequence R_1 < ... < R_n: the volume terms of all n nested
+    disks then come from one ``integrate_disk`` pass and the boundary terms of
+    all n circles from one ``integrate_circle`` batch, and every term is a
+    (2, n) array.  For N >= 1 the (largest) disk must avoid the origin.  A
+    field with a Laplacian is first spot-checked as a solution, in every disk.
 
     ``peak = (q, width)`` locates the maximum of e^u and goes to
     ``integrate_disk``, which places the radial breakpoints around it and
     grades every ring of the disk toward q.
 
-    The volume integrand's weight |y|^2N and lever 2N |y|^(2N-2) are powers
-    of |y|^2 = x^2 + y^2 by products, with no pow or hypot per point; e^u
-    stays exp of the field's value, and for a bubble field that value is
-    ``eval_bubble`` in its ``**`` form (see ``bubbles.bubble_density``).
+    Every term that holds e^u reads it through the field's density: with h
+    constant, d_xi(|y|^2N h) e^u = (2N / |y|^2) density y_xi, which is zero
+    at N = 0 (no 0/0 at the centre of a radial disk), and the flux integrand
+    is density nu.
     """
+    N = field.N
     if N >= 1 and abs(center) <= np.max(radius):
         raise ValueError("for N >= 1 the disk must not contain the origin")
-    _spot_check_solution(field, h, N, center, radius)
-    n2 = 2 * N
+    _spot_check_solution(field, center, radius)
 
     def volume_integrand(z):
-        # grad(|y|^2N h) e^u, with grad |y|^2N = 2N |y|^(2N-2) y; the powers
-        # of |y|^2 are products
-        gx, gy = grad_h(z)
+        out = np.zeros((2,) + np.shape(z))
         if N:
-            r2 = np.square(z.real) + np.square(z.imag)
-            below = 1.0   # |y|^(2N-2)
-            for _ in range(N - 1):
-                below = below * r2
-            weight, lever = below * r2, n2 * below * h(z)
-            gx, gy = weight * gx + lever * z.real, weight * gy + lever * z.imag
-        e_u = np.exp(field.value(z))
-        out = np.empty((2,) + e_u.shape)
-        np.multiply(gx, e_u, out=out[0])
-        np.multiply(gy, e_u, out=out[1])
+            lever = (2 * N) * field.density(z) / (np.square(z.real) + np.square(z.imag))
+            np.multiply(lever, z.real, out=out[0])
+            np.multiply(lever, z.imag, out=out[1])
         return out
 
     vol = integrate_disk(volume_integrand, center, radius, spec, peak=peak)
@@ -180,7 +155,7 @@ def pohozaev_check(field: SolutionField, h, grad_h, N: int, center: complex,
         # flux along e1, e2, then kinetic along e1, e2
         nu = (z - center) / np.abs(z - center)
         ux, uy = field.gradient(z)
-        flux = np.exp(field.value(z)) * np.abs(z) ** n2 * h(z)
+        flux = field.density(z)
         dnu = ux * nu.real + uy * nu.imag
         half_sq = 0.5 * (ux ** 2 + uy ** 2)
         return np.stack([flux * nu.real, flux * nu.imag,
@@ -229,12 +204,13 @@ def coefficient_contrast(params: BubbleParams, layer: LayerField, s: int,
 # ----------------------------------------------------------------------------
 # integration-by-parts identity
 
-def byparts_identity(params: BubbleParams, w_field: SolutionField, s: int,
-                     radius: float, spec: QuadratureSpec) -> float:
+def byparts_identity(params: BubbleParams, w, grad_w, s: int, radius: float,
+                     spec: QuadratureSpec) -> float:
     """Mismatch of the two routes through the integration-by-parts identity.
 
     Volume route: 2N int y_xi |y|^(2N-2) h e^V w  (xi = e1 here, h = params.h).
     Boundary route: 2N oint (d_nu(y_xi/|y|^2) w - d_nu w  y_xi/|y|^2).
+    w and grad_w are callables: the perturbation and its gradient (w_x, w_y).
     For w with w, grad w of size eps_b on the boundary circle the mismatch is
     bounded by 10 eps_b (2N) radius^-1 circumference.
     """
@@ -247,7 +223,7 @@ def byparts_identity(params: BubbleParams, w_field: SolutionField, s: int,
     def volume_integrand(z):
         # d_xi |y|^2N / |y|^2N = 2N y_xi / |y|^2 for xi = e1
         lever = (2 * N) * z.real / (np.square(z.real) + np.square(z.imag))
-        return lever * bubble_density(params, z) * w_field.value(z)
+        return lever * bubble_density(params, z) * w(z)
 
     volume = integrate_disk(volume_integrand, q_s, radius, spec, peak=peak)
 
@@ -260,9 +236,9 @@ def byparts_identity(params: BubbleParams, w_field: SolutionField, s: int,
         gx = (r2 - 2.0 * z.real * z.real) / r2 ** 2
         gy = -2.0 * z.real * z.imag / r2 ** 2
         dnu_field = gx * nu.real + gy * nu.imag
-        wx, wy = w_field.gradient(z)
+        wx, wy = grad_w(z)
         dnu_w = wx * nu.real + wy * nu.imag
-        return (2 * N) * (dnu_field * w_field.value(z) - dnu_w * field_val)
+        return (2 * N) * (dnu_field * w(z) - dnu_w * field_val)
 
     boundary = integrate_circle(boundary_integrand, q_s, radius, spec)
     return volume - boundary

@@ -50,6 +50,10 @@ class RadialProfile:
     def u_prime_at(self, r):
         return closed_form_u_prime(self.N, self.b, r)
 
+    def density(self, r):
+        """The source lam r^2N e^u of the radial equation."""
+        return self.lam * r ** (2 * self.N) * np.exp(self.u_at(r))
+
 
 def lambda_of_b(N: int, b: float) -> float:
     return (N + 1) ** 2 * 8.0 * b / (1.0 + b) ** 2
@@ -156,13 +160,8 @@ def shoot_radial(N: int, lam: float, u_center_guess: float) -> tuple[RadialProfi
 # branch tracing and diagnostics
 
 def branch_mass(profile: RadialProfile, spec: QuadratureSpec) -> float:
-    """lambda * integral_{B_1} |x|^2N e^u dx, by quadrature."""
-    N, lam = profile.N, profile.lam
-
-    def integrand(r):
-        return r ** (2 * N + 1) * np.exp(profile.u_at(r))
-
-    return math.tau * lam * integrate_interval(integrand, (0.0, 1.0), spec)
+    """lambda * integral_{B_1} |x|^2N e^u dx = tau int_0^1 r density(r) dr, by quadrature."""
+    return math.tau * integrate_interval(lambda r: r * profile.density(r), (0.0, 1.0), spec)
 
 
 def harnack_diagnostic(prof: RadialProfile) -> float:

@@ -421,6 +421,30 @@ def scenario_interaction(mu: float) -> list:
 # ----------------------------------------------------------------------------
 # pohozaev
 
+def _kernel_perturbation(params: BubbleParams, eps_b: float):
+    """w = eps_b phi1((z - Q_0)/eps), eps = e^(-mu/2), and its gradient in closed form.
+
+    With zeta = (z - Q_0)/eps, c = h/8 and d = 1 + c|zeta|^2,
+    grad w = eps_b/(eps d^2) (d - 2c zeta_x^2, -2c zeta_x zeta_y): exact at any
+    width eps, where a difference quotient of fixed step fails once eps falls
+    below the step (mu > 32).
+    """
+    q0 = bubbles.find_maxima(params).Q[0]
+    epsk, c = math.exp(-params.mu / 2.0), params.h / 8.0
+
+    def w(z):
+        return eps_b * kernels.kernel_functions((np.asarray(z, dtype=complex) - q0) / epsk, c)[1]
+
+    def grad_w(z):
+        zeta = (np.asarray(z, dtype=complex) - q0) / epsk
+        x, y = zeta.real, zeta.imag
+        d = 1.0 + c * (x * x + y * y)
+        scale = eps_b / (epsk * d * d)
+        return scale * (d - 2.0 * c * x * x), scale * (-2.0 * c * x * y)
+
+    return w, grad_w
+
+
 def scenario_pohozaev(mu: float) -> list:
     entries = []
     spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
@@ -430,18 +454,16 @@ def scenario_pohozaev(mu: float) -> list:
         with _records(entries, key, "pohozaev/bubble-residual"):
             params = BubbleParams(N=N, mu=mu, p=0j, h=8.0 * (N + 1) ** 2)
             field = pohozaev.bubble_field(params)
-            h, grad_h = pohozaev.constant_field(params.h)
             peak = pohozaev._maximum_peak(params, 0)
             q0 = peak[0]
-            reps = [pohozaev.pohozaev_check(field, h, grad_h, N, center, radii, spec, peak=peak)
+            reps = [pohozaev.pohozaev_check(field, center, radii, spec, peak=peak)
                     for center in (q0, q0 * np.exp(0.25j), q0 + 0.05 + 0.02j)]
             worst = np.max([np.abs(rep.residual) / rep.scale for rep in reps])
             entries.append(_entry("pohozaev/bubble-residual", key, worst, 0.0, 1e-6, "paper"))
-    # radial Gelfand solution at N = 0
-    prof = radial.RadialProfile(0, 1.0)
-    rfield = pohozaev.radial_field(prof)
-    h, grad_h = pohozaev.constant_field(prof.lam)
-    rep = pohozaev.pohozaev_check(rfield, h, grad_h, 0, 0j, 0.5, spec)
+    # radial Gelfand solution at N = 0, on a disk off the symmetry centre:
+    # about 0 every term would vanish by symmetry, whatever the field
+    rfield = pohozaev.radial_field(radial.RadialProfile(0, 1.0))
+    rep = pohozaev.pohozaev_check(rfield, 0.25 + 0j, 0.5, spec)
     entries.append(_entry("pohozaev/radial-residual", {"N": 0, "b": 1.0},
                           abs(rep.residual[0]) / rep.scale[0], 0.0, 1e-6, "derived"))
 
@@ -462,31 +484,18 @@ def scenario_pohozaev(mu: float) -> list:
 
     # integration-by-parts identity with a small kernel perturbation
     params_bp = BubbleParams(N=1, mu=mu, p=0j, h=8.0)
-    eps_b = 1e-6
-    epsk = math.exp(-mu / 2.0)
-    q0 = bubbles.find_maxima(params_bp).Q[0]
-
-    def w_value(z):
-        zz = (np.asarray(z, dtype=complex) - q0) / epsk
-        return eps_b * kernels.kernel_functions(zz, params_bp.h / 8.0)[1]
-
-    def w_gradient(z):
-        z = np.asarray(z, dtype=complex)
-        h_step = 1e-7
-        wx = (w_value(z + h_step) - w_value(z - h_step)) / (2 * h_step)
-        wy = (w_value(z + 1j * h_step) - w_value(z - 1j * h_step)) / (2 * h_step)
-        return wx, wy
-
-    wf = pohozaev.SolutionField(value=w_value, gradient=w_gradient)
+    w, grad_w = _kernel_perturbation(params_bp, 1e-6)
     with _records(entries, {"N": 1, "mu": mu}, "pohozaev/byparts-kernel"):
-        mismatch = pohozaev.byparts_identity(params_bp, wf, 0, 0.3, spec=spec)
+        mismatch = pohozaev.byparts_identity(params_bp, w, grad_w, 0, 0.3, spec=spec)
         entries.append(_bound_entry("pohozaev/byparts-kernel", {"N": 1, "mu": mu},
                                     abs(mismatch), 1e-4, "derived"))
-    zero_f = pohozaev.SolutionField(value=lambda z: np.zeros(np.shape(z)),
-                                    gradient=lambda z: (np.zeros(np.shape(z)),
-                                                        np.zeros(np.shape(z))))
+
+    def zero(z):
+        return np.zeros(np.shape(z))
+
     with _records(entries, {"N": 1}, "pohozaev/byparts-zero"):
-        zm = pohozaev.byparts_identity(params_bp, zero_f, 0, 0.3, spec=spec)
+        zm = pohozaev.byparts_identity(params_bp, zero, lambda z: (zero(z), zero(z)), 0, 0.3,
+                                       spec=spec)
         entries.append(_entry("pohozaev/byparts-zero", {"N": 1}, abs(zm), 0.0, 1e-14, "trivial"))
     return entries
 

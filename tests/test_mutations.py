@@ -11,8 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from liouville_lab import bubbles, scenarios
+from liouville_lab import bubbles, pohozaev, radial, scenarios
 from liouville_lab.bubbles import MaximaResult, roots_of_unity
+
+_closed_form_u_prime = radial.closed_form_u_prime
 
 
 def laplacian_half_factor(params, y):
@@ -24,6 +26,22 @@ def maxima_without_offset(params):
     # Q_l = e^(2 pi i l/(N+1)), the maxima of the centred bubble whatever p
     w = roots_of_unity(params.N)
     return MaximaResult(Q=w, gap=np.abs(w - w * (1.0 + params.p / (params.N + 1))))
+
+
+def gradient_half_factor(params, y):
+    # (V_x, V_y) at half their size
+    gx, gy = bubbles.bubble_gradient(params, y)
+    return 0.5 * gx, 0.5 * gy
+
+
+def u_prime_scaled(N, b, r):
+    # u' of the radial profile 1% too steep
+    return 1.01 * _closed_form_u_prime(N, b, r)
+
+
+def density_without_lam(profile, r):
+    # r^2N e^u, the radial source without its lambda
+    return r ** (2 * profile.N) * np.exp(profile.u_at(r))
 
 
 @dataclass(frozen=True)
@@ -40,11 +58,25 @@ def _bubble():
     return scenarios.scenario_bubble(42, 1e-8)
 
 
+def _pohozaev():
+    return scenarios.scenario_pohozaev(10.0)
+
+
+def _branch():
+    return scenarios.scenario_branch(1)
+
+
 MUTATIONS = (
     Mutation("laplacian-half-factor", bubbles, "bubble_laplacian", laplacian_half_factor,
              _bubble, ("bubble/residual",)),
     Mutation("maxima-without-offset", bubbles, "find_maxima", maxima_without_offset,
              _bubble, ("bubble/maxima-first-order", "bubble/maxima-root")),
+    Mutation("gradient-half-factor", pohozaev, "bubble_gradient", gradient_half_factor,
+             _pohozaev, ("pohozaev/bubble-residual",)),
+    Mutation("radial-u-prime-scaled", radial, "closed_form_u_prime", u_prime_scaled,
+             _pohozaev, ("pohozaev/radial-residual",)),
+    Mutation("radial-density-without-lambda", radial.RadialProfile, "density",
+             density_without_lam, _branch, ("branch/mass-limit",)),
 )
 
 
