@@ -17,7 +17,8 @@ trapezoid rule, on one sector of
 angle 2 pi/K when a plane's peak hint declares K-fold symmetry.  Each
 generation of panels gets all the ring means of its nodes from one
 ``_circle_mean`` call, which at each doubling evaluates the integrand on the
-rings not yet converged, in batches of at most ``RING_BATCH_POINTS`` points.
+rings not yet converged, in batches of at most ``RING_BATCH_POINTS`` points,
+a cap small enough that no batch's temporaries page-fault (see its comment).
 A disk call given nested radii about one centre integrates them all in one
 pass, the inner radii being edges of the first panels.
 
@@ -98,7 +99,6 @@ def peak_beta(w):
     return np.ldexp(0.5, exponent)
 
 
-@functools.lru_cache(maxsize=None)
 def _ring_nodes(m: int, odd: bool, K: int, beta: float):
     """Nodes exp(i theta_k) and weights of the m-point rule on one 2 pi/K sector.
 
@@ -110,9 +110,7 @@ def _ring_nodes(m: int, odd: bool, K: int, beta: float):
     g(x) = 2 atan(beta tan(x/2)), continued so that g(x + tau) = g(x) + tau,
     which crowds the nodes toward the sector's start with width about beta;
     the weights are g'(x).  beta = 1 gives the nodes exp(i tau k / (K m)) and
-    weights None (all ones).  K = 1 is the whole circle.  The arrays are
-    read-only and cached: only powers of two and power-of-two betas reach the
-    cache.
+    weights None (all ones).  K = 1 is the whole circle.
     """
     k = np.arange(1, m, 2) if odd else np.arange(m)
     if beta == 1.0:
@@ -123,14 +121,35 @@ def _ring_nodes(m: int, odd: bool, K: int, beta: float):
         theta = (x - 2.0 * np.arctan((1.0 - beta) * s / ((1.0 + beta) + (1.0 - beta) * c))) / K
         nodes = np.exp(1j * theta)
         weights = 2.0 * beta / ((1.0 + c) + beta * beta * (1.0 - c))
-        weights.flags.writeable = False
+    return nodes, weights
+
+
+@functools.lru_cache(maxsize=None)
+def _ring_table(m: int, odd: bool, K: int, betas: tuple):
+    """The ``_ring_nodes`` rules of the sorted ``betas`` stacked, one row per beta.
+
+    Returns nodes of shape (len(betas), n) and weights of that shape, ones in
+    the rows of beta = 1, or None when ``betas`` is (1.0,): then the one row
+    is the uniform rule.  The arrays are read-only and cached: only powers of
+    two and power-of-two betas reach the cache.
+    """
+    tables = [_ring_nodes(m, odd, K, b) for b in betas]
+    nodes = np.stack([n for n, _ in tables])
     nodes.flags.writeable = False
+    if betas == (1.0,):
+        return nodes, None
+    weights = np.stack([np.ones(n.size) if w is None else w for n, w in tables])
+    weights.flags.writeable = False
     return nodes, weights
 
 
 # the most points one call of the integrand gets from _circle_mean: larger
-# batches of rings are split by rows, which bounds the integrand's temporaries
-RING_BATCH_POINTS = 1 << 13
+# batches of rings are split by rows.  A chunk's ring arrays and a peaked
+# integrand's temporaries, about 100 bytes a point for moment_integrals, then
+# stay below glibc's default 128 KiB mmap and trim thresholds (mallopt(3)):
+# at 8,192 points the freed heap top went back to the OS after each chunk and
+# the next chunk faulted it in again, about 20,000 minor faults per moments run
+RING_BATCH_POINTS = 1 << 11
 
 # the most points one ring gets: a mean not converged when m passes this
 # raises QuadratureBudgetError
@@ -153,9 +172,10 @@ def _circle_mean(f, center: complex, r, rel_tol: float, abs_tol: float, grading=
     roundoff floor ``ROUNDOFF`` mean|f|, which QUADPACK's panel estimate has
     too.  Each doubling calls f on the points of all rows that have
     not yet converged, flattened to 1-D, in calls of at most
-    ``RING_BATCH_POINTS`` points; a row whose mean has converged is not
-    evaluated again.  A vector integrand returning shape (k, n) for n points
-    gives k means per ring, converged only when every component is.
+    ``RING_BATCH_POINTS`` points or of one row; a row whose mean has
+    converged is not evaluated again.  A vector integrand returning shape
+    (k, n) for n points gives k means per ring, converged only when every
+    component is.
 
     ``grading = (K, psi0, beta)`` declares that f is K-fold symmetric about
     ``center``, f(center + e^(i tau/K) dz) = f(center + dz), with K equally
@@ -172,31 +192,39 @@ def _circle_mean(f, center: complex, r, rel_tol: float, abs_tol: float, grading=
     K, psi0, beta = (1, 0.0, 1.0) if grading is None else grading
     beta = np.broadcast_to(np.asarray(beta, dtype=float), r.shape)
     graded = beta != 1.0
-    uniform = not graded.any()
     scale = np.where(graded, r * np.exp(1j * np.asarray(psi0) / K), r)
     betas, row_beta = np.unique(beta, return_inverse=True)
+    betas = tuple(float(b) for b in betas)
 
     def ring_sums(m, odd, rows):
-        tables = [_ring_nodes(m, odd, K, float(b)) for b in betas]
-        nodes = np.stack([n for n, _ in tables])
-        weights = None if uniform else np.stack(
-            [np.ones(n.size) if w is None else w for n, w in tables])
+        nodes, weights = _ring_table(m, odd, K, betas)
         per_call = max(1, RING_BATCH_POINTS // nodes.shape[1])
-        sums, abs_sums = [], []
-        for chunk in np.split(rows, np.arange(per_call, rows.size, per_call)):
-            pick = row_beta[chunk]
-            z = center + scale[chunk, None] * nodes[pick]
+        sums = abs_sums = None
+        for start in range(0, rows.size, per_call):
+            chunk = rows[start:start + per_call]
+            # scale * nodes, then + center in place: this operand order keeps
+            # the report's bits (nodes * scale moves the moments' last digits)
+            if weights is None:
+                z = scale[chunk, None] * nodes
+            else:
+                pick = row_beta[chunk]
+                z = scale[chunk, None] * nodes[pick]
+            z += center
             values = np.asarray(f(z.ravel()))
             values = values.reshape(values.shape[:-1] + z.shape)
-            if uniform:
-                sums.append(values.sum(axis=-1))
+            if sums is None:
+                sums = np.empty(values.shape[:-2] + rows.shape)
+                abs_sums = np.empty_like(sums)
+            part = slice(start, start + chunk.size)
+            if weights is None:
+                values.sum(axis=-1, out=sums[..., part])
                 values = np.abs(values)   # f's own array stays untouched
             else:
                 values = values * weights[pick]
-                sums.append(values.sum(axis=-1))
+                values.sum(axis=-1, out=sums[..., part])
                 np.abs(values, out=values)
-            abs_sums.append(values.sum(axis=-1))
-        return np.concatenate(sums, axis=-1), np.concatenate(abs_sums, axis=-1)
+            values.sum(axis=-1, out=abs_sums[..., part])
+        return sums, abs_sums
 
     def shaped(means):
         means = means.reshape(means.shape[:-1] + shape)
@@ -211,7 +239,8 @@ def _circle_mean(f, center: complex, r, rel_tol: float, abs_tol: float, grading=
     while m <= RING_MAX_POINTS:
         m *= 2
         odd, odd_abs = ring_sums(m, True, rows)
-        total, abs_total = total + odd, abs_total + odd_abs
+        total += odd
+        abs_total += odd_abs
         cur = total / m
         err = np.abs(cur - prev)
         tol = np.maximum(np.maximum(abs_tol, rel_tol * np.abs(cur)), ROUNDOFF * abs_total / m)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bubbles, harmonic, interaction, kernels, maxima, pohozaev, radial
 from .bubbles import BubbleParams
-from .errors import LiouvilleLabError
+from .errors import LiouvilleLabError, QuadratureBudgetError
 from .harmonic import FourierBoundaryData, layer_from_coefficients
 from .interaction import InteractionParams
 from .numerics import QuadratureSpec, circle_fourier, sample_circle
@@ -77,13 +77,17 @@ def _bound_entry(check_id, params, value, bound, provenance, direction="<=") -> 
 @contextmanager
 def _records(entries: list, params: dict, *check_ids: str):
     """A LiouvilleLabError in the block fails each of ``check_ids`` that it has not
-    yet appended to ``entries``, and the scenario goes on."""
+    yet appended to ``entries``, and the scenario goes on.  A failed record's
+    params name the exception and its message, and carry a
+    QuadratureBudgetError's error estimate when it is finite."""
     start = len(entries)
     try:
         yield entries
     except LiouvilleLabError as exc:
         written = {e.check_id for e in entries[start:]}
         failed = {**params, "exception": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, QuadratureBudgetError) and math.isfinite(exc.estimate):
+            failed["estimate"] = exc.estimate
         entries.extend(_entry(check_id, failed, 1.0, 0.0, 0.0, "derived")
                        for check_id in check_ids if check_id not in written)
 

@@ -28,7 +28,7 @@ def seed42_report(tmp_path_factory):
     ``(file, first line)`` of every function the run called.
     """
     path = tmp_path_factory.mktemp("seed42") / "report.json"
-    numerics._ring_nodes.cache_clear()  # a warm cache would hide the node builder
+    numerics._ring_table.cache_clear()  # a warm cache would hide the node builders
     profile = cProfile.Profile()
     profile.enable()
     try:

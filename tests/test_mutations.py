@@ -11,10 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from liouville_lab import bubbles, pohozaev, radial, scenarios
+from liouville_lab import bubbles, interaction, pohozaev, radial, scenarios
 from liouville_lab.bubbles import MaximaResult, roots_of_unity
 
 _closed_form_u_prime = radial.closed_form_u_prime
+_kernel_terms = bubbles._kernel_terms
 
 
 def laplacian_half_factor(params, y):
@@ -37,6 +38,12 @@ def gradient_half_factor(params, y):
 def u_prime_scaled(N, b, r):
     # u' of the radial profile 1% too steep
     return 1.01 * _closed_form_u_prime(N, b, r)
+
+
+def kernel_weight_raised(params, y):
+    # the kernel's weight |y|^(2N+2) in place of |y|^2N
+    F, q, weight = _kernel_terms(params, y)
+    return F, q, weight * np.abs(y) ** 2
 
 
 def density_without_lam(profile, r):
@@ -77,6 +84,8 @@ MUTATIONS = (
              _pohozaev, ("pohozaev/radial-residual",)),
     Mutation("radial-density-without-lambda", radial.RadialProfile, "density",
              density_without_lam, _branch, ("branch/mass-limit",)),
+    Mutation("kernel-weight-raised", interaction, "_kernel_terms", kernel_weight_raised,
+             scenarios.scenario_moments, ("moments/I0", "moments/I1")),
 )
 
 

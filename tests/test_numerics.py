@@ -1,5 +1,11 @@
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -141,6 +147,39 @@ class TestRingPointCounts:
     def test_pohozaev(self, monkeypatch):
         mu = scenarios.INPUTS["pohozaev"]["mu"].default
         assert self._points(monkeypatch, lambda: scenarios.scenario_pohozaev(mu)) == 851_328
+
+
+# the minor page faults of a second run of each ring-heavy scenario, in a
+# fresh interpreter: one number per scenario
+_FAULTS = """
+import json, resource
+from liouville_lab import scenarios
+
+def faults(run):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+runs = (scenarios.scenario_moments, lambda: scenarios.scenario_pohozaev(10.0))
+for run in runs:
+    run()
+print(json.dumps([faults(run) for run in runs]))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's trim threshold")
+def test_warm_ring_scenarios_do_not_page_fault():
+    # ring chunks whose temporaries cross glibc's trim threshold hand the freed
+    # heap top back to the OS, and the next chunk faults it in again: about
+    # 21,000 and 8,000 faults at 8,192 points a call, about 10 at 2,048
+    pytest.importorskip("resource")
+    src = Path(numerics.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _FAULTS], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    moments, pohozaev = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert moments < 1000 and pohozaev < 1000, (moments, pohozaev)
 
 
 def _moment_fields(z):
@@ -547,9 +586,15 @@ class TestBatchedRings:
         r = np.linspace(0.5, 1.5, 300)
         f, calls = _recording(lambda z: bubble_density(self.PEAK, z))
         batch = _circle_mean(f, 0j, r, self.REL, self.ABS)
-        cap = numerics.RING_BATCH_POINTS   # 8192 points: 128 rings of 64
-        assert [z.size for z in calls[:3]] == [cap, cap, 300 * 64 - 2 * cap]
-        assert max(z.size for z in calls) <= cap
+        cap = numerics.RING_BATCH_POINTS
+        full, rest = divmod(300, cap // 64)   # whole rings of 64 points per call
+        assert full >= 2
+        split = [cap // 64 * 64] * full + [rest * 64] * (rest > 0)
+        assert [z.size for z in calls[:len(split)]] == split
+        # a call over the cap holds the new points of one ring, which the
+        # peak ring's last doublings exceed
+        over = [z for z in calls if z.size > cap]
+        assert over and all(np.allclose(np.abs(z), np.abs(z[0]), rtol=1e-14) for z in over)
         one = [_circle_mean(lambda z: bubble_density(self.PEAK, z), 0j, x, self.REL, self.ABS)
                for x in r[::37]]
         assert np.all(np.abs(batch[::37] - one) <= 1e-14 * np.abs(one))

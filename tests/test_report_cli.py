@@ -307,7 +307,7 @@ class TestCli:
         def first_call_raises(*args, **kwargs):
             calls.append(args)
             if len(calls) == 1:
-                raise QuadratureBudgetError("quadrature budget exceeded: test")
+                raise QuadratureBudgetError("quadrature budget exceeded: test", estimate=3e-9)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(scenarios_mod.pohozaev, "byparts_identity", first_call_raises)
@@ -316,6 +316,7 @@ class TestCli:
         assert len(entries) == 9 and [e.check_id for e in failed] == ["pohozaev/byparts-kernel"]
         assert failed[0].params["exception"] == "QuadratureBudgetError"
         assert failed[0].params["N"] == 1 and failed[0].params["mu"] == 10.0
+        assert failed[0].params["estimate"] == 3e-9
         assert "pohozaev/error" not in {e.check_id for e in entries}
 
     def test_separation_error_spares_the_coefficient_record(self, monkeypatch):
@@ -341,6 +342,10 @@ class TestCli:
             "interaction/phi2-moment", "interaction/pure-separation"]
         additivity = next(e for e in entries if e.check_id == "interaction/additivity")
         assert additivity.params["message"].startswith("not computed")
+        # the raise carries no estimate: a NaN one stays out of the record
+        separation = next(e for e in entries if e.check_id == "interaction/pure-separation")
+        assert separation.params["exception"] == "QuadratureBudgetError"
+        assert "estimate" not in separation.params
 
     def test_nan_pohozaev_residual_fails(self, monkeypatch):
         original = scenarios_mod.pohozaev.pohozaev_check
