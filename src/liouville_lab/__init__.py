@@ -11,12 +11,10 @@ from .bubbles import (
 )
 from .config import load_defaults
 from .harmonic import (
-    FourierBoundaryData,
     LayerField,
     bubble_oscillation_killer,
     build_layer,
     grad_h_at_roots,
-    harmonic_extend,
 )
 from .interaction import (
     InteractionParams,

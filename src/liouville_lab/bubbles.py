@@ -167,25 +167,14 @@ def roots_of_unity(N: int) -> np.ndarray:
     return np.exp(1j * math.tau * np.arange(N + 1) / (N + 1))
 
 
-@dataclass
-class MaximaResult:
-    """Located maxima and their gap to the closed-form first-order prediction."""
-
-    Q: np.ndarray            # N+1 maxima, Q_l nearest e^(2 pi i l/(N+1))
-    gap: np.ndarray          # |Q_l - e^{2 pi i l/(N+1)} (1 + p/(N+1))|
-
-
-def find_maxima(params: BubbleParams) -> MaximaResult:
+def find_maxima(params: BubbleParams) -> np.ndarray:
     """The N+1 maxima of the bubble, Q_l = (1 + p)^(1/(N+1)) e^(2 pi i l/(N+1)).
 
     They are the roots of y^(N+1) = 1 + p, the zero set of the gradient.  The
     principal root has argument below pi/(2(N+1)) since |p| < 1, so Q_l is
     the maximum nearest the l-th root of unity.
     """
-    n1 = params.N + 1
-    w = roots_of_unity(params.N)
-    Q = (1.0 + params.p) ** (1.0 / n1) * w
-    return MaximaResult(Q=Q, gap=np.abs(Q - w * (1.0 + params.p / n1)))
+    return (1.0 + params.p) ** (1.0 / (params.N + 1)) * roots_of_unity(params.N)
 
 
 # ----------------------------------------------------------------------------
@@ -245,6 +234,6 @@ def rescaled_profile_gap(params: BubbleParams, z: complex) -> float:
     eps = np.exp(-params.mu / 2.0)
     if abs(z) > 0.5 / eps:
         raise ValueError("rescaled evaluation point must satisfy |z| <= 0.5/eps")
-    q0 = find_maxima(params).Q[0]
+    q0 = find_maxima(params)[0]
     u = -2.0 * np.log1p(params.h / 8.0 * abs(z) ** 2)
     return float(eval_bubble(params, q0 + eps * z) + 2.0 * np.log(eps) - u)

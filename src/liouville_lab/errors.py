@@ -3,6 +3,8 @@
 A laboratory function raises only when it cannot compute its number or its
 input is outside its domain.  A claim of the paper is judged by a report
 record, never by an exception, and a raise fails only the records it stops.
+A function returns what it computes, and the comparison with a closed form
+or a bound belongs to the record that makes it.
 """
 
 
@@ -11,12 +13,14 @@ class LiouvilleLabError(Exception):
 
 
 class QuadratureBudgetError(LiouvilleLabError):
-    """Quadrature budget exceeded; carries the partial value and error estimate."""
+    """Quadrature budget exceeded; carries the partial value, the error estimate
+    and the tolerance that estimate missed."""
 
-    def __init__(self, message: str, value: float = float("nan"), estimate: float = float("nan")):
+    def __init__(self, message: str, *, value, estimate: float, tolerance: float):
         super().__init__(message)
         self.value = value
         self.estimate = estimate
+        self.tolerance = tolerance
 
 
 class NyquistError(LiouvilleLabError):

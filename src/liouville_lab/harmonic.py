@@ -1,4 +1,4 @@
-"""Harmonic extensions and the boundary-layer coefficient field.
+"""Harmonic layers and the boundary-layer coefficient field.
 
 Every harmonic function here is one polynomial phi = Re F(y) with
 F(y) = sum_n c_n y^n, stored as its complex coefficients c.  In polar form
@@ -36,58 +36,22 @@ def _l1(c):
     return np.abs(c.real) + np.abs(c.imag)
 
 
-@dataclass
-class FourierBoundaryData:
-    """Truncated trace coefficients c[0..n_max] (``circle_fourier``) on a
-    circle of the given radius."""
+def bubble_oscillation_killer(params: BubbleParams, delta: float) -> np.ndarray:
+    """The oscillation data c_{n,v} of the bubble trace on the circle of radius 1/delta.
 
-    radius: float
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        self.coefficients = np.asarray(self.coefficients, dtype=complex)
-
-    @property
-    def n_max(self) -> int:
-        return self.coefficients.size - 1
-
-    def monomial_coefficients(self) -> np.ndarray:
-        """The coefficients of the trace's extension Re sum C_n y^n: c_n radius^-n."""
-        return self.coefficients * self.radius ** -np.arange(self.coefficients.size, dtype=float)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        c = self.coefficients
-        return bool(np.all(np.abs(c.real) <= tol) and np.all(np.abs(c.imag) <= tol))
-
-
-def harmonic_extend(data: FourierBoundaryData, y) -> float | np.ndarray:
-    """Harmonic extension of the boundary data, evaluated inside the disk."""
-    y = np.asarray(y, dtype=complex)
-    if np.any(np.abs(y) > data.radius * (1.0 + 1e-12)):
-        raise ValueError("evaluation point outside the boundary circle")
-    out = polyval(y / data.radius, data.coefficients).real
-    return float(out) if out.ndim == 0 else out
-
-
-def bubble_oscillation_killer(params: BubbleParams, delta: float) -> FourierBoundaryData:
-    """Oscillation data of the bubble trace on the circle of radius 1/delta.
-
-    Coefficients are the mean-removed trace coefficients of modes up to 64,
-    from 2048 samples of the trace; in monomial
-    normalisation the leading entries are 4 delta^(2N+2) at mode N+1 and
+    They are the mean-removed ``circle_fourier`` coefficients of modes up to
+    64, from 2048 samples of the trace; in monomial normalisation
+    c_{n,v} delta^n the leading entries are 4 delta^(2N+2) at mode N+1 and
     2 delta^(4N+4) at mode 2N+2.
     """
     if delta > 0.1:
         raise ValueError("oscillation extraction requires the far-field regime delta <= 0.1")
     if params.p != 0:
         raise ValueError("oscillation extraction is stated for the centered bubble (p = 0)")
-    radius = 1.0 / delta
-    vals = sample_circle(lambda z: eval_bubble(params, z), 0j, radius, 2048)
+    vals = sample_circle(lambda z: eval_bubble(params, z), 0j, 1.0 / delta, 2048)
     coeffs = circle_fourier(vals, 64)
     coeffs[0] = 0.0   # remove the mean
-    return FourierBoundaryData(radius=radius, coefficients=coeffs)
+    return coeffs
 
 
 @dataclass
@@ -124,32 +88,31 @@ class LayerField:
         return np.exp(self.phi0(y))
 
 
-def build_layer(Phi: FourierBoundaryData, params: BubbleParams, delta: float,
-                L: int) -> LayerField:
+def build_layer(Phi, params: BubbleParams, delta: float, L: int) -> LayerField:
     """Assemble the layer field from unit-circle data Phi and the bubble trace.
 
-    delta* is the displayed sum over modes n <= L.  When Phi vanishes
-    identically the scale falls back to delta^(2N+2); if additionally the
-    bubble trace carries no oscillation the layer is degenerate.
+    Phi holds the data's ``circle_fourier`` coefficients on |y| = 1.  delta*
+    is the displayed sum over modes n <= L.  When Phi vanishes identically
+    the scale falls back to delta^(2N+2); if additionally the bubble trace
+    carries no oscillation the layer is degenerate.
     """
-    if abs(Phi.radius - 1.0) > 1e-12:
-        raise ValueError("Phi must be boundary data on the unit circle")
-    if abs(Phi.coefficients[0]) > 1e-14:
+    Phi = np.asarray(Phi, dtype=complex)
+    if abs(Phi[0]) > 1e-14:
         raise ValueError("Phi must have zero mean")
-    if L > Phi.n_max:
+    if L >= Phi.size:
         raise ValueError("L must not exceed the data's mode count")
     killer = bubble_oscillation_killer(params, delta)
 
-    c = np.zeros(max(Phi.n_max, killer.n_max) + 1, dtype=complex)
-    c[:Phi.coefficients.size] = Phi.coefficients
-    c[:killer.coefficients.size] -= killer.coefficients
+    c = np.zeros(max(Phi.size, killer.size), dtype=complex)
+    c[:Phi.size] = Phi
+    c[:killer.size] -= killer
 
     dn = delta ** np.arange(c.size, dtype=float)
     gaps = dn * _l1(c)
     delta_star = float(np.sum(gaps[1:L + 1]))
 
-    if Phi.is_zero():
-        if killer.is_zero(1e-15):
+    if not np.any(Phi):
+        if np.all(np.abs(killer.real) <= 1e-15) and np.all(np.abs(killer.imag) <= 1e-15):
             raise DegenerateLayerError("degenerate layer: no boundary data and no bubble trace")
         delta_star = delta ** (2 * params.N + 2)
 

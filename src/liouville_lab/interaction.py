@@ -185,22 +185,15 @@ def closed_form_interaction(params: InteractionParams) -> float:
     return sep + coef
 
 
-@dataclass
-class InteractionQuadrature:
-    closed_form: float
-    quadrature: float
-    phi1_integral: float
-    phi2_integral: float
-
-
 def interaction_coefficient(params: InteractionParams,
-                            spec: QuadratureSpec) -> InteractionQuadrature:
-    """Closed form D_sl versus quadrature of the phi3 + phi4 contribution.
+                            spec: QuadratureSpec) -> tuple[float, float, float]:
+    """D_sl by quadrature of the phi3 + phi4 contribution, with the phi1 and phi2 integrals.
 
     The quadrature integrates (phi3 + phi4) h_l |y|^2N eps^2 e^{V_s} / M over
     |z| <= 0.5/eps; the phi1 and phi2 contributions are integrated as well and
-    should stay eps-sized (the vanishing bubble moments).  All four numbers are
-    returned whatever they are; the report's interaction records judge them.
+    should stay eps-sized (the vanishing bubble moments).  Returns
+    ``(D, phi1 integral, phi2 integral)`` whatever they are; the report's
+    interaction records compare D with ``closed_form_interaction``.
     """
     eps = params.eps
     bubble_s = params.bubble_s()
@@ -215,10 +208,8 @@ def interaction_coefficient(params: InteractionParams,
         return np.stack([phi3 + phi4, phi1, phi2]) * kernel(z)
 
     # in z the peak sits at 0 with width 1
-    quad, i1, i2 = (float(v) for v in
-                    integrate_disk(integrand, 0j, radius, spec, peak=(0j, 1.0)))
-    return InteractionQuadrature(closed_form=closed_form_interaction(params), quadrature=quad,
-                                 phi1_integral=i1, phi2_integral=i2)
+    d, i1, i2 = integrate_disk(integrand, 0j, radius, spec, peak=(0j, 1.0))
+    return float(d), float(i1), float(i2)
 
 
 # ----------------------------------------------------------------------------

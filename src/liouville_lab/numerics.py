@@ -251,9 +251,11 @@ def _circle_mean(f, center: complex, r, rel_tol: float, abs_tol: float, grading=
         rows, prev = rows[~ok], cur[..., ~ok]
         total, abs_total = total[..., ~ok], abs_total[..., ~ok]
     means[..., rows] = prev
+    err, tol = err[..., ~ok], tol[..., ~ok]
+    worst = np.unravel_index(np.argmax(err), err.shape)
     raise QuadratureBudgetError(
         "quadrature budget exceeded: circle average did not converge",
-        value=shaped(means), estimate=float(np.max(err[..., ~ok])))
+        value=shaped(means), estimate=float(err[worst]), tolerance=float(tol[worst]))
 
 
 # QUADPACK's qk21 rule (Piessens et al., QUADPACK, 1983): the 21 Kronrod
@@ -341,9 +343,10 @@ def integrate_interval(f, edges, spec: QuadratureSpec):
         if np.all(total_err <= tol) or not split.any():
             return result
         if a.size + split.sum() > PANEL_BUDGET:
+            worst = np.argmax(total_err)
             raise QuadratureBudgetError(
                 f"quadrature budget exceeded: more than {PANEL_BUDGET} panels",
-                value=result, estimate=float(np.max(total_err)))
+                value=result, estimate=float(total_err[worst]), tolerance=float(tol[worst]))
         held = tuple(part[..., ~split] for part in held)
         a, b = a[split], b[split]
         mid = 0.5 * (a + b)

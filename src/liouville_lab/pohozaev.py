@@ -177,7 +177,7 @@ def _maximum_peak(params: BubbleParams, s: int):
     (uniform on a disk centred there) and places the first panels in the
     radius by the peak-edge rule the disk shares with the plane.
     """
-    return complex(find_maxima(params).Q[s]), math.exp(-params.mu / 2.0)
+    return complex(find_maxima(params)[s]), math.exp(-params.mu / 2.0)
 
 
 # ----------------------------------------------------------------------------

@@ -9,9 +9,9 @@ Mech. Anal. 49, 1973)
 
 double-valued in lambda with fold at b = 1, lambda* = 2(N+1)^2.  A radial
 profile is the family member ``RadialProfile(N, b)``, so it solves the problem
-by construction.  A shooting solver cross-validates the family, and the
-spherical-Harnack diagnostic sup (u + log lambda + 2(N+1) log r) equals
-log(2(N+1)^2) along the whole branch.
+by construction.  The report checks the family against a shooting solver,
+and the spherical-Harnack diagnostic sup (u + log lambda + 2(N+1) log r)
+equals log(2(N+1)^2) along the whole branch.
 """
 
 from __future__ import annotations
@@ -108,17 +108,15 @@ def _shoot_once(N: int, lam: float, u0: float, spec: QuadratureSpec) -> np.ndarr
 STALL_SHOTS = 5
 
 
-def shoot_radial(N: int, lam: float, u_center_guess: float) -> tuple[RadialProfile, np.ndarray]:
-    """Shooting solution of the radial problem at the given lambda.
+def shoot_radial(N: int, lam: float, u_center_guess: float) -> np.ndarray:
+    """Shooting solution u of the radial problem at the given lambda, on ``SHOT_RADII``.
 
     Newton runs on u(1; u0) = 0 from the supplied center guess (the guess
     selects the branch), to |u(1)| <= 1e-12, with the exact derivative v(1)
     that each shot carries (see ``_shoot_once``), and fails once the best
-    |u(1)| has not improved in STALL_SHOTS consecutive shots.  Returns
-    ``(profile, u)``: the family member b = e^(u0/2) - 1 of the converged
-    center value u0, and the converged shot u on ``SHOT_RADII``, with u(1) set
-    to 0.  The shot is cross-validated against the closed form of that member,
-    and sup-norm disagreement above 1e-6 is treated as failure.
+    |u(1)| has not improved in STALL_SHOTS consecutive shots.  Returns the
+    converged shot, with u(1) set to 0; the report's ``branch/shooting-gap``
+    records compare it with the closed form.
     """
     spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-16)
     tol = 1e-12
@@ -146,14 +144,7 @@ def shoot_radial(N: int, lam: float, u_center_guess: float) -> tuple[RadialProfi
 
     u = states[0].copy()
     u[-1] = 0.0
-    b = math.exp(u0 / 2.0) - 1.0
-    if b <= 0:
-        raise ShootingError("no radial solution found at this lambda/guess: negative family parameter")
-    gap = float(np.max(np.abs(u - closed_form_u(N, b, SHOT_RADII))))
-    if gap > 1e-6:
-        raise ShootingError(
-            f"no radial solution found at this lambda/guess: closed-form cross-check gap {gap:.2e}")
-    return RadialProfile(N, b), u
+    return u
 
 
 # ----------------------------------------------------------------------------

@@ -94,7 +94,3 @@ def emit(entries, fmt: str, path) -> None:
         fh.write(text)
         if fmt == "json":
             fh.write("\n")
-
-
-def all_pass(entries) -> bool:
-    return all(e.pass_ for e in entries)

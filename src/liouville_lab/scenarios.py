@@ -17,11 +17,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from . import bubbles, harmonic, interaction, kernels, maxima, pohozaev, radial
 from .bubbles import BubbleParams
 from .errors import LiouvilleLabError, QuadratureBudgetError
-from .harmonic import FourierBoundaryData, layer_from_coefficients
+from .harmonic import layer_from_coefficients
 from .interaction import InteractionParams
 from .numerics import QuadratureSpec, circle_fourier, sample_circle
 from .report import ReportEntry, sort_entries
@@ -79,15 +80,17 @@ def _records(entries: list, params: dict, *check_ids: str):
     """A LiouvilleLabError in the block fails each of ``check_ids`` that it has not
     yet appended to ``entries``, and the scenario goes on.  A failed record's
     params name the exception and its message, and carry a
-    QuadratureBudgetError's error estimate when it is finite."""
+    QuadratureBudgetError's error estimate and the tolerance it missed, as
+    ``estimate`` and ``quad_tol``, each when it is finite."""
     start = len(entries)
     try:
         yield entries
     except LiouvilleLabError as exc:
         written = {e.check_id for e in entries[start:]}
         failed = {**params, "exception": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, QuadratureBudgetError) and math.isfinite(exc.estimate):
-            failed["estimate"] = exc.estimate
+        if isinstance(exc, QuadratureBudgetError):
+            evidence = {"estimate": exc.estimate, "quad_tol": exc.tolerance}
+            failed.update((key, v) for key, v in evidence.items() if math.isfinite(v))
         entries.extend(_entry(check_id, failed, 1.0, 0.0, 0.0, "derived")
                        for check_id in check_ids if check_id not in written)
 
@@ -201,13 +204,15 @@ def scenario_bubble(seed: int, tol: float) -> list:
                               mass, 8.0 * math.pi * (N + 1), 1e-6, "derived"))
     for N, p in ((1, 0.01), (2, 0.1 * np.exp(0.4j)), (3, 0.05)):
         params = BubbleParams(N=N, mu=8.0, p=p, h=8.0)
-        result = bubbles.find_maxima(params)
+        Q = bubbles.find_maxima(params)
+        first_order = bubbles.roots_of_unity(N) * (1.0 + params.p / (N + 1))
         entries.append(_bound_entry("bubble/maxima-first-order", {"N": N, "p": abs(p)},
-                                    float(np.max(result.gap)), 5.0 * abs(p) ** 2, "paper"))
-        grad = np.max([np.hypot(*bubbles.bubble_gradient(params, q)) for q in result.Q])
+                                    float(np.max(np.abs(Q - first_order))),
+                                    5.0 * abs(p) ** 2, "paper"))
+        grad = np.max([np.hypot(*bubbles.bubble_gradient(params, q)) for q in Q])
         entries.append(_entry("bubble/maxima-gradient", {"N": N, "p": abs(p)},
                               grad, 0.0, 1e-10, "derived"))
-        root_res = float(np.max(np.abs(result.Q ** (N + 1) - (1.0 + p))))
+        root_res = float(np.max(np.abs(Q ** (N + 1) - (1.0 + p))))
         entries.append(_entry("bubble/maxima-root", {"N": N, "p": abs(p)},
                               root_res, 0.0, 1e-12, "trivial"))
     params = BubbleParams(N=2, mu=3.0, p=0j, h=5.0)
@@ -319,8 +324,9 @@ def scenario_layer_dichotomy(seed: int) -> list:
     dl = 0.05
     for N in (1, 2):
         params = BubbleParams(N=N, mu=mu, p=0j, h=1.0)
+        # monomial normalisation c_n rho^-n on rho = 1/dl; rho^-n keeps the report's bits
         killer = harmonic.bubble_oscillation_killer(params, dl)
-        A = killer.monomial_coefficients().real
+        A = (killer * (1.0 / dl) ** -np.arange(killer.size, dtype=float)).real
         lead = A[N + 1] / (4.0 * dl ** (2 * N + 2))
         entries.append(_entry("layer/killer-mode-N1", {"N": N, "delta": dl, "mu": mu},
                               lead, 1.0, 0.1, "paper"))
@@ -330,12 +336,10 @@ def scenario_layer_dichotomy(seed: int) -> list:
     # build_layer arithmetic and the Phi == 0 fallback
     a = np.zeros(5)
     a[1], a[2] = 0.3, 0.5
-    phi = FourierBoundaryData(radius=1.0, coefficients=a)
-    layer = harmonic.build_layer(phi, BubbleParams(N=2, mu=mu, p=0j, h=1.0), 0.1, L=2)
+    layer = harmonic.build_layer(a, BubbleParams(N=2, mu=mu, p=0j, h=1.0), 0.1, L=2)
     entries.append(_entry("layer/delta-star-sum", {"N": 2, "delta": 0.1},
                           layer.delta_star, 0.035, 1e-12, "derived"))
-    zero = FourierBoundaryData(radius=1.0, coefficients=np.zeros(5))
-    layer0 = harmonic.build_layer(zero, BubbleParams(N=1, mu=mu, p=0j, h=1.0), 0.1, L=2)
+    layer0 = harmonic.build_layer(np.zeros(5), BubbleParams(N=1, mu=mu, p=0j, h=1.0), 0.1, L=2)
     entries.append(_entry("layer/delta-star-fallback", {"N": 1, "delta": 0.1},
                           layer0.delta_star, 1e-4, 1e-18, "paper"))
     return entries
@@ -356,29 +360,30 @@ def scenario_interaction(mu: float) -> list:
     both = InteractionParams(N=1, mu_s=mu, mu_l=mu, p_s=0j,
                              p_l=-eps * M * np.exp(0.3j), h_s=1.0, h_l=1.0 + 0.01 * M, M=M)
     key = {"N": 1, "mu": mu}
-    res = res2 = None
+    d_sep = d_coef = None
     with _records(entries, key, "interaction/pure-separation",
                   "interaction/phi1-moment", "interaction/phi2-moment"):
-        res = interaction.interaction_coefficient(sep, spec)
+        d_sep, phi1, phi2 = interaction.interaction_coefficient(sep, spec)
         entries.append(_entry("interaction/pure-separation", key,
-                              res.quadrature / res.closed_form, 1.0, 0.10, "derived"))
+                              d_sep / interaction.closed_form_interaction(sep), 1.0, 0.10,
+                              "derived"))
         entries.append(_bound_entry("interaction/phi1-moment", key,
-                                    abs(res.phi1_integral), 10.0 * eps, "paper"))
+                                    abs(phi1), 10.0 * eps, "paper"))
         entries.append(_bound_entry("interaction/phi2-moment", key,
-                                    abs(res.phi2_integral), 10.0 * eps, "paper"))
+                                    abs(phi2), 10.0 * eps, "paper"))
     with _records(entries, key, "interaction/pure-coefficient"):
-        res2 = interaction.interaction_coefficient(coef, spec)
+        d_coef = interaction.interaction_coefficient(coef, spec)[0]
         entries.append(_entry("interaction/pure-coefficient", key,
-                              res2.quadrature / res2.closed_form, 1.0, 0.10, "derived"))
+                              d_coef / interaction.closed_form_interaction(coef), 1.0, 0.10,
+                              "derived"))
     with _records(entries, key, "interaction/additivity"):
-        if res is None or res2 is None:
+        if d_sep is None or d_coef is None:
             raise LiouvilleLabError(
                 "not computed: the pure-separation or pure-coefficient quadrature raised")
-        res3 = interaction.interaction_coefficient(both, spec)
+        d_both = interaction.interaction_coefficient(both, spec)[0]
         # additive up to the h_l cross-factor on the separation term, O(|h_l - h_s|)
         entries.append(_entry("interaction/additivity", key,
-                              res3.quadrature / (res.quadrature + res2.quadrature), 1.0, 1e-3,
-                              "derived"))
+                              d_both / (d_sep + d_coef), 1.0, 1e-3, "derived"))
 
     # decomposition remainder: size and eps-halving
     z = 2.0 + 1.0j
@@ -433,7 +438,7 @@ def _kernel_perturbation(params: BubbleParams, eps_b: float):
     width eps, where a difference quotient of fixed step fails once eps falls
     below the step (mu > 32).
     """
-    q0 = bubbles.find_maxima(params).Q[0]
+    q0 = bubbles.find_maxima(params)[0]
     epsk, c = math.exp(-params.mu / 2.0), params.h / 8.0
 
     def w(z):
@@ -530,7 +535,7 @@ def scenario_branch(N: int) -> list:
                               mass_big, cap, 2e-2, "derived"))
     # shooting against the closed form, both branch roots at lambda = 1 (N = 0)
     for b_true, guess in ((3.0 - 2.0 * math.sqrt(2.0), 0.3), (3.0 + 2.0 * math.sqrt(2.0), 3.8)):
-        u = radial.shoot_radial(0, 1.0, guess)[1]
+        u = radial.shoot_radial(0, 1.0, guess)
         gap = float(np.max(np.abs(u - radial.closed_form_u(0, b_true, radial.SHOT_RADII))))
         entries.append(_entry("branch/shooting-gap", {"N": 0, "lambda": 1.0, "b": b_true},
                               gap, 0.0, 1e-8, "derived"))
@@ -604,12 +609,11 @@ def scenario_conjecture_disk(N: int, mu: float) -> list:
     vals = sample_circle(angular_tail, center, rho_c, 4096)
     coeffs = circle_fourier(vals, 64)
     coeffs[0] = 0.0
-    data = FourierBoundaryData(radius=rho_c, coefficients=coeffs)
 
     def phi0(y):
+        # the harmonic extension Re sum c_n ((y - center)/rho_c)^n, zero at y = 0
         y = np.asarray(y, dtype=complex)
-        return harmonic.harmonic_extend(data, y - center) \
-            - harmonic.harmonic_extend(data, -center)
+        return polyval((y - center) / rho_c, coeffs).real - polyval(-center / rho_c, coeffs).real
 
     # monomial coefficients of phi0 around the origin, read off on |y| = 1
     trace1 = sample_circle(phi0, 0j, 1.0, 512)
@@ -641,7 +645,7 @@ def scenario_conjecture_disk(N: int, mu: float) -> list:
     # the Dirichlet image term in the force balance at the maxima of a shifted
     # bubble is O(sigma R^-2), sigma their distance from the roots of unity
     p = 0.1
-    Q = bubbles.find_maxima(BubbleParams(N=N, mu=mu, p=p, h=1.0)).Q
+    Q = bubbles.find_maxima(BubbleParams(N=N, mu=mu, p=p, h=1.0))
     sigma = float(np.max(np.abs(Q - bubbles.roots_of_unity(N))))
     for R in (20.0, 100.0):
         _, image = maxima.oscillation_gradient(maxima.MaximaConfiguration(N=N, Q=Q, R=R))

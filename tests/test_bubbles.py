@@ -155,30 +155,28 @@ class TestTotalMass:
 
 class TestFindMaxima:
     def test_exact_roots_of_unity(self):
-        result = find_maxima(BubbleParams(N=2, mu=8.0, p=0j, h=8.0))
+        Q = find_maxima(BubbleParams(N=2, mu=8.0, p=0j, h=8.0))
         expected = np.exp(2j * np.pi * np.arange(3) / 3)
-        assert np.max(np.abs(result.Q - expected)) <= 1e-14
+        assert np.max(np.abs(Q - expected)) <= 1e-14
 
     def test_first_order_prediction(self):
-        result = find_maxima(BubbleParams(N=1, mu=8.0, p=0.01, h=8.0))
-        assert result.Q[0] == pytest.approx(math.sqrt(1.01), abs=1e-12)
-        assert abs(result.Q[0] - (1 + 0.01 / 2)) <= 5 * 0.01 ** 2
+        Q = find_maxima(BubbleParams(N=1, mu=8.0, p=0.01, h=8.0))
+        assert Q[0] == pytest.approx(math.sqrt(1.01), abs=1e-12)
+        assert abs(Q[0] - (1 + 0.01 / 2)) <= 5 * 0.01 ** 2
 
     def test_antipodal_pair(self):
-        result = find_maxima(BubbleParams(N=1, mu=8.0, p=0.01, h=8.0))
-        assert result.Q[1] == pytest.approx(-math.sqrt(1.01), abs=1e-12)
+        Q = find_maxima(BubbleParams(N=1, mu=8.0, p=0.01, h=8.0))
+        assert Q[1] == pytest.approx(-math.sqrt(1.01), abs=1e-12)
 
     def test_gradient_vanishes(self):
         for params in (BubbleParams(N=1, mu=8.0, p=0.01, h=8.0),
                        BubbleParams(N=3, mu=6.0, p=0.1j, h=20.0)):
-            result = find_maxima(params)
-            for q in result.Q:
+            for q in find_maxima(params):
                 assert np.hypot(*bubble_gradient(params, q)) <= 1e-10
 
     def test_root_property(self):
         params = BubbleParams(N=4, mu=5.0, p=0.2, h=8.0)
-        result = find_maxima(params)
-        assert np.max(np.abs(result.Q ** 5 - 1.2)) <= 1e-12
+        assert np.max(np.abs(find_maxima(params) ** 5 - 1.2)) <= 1e-12
 
     @pytest.mark.parametrize("p", [0.1 * np.exp(-0.4j), -0.05j], ids=["0.1e^-0.4i", "-0.05i"])
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
@@ -186,9 +184,10 @@ class TestFindMaxima:
         # Q[l] is the maximum nearest the l-th root of unity, so the gap
         # compares each maximum with its own first-order prediction, also
         # where arg Q_0 < 0
-        result = find_maxima(BubbleParams(N=N, mu=8.0, p=p, h=8.0))
-        assert np.max(result.gap) <= 5 * abs(p) ** 2
-        nearest = np.argmin(np.abs(result.Q[:, None] - roots_of_unity(N)[None, :]), axis=1)
+        Q = find_maxima(BubbleParams(N=N, mu=8.0, p=p, h=8.0))
+        w = roots_of_unity(N)
+        assert np.max(np.abs(Q - w * (1.0 + p / (N + 1)))) <= 5 * abs(p) ** 2
+        nearest = np.argmin(np.abs(Q[:, None] - w[None, :]), axis=1)
         assert nearest.tolist() == list(range(N + 1))
 
     @pytest.mark.parametrize("N", range(7))
@@ -197,8 +196,8 @@ class TestFindMaxima:
         for p_abs in (0.0, 0.1, 0.5, 0.9):
             for angle in (0.4, -0.4, 2.5, -2.5):
                 p = p_abs * complex(math.cos(angle), math.sin(angle))
-                result = find_maxima(BubbleParams(N=N, mu=8.0, p=p, h=8.0))
-                assert np.max(np.abs(result.Q - maxima_mp(N, p))) <= 1e-14, (p_abs, angle)
+                Q = find_maxima(BubbleParams(N=N, mu=8.0, p=p, h=8.0))
+                assert np.max(np.abs(Q - maxima_mp(N, p))) <= 1e-14, (p_abs, angle)
 
 
 class TestFarField:

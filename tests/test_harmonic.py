@@ -8,32 +8,36 @@ from hypothesis import strategies as st
 from liouville_lab.bubbles import BubbleParams
 from liouville_lab.errors import DegenerateLayerError
 from liouville_lab.harmonic import (
-    FourierBoundaryData,
     LayerField,
     bubble_oscillation_killer,
     build_layer,
     grad_h_at_roots,
-    harmonic_extend,
     layer_from_coefficients,
 )
 from oracles import fd_laplacian, trig_sum
 
 
-def _data(radius, a, b):
-    """Boundary data with trace sum a_n cos n theta + b_n sin n theta."""
-    return FourierBoundaryData(radius=radius,
-                               coefficients=np.asarray(a, dtype=float) - 1j * np.asarray(b))
+def _data(a, b):
+    """Trace coefficients c_n = a_n - i b_n of sum a_n cos n theta + b_n sin n theta."""
+    return np.asarray(a, dtype=float) - 1j * np.asarray(b)
 
 
-def _coefficients(zero_mean=False):
-    """Random c[0..n], 1 <= n <= 8, with |Re c_n|, |Im c_n| <= 1 and c[0] real.
+def _extension(c, radius):
+    """The harmonic extension y -> Re sum c_n (y / radius)^n of the trace with
+    coefficients c on the circle of that radius, as ``LayerField.phi0``."""
+    layer = LayerField(N=1, c=c, delta_star=1.0)
+    return lambda y: layer.phi0(np.asarray(y, dtype=complex) / radius)
+
+
+def _coefficients():
+    """Random c[0..n], 1 <= n <= 8, with |Re c_n|, |Im c_n| <= 1 and c[0] = 0,
+    the zero-mean data that ``LayerField`` holds.
 
     Parts below 1e-12 are 0: a finite difference of one would underflow.
     """
     part = st.floats(min_value=-1.0, max_value=1.0).map(lambda x: x if abs(x) > 1e-12 else 0.0)
-    return st.tuples(st.just(0.0) if zero_mean else part,
-                     st.lists(st.tuples(part, part), min_size=1, max_size=8)).map(
-        lambda t: np.array([t[0]] + [complex(x, y) for x, y in t[1]]))
+    return st.lists(st.tuples(part, part), min_size=1, max_size=8).map(
+        lambda t: np.array([0.0] + [complex(x, y) for x, y in t]))
 
 
 # a point t of the disk |t| <= 0.9
@@ -44,48 +48,42 @@ UNIT_POINTS = st.tuples(st.floats(min_value=0.0, max_value=0.9),
 
 class TestHarmonicExtend:
     def test_quadratic_mode(self):
-        data = _data(1.0, [0, 0, 1], [0, 0, 0])
-        assert harmonic_extend(data, 0.5 + 0j) == pytest.approx(0.25, abs=1e-14)
+        extend = _extension(_data([0, 0, 1], [0, 0, 0]), 1.0)
+        assert extend(0.5 + 0j) == pytest.approx(0.25, abs=1e-14)
 
     def test_linear_mode_scaled_radius(self):
-        data = _data(2.0, [0, 0], [0, 2])
-        assert harmonic_extend(data, 1j) == pytest.approx(1.0, abs=1e-14)
+        extend = _extension(_data([0, 0], [0, 2]), 2.0)
+        assert extend(1j) == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_mean_center(self):
-        data = _data(1.0, [0, 0.3, -0.2, 0.7], [0, 0.1, 0.4, -0.5])
-        assert harmonic_extend(data, 0j) == pytest.approx(0.0, abs=1e-15)
-
-    def test_outside_disk_rejected(self):
-        data = _data(1.0, [0, 1], [0, 0])
-        with pytest.raises(ValueError):
-            harmonic_extend(data, 1.5 + 0j)
+        extend = _extension(_data([0, 0.3, -0.2, 0.7], [0, 0.1, 0.4, -0.5]), 1.0)
+        assert extend(0j) == pytest.approx(0.0, abs=1e-15)
 
     @settings(max_examples=50, deadline=None)
     @given(c=_coefficients(), radius=st.floats(min_value=0.5, max_value=4.0),
            t=UNIT_POINTS, s=st.floats(min_value=0.01, max_value=1.0))
     def test_harmonicity_and_mean_value(self, c, radius, t, s):
-        data = FourierBoundaryData(radius=radius, coefficients=c)
+        extend = _extension(c, radius)
         z0 = t * radius
         # the five-point stencil errs by (h^2/6) |F''''| plus 8 eps |F| / h^2,
         # with the derivatives of F(y / radius) at most n^k |c_n| / radius^k
         n = np.arange(c.size)
         h = 1e-3 * radius
-        lap = fd_laplacian(lambda z: harmonic_extend(data, z), z0, h=h)
+        lap = fd_laplacian(extend, z0, h=h)
         assert abs(lap) <= (1e-6 * np.sum(n ** 4 * np.abs(c))
                             + 1e-8 * np.sum(np.abs(c))) / radius ** 2
         # the mean over a circle inside the disk is the value at its centre;
         # the trapezoid rule is exact for more points than the degree
         rr = s * (0.95 * radius - abs(z0))
         m = 4 * c.size
-        ring = harmonic_extend(data, z0 + rr * np.exp(1j * math.tau * np.arange(m) / m))
-        assert abs(np.mean(ring) - harmonic_extend(data, z0)) <= 1e-13 * np.sum(np.abs(c))
+        ring = extend(z0 + rr * np.exp(1j * math.tau * np.arange(m) / m))
+        assert abs(np.mean(ring) - extend(z0)) <= 1e-13 * np.sum(np.abs(c))
 
     @settings(max_examples=50, deadline=None)
     @given(c=_coefficients(), radius=st.floats(min_value=0.5, max_value=4.0))
     def test_matches_boundary_trace(self, c, radius):
-        data = FourierBoundaryData(radius=radius, coefficients=c)
         theta = math.tau * np.arange(32) / 32
-        vals = harmonic_extend(data, radius * np.exp(1j * theta))
+        vals = _extension(c, radius)(radius * np.exp(1j * theta))
         assert np.max(np.abs(vals - trig_sum(c, 1.0, theta))) <= 1e-13 * np.sum(np.abs(c))
 
 
@@ -95,38 +93,38 @@ class TestOscillationKiller:
         delta = 0.05
         params = BubbleParams(N=N, mu=12.0, p=0j, h=1.0)
         killer = bubble_oscillation_killer(params, delta)
-        A = killer.monomial_coefficients().real
+        # monomial normalisation on |y| = 1/delta: c_n delta^n
+        A = (killer * delta ** np.arange(killer.size, dtype=float)).real
         assert 0.9 <= A[N + 1] / (4 * delta ** (2 * N + 2)) <= 1.1
         # the second displayed coefficient is 2 delta^(4N+4) (half the printed 4)
         assert 0.9 <= A[2 * N + 2] / (2 * delta ** (4 * N + 4)) <= 1.1
         assert 0.45 <= A[2 * N + 2] / (4 * delta ** (4 * N + 4)) <= 0.55
 
     def test_odd_modes_vanish(self):
-        killer = bubble_oscillation_killer(BubbleParams(N=1, mu=12.0, p=0j, h=1.0), 0.05)
-        c = killer.coefficients
+        c = bubble_oscillation_killer(BubbleParams(N=1, mu=12.0, p=0j, h=1.0), 0.05)
         assert np.max(np.abs(c[1::2])) <= 1e-12
 
     def test_mean_removed(self):
         killer = bubble_oscillation_killer(BubbleParams(N=2, mu=10.0, p=0j, h=1.0), 0.04)
-        assert killer.coefficients[0] == 0.0
+        assert killer[0] == 0.0
 
 
 class TestBuildLayer:
     def test_delta_star_sum(self):
         # N = 2 keeps modes 1, 2 clear of the bubble trace (modes 3, 6)
-        phi = _data(1.0, [0, 0.3, 0.5, 0, 0], [0, 0, 0, 0, 0])
+        phi = _data([0, 0.3, 0.5, 0, 0], [0, 0, 0, 0, 0])
         layer = build_layer(phi, BubbleParams(N=2, mu=12.0, p=0j, h=1.0), 0.1, L=2)
         assert layer.delta_star == pytest.approx(0.035, abs=1e-12)
 
     def test_phi_zero_fallback(self):
-        phi = _data(1.0, np.zeros(5), np.zeros(5))
+        phi = _data(np.zeros(5), np.zeros(5))
         layer = build_layer(phi, BubbleParams(N=1, mu=12.0, p=0j, h=1.0), 0.1, L=2)
         assert layer.delta_star == pytest.approx(1e-4, abs=1e-18)
 
     def test_delta_star_dominates_mode_L(self):
         # L = 1 has no bubble contribution for N = 1 (parity), so
         # delta* >= |a_L| delta^L exactly
-        phi = _data(1.0, [0, 0.5, 0.2], [0, 0, 0])
+        phi = _data([0, 0.5, 0.2], [0, 0, 0])
         layer = build_layer(phi, BubbleParams(N=1, mu=12.0, p=0j, h=1.0), 0.05, L=1)
         assert layer.delta_star >= 0.5 * 0.05
 
@@ -134,12 +132,11 @@ class TestBuildLayer:
         # Phi minus the killer's coefficients leaves every retained gap exactly 0
         params = BubbleParams(N=1, mu=12.0, p=0j, h=1.0)
         killer = bubble_oscillation_killer(params, 0.1)
-        phi = FourierBoundaryData(radius=1.0, coefficients=killer.coefficients)
         with pytest.raises(DegenerateLayerError, match="all retained coefficient gaps vanish"):
-            build_layer(phi, params, 0.1, L=2)
+            build_layer(killer, params, 0.1, L=2)
 
     def test_h0_normalisation(self):
-        phi = _data(1.0, [0, 0.3, 0.5], [0, 0.2, 0])
+        phi = _data([0, 0.3, 0.5], [0, 0.2, 0])
         layer = build_layer(phi, BubbleParams(N=1, mu=12.0, p=0j, h=1.0), 0.1, L=2)
         assert layer.h0(0j) == pytest.approx(1.0, abs=1e-15)
         rng = np.random.default_rng(2)
@@ -149,7 +146,7 @@ class TestBuildLayer:
 
 class TestLayerGradient:
     @settings(max_examples=50, deadline=None)
-    @given(c=_coefficients(zero_mean=True), y=UNIT_POINTS.map(lambda t: 2.0 * t))
+    @given(c=_coefficients(), y=UNIT_POINTS.map(lambda t: 2.0 * t))
     @example(c=np.array([0.0, 0.3 - 0.7j, 0.2 + 0.1j, -0.4j]), y=0j)
     def test_gradient_is_central_differences_of_phi0(self, c, y):
         layer = LayerField(N=1, c=c, delta_star=1.0)

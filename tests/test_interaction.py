@@ -126,40 +126,36 @@ def _assert_pure_records_fail(mu):
 class TestInteractionCoefficient:
     def test_coincident_bubbles(self):
         params = _params(mu=16.0, dp=0.0, M=0.01)
-        res = interaction_coefficient(params, SPEC)
-        assert res.closed_form == 0.0
-        assert abs(res.quadrature) <= 10 * params.eps
+        d = interaction_coefficient(params, SPEC)[0]
+        assert closed_form_interaction(params) == 0.0
+        assert abs(d) <= 10 * params.eps
 
     def test_pure_separation(self):
         mu = 16.0
         params = _params(mu=mu, dp=0.01, M=0.01)   # |p_s - p_l| = eps M
-        res = interaction_coefficient(params, SPEC)
+        d = interaction_coefficient(params, SPEC)[0]
+        closed = closed_form_interaction(params)
         # derived closed form: 2 pi M / (3 (N+1)^2) = pi M / 6 for N = 1
-        assert res.closed_form == pytest.approx(math.pi * 0.01 / 6.0, rel=1e-12)
-        assert abs(res.quadrature / res.closed_form - 1.0) <= 0.10
+        assert closed == pytest.approx(math.pi * 0.01 / 6.0, rel=1e-12)
+        assert abs(d / closed - 1.0) <= 0.10
 
     def test_pure_coefficient(self):
         params = _params(mu=16.0, dp=0.0, dh=0.01 * 0.01, M=0.01)
-        res = interaction_coefficient(params, SPEC)
+        d = interaction_coefficient(params, SPEC)[0]
+        closed = closed_form_interaction(params)
         # derived closed form: 8 pi (h_l - h_s)/M = 0.08 pi
-        assert res.closed_form == pytest.approx(0.08 * math.pi, rel=1e-10)
-        assert abs(res.quadrature / res.closed_form - 1.0) <= 0.10
+        assert closed == pytest.approx(0.08 * math.pi, rel=1e-10)
+        assert abs(d / closed - 1.0) <= 0.10
 
     def test_pure_separation_higher_order(self):
         mu, M = 16.0, 0.01
         eps = math.exp(-mu / 2.0)
         params = InteractionParams(N=2, mu_s=mu, mu_l=mu, p_s=0j, p_l=-eps * M,
                                    h_s=1.0, h_l=1.0, M=M, beta_s=2 * math.pi / 3.0)
-        res = interaction_coefficient(params, SPEC)
-        assert res.closed_form == pytest.approx(2 * math.pi * M / 27.0, rel=1e-12)
-        assert abs(res.quadrature / res.closed_form - 1.0) <= 0.10
-
-    def test_wrong_closed_form_fails_the_records(self, monkeypatch):
-        # a closed form twice the true one leaves the quadrature at half of it:
-        # both pure records fail, and nothing raises
-        monkeypatch.setattr(interaction, "closed_form_interaction",
-                            lambda p: 2.0 * closed_form_interaction(p))
-        _assert_pure_records_fail(16.0)
+        d = interaction_coefficient(params, SPEC)[0]
+        closed = closed_form_interaction(params)
+        assert closed == pytest.approx(2 * math.pi * M / 27.0, rel=1e-12)
+        assert abs(d / closed - 1.0) <= 0.10
 
     def test_wrong_quadrature_fails_the_records(self, monkeypatch):
         # a phi3 + phi4 quadrature 20% too large fails both pure records
@@ -173,9 +169,9 @@ class TestInteractionCoefficient:
 
     def test_moment_contributions_small(self):
         params = _params(mu=16.0, dp=0.01, M=0.01)
-        res = interaction_coefficient(params, SPEC)
-        assert abs(res.phi1_integral) <= 10 * params.eps
-        assert abs(res.phi2_integral) <= 10 * params.eps
+        _, phi1_integral, phi2_integral = interaction_coefficient(params, SPEC)
+        assert abs(phi1_integral) <= 10 * params.eps
+        assert abs(phi2_integral) <= 10 * params.eps
 
     def test_additive_sources(self):
         sep = _params(mu=16.0, dp=0.01, M=0.01)

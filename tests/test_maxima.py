@@ -93,7 +93,7 @@ class TestOscillationGradient:
     def test_image_correction_bound(self):
         # perturbed maxima from a genuine bubble: sum of p_l cancels exactly
         for N in (1, 2, 3):
-            Q = find_maxima(BubbleParams(N=N, mu=8.0, p=0.1, h=8.0)).Q
+            Q = find_maxima(BubbleParams(N=N, mu=8.0, p=0.1, h=8.0))
             sigma = float(np.max(np.abs(Q - np.exp(2j * np.pi * np.arange(N + 1) / (N + 1)))))
             for R in (20.0, 100.0):
                 _, corr = oscillation_gradient(MaximaConfiguration(N=N, Q=Q, R=R))
@@ -104,7 +104,7 @@ class TestOscillationGradient:
         # 4 sum_l (Q_m - eta*_l)/|Q_m - eta*_l|^2 over every image point
         # eta*_l = R^2 Q_l/|Q_l|^2, the self term l = m included: only the
         # full sum carries the root-of-unity cancellation
-        Q = find_maxima(BubbleParams(N=2, mu=8.0, p=0.1 + 0.05j, h=8.0)).Q
+        Q = find_maxima(BubbleParams(N=2, mu=8.0, p=0.1 + 0.05j, h=8.0))
         R = 20.0
         grads, corr = oscillation_gradient(MaximaConfiguration(N=2, Q=Q, R=R))
         for m in range(3):

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 from liouville_lab import bubbles, interaction, pohozaev, radial, scenarios
-from liouville_lab.bubbles import MaximaResult, roots_of_unity
+from liouville_lab.bubbles import roots_of_unity
 
+_closed_form_interaction = interaction.closed_form_interaction
 _closed_form_u_prime = radial.closed_form_u_prime
 _kernel_terms = bubbles._kernel_terms
+_shoot_once = radial._shoot_once
 
 
 def laplacian_half_factor(params, y):
@@ -25,8 +27,7 @@ def laplacian_half_factor(params, y):
 
 def maxima_without_offset(params):
     # Q_l = e^(2 pi i l/(N+1)), the maxima of the centred bubble whatever p
-    w = roots_of_unity(params.N)
-    return MaximaResult(Q=w, gap=np.abs(w - w * (1.0 + params.p / (params.N + 1))))
+    return roots_of_unity(params.N)
 
 
 def gradient_half_factor(params, y):
@@ -51,6 +52,17 @@ def density_without_lam(profile, r):
     return r ** (2 * profile.N) * np.exp(profile.u_at(r))
 
 
+def closed_form_doubled(params):
+    # D_sl twice its size
+    return 2.0 * _closed_form_interaction(params)
+
+
+def shot_at_raised_lambda(N, lam, u0, spec):
+    # every shot of the radial equation at 1.01 lambda: a genuine solution,
+    # but of the wrong problem
+    return _shoot_once(N, 1.01 * lam, u0, spec)
+
+
 @dataclass(frozen=True)
 class Mutation:
     name: str
@@ -73,6 +85,10 @@ def _branch():
     return scenarios.scenario_branch(1)
 
 
+def _interaction():
+    return scenarios.scenario_interaction(16.0)
+
+
 MUTATIONS = (
     Mutation("laplacian-half-factor", bubbles, "bubble_laplacian", laplacian_half_factor,
              _bubble, ("bubble/residual",)),
@@ -86,6 +102,11 @@ MUTATIONS = (
              density_without_lam, _branch, ("branch/mass-limit",)),
     Mutation("kernel-weight-raised", interaction, "_kernel_terms", kernel_weight_raised,
              scenarios.scenario_moments, ("moments/I0", "moments/I1")),
+    Mutation("closed-form-interaction-doubled", interaction, "closed_form_interaction",
+             closed_form_doubled, _interaction,
+             ("interaction/pure-separation", "interaction/pure-coefficient")),
+    Mutation("shot-at-raised-lambda", radial, "_shoot_once", shot_at_raised_lambda,
+             _branch, ("branch/shooting-gap",)),
 )
 
 

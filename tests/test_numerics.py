@@ -94,6 +94,10 @@ class TestIntegrateIntervalFailures:
             integrate_interval(lambda x: np.sin(1.0 / x), (1e-4, 1.0), self.TINY)
         assert str(info.value) == self.BUDGET
         assert np.isfinite(info.value.value) and info.value.estimate > 0
+        # the tolerance the estimate missed is the global test's
+        assert info.value.tolerance == max(self.TINY.abs_tol,
+                                           self.TINY.rel_tol * abs(info.value.value))
+        assert info.value.estimate > info.value.tolerance
 
     def test_divergence_is_a_budget_message(self):
         # 1/(1-x), capped near x = 1, diverges like log: the panels halve toward 1
@@ -234,6 +238,8 @@ class TestCircleMean:
             _circle_mean(lambda z: np.stack([np.ones(z.shape), rng.standard_normal(z.shape)]),
                          0j, 1.0, 1e-12, 1e-15)
         assert info.value.value.shape == (2,) and info.value.estimate > 0
+        # the tolerance is the noisy component's, not the 1e-12 x 1 of the constant one
+        assert info.value.estimate > info.value.tolerance and info.value.tolerance < 1e-12
 
 
 def _peak_radius(params):
@@ -809,6 +815,9 @@ class TestVectorIntegrands:
         # the panel rule reports every component's current value
         assert info.value.value.shape == (2,)
         assert np.all(np.isfinite(info.value.value)) and info.value.estimate > 0
+        # the second component is the first doubled, bit for bit, so its estimate
+        # is the larger and the tolerance is its own
+        assert info.value.tolerance == max(tiny.abs_tol, tiny.rel_tol * abs(info.value.value[1]))
 
 
 class TestCircleFourier:

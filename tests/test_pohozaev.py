@@ -30,7 +30,7 @@ class TestPohozaevCheck:
     def test_exact_bubble(self, N):
         params = BubbleParams(N=N, mu=10.0, p=0j, h=8.0 * (N + 1) ** 2)
         field = bubble_field(params)
-        q0 = find_maxima(params).Q[0]
+        q0 = find_maxima(params)[0]
         for center, radius in ((q0, 0.2), (q0 * np.exp(0.2j), 0.3)):
             rep = pohozaev_check(field, center, radius, SPEC)
             assert rep.residual.shape == rep.scale.shape == (2,)
@@ -78,7 +78,7 @@ class TestPohozaevCheck:
         # maximum, so the peak lies outside the inner disks
         params = BubbleParams(N=N, mu=10.0, p=0j, h=8.0 * (N + 1) ** 2)
         field = bubble_field(params)
-        q0 = complex(find_maxima(params).Q[0])
+        q0 = complex(find_maxima(params)[0])
         center, radii = q0 * np.exp(0.25j), (0.1, 0.15, 0.2, 0.28, 0.35)
         peak = (q0, math.exp(-params.mu / 2.0))
         rep = pohozaev_check(field, center, radii, SPEC, peak=peak)
@@ -97,7 +97,7 @@ class TestPohozaevCheck:
         # inside or outside the disk, graded toward it
         params = BubbleParams(N=N, mu=10.0, p=0j, h=8.0 * (N + 1) ** 2)
         field = bubble_field(params)
-        q0 = complex(find_maxima(params).Q[0])
+        q0 = complex(find_maxima(params)[0])
         center = q0 + shift * np.exp(1j * angle)
         rep = pohozaev_check(field, center, 0.25, SPEC,
                              peak=(q0, math.exp(-params.mu / 2.0)))
@@ -173,7 +173,7 @@ class TestTwoDirectionPass:
     def test_matches_scalar_reference(self, N, monkeypatch):
         params = BubbleParams(N=N, mu=10.0, p=0j, h=8.0 * (N + 1) ** 2)
         field = bubble_field(params)
-        q0 = find_maxima(params).Q[0]
+        q0 = find_maxima(params)[0]
         center, radius = q0 + 0.05 + 0.02j, 0.2
         peak = (q0, math.exp(-params.mu / 2.0))
         rep = pohozaev_check(field, center, radius, SPEC, peak=peak)
@@ -262,7 +262,7 @@ class TestCoefficientContrast:
         ds = 1e-5
         params = BubbleParams(N=1, mu=14.0, p=0j, h=1.0)
         layer = layer_from_coefficients(N=1, L=1, c=[0.0, ds * np.exp(-0.7j)])
-        q0 = complex(find_maxima(params).Q[0])
+        q0 = complex(find_maxima(params)[0])
         eps = math.exp(-params.mu / 2.0)
         calls = []
         real = pohozaev.integrate_disk
@@ -289,7 +289,7 @@ class TestCoefficientContrast:
         ds = 1e-5
         params = BubbleParams(N=1, mu=6.0, p=0j, h=1.0)
         layer = self._layer(ds)
-        q0 = complex(find_maxima(params).Q[0])
+        q0 = complex(find_maxima(params)[0])
         grad = layer.h0(q0) * np.array(layer.phi0_gradient(q0))
         predicted = grad @ grad * 8 * math.pi / params.h
         val = coefficient_contrast(params, layer, 0, 0.05, SPEC) @ grad
@@ -308,7 +308,7 @@ class TestBypartsIdentity:
     def test_scaled_kernel(self):
         params = BubbleParams(N=1, mu=10.0, p=0j, h=8.0)
         eps = math.exp(-params.mu / 2.0)
-        q0 = find_maxima(params).Q[0]
+        q0 = find_maxima(params)[0]
         amp = 1e-6
 
         def w_value(z):
@@ -332,7 +332,7 @@ class TestBypartsIdentity:
         w, grad_w = scenarios._kernel_perturbation(params, 1e-6)
         eps = math.exp(-mu / 2.0)
         rng = np.random.default_rng(0)
-        z = find_maxima(params).Q[0] + 3.0 * eps * (rng.uniform(-1, 1, 50)
+        z = find_maxima(params)[0] + 3.0 * eps * (rng.uniform(-1, 1, 50)
                                                     + 1j * rng.uniform(-1, 1, 50))
         got = np.stack(grad_w(z))
         hi, lo = z + 0.01 * eps, z - 0.01 * eps
@@ -360,7 +360,7 @@ class TestCancellationStructure:
         mu = 14.0
         params = BubbleParams(N=1, mu=mu, p=0j, h=1.0)
         field = bubble_field(params)
-        q0 = find_maxima(params).Q[0]
+        q0 = find_maxima(params)[0]
         radius = 0.25
         xi = (1.0, 0.0)
         peak = (q0, math.exp(-mu / 2.0))

@@ -85,36 +85,47 @@ class TestClosedForm:
         assert lam[0] > lam[1] > lam[2]
 
 
+def _shot_gap(u, N, b):
+    """sup |u - closed form of the member b| on ``SHOT_RADII``."""
+    return np.max(np.abs(u - closed_form_u(N, b, SHOT_RADII)))
+
+
+def _u_tol(b, b_tol):
+    """The sup-norm tolerance on u that a tolerance b_tol on b implies.
+
+    du/db = 2/(1+b) - 2 r^(2N+2)/(1 + b r^(2N+2)) lies in [0, 2/(1+b)], with
+    its largest value at the centre, so a member b + db departs from b by
+    2 db/(1+b) in sup norm, to first order.
+    """
+    return 2.0 * b_tol / (1.0 + b)
+
+
+LOWER_ROOT, UPPER_ROOT = 3.0 - 2.0 * math.sqrt(2.0), 3.0 + 2.0 * math.sqrt(2.0)
+
+
 class TestShooting:
     def test_lower_branch_root(self):
-        prof, u = shoot_radial(0, 1.0, 0.3)
-        b = 3.0 - 2.0 * math.sqrt(2.0)
-        assert prof.b == pytest.approx(b, abs=1e-9)
-        gap = np.max(np.abs(u - closed_form_u(0, b, SHOT_RADII)))
-        assert gap <= 1e-8
+        u = shoot_radial(0, 1.0, 0.3)
+        assert _shot_gap(u, 0, LOWER_ROOT) <= _u_tol(LOWER_ROOT, 1e-9)
 
     def test_upper_branch_root(self):
-        prof, _ = shoot_radial(0, 1.0, 3.8)
-        assert prof.b == pytest.approx(3.0 + 2.0 * math.sqrt(2.0), abs=1e-8)
+        u = shoot_radial(0, 1.0, 3.8)
+        assert _shot_gap(u, 0, UPPER_ROOT) <= _u_tol(UPPER_ROOT, 1e-8)
 
     def test_fold_point(self):
-        prof, _ = shoot_radial(1, 8.0, math.log(4.0) + 0.01)
-        assert prof.b == pytest.approx(1.0, abs=1e-4)
+        u = shoot_radial(1, 8.0, math.log(4.0) + 0.01)
+        assert _shot_gap(u, 1, 1.0) <= _u_tol(1.0, 1e-4)
 
     def test_roots_bracket_fold(self):
-        lo, _ = shoot_radial(0, 1.0, 0.3)
-        hi, _ = shoot_radial(0, 1.0, 3.8)
-        assert lo.b < 1.0 < hi.b
+        # at a fixed radius u rises with b, so the shots straddle the fold b = 1 there
+        fold = closed_form_u(0, 1.0, SHOT_RADII[0])
+        assert shoot_radial(0, 1.0, 0.3)[0] < fold < shoot_radial(0, 1.0, 3.8)[0]
 
     def test_singular_weight_branches(self):
         # N = 2: lambda(b) = 9 * 8b/(1+b)^2, so lambda = 9 has roots 3 +/- 2 sqrt 2
         lam = 9.0
-        lo, u_lo = shoot_radial(2, lam, 0.3)
-        hi, u_hi = shoot_radial(2, lam, 4.0)
-        gap_lo = np.max(np.abs(u_lo - closed_form_u(2, lo.b, SHOT_RADII)))
-        gap_hi = np.max(np.abs(u_hi - closed_form_u(2, hi.b, SHOT_RADII)))
-        assert gap_lo <= 1e-8 and gap_hi <= 1e-8
-        assert lo.b < 1.0 < hi.b
+        assert _shot_gap(shoot_radial(2, lam, 0.3), 2, LOWER_ROOT) <= 1e-8
+        assert _shot_gap(shoot_radial(2, lam, 4.0), 2, UPPER_ROOT) <= 1e-8
 
     def test_above_fold_fails(self):
         with pytest.raises(ShootingError):
@@ -136,8 +147,8 @@ class TestShooting:
     def test_four_shots(self, monkeypatch):
         # Newton with the exact derivative, and the converged shot is the profile
         calls = _spy_calls(monkeypatch, radial, "ode_integrate")
-        prof, _ = shoot_radial(0, 1.0, 0.3)
-        assert prof.b == pytest.approx(3.0 - 2.0 * math.sqrt(2.0), abs=1e-9)
+        u = shoot_radial(0, 1.0, 0.3)
+        assert _shot_gap(u, 0, LOWER_ROOT) <= _u_tol(LOWER_ROOT, 1e-9)
         assert len(calls) <= 4
 
     def test_above_fold_stops_when_stalled(self, monkeypatch):
@@ -150,9 +161,15 @@ class TestShooting:
 
     def test_near_fold_converges(self):
         # lambda = 1.99 lies just below the fold; one Newton step there does
-        # not decrease |u(1)|, and the stall rule must not stop it
-        prof, _ = shoot_radial(0, 1.99, 1.4)
-        assert lambda_of_b(0, prof.b) == pytest.approx(1.99, rel=1e-9)
+        # not decrease |u(1)|, and the stall rule must not stop it.  The shot
+        # lands on the upper root of 8b/(1+b)^2 = 1.99, b^2 - k b + 1 = 0
+        lam = 1.99
+        k = 8.0 / lam - 2.0
+        b = 0.5 * (k + math.sqrt(k * k - 4.0))
+        assert lambda_of_b(0, b) == pytest.approx(lam, rel=1e-15)
+        # lambda within rel 1e-9 is b within 1e-9 lam / |lambda'(b)|
+        b_tol = 1e-9 * lam / abs(8.0 * (1.0 - b) / (1.0 + b) ** 3)
+        assert _shot_gap(shoot_radial(0, lam, 1.4), 0, b) <= _u_tol(b, b_tol)
 
 
 class TestBranch:

@@ -14,7 +14,6 @@ from liouville_lab.config import INPUT_TYPES, load_defaults, parse_config
 from liouville_lab.errors import QuadratureBudgetError
 from liouville_lab.report import (
     ReportEntry,
-    all_pass,
     emit,
     render_csv,
     render_json,
@@ -137,7 +136,7 @@ class TestConfig:
 class TestScenarios:
     def test_identities_all_pass(self):
         entries = run_scenario("identities", {"N": 64})
-        assert entries and all_pass(entries)
+        assert entries and all(e.pass_ for e in entries)
 
     def test_unknown_scenario(self):
         with pytest.raises(KeyError):
@@ -290,7 +289,8 @@ class TestCli:
 
     def test_library_error_in_one_scenario_keeps_the_others(self, monkeypatch):
         def broken(**inputs):
-            raise QuadratureBudgetError("quadrature budget exceeded: test")
+            raise QuadratureBudgetError("quadrature budget exceeded: test",
+                                        value=0.0, estimate=1e-6, tolerance=1e-9)
 
         funcs = {"identities": scenarios_mod.scenario_identities, "moments": broken}
         monkeypatch.setattr(scenarios_mod, "_SCENARIO_FUNCS", funcs)
@@ -307,7 +307,8 @@ class TestCli:
         def first_call_raises(*args, **kwargs):
             calls.append(args)
             if len(calls) == 1:
-                raise QuadratureBudgetError("quadrature budget exceeded: test", estimate=3e-9)
+                raise QuadratureBudgetError("quadrature budget exceeded: test",
+                                            value=0.0, estimate=3e-9, tolerance=1e-11)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(scenarios_mod.pohozaev, "byparts_identity", first_call_raises)
@@ -316,7 +317,7 @@ class TestCli:
         assert len(entries) == 9 and [e.check_id for e in failed] == ["pohozaev/byparts-kernel"]
         assert failed[0].params["exception"] == "QuadratureBudgetError"
         assert failed[0].params["N"] == 1 and failed[0].params["mu"] == 10.0
-        assert failed[0].params["estimate"] == 3e-9
+        assert failed[0].params["estimate"] == 3e-9 and failed[0].params["quad_tol"] == 1e-11
         assert "pohozaev/error" not in {e.check_id for e in entries}
 
     def test_separation_error_spares_the_coefficient_record(self, monkeypatch):
@@ -328,7 +329,8 @@ class TestCli:
         def separation_raises(params, spec):
             calls.append(params)
             if params.h_l == params.h_s:
-                raise QuadratureBudgetError("quadrature budget exceeded: test")
+                raise QuadratureBudgetError("quadrature budget exceeded: test",
+                                            value=math.nan, estimate=math.nan, tolerance=1e-12)
             return original(params, spec)
 
         monkeypatch.setattr(scenarios_mod.interaction, "interaction_coefficient",
@@ -342,10 +344,10 @@ class TestCli:
             "interaction/phi2-moment", "interaction/pure-separation"]
         additivity = next(e for e in entries if e.check_id == "interaction/additivity")
         assert additivity.params["message"].startswith("not computed")
-        # the raise carries no estimate: a NaN one stays out of the record
+        # a NaN estimate stays out of the record, beside the tolerance it missed
         separation = next(e for e in entries if e.check_id == "interaction/pure-separation")
         assert separation.params["exception"] == "QuadratureBudgetError"
-        assert "estimate" not in separation.params
+        assert "estimate" not in separation.params and separation.params["quad_tol"] == 1e-12
 
     def test_nan_pohozaev_residual_fails(self, monkeypatch):
         original = scenarios_mod.pohozaev.pohozaev_check

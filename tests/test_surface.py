@@ -20,9 +20,6 @@ SURFACE = {
     "bubbles.total_mass(spec)",
     "cli.main(argv)",
     "config.load_defaults(path)",
-    "errors.QuadratureBudgetError.__init__(estimate)",
-    "errors.QuadratureBudgetError.__init__(value)",
-    "harmonic.FourierBoundaryData.is_zero(tol)",
     "interaction.InteractionParams.beta_s",
     "kernels.principal_eigenvalue(n)",
     "maxima.MaximaConfiguration.R",
