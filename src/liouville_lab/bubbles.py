@@ -13,6 +13,7 @@ form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,10 +43,15 @@ class BubbleParams:
     def D(self) -> float:
         return 8.0 * (self.N + 1) ** 2
 
-    @property
+    @functools.cached_property
+    def exp_mu(self) -> float:
+        """e^mu, formed once per parameter set."""
+        return np.exp(self.mu)
+
+    @functools.cached_property
     def coefficient(self) -> float:
         """c = h e^mu / (8(N+1)^2), the quadratic-form weight."""
-        return self.h * np.exp(self.mu) / self.D
+        return self.h * self.exp_mu / self.D
 
 
 def _F(params: BubbleParams, y):
@@ -131,15 +137,15 @@ def bubble_density(params: BubbleParams, y, h=None):
     """Mass density |y|^(2N) h e^V; h defaults to params.h (a number or an array).
 
     Evaluated as h e^mu |y|^2N / (1 + c|F|^2)^2 from ``_kernel_terms``, with
-    e^mu one scalar: products and one division per point, where
-    exp(``eval_bubble``) would be exp of log1p at every point.
+    e^mu the params' one cached scalar: products and one division per point,
+    where exp(``eval_bubble``) would be exp of log1p at every point.
     ``eval_bubble`` keeps its ``**`` form: the ``bubble/rotation-symmetry``
     record reads exactly 0 through it, and products would leave rounding there.
     """
     h = params.h if h is None else h
     _, q, weight = _kernel_terms(params, y)
     d = 1.0 + q
-    return (h * np.exp(params.mu)) * weight / (d * d)
+    return (h * params.exp_mu) * weight / (d * d)
 
 
 def density_peak(params: BubbleParams):

@@ -148,20 +148,25 @@ def moment_integrals(params: BubbleParams, spec: QuadratureSpec):
     The rings are graded toward the bubble's maxima, where both integrands peak.
     The pieces F = z^(N+1) - 1 - p, q = c|F|^2 and |z|^2N come by products
     from ``bubbles._kernel_terms`` and (1+q)^3 is d*d*d, so a point costs one
-    division and no transcendental call; the three components are written
-    into one (3, n) array.
+    division and no transcendental call.  The three components are written
+    into one (3, n) array, whose rows also hold 1+q, d^3 and w = |z|^2N / d^3
+    on the way, so a call allocates nothing beyond it and the kernel terms.
     """
     c = params.coefficient
 
     def integrand(z):
         F, q, weight = _kernel_terms(params, z)
-        d = 1.0 + q
-        w = weight / (d * d * d)
         out = np.empty((3,) + q.shape)
-        np.multiply(1.0 - q, w, out=out[0])
+        i0, re, w = out
+        np.subtract(1.0, q, out=i0)
+        q += 1.0                        # d = 1 + q
+        np.multiply(q, q, out=w)
+        w *= q
+        np.divide(weight, w, out=w)
+        i0 *= w
         w *= c
-        np.multiply(F.real, w, out=out[1])
-        np.multiply(F.imag, w, out=out[2])
+        np.multiply(F.real, w, out=re)
+        w *= F.imag
         return out
 
     i0, i1_re, i1_im = integrate_plane(integrand, spec, peak=density_peak(params))

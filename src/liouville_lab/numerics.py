@@ -17,8 +17,10 @@ trapezoid rule, on one sector of
 angle 2 pi/K when a plane's peak hint declares K-fold symmetry.  Each
 generation of panels gets all the ring means of its nodes from one
 ``_circle_mean`` call, which at each doubling evaluates the integrand on the
-rings not yet converged, in batches of at most ``RING_BATCH_POINTS`` points,
-a cap small enough that no batch's temporaries page-fault (see its comment).
+rings not yet converged, in batches of at most ``RING_BATCH_POINTS`` points:
+large enough that the fixed cost of a call is spread over many points, and
+small enough that the allocator reuses a call's freed arrays instead of
+faulting them in again (see its comment).
 A disk call given nested radii about one centre integrates them all in one
 pass, the inner radii being edges of the first panels.
 
@@ -144,12 +146,15 @@ def _ring_table(m: int, odd: bool, K: int, betas: tuple):
 
 
 # the most points one call of the integrand gets from _circle_mean: larger
-# batches of rings are split by rows.  A chunk's ring arrays and a peaked
-# integrand's temporaries, about 100 bytes a point for moment_integrals, then
-# stay below glibc's default 128 KiB mmap and trim thresholds (mallopt(3)):
-# at 8,192 points the freed heap top went back to the OS after each chunk and
-# the next chunk faulted it in again, about 20,000 minor faults per moments run
-RING_BATCH_POINTS = 1 << 11
+# batches of rings are split by rows.  A freed heap top above glibc's trim
+# threshold (mallopt(3)) goes back to the OS, and the next call faults it in
+# again.  In a fresh interpreter that has run every scenario once, a second
+# run faulted about 1,040 times on interaction and up to 870 on pohozaev at
+# 8,192 points a call (124 and 0 with M_TRIM_THRESHOLD raised to 8 MiB), and
+# at most 24 at 3,500, where a complex array such as z or F is 56,000
+# bytes, under 64 KiB.  glibc raises its thresholds after freeing a large
+# block, so the counts depend on heap history
+RING_BATCH_POINTS = 3500
 
 # the most points one ring gets: a mean not converged when m passes this
 # raises QuadratureBudgetError
@@ -189,12 +194,15 @@ def _circle_mean(f, center: complex, r, rel_tol: float, abs_tol: float, grading=
     """
     shape = np.shape(r)
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    K, psi0, beta = (1, 0.0, 1.0) if grading is None else grading
-    beta = np.broadcast_to(np.asarray(beta, dtype=float), r.shape)
-    graded = beta != 1.0
-    scale = np.where(graded, r * np.exp(1j * np.asarray(psi0) / K), r)
-    betas, row_beta = np.unique(beta, return_inverse=True)
-    betas = tuple(float(b) for b in betas)
+    if grading is None:
+        K, scale, betas, row_beta = 1, r, (1.0,), None
+    else:
+        K, psi0, beta = grading
+        beta = np.broadcast_to(np.asarray(beta, dtype=float), r.shape)
+        scale = np.where(beta != 1.0, r * np.exp(1j * np.asarray(psi0) / K), r)
+        # the few distinct betas, sorted, and each row's index into them
+        betas = tuple(sorted(set(beta.tolist())))
+        row_beta = np.searchsorted(betas, beta)
 
     def ring_sums(m, odd, rows):
         nodes, weights = _ring_table(m, odd, K, betas)
@@ -209,7 +217,8 @@ def _circle_mean(f, center: complex, r, rel_tol: float, abs_tol: float, grading=
             else:
                 pick = row_beta[chunk]
                 z = scale[chunk, None] * nodes[pick]
-            z += center
+            if center:
+                z += center
             values = np.asarray(f(z.ravel()))
             values = values.reshape(values.shape[:-1] + z.shape)
             if sums is None:

@@ -126,12 +126,13 @@ def _recording(f):
 
 
 class TestRingPointCounts:
-    """The integrand points the two ring-heavy scenarios evaluate at their
-    defaults, counted at the ``_circle_mean`` boundary: a cheaper integrand
-    must gain per point, with every convergence decision where it was."""
+    """The integrand points and calls the two ring-heavy scenarios make at
+    their defaults, counted at the ``_circle_mean`` boundary: a cheaper
+    integrand must gain per point, with every convergence decision where it
+    was, and the calls follow from the points and ``RING_BATCH_POINTS``."""
 
     @staticmethod
-    def _points(monkeypatch, run):
+    def _counts(monkeypatch, run):
         counted = []
 
         def counting(f, *args, **kwargs):
@@ -143,47 +144,53 @@ class TestRingPointCounts:
 
         monkeypatch.setattr(numerics, "_circle_mean", counting)
         run()
-        return sum(counted)
+        return sum(counted), len(counted)
 
     def test_moments(self, monkeypatch):
-        assert self._points(monkeypatch, scenarios.scenario_moments) == 1_725_696
+        assert self._counts(monkeypatch, scenarios.scenario_moments) == (1_725_696, 568)
 
     def test_pohozaev(self, monkeypatch):
         mu = scenarios.INPUTS["pohozaev"]["mu"].default
-        assert self._points(monkeypatch, lambda: scenarios.scenario_pohozaev(mu)) == 851_328
+        assert self._counts(monkeypatch, lambda: scenarios.scenario_pohozaev(mu)) \
+            == (851_328, 335)
 
 
-# the minor page faults of a second run of each ring-heavy scenario, in a
-# fresh interpreter: one number per scenario
+# the minor page faults of a second run of each scenario, after one run of
+# every scenario, in a fresh interpreter: {scenario: faults}
 _FAULTS = """
 import json, resource
 from liouville_lab import scenarios
 
-def faults(run):
+def faults(name):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    run()
+    scenarios.run_scenario(name)
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
-runs = (scenarios.scenario_moments, lambda: scenarios.scenario_pohozaev(10.0))
-for run in runs:
-    run()
-print(json.dumps([faults(run) for run in runs]))
+for name in scenarios.INPUTS:
+    scenarios.run_scenario(name)
+print(json.dumps({name: faults(name) for name in scenarios.INPUTS}))
 """
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's trim threshold")
 def test_warm_ring_scenarios_do_not_page_fault():
-    # ring chunks whose temporaries cross glibc's trim threshold hand the freed
-    # heap top back to the OS, and the next chunk faults it in again: about
-    # 21,000 and 8,000 faults at 8,192 points a call, about 10 at 2,048
+    # a freed heap top above glibc's trim threshold goes back to the OS, and
+    # the next call faults it in again.  In this probe ring calls of 8,192
+    # points read about 1,040 faults on interaction and up to 870 on
+    # pohozaev, and calls of 3,500 points at most 24; the Harnack scan's whole
+    # 24,002-point grids read about 2,350 on branch, its 4,000-point pieces
+    # at most 2.  A call's z and F, RING_BATCH_POINTS complex points each,
+    # stay under 64 KiB
+    assert numerics.RING_BATCH_POINTS * np.dtype(complex).itemsize < 64 * 1024
     pytest.importorskip("resource")
     src = Path(numerics.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", _FAULTS], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
-    moments, pohozaev = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert moments < 1000 and pohozaev < 1000, (moments, pohozaev)
+    faults = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert set(faults) == set(scenarios.INPUTS)
+    assert all(count < 1000 for count in faults.values()), faults
 
 
 def _moment_fields(z):

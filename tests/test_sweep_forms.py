@@ -8,7 +8,8 @@ references: the per-draw layer loop must give the same minimum ratio bitwise
 and the scalar-draw point loop the same points, each leaving the generator
 in the same state; the fields must match the angle-and-cosine form to 1e-13
 of each field's largest value, and the Harnack value must match the
-geometric-grid scan to 1e-14.
+geometric-grid scan to 1e-14 and the scan of its two whole log grids, which
+it now takes in pieces, bitwise.
 """
 
 import math
@@ -215,6 +216,19 @@ def reference_harnack(prof):
     return float(np.max(vals))
 
 
+def whole_grid_harnack(prof):
+    """The log-grid scan with both grids as whole linspace arrays."""
+    m, b = prof.N + 1, prof.b
+    t_star = -math.log(b) / (2.0 * m)
+    t_hi = max(0.0, t_star + math.log(4.0))
+    half = math.log(1.5)
+    t = np.concatenate([np.linspace(math.log(1e-6), t_hi, 20001),
+                        np.linspace(t_star - half, t_star + half, 4001)])
+    s = 2.0 * m * t
+    vals = s - 2.0 * np.log1p(b * np.exp(s))
+    return float(np.max(vals)) + 2.0 * math.log1p(b) + math.log(prof.lam)
+
+
 # the branch scenario's 15 profiles at its default N = 1
 BRANCH_PROFILES = [RadialProfile(n, b) for n in (0, 1, 2)
                    for b in (0.1, 1.0, 10.0, 100.0, 1000.0)]
@@ -222,5 +236,8 @@ BRANCH_PROFILES = [RadialProfile(n, b) for n in (0, 1, 2)
 
 @pytest.mark.parametrize("prof", BRANCH_PROFILES, ids=lambda p: f"N{p.N}-b{p.b:g}")
 def test_harnack_log_grid(prof):
-    assert abs(harnack_diagnostic(prof) - reference_harnack(prof)) <= 1e-14
+    value = harnack_diagnostic(prof)
+    assert abs(value - reference_harnack(prof)) <= 1e-14
+    # the scan in pieces reads the whole grids' value to the bit
+    assert value == whole_grid_harnack(prof)
 
