@@ -21,6 +21,7 @@ from .interaction import (
     decompose_difference,
     interaction_coefficient,
     kernel_coefficients,
+    moment_contributions,
     moment_integrals,
     second_moment,
 )

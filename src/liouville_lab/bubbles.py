@@ -28,8 +28,8 @@ class BubbleParams:
 
     N: int
     mu: float
-    p: complex = 0j
-    h: float = 8.0
+    p: complex
+    h: float
 
     def __post_init__(self):
         if self.N < 0 or int(self.N) != self.N:
@@ -183,6 +183,24 @@ def find_maxima(params: BubbleParams) -> np.ndarray:
     return (1.0 + params.p) ** (1.0 / (params.N + 1)) * roots_of_unity(params.N)
 
 
+def peak_width(mu: float) -> float:
+    """eps = e^(-mu/2), the width of the density peak at a maximum of height mu.
+
+    Near a maximum Q_s the bubble is the planar one in y = Q_s + eps z.
+    """
+    return math.exp(-mu / 2.0)
+
+
+def maximum_peak(params: BubbleParams, s: int):
+    """``(Q_s, eps)``: the s-th maximum and the width of the density peak there.
+
+    As the ``peak`` of ``integrate_disk`` it grades the rings toward Q_s
+    (uniform on a disk centred there) and places the first panels in the
+    radius by the peak-edge rule the disk shares with the plane.
+    """
+    return complex(find_maxima(params)[s]), peak_width(params.mu)
+
+
 # ----------------------------------------------------------------------------
 # far-field expansion
 
@@ -237,9 +255,8 @@ def rescaled_profile_gap(params: BubbleParams, z: complex) -> float:
     U(z) = -2 log(1 + (h/8) |z|^2), so the gap vanishes at z = 0 and grows at
     most like C eps |z| + C mu^2 eps^2.
     """
-    eps = np.exp(-params.mu / 2.0)
+    q0, eps = maximum_peak(params, 0)
     if abs(z) > 0.5 / eps:
         raise ValueError("rescaled evaluation point must satisfy |z| <= 0.5/eps")
-    q0 = find_maxima(params)[0]
     u = -2.0 * np.log1p(params.h / 8.0 * abs(z) ** 2)
     return float(eval_bubble(params, q0 + eps * z) + 2.0 * np.log(eps) - u)

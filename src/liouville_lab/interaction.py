@@ -30,7 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubbles import BubbleParams, _kernel_terms, bubble_density, density_peak, eval_bubble
+from .bubbles import (
+    BubbleParams,
+    _kernel_terms,
+    bubble_density,
+    density_peak,
+    eval_bubble,
+    find_maxima,
+    peak_width,
+)
 from .kernels import kernel_functions
 from .numerics import QuadratureSpec, integrate_disk, integrate_plane
 
@@ -64,7 +72,7 @@ class InteractionParams:
 
     @property
     def eps(self) -> float:
-        return math.exp(-self.mu_s / 2.0)
+        return peak_width(self.mu_s)
 
     @property
     def delta_p(self) -> complex:
@@ -77,7 +85,7 @@ class InteractionParams:
 
     @property
     def Q_s(self) -> complex:
-        return (1.0 + self.p_s) ** (1.0 / (self.N + 1)) * np.exp(1j * self.beta_s)
+        return find_maxima(self.bubble_s())[0] * np.exp(1j * self.beta_s)
 
     def bubble_s(self) -> BubbleParams:
         return BubbleParams(N=self.N, mu=self.mu_s, p=self.p_s, h=self.h_s)
@@ -190,31 +198,48 @@ def closed_form_interaction(params: InteractionParams) -> float:
     return sep + coef
 
 
-def interaction_coefficient(params: InteractionParams,
-                            spec: QuadratureSpec) -> tuple[float, float, float]:
-    """D_sl by quadrature of the phi3 + phi4 contribution, with the phi1 and phi2 integrals.
+def _against_kernel(params: InteractionParams, fields, spec: QuadratureSpec):
+    """int over |z| <= 0.5/eps of fields(z) h_l |y|^2N eps^2 e^{V_s} / M, y = Q_s + eps z.
 
-    The quadrature integrates (phi3 + phi4) h_l |y|^2N eps^2 e^{V_s} / M over
-    |z| <= 0.5/eps; the phi1 and phi2 contributions are integrated as well and
-    should stay eps-sized (the vanishing bubble moments).  Returns
-    ``(D, phi1 integral, phi2 integral)`` whatever they are; the report's
-    interaction records compare D with ``closed_form_interaction``.
+    The one home of the bubble kernel in the rescaled variable z: ``fields``
+    maps points z to one value or a stack of values per point.
     """
     eps = params.eps
     bubble_s = params.bubble_s()
     Q_s = params.Q_s
-    radius = 0.5 / eps
-
-    def kernel(z):
-        return bubble_density(bubble_s, Q_s + eps * z, params.h_l) * eps ** 2 / params.M
 
     def integrand(z):
-        phi1, phi2, phi3, phi4 = _fields(params, z)
-        return np.stack([phi3 + phi4, phi1, phi2]) * kernel(z)
+        return fields(z) * (bubble_density(bubble_s, Q_s + eps * z, params.h_l)
+                            * eps ** 2 / params.M)
 
     # in z the peak sits at 0 with width 1
-    d, i1, i2 = integrate_disk(integrand, 0j, radius, spec, peak=(0j, 1.0))
-    return float(d), float(i1), float(i2)
+    return integrate_disk(integrand, 0j, 0.5 / eps, spec, peak=(0j, 1.0))
+
+
+def interaction_coefficient(params: InteractionParams, spec: QuadratureSpec) -> float:
+    """D_sl by quadrature of the phi3 + phi4 contribution against the bubble kernel.
+
+    The report's interaction records compare it with ``closed_form_interaction``.
+    """
+    def separation(z):
+        _, _, phi3, phi4 = _fields(params, z)
+        return phi3 + phi4
+
+    return float(_against_kernel(params, separation, spec))
+
+
+def moment_contributions(params: InteractionParams, spec: QuadratureSpec) -> tuple[float, float]:
+    """The phi1 and phi2 integrals against the kernel of ``interaction_coefficient``.
+
+    Both should stay eps-sized (the vanishing bubble moments); the report's
+    moment records bound them.
+    """
+    def translation(z):
+        phi1, phi2, _, _ = _fields(params, z)
+        return np.stack([phi1, phi2])
+
+    i1, i2 = _against_kernel(params, translation, spec)
+    return float(i1), float(i2)
 
 
 # ----------------------------------------------------------------------------

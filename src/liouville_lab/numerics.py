@@ -156,8 +156,8 @@ def _ring_table(m: int, odd: bool, K: int, betas: tuple):
 # block, so the counts depend on heap history
 RING_BATCH_POINTS = 3500
 
-# the most points one ring gets: a mean not converged when m passes this
-# raises QuadratureBudgetError
+# the most points one ring gets: a mean not converged at this m raises
+# QuadratureBudgetError
 RING_MAX_POINTS = 1 << 20
 
 # QUADPACK's roundoff floor 50 eps: no error test asks a mean of values f to
@@ -171,12 +171,13 @@ def _circle_mean(f, center: complex, r, rel_tol: float, abs_tol: float, grading=
     ``r`` is one radius or a 1-D array of them, one ring per row; the result
     has the shape of ``r`` (a float for one radius and a scalar f).  Every
     ring starts at m = 64 points and the rule is nested: when m doubles (up
-    to ``RING_MAX_POINTS``) only the m/2 new odd-index points are evaluated
-    and added to the running sum.  A mean has converged when it moved by at
-    most max(abs_tol, rel_tol |mean|) in the last doubling, or by at most the
-    roundoff floor ``ROUNDOFF`` mean|f|, which QUADPACK's panel estimate has
-    too.  Each doubling calls f on the points of all rows that have
-    not yet converged, flattened to 1-D, in calls of at most
+    to ``RING_MAX_POINTS``, where a mean not yet converged raises) only the
+    m/2 new odd-index points are evaluated and added to the running sum.  A
+    mean has converged when it moved by at most max(abs_tol, rel_tol |mean|)
+    in the last doubling, or by at most the roundoff floor ``ROUNDOFF``
+    mean|f|, which QUADPACK's panel estimate has too.  Each doubling calls f
+    on the points of all rows that have not yet converged, flattened to 1-D,
+    in calls of at most
     ``RING_BATCH_POINTS`` points or of one row; a row whose mean has
     converged is not evaluated again.  A vector integrand returning shape
     (k, n) for n points gives k means per ring, converged only when every
@@ -245,7 +246,7 @@ def _circle_mean(f, center: complex, r, rel_tol: float, abs_tol: float, grading=
     prev = total / m
     means = np.empty_like(prev)
     components = tuple(range(total.ndim - 1))
-    while m <= RING_MAX_POINTS:
+    while m < RING_MAX_POINTS:
         m *= 2
         odd, odd_abs = ring_sums(m, True, rows)
         total += odd

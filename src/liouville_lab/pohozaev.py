@@ -24,7 +24,6 @@ field at a maximum and equals grad h0 times the local bubble mass 8 pi / h.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,7 @@ from .bubbles import (
     bubble_density,
     bubble_gradient,
     bubble_laplacian,
-    find_maxima,
+    maximum_peak,
 )
 from .errors import NotASolutionError
 from .harmonic import LayerField
@@ -168,19 +167,6 @@ def pohozaev_check(field: SolutionField, center: complex, radius, spec: Quadratu
 
 
 # ----------------------------------------------------------------------------
-# integrals over a disk around a bubble maximum
-
-def _maximum_peak(params: BubbleParams, s: int):
-    """The maximum Q_s and the width eps = e^(-mu/2) of the density peak there.
-
-    As the ``peak`` of ``integrate_disk`` it grades the rings toward Q_s
-    (uniform on a disk centred there) and places the first panels in the
-    radius by the peak-edge rule the disk shares with the plane.
-    """
-    return complex(find_maxima(params)[s]), math.exp(-params.mu / 2.0)
-
-
-# ----------------------------------------------------------------------------
 # coefficient contrast
 
 def coefficient_contrast(params: BubbleParams, layer: LayerField, s: int,
@@ -192,7 +178,7 @@ def coefficient_contrast(params: BubbleParams, layer: LayerField, s: int,
     is close to grad h0(Q_s) times the per-bubble mass 8 pi / h; the report's
     contrast records compare the two.
     """
-    peak = _maximum_peak(params, s)
+    peak = maximum_peak(params, s)
 
     def integrand(z):
         gx, gy = layer.phi0_gradient(z)
@@ -217,7 +203,7 @@ def byparts_identity(params: BubbleParams, w, grad_w, s: int, radius: float,
     N = params.N
     if N == 0:
         return 0.0
-    peak = _maximum_peak(params, s)
+    peak = maximum_peak(params, s)
     q_s = peak[0]
 
     def volume_integrand(z):

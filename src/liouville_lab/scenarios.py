@@ -76,12 +76,14 @@ def _bound_entry(check_id, params, value, bound, provenance, direction="<=") -> 
 
 
 @contextmanager
-def _records(entries: list, params: dict, *check_ids: str):
-    """A LiouvilleLabError in the block fails each of ``check_ids`` that it has not
-    yet appended to ``entries``, and the scenario goes on.  A failed record's
-    params name the exception and its message, and carry a
-    QuadratureBudgetError's error estimate and the tolerance it missed, as
-    ``estimate`` and ``quad_tol``, each when it is finite."""
+def _records(entries: list, params: dict, records: dict):
+    """A LiouvilleLabError in the block fails each check id of ``records`` that it
+    has not yet appended to ``entries``, and the scenario goes on.  ``records``
+    maps each id to the provenance its record has when written, which the
+    failed record keeps.  A failed record's params name the exception and its
+    message, and carry a QuadratureBudgetError's error estimate and the
+    tolerance it missed, as ``estimate`` and ``quad_tol``, each when it is
+    finite."""
     start = len(entries)
     try:
         yield entries
@@ -91,8 +93,8 @@ def _records(entries: list, params: dict, *check_ids: str):
         if isinstance(exc, QuadratureBudgetError):
             evidence = {"estimate": exc.estimate, "quad_tol": exc.tolerance}
             failed.update((key, v) for key, v in evidence.items() if math.isfinite(v))
-        entries.extend(_entry(check_id, failed, 1.0, 0.0, 0.0, "derived")
-                       for check_id in check_ids if check_id not in written)
+        entries.extend(_entry(check_id, failed, 1.0, 0.0, 0.0, provenance)
+                       for check_id, provenance in records.items() if check_id not in written)
 
 
 # ----------------------------------------------------------------------------
@@ -258,7 +260,7 @@ def scenario_farfield(mu: float) -> list:
     params = BubbleParams(N=1, mu=16.0, p=0j, h=32.0)
     gap10 = abs(bubbles.rescaled_profile_gap(params, 10.0))
     entries.append(_bound_entry("farfield/rescaled-gap", {"N": 1, "mu": 16.0, "z": 10.0},
-                                gap10, 20.0 * math.exp(-8.0), "derived"))
+                                gap10, 20.0 * bubbles.peak_width(params.mu), "derived"))
     return entries
 
 
@@ -350,7 +352,7 @@ def scenario_layer_dichotomy(seed: int) -> list:
 
 def scenario_interaction(mu: float) -> list:
     entries = []
-    eps = math.exp(-mu / 2.0)
+    eps = bubbles.peak_width(mu)
     M = 0.01
     spec = QuadratureSpec(rel_tol=1e-9)
     sep = InteractionParams(N=1, mu_s=mu, mu_l=mu, p_s=0j,
@@ -361,26 +363,28 @@ def scenario_interaction(mu: float) -> list:
                              p_l=-eps * M * np.exp(0.3j), h_s=1.0, h_l=1.0 + 0.01 * M, M=M)
     key = {"N": 1, "mu": mu}
     d_sep = d_coef = None
-    with _records(entries, key, "interaction/pure-separation",
-                  "interaction/phi1-moment", "interaction/phi2-moment"):
-        d_sep, phi1, phi2 = interaction.interaction_coefficient(sep, spec)
+    with _records(entries, key, {"interaction/pure-separation": "derived"}):
+        d_sep = interaction.interaction_coefficient(sep, spec)
         entries.append(_entry("interaction/pure-separation", key,
                               d_sep / interaction.closed_form_interaction(sep), 1.0, 0.10,
                               "derived"))
+    with _records(entries, key, {"interaction/phi1-moment": "paper",
+                                 "interaction/phi2-moment": "paper"}):
+        phi1, phi2 = interaction.moment_contributions(sep, spec)
         entries.append(_bound_entry("interaction/phi1-moment", key,
                                     abs(phi1), 10.0 * eps, "paper"))
         entries.append(_bound_entry("interaction/phi2-moment", key,
                                     abs(phi2), 10.0 * eps, "paper"))
-    with _records(entries, key, "interaction/pure-coefficient"):
-        d_coef = interaction.interaction_coefficient(coef, spec)[0]
+    with _records(entries, key, {"interaction/pure-coefficient": "derived"}):
+        d_coef = interaction.interaction_coefficient(coef, spec)
         entries.append(_entry("interaction/pure-coefficient", key,
                               d_coef / interaction.closed_form_interaction(coef), 1.0, 0.10,
                               "derived"))
-    with _records(entries, key, "interaction/additivity"):
+    with _records(entries, key, {"interaction/additivity": "derived"}):
         if d_sep is None or d_coef is None:
             raise LiouvilleLabError(
                 "not computed: the pure-separation or pure-coefficient quadrature raised")
-        d_both = interaction.interaction_coefficient(both, spec)[0]
+        d_both = interaction.interaction_coefficient(both, spec)
         # additive up to the h_l cross-factor on the separation term, O(|h_l - h_s|)
         entries.append(_entry("interaction/additivity", key,
                               d_both / (d_sep + d_coef), 1.0, 1e-3, "derived"))
@@ -388,7 +392,7 @@ def scenario_interaction(mu: float) -> list:
     # decomposition remainder: size and eps-halving
     z = 2.0 + 1.0j
     base = InteractionParams(N=1, mu_s=14.0, mu_l=14.0, p_s=0j,
-                             p_l=-1e-2 * math.exp(-7.0) * np.exp(0.7j),
+                             p_l=-1e-2 * bubbles.peak_width(14.0) * np.exp(0.7j),
                              h_s=1.0, h_l=1.0, M=1.0)
     dec = interaction.decompose_difference(base, z)
     cap = 0.1 * (abs(dec.phi2) + abs(dec.phi3) + abs(dec.phi4))
@@ -396,7 +400,7 @@ def scenario_interaction(mu: float) -> list:
                                 abs(dec.remainder), cap, "derived"))
 
     def remainder(mu_s: float) -> float:
-        e = math.exp(-mu_s / 2.0)
+        e = bubbles.peak_width(mu_s)
         prm = InteractionParams(N=1, mu_s=mu_s, mu_l=mu_s + e, p_s=0.3 * e,
                                 p_l=0.3 * e - 1e-2 * e * np.exp(0.7j),
                                 h_s=1.0, h_l=1.0, M=1.0)
@@ -438,8 +442,8 @@ def _kernel_perturbation(params: BubbleParams, eps_b: float):
     width eps, where a difference quotient of fixed step fails once eps falls
     below the step (mu > 32).
     """
-    q0 = bubbles.find_maxima(params)[0]
-    epsk, c = math.exp(-params.mu / 2.0), params.h / 8.0
+    q0, epsk = bubbles.maximum_peak(params, 0)
+    c = params.h / 8.0
 
     def w(z):
         return eps_b * kernels.kernel_functions((np.asarray(z, dtype=complex) - q0) / epsk, c)[1]
@@ -460,10 +464,10 @@ def scenario_pohozaev(mu: float) -> list:
     radii = (0.1, 0.15, 0.2, 0.28, 0.35)
     for N in (0, 1, 2):
         key = {"N": N, "mu": mu}
-        with _records(entries, key, "pohozaev/bubble-residual"):
+        with _records(entries, key, {"pohozaev/bubble-residual": "paper"}):
             params = BubbleParams(N=N, mu=mu, p=0j, h=8.0 * (N + 1) ** 2)
             field = pohozaev.bubble_field(params)
-            peak = pohozaev._maximum_peak(params, 0)
+            peak = bubbles.maximum_peak(params, 0)
             q0 = peak[0]
             reps = [pohozaev.pohozaev_check(field, center, radii, spec, peak=peak)
                     for center in (q0, q0 * np.exp(0.25j), q0 + 0.05 + 0.02j)]
@@ -494,7 +498,7 @@ def scenario_pohozaev(mu: float) -> list:
     # integration-by-parts identity with a small kernel perturbation
     params_bp = BubbleParams(N=1, mu=mu, p=0j, h=8.0)
     w, grad_w = _kernel_perturbation(params_bp, 1e-6)
-    with _records(entries, {"N": 1, "mu": mu}, "pohozaev/byparts-kernel"):
+    with _records(entries, {"N": 1, "mu": mu}, {"pohozaev/byparts-kernel": "derived"}):
         mismatch = pohozaev.byparts_identity(params_bp, w, grad_w, 0, 0.3, spec=spec)
         entries.append(_bound_entry("pohozaev/byparts-kernel", {"N": 1, "mu": mu},
                                     abs(mismatch), 1e-4, "derived"))
@@ -502,7 +506,7 @@ def scenario_pohozaev(mu: float) -> list:
     def zero(z):
         return np.zeros(np.shape(z))
 
-    with _records(entries, {"N": 1}, "pohozaev/byparts-zero"):
+    with _records(entries, {"N": 1}, {"pohozaev/byparts-zero": "trivial"}):
         zm = pohozaev.byparts_identity(params_bp, zero, lambda z: (zero(z), zero(z)), 0, 0.3,
                                        spec=spec)
         entries.append(_entry("pohozaev/byparts-zero", {"N": 1}, abs(zm), 0.0, 1e-14, "trivial"))
@@ -637,7 +641,7 @@ def scenario_conjecture_disk(N: int, mu: float) -> list:
     xi = np.array([g.real, g.imag]) / abs(g)
     spec = QuadratureSpec(rel_tol=1e-9)
     predicted = abs(g) * 8.0 * math.pi / params.h
-    with _records(entries, inputs, "conjecture/contrast-ratio"):
+    with _records(entries, inputs, {"conjecture/contrast-ratio": "derived"}):
         val = pohozaev.coefficient_contrast(params, layer, dich.index, 0.3, spec) @ xi
         entries.append(_entry("conjecture/contrast-ratio", inputs,
                               val / predicted, 1.0, 0.1, "derived"))
@@ -688,7 +692,7 @@ def _check_overrides(name: str, overrides: dict, reads: dict) -> None:
 def _run_one(name: str, overrides: dict) -> list:
     inputs = {key: type(s.default)(overrides.get(key, s.default))
               for key, s in INPUTS[name].items()}
-    with _records([], {}, f"{name}/error") as entries:
+    with _records([], {}, {f"{name}/error": "derived"}) as entries:
         entries.extend(_SCENARIO_FUNCS[name](**inputs))
     return entries
 

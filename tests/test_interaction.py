@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from liouville_lab.bubbles import BubbleParams
+from liouville_lab.bubbles import BubbleParams, find_maxima
 from liouville_lab import interaction
 from liouville_lab.interaction import (
     InteractionParams,
@@ -12,6 +12,7 @@ from liouville_lab.interaction import (
     fit_kernel_coefficients,
     interaction_coefficient,
     kernel_coefficients,
+    moment_contributions,
     moment_integrals,
     second_moment,
 )
@@ -126,14 +127,14 @@ def _assert_pure_records_fail(mu):
 class TestInteractionCoefficient:
     def test_coincident_bubbles(self):
         params = _params(mu=16.0, dp=0.0, M=0.01)
-        d = interaction_coefficient(params, SPEC)[0]
+        d = interaction_coefficient(params, SPEC)
         assert closed_form_interaction(params) == 0.0
         assert abs(d) <= 10 * params.eps
 
     def test_pure_separation(self):
         mu = 16.0
         params = _params(mu=mu, dp=0.01, M=0.01)   # |p_s - p_l| = eps M
-        d = interaction_coefficient(params, SPEC)[0]
+        d = interaction_coefficient(params, SPEC)
         closed = closed_form_interaction(params)
         # derived closed form: 2 pi M / (3 (N+1)^2) = pi M / 6 for N = 1
         assert closed == pytest.approx(math.pi * 0.01 / 6.0, rel=1e-12)
@@ -141,7 +142,7 @@ class TestInteractionCoefficient:
 
     def test_pure_coefficient(self):
         params = _params(mu=16.0, dp=0.0, dh=0.01 * 0.01, M=0.01)
-        d = interaction_coefficient(params, SPEC)[0]
+        d = interaction_coefficient(params, SPEC)
         closed = closed_form_interaction(params)
         # derived closed form: 8 pi (h_l - h_s)/M = 0.08 pi
         assert closed == pytest.approx(0.08 * math.pi, rel=1e-10)
@@ -152,24 +153,26 @@ class TestInteractionCoefficient:
         eps = math.exp(-mu / 2.0)
         params = InteractionParams(N=2, mu_s=mu, mu_l=mu, p_s=0j, p_l=-eps * M,
                                    h_s=1.0, h_l=1.0, M=M, beta_s=2 * math.pi / 3.0)
-        d = interaction_coefficient(params, SPEC)[0]
+        d = interaction_coefficient(params, SPEC)
         closed = closed_form_interaction(params)
         assert closed == pytest.approx(2 * math.pi * M / 27.0, rel=1e-12)
         assert abs(d / closed - 1.0) <= 0.10
 
     def test_wrong_quadrature_fails_the_records(self, monkeypatch):
-        # a phi3 + phi4 quadrature 20% too large fails both pure records
+        # a phi3 + phi4 quadrature 20% too large fails both pure records; the
+        # phi1, phi2 quadrature is the one whose integrand returns two rows
         real = interaction.integrate_disk
 
         def scaled(*args, **kwargs):
-            return real(*args, **kwargs) * np.array([1.2, 1.0, 1.0])
+            value = real(*args, **kwargs)
+            return value if np.ndim(value) else 1.2 * value
 
         monkeypatch.setattr(interaction, "integrate_disk", scaled)
         _assert_pure_records_fail(10.0)
 
     def test_moment_contributions_small(self):
         params = _params(mu=16.0, dp=0.01, M=0.01)
-        _, phi1_integral, phi2_integral = interaction_coefficient(params, SPEC)
+        phi1_integral, phi2_integral = moment_contributions(params, SPEC)
         assert abs(phi1_integral) <= 10 * params.eps
         assert abs(phi2_integral) <= 10 * params.eps
 
@@ -220,6 +223,21 @@ class TestKernelCoefficients:
         params = InteractionParams(N=1, mu_s=2.0, mu_l=2.0, p_s=0j,
                                    p_l=-0.3 * math.exp(-1.0), h_s=1.0, h_l=1.0, M=1.0)
         assert fit_kernel_coefficients(params)[2] > 0.10
+
+
+class TestInteractionParamsMaximum:
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_Q_s_is_the_bubble_maximum_at_beta_s(self, N):
+        # Q_s reads find_maxima; rotating the principal root by beta_s = tau k/(N+1)
+        # rounds apart from the k-th root by at most an ulp
+        for p in (0j, 0.1, -0.2j, 0.05 + 0.03j, 0.3 * np.exp(2.1j), -0.4,
+                  0.2 * np.exp(-0.9j), 0.01j):
+            for k in range(N + 1):
+                params = InteractionParams(N=N, mu_s=14.0, mu_l=14.0, p_s=p, p_l=p,
+                                           h_s=1.0, h_l=1.0, M=1.0,
+                                           beta_s=math.tau * k / (N + 1))
+                Q = find_maxima(params.bubble_s())[k]
+                assert abs(params.Q_s - Q) <= np.spacing(abs(Q)), (p, k)
 
 
 class TestInteractionParamsValidation:

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from liouville_lab import interaction, pohozaev, scenarios
+from liouville_lab import bubbles, interaction, pohozaev, scenarios
 from liouville_lab.bubbles import BubbleParams, bubble_density, density_peak, eval_bubble
 from liouville_lab.numerics import QuadratureSpec
 from oracles import bubble_density_mp
@@ -126,7 +126,7 @@ def test_pohozaev_volume_integrand_matches_reference(monkeypatch, N):
     mu = scenarios.INPUTS["pohozaev"]["mu"].default
     params = BubbleParams(N=N, mu=mu, p=0j, h=8.0 * (N + 1) ** 2)
     field = pohozaev.bubble_field(params)
-    peak = pohozaev._maximum_peak(params, 0)
+    peak = bubbles.maximum_peak(params, 0)
     q0 = peak[0]
     radii = (0.1, 0.15, 0.2, 0.28, 0.35)
     rng = np.random.default_rng(3)

@@ -17,6 +17,7 @@ from liouville_lab.bubbles import roots_of_unity
 _closed_form_interaction = interaction.closed_form_interaction
 _closed_form_u_prime = radial.closed_form_u_prime
 _kernel_terms = bubbles._kernel_terms
+_peak_width = bubbles.peak_width
 _shoot_once = radial._shoot_once
 
 
@@ -28,6 +29,11 @@ def laplacian_half_factor(params, y):
 def maxima_without_offset(params):
     # Q_l = e^(2 pi i l/(N+1)), the maxima of the centred bubble whatever p
     return roots_of_unity(params.N)
+
+
+def peak_width_doubled(mu):
+    # eps = 2 e^(-mu/2): the rescaled variable twice too wide
+    return 2.0 * _peak_width(mu)
 
 
 def gradient_half_factor(params, y):
@@ -85,6 +91,10 @@ def _branch():
     return scenarios.scenario_branch(1)
 
 
+def _farfield():
+    return scenarios.scenario_farfield(12.0)
+
+
 def _interaction():
     return scenarios.scenario_interaction(16.0)
 
@@ -94,6 +104,8 @@ MUTATIONS = (
              _bubble, ("bubble/residual",)),
     Mutation("maxima-without-offset", bubbles, "find_maxima", maxima_without_offset,
              _bubble, ("bubble/maxima-first-order", "bubble/maxima-root")),
+    Mutation("peak-width-doubled", bubbles, "peak_width", peak_width_doubled,
+             _farfield, ("farfield/rescaled-gap",)),
     Mutation("gradient-half-factor", pohozaev, "bubble_gradient", gradient_half_factor,
              _pohozaev, ("pohozaev/bubble-residual",)),
     Mutation("radial-u-prime-scaled", radial, "closed_form_u_prime", u_prime_scaled,

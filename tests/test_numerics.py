@@ -322,7 +322,8 @@ class TestGradedRing:
     def test_budget_error_carries_value_and_estimate(self, monkeypatch):
         params = self.CASES[3]
         r = _peak_radius(params)
-        monkeypatch.setattr(numerics, "RING_MAX_POINTS", 64)
+        # the smallest cap that makes one convergence test: 64 points, then 128
+        monkeypatch.setattr(numerics, "RING_MAX_POINTS", 128)
         with pytest.raises(QuadratureBudgetError) as info:
             _circle_mean(lambda z: bubble_density(params, z), 0j, r, 1e-14, 1e-15,
                          grading=_peak_grading(*density_peak(params), r))

@@ -11,7 +11,7 @@ import pytest
 import liouville_lab.scenarios as scenarios_mod
 from liouville_lab.cli import main
 from liouville_lab.config import INPUT_TYPES, load_defaults, parse_config
-from liouville_lab.errors import QuadratureBudgetError
+from liouville_lab.errors import NotASolutionError, QuadratureBudgetError
 from liouville_lab.report import (
     ReportEntry,
     emit,
@@ -160,23 +160,25 @@ class TestScenarios:
         assert harnacks and all(e.expected == pytest.approx(math.log(8.0)) for e in harnacks)
 
     def test_guards_name_the_records_their_blocks_write(self, monkeypatch):
-        # the ids a guard names matter only when its block raises: each block
-        # must write exactly those records, in that order
+        # the ids a guard names, with their provenance, matter only when its
+        # block raises: each block must write exactly those records, in that
+        # order and with that provenance
         guard = scenarios_mod._records
         blocks = []
 
         @contextlib.contextmanager
-        def watched(entries, params, *check_ids):
+        def watched(entries, params, records):
             start = len(entries)
-            with guard(entries, params, *check_ids) as guarded:
+            with guard(entries, params, records) as guarded:
                 yield guarded
-            blocks.append((check_ids, tuple(e.check_id for e in entries[start:])))
+            blocks.append((tuple(records.items()),
+                           tuple((e.check_id, e.provenance) for e in entries[start:])))
 
         monkeypatch.setattr(scenarios_mod, "_records", watched)
         for name in ("pohozaev", "interaction", "conjecture-disk"):
             scenarios_mod._SCENARIO_FUNCS[name](
                 **{key: s.default for key, s in INPUTS[name].items()})
-        assert len(blocks) == 9
+        assert len(blocks) == 10
         assert all(named == written for named, written in blocks), blocks
 
 
@@ -321,8 +323,9 @@ class TestCli:
         assert "pohozaev/error" not in {e.check_id for e in entries}
 
     def test_separation_error_spares_the_coefficient_record(self, monkeypatch):
-        # the pure-separation quadrature raises; pure-coefficient has its own
-        # block and passes, and additivity, which needs both, fails unrun
+        # the pure-separation quadrature raises; pure-coefficient and the
+        # moment records have their own blocks and pass, and additivity, which
+        # needs both coefficients, fails unrun
         original = scenarios_mod.interaction.interaction_coefficient
         calls = []
 
@@ -340,14 +343,35 @@ class TestCli:
         assert len(entries) == 10 and len(calls) == 2
         assert status["interaction/pure-coefficient"]
         assert [e.check_id for e in entries if not e.pass_] == [
-            "interaction/additivity", "interaction/phi1-moment",
-            "interaction/phi2-moment", "interaction/pure-separation"]
+            "interaction/additivity", "interaction/pure-separation"]
         additivity = next(e for e in entries if e.check_id == "interaction/additivity")
         assert additivity.params["message"].startswith("not computed")
         # a NaN estimate stays out of the record, beside the tolerance it missed
         separation = next(e for e in entries if e.check_id == "interaction/pure-separation")
         assert separation.params["exception"] == "QuadratureBudgetError"
         assert "estimate" not in separation.params and separation.params["quad_tol"] == 1e-12
+
+    def test_failed_moment_records_keep_their_provenance(self, tmp_path):
+        # at mu = 26 the phi1, phi2 quadrature misses its budget: both records
+        # fail, as the paper's claims they check
+        out = tmp_path / "x.json"
+        code = main(["verify", "--scenario", "interaction", "--mu", "26",
+                     "--out", str(out), "--format", "json"])
+        records = json.loads(out.read_text(encoding="utf-8"))
+        failed = {r["check_id"]: r["provenance"] for r in records if not r["pass"]}
+        assert code == 1 and len(records) == 10
+        assert failed == {"interaction/phi1-moment": "paper", "interaction/phi2-moment": "paper"}
+
+    def test_failed_bubble_residual_keeps_its_provenance(self, monkeypatch):
+        def raises(params):
+            raise NotASolutionError("not a solution: test")
+
+        monkeypatch.setattr(scenarios_mod.pohozaev, "bubble_field", raises)
+        entries = run_scenario("pohozaev", {"mu": 10.0})
+        failed = [e for e in entries if not e.pass_]
+        assert len(failed) == 3
+        assert all(e.check_id == "pohozaev/bubble-residual" and e.provenance == "paper"
+                   for e in failed)
 
     def test_nan_pohozaev_residual_fails(self, monkeypatch):
         original = scenarios_mod.pohozaev.pohozaev_check

@@ -14,8 +14,6 @@ import pkgutil
 import liouville_lab
 
 SURFACE = {
-    "bubbles.BubbleParams.h",
-    "bubbles.BubbleParams.p",
     "bubbles.bubble_density(h)",
     "bubbles.total_mass(spec)",
     "cli.main(argv)",
