@@ -31,11 +31,6 @@ from .errors import DegenerateLayerError
 from .numerics import circle_fourier, sample_circle
 
 
-def _l1(c):
-    """|Re c| + |Im c|, elementwise: |a_n| + |b_n| for c_n = a_n - i b_n."""
-    return np.abs(c.real) + np.abs(c.imag)
-
-
 def bubble_oscillation_killer(params: BubbleParams, delta: float) -> np.ndarray:
     """The oscillation data c_{n,v} of the bubble trace on the circle of radius 1/delta.
 
@@ -92,7 +87,7 @@ def build_layer(Phi, params: BubbleParams, delta: float, L: int) -> LayerField:
     """Assemble the layer field from unit-circle data Phi and the bubble trace.
 
     Phi holds the data's ``circle_fourier`` coefficients on |y| = 1.  delta*
-    is the displayed sum over modes n <= L.  When Phi vanishes identically
+    is ``layer_scale`` of the coefficients in y.  When Phi vanishes identically
     the scale falls back to delta^(2N+2); if additionally the bubble trace
     carries no oscillation the layer is degenerate.
     """
@@ -107,9 +102,8 @@ def build_layer(Phi, params: BubbleParams, delta: float, L: int) -> LayerField:
     c[:Phi.size] = Phi
     c[:killer.size] -= killer
 
-    dn = delta ** np.arange(c.size, dtype=float)
-    gaps = dn * _l1(c)
-    delta_star = float(np.sum(gaps[1:L + 1]))
+    c = c * delta ** np.arange(c.size, dtype=float)
+    delta_star = float(layer_scale(c, L))
 
     if not np.any(Phi):
         if np.all(np.abs(killer.real) <= 1e-15) and np.all(np.abs(killer.imag) <= 1e-15):
@@ -119,12 +113,14 @@ def build_layer(Phi, params: BubbleParams, delta: float, L: int) -> LayerField:
     if delta_star == 0.0:
         raise DegenerateLayerError("degenerate layer: all retained coefficient gaps vanish")
 
-    return LayerField(N=params.N, c=c * dn, delta_star=delta_star)
+    return LayerField(N=params.N, c=c, delta_star=delta_star)
 
 
 def layer_scale(c, L: int):
-    """delta* = sum_{n=1..L} |a_n| + |b_n| of monomial coefficients c, along the last axis."""
-    return np.sum(_l1(np.asarray(c, dtype=complex)[..., 1:L + 1]), axis=-1)
+    """delta* = sum_{n=1..L} |a_n| + |b_n| of monomial coefficients c_n = a_n - i b_n,
+    along the last axis."""
+    c = np.asarray(c, dtype=complex)[..., 1:L + 1]
+    return np.sum(np.abs(c.real) + np.abs(c.imag), axis=-1)
 
 
 def layer_from_coefficients(N: int, L: int, c) -> LayerField:

@@ -262,7 +262,7 @@ def _circle_mean(f, center: complex, r, rel_tol: float, abs_tol: float, grading=
         total, abs_total = total[..., ~ok], abs_total[..., ~ok]
     means[..., rows] = prev
     err, tol = err[..., ~ok], tol[..., ~ok]
-    worst = np.unravel_index(np.argmax(err), err.shape)
+    worst = np.unravel_index(np.argmax(err / tol), err.shape)
     raise QuadratureBudgetError(
         "quadrature budget exceeded: circle average did not converge",
         value=shaped(means), estimate=float(err[worst]), tolerance=float(tol[worst]))
@@ -353,7 +353,7 @@ def integrate_interval(f, edges, spec: QuadratureSpec):
         if np.all(total_err <= tol) or not split.any():
             return result
         if a.size + split.sum() > PANEL_BUDGET:
-            worst = np.argmax(total_err)
+            worst = np.argmax(total_err / tol)
             raise QuadratureBudgetError(
                 f"quadrature budget exceeded: more than {PANEL_BUDGET} panels",
                 value=result, estimate=float(total_err[worst]), tolerance=float(tol[worst]))

@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 import liouville_lab
-from liouville_lab import cli, numerics
-from liouville_lab.report import ReportEntry
-from liouville_lab.scenarios import run_scenario
+from liouville_lab import cli, numerics, scenarios
+from liouville_lab.report import PROVENANCES, ReportEntry
+from liouville_lab.scenarios import INPUTS, PROVENANCE, run_scenario
 
 GOLDEN = Path(__file__).parent / "golden" / "all-seed42.json"
 
@@ -154,15 +154,15 @@ def test_criterion_10_determinism(seed42_report, tmp_path):
 def golden_drift(record: dict, golden: dict) -> str | None:
     """Why ``record`` departs from its golden counterpart, or None if it does not.
 
-    Identity, inputs, expected value, tolerance and verdict must match exactly.
-    ``measured`` may drift by the check's own tolerance, read as the check
-    reads it (absolute, or relative to ``expected``); the raw value of a
-    one-sided check may drift by 1e-3 of its bound.
+    Identity, inputs, expected value, tolerance, verdict and provenance must
+    match exactly.  ``measured`` may drift by the check's own tolerance, read
+    as the check reads it (absolute, or relative to ``expected``); the raw
+    value of a one-sided check may drift by 1e-3 of its bound.
     """
     gp, rp = golden["params"], record["params"]
     if record["check_id"] != golden["check_id"] or sorted(rp) != sorted(gp):
         return "identity or params keys changed"
-    for key in ("expected", "tolerance", "pass"):
+    for key in ("expected", "tolerance", "pass", "provenance"):
         if record[key] != golden[key]:
             return f"{key} {golden[key]!r} -> {record[key]!r}"
     if any(rp[k] != gp[k] for k in gp if k != "value"):
@@ -243,6 +243,27 @@ def test_no_vacuous_records(seed42_report):
                                       r["tolerance"], r["provenance"]).pass_})
     _report("00-no-vacuous-records", not vacuous,
             f"({len(vacuous)} pass at measured = 0: {', '.join(vacuous)})")
+
+
+def test_every_declared_id_is_emitted(seed42_report):
+    # a scenario's <name>/error record is written only when it raises
+    errors = {f"{name}/error" for name in INPUTS}
+    assert set(PROVENANCE) - errors <= {r["check_id"] for r in seed42_report[0]}
+
+
+def test_every_record_has_its_declared_provenance(seed42_report):
+    records = seed42_report[0]
+    assert {r["check_id"] for r in records} <= set(PROVENANCE)
+    assert all(r["provenance"] == PROVENANCE[r["check_id"]] for r in records)
+
+
+def test_declared_provenances_are_known():
+    assert set(PROVENANCE.values()) <= set(PROVENANCES)
+
+
+def test_undeclared_id_raises():
+    with pytest.raises(KeyError):
+        scenarios._entry("moments/I3", {}, 0.0, 0.0, 0.0)
 
 
 # The force balance at the maxima and the per-mode linear theory, checked in

@@ -99,6 +99,16 @@ class TestIntegrateIntervalFailures:
                                            self.TINY.rel_tol * abs(info.value.value))
         assert info.value.estimate > info.value.tolerance
 
+    def test_vector_budget_error_names_the_component_that_missed(self):
+        # the first component's estimate is the larger in size, but it is within
+        # its own tolerance; the error reports the second, which is not
+        spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-14)
+        with pytest.raises(QuadratureBudgetError) as info:
+            integrate_interval(lambda x: np.stack([1e6 + 1e-3 * np.sin(1e5 * x),
+                                                   1e-9 * np.sin(1e5 * x)]), (0.0, 1.0), spec)
+        assert info.value.tolerance == max(spec.abs_tol, spec.rel_tol * abs(info.value.value[1]))
+        assert info.value.estimate > info.value.tolerance
+
     def test_divergence_is_a_budget_message(self):
         # 1/(1-x), capped near x = 1, diverges like log: the panels halve toward 1
         # until the budget runs out
@@ -247,6 +257,21 @@ class TestCircleMean:
         assert info.value.value.shape == (2,) and info.value.estimate > 0
         # the tolerance is the noisy component's, not the 1e-12 x 1 of the constant one
         assert info.value.estimate > info.value.tolerance and info.value.tolerance < 1e-12
+
+    def test_budget_error_names_the_component_that_missed(self, monkeypatch):
+        # cos(64 theta) is 1 on the 64 first points and -1 on the 64 new ones:
+        # the first component moves by 1e-4, within its 1e-2, the second by
+        # 1e-6, far outside its 1e-12; the error reports the second
+        monkeypatch.setattr(numerics, "RING_MAX_POINTS", 128)
+
+        def f(z):
+            wave = np.cos(64 * np.angle(z))
+            return np.stack([1e6 * (1.0 + 1e-10 * wave), 1e-6 * wave])
+
+        with pytest.raises(QuadratureBudgetError) as info:
+            _circle_mean(f, 0j, 1.0, 1e-8, 1e-12)
+        assert info.value.tolerance == pytest.approx(1e-12)
+        assert info.value.estimate == pytest.approx(1e-6)
 
 
 def _peak_radius(params):
@@ -823,9 +848,10 @@ class TestVectorIntegrands:
         # the panel rule reports every component's current value
         assert info.value.value.shape == (2,)
         assert np.all(np.isfinite(info.value.value)) and info.value.estimate > 0
-        # the second component is the first doubled, bit for bit, so its estimate
-        # is the larger and the tolerance is its own
-        assert info.value.tolerance == max(tiny.abs_tol, tiny.rel_tol * abs(info.value.value[1]))
+        # the second component is the first doubled, bit for bit, so the two miss
+        # their tolerances by the same ratio: the pair reported is one component's own
+        own = [max(tiny.abs_tol, tiny.rel_tol * abs(v)) for v in info.value.value]
+        assert info.value.tolerance in own and info.value.estimate > info.value.tolerance
 
 
 class TestCircleFourier:

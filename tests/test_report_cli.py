@@ -160,19 +160,17 @@ class TestScenarios:
         assert harnacks and all(e.expected == pytest.approx(math.log(8.0)) for e in harnacks)
 
     def test_guards_name_the_records_their_blocks_write(self, monkeypatch):
-        # the ids a guard names, with their provenance, matter only when its
-        # block raises: each block must write exactly those records, in that
-        # order and with that provenance
+        # the ids a guard names matter only when its block raises: each block
+        # must write exactly those records, in that order
         guard = scenarios_mod._records
         blocks = []
 
         @contextlib.contextmanager
-        def watched(entries, params, records):
+        def watched(entries, params, ids):
             start = len(entries)
-            with guard(entries, params, records) as guarded:
+            with guard(entries, params, ids) as guarded:
                 yield guarded
-            blocks.append((tuple(records.items()),
-                           tuple((e.check_id, e.provenance) for e in entries[start:])))
+            blocks.append((ids, tuple(e.check_id for e in entries[start:])))
 
         monkeypatch.setattr(scenarios_mod, "_records", watched)
         for name in ("pohozaev", "interaction", "conjecture-disk"):
