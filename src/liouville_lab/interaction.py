@@ -103,33 +103,45 @@ class Decomposition:
     remainder: float
 
 
-def _fields(params: InteractionParams, z):
-    """phi1..phi4 at the rescaled points z, by products.
+def _rescaled(params: InteractionParams, z):
+    """z, z^2, w, |w|^2 and B at the rescaled points z, the part the four
+    fields share.  |w|^2 is a sum of squares, so no point needs a modulus."""
+    z = np.asarray(z, dtype=complex)
+    zz = z * z
+    w = z + (0.5 * params.N * params.eps * np.exp(-1j * params.beta_s)) * zz
+    w2 = w.real * w.real + w.imag * w.imag
+    return z, zz, w, w2, 1.0 + (params.h_s / 8.0) * w2
 
-    |w|^2 and |z|^2 are sums of squares, and the angular factor
-    |z|^2 (1 + cos(2 arg z - 2 theta_sl - 2 beta_s)) is
+
+def _translation_fields(params: InteractionParams, z):
+    """phi1 and phi2 at the rescaled points z, by products."""
+    _, _, w, w2, B = _rescaled(params, z)
+    tilt = np.conj(params.delta_p) * np.exp(-1j * params.beta_s)
+    phi1 = (params.mu_s - params.mu_l) * (1.0 - (params.h_s / 8.0) * w2) / B
+    phi2 = ((params.h_s / (2.0 * (params.N + 1) * params.eps))
+            * (w.real * tilt.real - w.imag * tilt.imag) / B)
+    return phi1, phi2
+
+
+def _separation_fields(params: InteractionParams, z):
+    """phi3 and phi4 at the rescaled points z, by products.
+
+    The angular factor |z|^2 (1 + cos(2 arg z - 2 theta_sl - 2 beta_s)) is
     |z|^2 + Re(z^2 e^{-2i(theta_sl + beta_s)}), so no point needs an angle, a
     cosine or a division by |z|, and z = 0 is exact.
     """
-    z = np.asarray(z, dtype=complex)
-    eps = params.eps
-    h8 = params.h_s / 8.0
-    rot = np.exp(-1j * params.beta_s)
+    z, zz, _, w2, B = _rescaled(params, z)
     turn = np.exp(-2j * (params.theta_sl + params.beta_s))
-    tilt = np.conj(params.delta_p) * rot
-    x, y = z.real, z.imag
-    zz = z * z
-    w = z + (0.5 * params.N * eps * rot) * zz
-    wr, wi = w.real, w.imag
-    w2 = wr * wr + wi * wi
-    B = 1.0 + h8 * w2
-    phi1 = (params.mu_s - params.mu_l) * (1.0 - h8 * w2) / B
-    phi2 = (params.h_s / (2.0 * (params.N + 1) * eps)) * (wr * tilt.real - wi * tilt.imag) / B
-    angular = x * x + y * y + zz.real * turn.real - zz.imag * turn.imag
-    phi3 = (params.h_s * abs(params.delta_p) ** 2 / (4.0 * (params.N + 1) ** 2 * eps ** 2)
-            * (1.0 - h8 * angular / B) / B)
+    angular = z.real * z.real + z.imag * z.imag + zz.real * turn.real - zz.imag * turn.imag
+    phi3 = (params.h_s * abs(params.delta_p) ** 2 / (4.0 * (params.N + 1) ** 2 * params.eps ** 2)
+            * (1.0 - (params.h_s / 8.0) * angular / B) / B)
     phi4 = (params.h_s / 4.0) * ((params.h_l - params.h_s) / params.h_l) * w2 / B
-    return phi1, phi2, phi3, phi4
+    return phi3, phi4
+
+
+def _fields(params: InteractionParams, z):
+    """phi1..phi4 at the rescaled points z."""
+    return (*_translation_fields(params, z), *_separation_fields(params, z))
 
 
 def decompose_difference(params: InteractionParams, z) -> Decomposition:
@@ -222,7 +234,7 @@ def interaction_coefficient(params: InteractionParams, spec: QuadratureSpec) -> 
     The report's interaction records compare it with ``closed_form_interaction``.
     """
     def separation(z):
-        _, _, phi3, phi4 = _fields(params, z)
+        phi3, phi4 = _separation_fields(params, z)
         return phi3 + phi4
 
     return float(_against_kernel(params, separation, spec))
@@ -235,8 +247,7 @@ def moment_contributions(params: InteractionParams, spec: QuadratureSpec) -> tup
     moment records bound them.
     """
     def translation(z):
-        phi1, phi2, _, _ = _fields(params, z)
-        return np.stack([phi1, phi2])
+        return np.stack(_translation_fields(params, z))
 
     i1, i2 = _against_kernel(params, translation, spec)
     return float(i1), float(i2)
@@ -263,7 +274,7 @@ def fit_kernel_coefficients(params: InteractionParams):
     rr = np.linspace(0.5, 20.0, 24)
     tt = 2.0 * math.pi * np.arange(32) / 32
     z = (rr[:, None] * np.exp(1j * tt[None, :])).ravel()
-    phi2 = _fields(params, z)[1]
+    phi2 = _translation_fields(params, z)[1]
     samples = phi2 / params.M
     _, k1, k2 = kernel_functions(z, params.h_s / 8.0)
     Amat = np.stack([k1, k2], axis=1)

@@ -402,10 +402,20 @@ def _peak_grading(q: complex, width: float, K: int, r):
     return K, math.atan2(q.imag, q.real), np.where(graded, peak_beta(w), 1.0)
 
 
+# the half-decade geometric mesh of a peak's first edges, in peak widths on
+# each side: a first panel that QUADPACK's bisection would split anyway
+# throws its 21 ring means away, and a mesh graded toward the near-singular
+# point keeps them (Schwab, p- and hp-FEM, 1998, ch. 4)
+PEAK_MESH = (0.5, 5.0 / math.sqrt(10.0), 5.0, 5.0 * math.sqrt(10.0), 50.0)
+
+
 def _peak_edges(s: float, width: float, end: float, *extra):
-    """Inner first edges on [0, end] for a radial peak at s: those of s - 5 width,
-    s, s + 5 width, s + 50 width and ``extra`` strictly inside (0, end), sorted."""
-    candidates = (s - 5.0 * width, s, s + 5.0 * width, s + 50.0 * width, *extra)
+    """Inner first edges on [0, end] for a radial peak at s: those of s, of
+    s - a width and s + a width for a in ``PEAK_MESH`` (width/2 to 50 width in
+    half decades) and of ``extra`` strictly inside (0, end), sorted.  They
+    include s - 5 width, s + 5 width and s + 50 width bit for bit."""
+    candidates = (s, *(s - a * width for a in PEAK_MESH), *(s + a * width for a in PEAK_MESH),
+                  *extra)
     return sorted({x for x in candidates if 0.0 < x < end})
 
 
@@ -432,7 +442,8 @@ def integrate_disk(f, center: complex, radius, spec: QuadratureSpec, peak=None):
     ``peak = (q, width)``, when given, says that f peaks at q with radial width
     ``width``.  It sets both the grading of every ring (``_peak_grading`` of
     q - center with K = 1) and the first panels in the radius: the
-    ``_peak_edges`` of s = |q - center|, R_n / 2 and the inner radii split
+    ``_peak_edges`` of s = |q - center| (s and a half-decade geometric mesh
+    from width/2 to 50 width on each side), R_n / 2 and the inner radii split
     [0, R_n].  Without a peak the rings are uniform and the first panels are
     split at the inner radii only.
     """
@@ -528,7 +539,8 @@ def integrate_plane(f, spec: QuadratureSpec, peak=None):
     peaks (see ``_peak_grading``), and each graded ring averages over one
     sector of angle tau/K (see ``_circle_mean``).  As in ``integrate_disk``,
     [0, 1] is split at t(r) for the ``_peak_edges`` r of the peaks' radius
-    |q|^(1/K), of radial width width / (K |q|^(1 - 1/K)).  For K > 1 the symmetry is
+    |q|^(1/K), of radial width width / (K |q|^(1 - 1/K)): that radius and a
+    half-decade geometric mesh from w/2 to 50 w on each side.  For K > 1 the symmetry is
     checked first on the 64 points of a ring through the peaks: if
     max|f(z) - f(e^(i tau/K) z)| exceeds ``SYMMETRY_TOL`` max|f(z)| this
     raises ValueError.

@@ -136,10 +136,11 @@ def _recording(f):
 
 
 class TestRingPointCounts:
-    """The integrand points and calls the two ring-heavy scenarios make at
-    their defaults, counted at the ``_circle_mean`` boundary: a cheaper
-    integrand must gain per point, with every convergence decision where it
-    was, and the calls follow from the points and ``RING_BATCH_POINTS``."""
+    """The integrand points and calls the ring scenarios make at their
+    defaults, counted at the ``_circle_mean`` boundary: a cheaper integrand
+    must gain per point, with every convergence decision where it was, and the
+    calls follow from the points and ``RING_BATCH_POINTS``.  A change of the
+    first panels (``_peak_edges``) moves these counts."""
 
     @staticmethod
     def _counts(monkeypatch, run):
@@ -157,12 +158,20 @@ class TestRingPointCounts:
         return sum(counted), len(counted)
 
     def test_moments(self, monkeypatch):
-        assert self._counts(monkeypatch, scenarios.scenario_moments) == (1_725_696, 568)
+        assert self._counts(monkeypatch, scenarios.scenario_moments) == (1_001_856, 337)
 
     def test_pohozaev(self, monkeypatch):
         mu = scenarios.INPUTS["pohozaev"]["mu"].default
         assert self._counts(monkeypatch, lambda: scenarios.scenario_pohozaev(mu)) \
-            == (851_328, 335)
+            == (541_824, 207)
+
+    LIGHT_SUITE = {"bubble": (129_024, 42), "interaction": (134_400, 46),
+                   "conjecture-disk": (18_816, 6)}
+
+    @pytest.mark.parametrize("name", LIGHT_SUITE)
+    def test_light_suite(self, monkeypatch, name):
+        assert self._counts(monkeypatch, lambda: scenarios.run_scenario(name)) \
+            == self.LIGHT_SUITE[name]
 
 
 # the minor page faults of a second run of each scenario, after one run of
@@ -654,14 +663,23 @@ class TestBatchedRings:
         assert value[[0, 2]] == pytest.approx([0.25, 2.25], rel=1e-14)
 
 
+# the half-decade steps of the peak mesh, 5 / sqrt(10) and 5 sqrt(10) widths
+_R10 = math.sqrt(10.0)
+
+
 class TestDiskBreakpoints:
     @pytest.mark.parametrize("center, peak, expected", [
-        # centred: 5w, 50w and R/2
-        (0.3 - 0.4j, (0.3 - 0.4j, 0.002), [0.01, 0.1, 0.5]),
-        # s = 0.7: s + 50w = 1.2 lies outside
-        (0.1j, (0.7 + 0.1j, 0.01), [0.5, 0.65, 0.7, 0.75]),
-        # s = 0.02: s - 5w < 0 drops out
-        (0j, (0.02j, 0.01), [0.02, 0.07, 0.5, 0.52]),
+        # centred: w/2 to 50w in half decades, and R/2
+        (0.3 - 0.4j, (0.3 - 0.4j, 0.002),
+         [0.001, 0.01 / _R10, 0.01, 0.01 * _R10, 0.1, 0.5]),
+        # s = 0.7: s + 50w = 1.2 lies outside, s - 50w = 0.2 inside
+        (0.1j, (0.7 + 0.1j, 0.01),
+         [0.2, 0.5, 0.7 - 0.05 * _R10, 0.65, 0.7 - 0.05 / _R10, 0.695, 0.7, 0.705,
+          0.7 + 0.05 / _R10, 0.75, 0.7 + 0.05 * _R10]),
+        # s = 0.02: s - 5w < 0 and beyond drop out
+        (0j, (0.02j, 0.01),
+         [0.02 - 0.05 / _R10, 0.015, 0.02, 0.025, 0.02 + 0.05 / _R10, 0.07,
+          0.02 + 0.05 * _R10, 0.5, 0.52]),
         # a peak outside the disk leaves R/2
         (0j, (2.0 + 0j, 0.01), [0.5]),
         (0j, None, None),
@@ -680,6 +698,29 @@ class TestDiskBreakpoints:
             assert seen[0] == [0.0, 1.0]
         else:
             assert seen[0][1:-1] == pytest.approx(expected, abs=1e-15)
+
+    @given(s=st.floats(min_value=0.0, max_value=2.0),
+           width=st.floats(min_value=1e-12, max_value=0.5),
+           end=st.floats(min_value=1e-3, max_value=3.0))
+    @example(s=0.7, width=0.01, end=1.0)
+    @example(s=0.02, width=0.01, end=1.0)
+    def test_mesh_refines_the_four_old_edges(self, s, width, end):
+        # the half-decade mesh keeps every edge of the old rule s - 5w, s,
+        # s + 5w, s + 50w that lies inside (0, end), bit for bit
+        new = numerics._peak_edges(s, width, end)
+        old = {x for x in (s - 5.0 * width, s, s + 5.0 * width, s + 50.0 * width)
+               if 0.0 < x < end}
+        assert old <= set(new)
+        assert new == sorted(set(new))
+
+    @pytest.mark.parametrize("R", [1e2, 1e4, 1e6, 1e7])
+    def test_far_panel_closed_form(self, R):
+        # oracle: the disk integral of (1 + |z|^2)^-2 is pi R^2 / (1 + R^2).
+        # Past the mesh the first panel [50, R/2] spans up to 5 decades; at
+        # R = 1e8 its 21 nodes miss mass and the result reads 4e-4 low
+        val = integrate_disk(lambda z: 1.0 / (1.0 + np.abs(z) ** 2) ** 2, 0j, R,
+                             QuadratureSpec(), peak=(0j, 1.0))
+        assert val == pytest.approx(math.pi * R * R / (1.0 + R * R), abs=1e-14)
 
     def test_plane_points_from_the_peak(self, monkeypatch):
         # the N = 2, mu = 40 peaks lie at r_s = 1, about 7e-10 wide in r: the
