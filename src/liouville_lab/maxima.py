@@ -55,13 +55,11 @@ class InteractionMatrix:
 def interaction_coefficients_d(N: int) -> np.ndarray:
     """d_j = 1/sin^2(j pi/(N+1)), j = 1..N, with d_j = d_{N+1-j} exact.
 
-    Only the lower half is evaluated (arguments below pi/2, no argument
+    Only the lower half is evaluated (arguments up to pi/2, no argument
     reduction) and mirrored, so the sine symmetry holds bitwise.
     """
     d = np.empty(N)
-    for j in range(1, N // 2 + 2):
-        if j > N:
-            break
+    for j in range(1, (N + 1) // 2 + 1):
         v = 1.0 / math.sin(j * math.pi / (N + 1)) ** 2
         d[j - 1] = v
         d[N - j] = v

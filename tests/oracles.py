@@ -2,8 +2,9 @@
 
 A brute-force polar Riemann sum, a term-by-term trigonometric sum, the
 interaction table's row sums and margins as plain loops, finite-difference
-gradient and Laplacian checks, the bubble density and maxima in mpmath, and
-parsers that read a rendered report back into ``ReportEntry`` records.
+gradient and Laplacian checks, the bubble density and maxima in mpmath, a
+Sturm count of a symmetric tridiagonal in mpmath, and parsers that read a
+rendered report back into ``ReportEntry`` records.
 """
 
 from __future__ import annotations
@@ -170,6 +171,27 @@ def maxima_mp(N: int, p: complex, dps: int = 30) -> np.ndarray:
             ordered[int(mpmath.nint(mpmath.arg(r) * n1 / (2 * mpmath.pi))) % n1] = complex(r)
     assert None not in ordered, "two roots nearest one root of unity"
     return np.array(ordered)
+
+
+# ----------------------------------------------------------------------------
+# high-precision Sturm count
+
+def sturm_count_mp(d, e, x, dps: int = 40) -> int:
+    """Eigenvalues of the symmetric tridiagonal (d, e) below x: the negative
+    pivots of the LDL^T factorization of T - x, in mpmath at ``dps`` digits.
+
+    The float entries and x are taken as exact, so the count is that of the
+    very matrix a float solver sees.
+    """
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(x)
+        count, q = 0, mpmath.mpf(1)
+        for i, di in enumerate(d):
+            q = mpmath.mpf(di) - x - (mpmath.mpf(e[i - 1]) ** 2 / q if i else 0)
+            if q == 0:
+                q = mpmath.mpf(10) ** -dps
+            count += q < 0
+        return count
 
 
 # ----------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from liouville_lab.kernels import (
 )
 from liouville_lab.radial import RadialProfile
 from liouville_lab.scenarios import run_scenario
+from oracles import sturm_count_mp
 
 
 class TestKernelFunctions:
@@ -223,3 +224,18 @@ class TestPrincipalEigenvalue:
     def test_unresolved_spectrum(self):
         with pytest.raises(UnresolvedSpectrumError):
             principal_eigenvalue(RadialProfile(0, 1.0), 0, n=4)
+
+    @pytest.mark.parametrize("profile, mode, n", [
+        (RadialProfile(0, 1.0), 0, 512),
+        (RadialProfile(1, 1.0), 2, 512),
+        (RadialProfile(1, 1.0), 8, 1024),
+        (RadialProfile(0, 0.0), 0, 2048),
+    ])
+    def test_smallest_eig_brackets_the_sturm_count(self, profile, mode, n):
+        # the bisection's eigenvalue against an independent 40-digit Sturm
+        # count on the same matrix: none below lam - t, at least one below lam + t
+        lam = kernels._smallest_eig(profile, mode, n)
+        d, e = kernels._assemble_tridiagonal(profile, mode, n)
+        t = 1e-9 * max(1.0, abs(lam))
+        assert sturm_count_mp(d, e, lam - t) == 0
+        assert sturm_count_mp(d, e, lam + t) >= 1

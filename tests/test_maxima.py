@@ -179,6 +179,14 @@ class TestIdentities:
             d = interaction_coefficients_d(N)
             assert np.array_equal(d, d[::-1])
 
+    def test_d_lower_half_is_the_direct_formula(self):
+        # no argument above pi/2 is evaluated: the lower half is the direct
+        # formula bitwise (the upper half is its mirror, test_d_symmetry_exact)
+        for N in range(1, 65):
+            d = interaction_coefficients_d(N)
+            for j in range(1, (N + 1) // 2 + 1):
+                assert d[j - 1] == 1.0 / math.sin(j * math.pi / (N + 1)) ** 2, (N, j)
+
 
 class TestMaximaSystem:
     def test_n2_matrix(self):

@@ -111,7 +111,8 @@ MUTATIONS = (
     Mutation("radial-u-prime-scaled", radial, "closed_form_u_prime", u_prime_scaled,
              _pohozaev, ("pohozaev/radial-residual",)),
     Mutation("radial-density-without-lambda", radial.RadialProfile, "density",
-             density_without_lam, _branch, ("branch/mass-limit",)),
+             density_without_lam, _branch,
+             ("branch/mass-limit", "branch/fold-eigenvalue", "branch/bessel-eigenvalue")),
     Mutation("kernel-weight-raised", interaction, "_kernel_terms", kernel_weight_raised,
              scenarios.scenario_moments, ("moments/I0", "moments/I1")),
     Mutation("closed-form-interaction-doubled", interaction, "closed_form_interaction",
