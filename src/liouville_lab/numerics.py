@@ -120,7 +120,13 @@ def _ring_nodes(m: int, odd: bool, K: int, beta: float):
     else:
         x = math.tau * k / m
         s, c = np.sin(x), np.cos(x)
-        theta = (x - 2.0 * np.arctan((1.0 - beta) * s / ((1.0 + beta) + (1.0 - beta) * c))) / K
+        denominator = (1.0 + beta) + (1.0 - beta) * c
+        with np.errstate(divide="ignore"):
+            g = x - 2.0 * np.arctan((1.0 - beta) * s / denominator)
+        # for beta <= 2**-54 the denominator at x = pi rounds to 0 while
+        # sin(pi) does not, and atan(inf) would move that node onto the peak;
+        # there g(x) = x
+        theta = np.where(denominator == 0.0, x, g) / K
         nodes = np.exp(1j * theta)
         weights = 2.0 * beta / ((1.0 + c) + beta * beta * (1.0 - c))
     return nodes, weights

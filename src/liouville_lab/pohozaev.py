@@ -12,14 +12,16 @@ e^u only through the field's source density |y|^2N h e^u, the one the
 bubble module (``bubble_density``) or the radial profile
 (``RadialProfile.density``) gives.  Each term is linear in xi, so the check
 returns it as the vector of its e1 and e2 components, all from one disk pass
-and one circle pass; the balance along any unit xi is the dot product of xi
-with each vector.  The report's residual is volume - flux - kinetic.  Given
-an increasing sequence of radii about one centre, ``pohozaev_check`` still
-makes one disk pass, over the nested disks, and one circle pass, over all
-the circles, and each term gets one column per radius.  The
-coefficient-contrast integral int grad h0 |y|^2N e^V, also returned as its e1
-and e2 components from one disk pass, isolates the gradient of the coefficient
-field at a maximum and equals grad h0 times the local bubble mass 8 pi / h.
+and one circle pass; at N = 0 the volume integrand is identically zero and
+only the circle pass runs.  The balance along any unit xi is the dot product
+of xi with each vector.  The report's residual is volume - flux - kinetic.
+Given an increasing sequence of radii about one centre, ``pohozaev_check``
+still makes one disk pass, over the nested disks (none at N = 0), and one
+circle pass, over all the circles, and each term gets one column per radius.
+The coefficient-contrast integral int grad h0 |y|^2N e^V, also returned as its
+e1 and e2 components from one disk pass, isolates the gradient of the
+coefficient field at a maximum and equals grad h0 times the local bubble mass
+8 pi / h.
 """
 
 from __future__ import annotations
@@ -119,7 +121,8 @@ def pohozaev_check(field: SolutionField, center: complex, radius, spec: Quadratu
     """Evaluate the three Pohozaev terms along e1 and e2 on B(center, radius).
 
     The volume term is one 2-component disk integral; the flux and kinetic
-    terms are one 4-component circle integral.  ``radius`` may be a strictly
+    terms are one 4-component circle integral.  At N = 0 only the circle pass
+    runs, and the volume term is exactly zero.  ``radius`` may be a strictly
     increasing sequence R_1 < ... < R_n: the volume terms of all n nested
     disks then come from one ``integrate_disk`` pass and the boundary terms of
     all n circles from one ``integrate_circle`` batch, and every term is a
@@ -131,9 +134,8 @@ def pohozaev_check(field: SolutionField, center: complex, radius, spec: Quadratu
     grades every ring of the disk toward q.
 
     Every term that holds e^u reads it through the field's density: with h
-    constant, d_xi(|y|^2N h) e^u = (2N / |y|^2) density y_xi, which is zero
-    at N = 0 (no 0/0 at the centre of a radial disk), and the flux integrand
-    is density nu.
+    constant, d_xi(|y|^2N h) e^u = (2N / |y|^2) density y_xi, which vanishes
+    at N = 0.  The flux integrand is density nu.
     """
     N = field.N
     if N >= 1 and abs(center) <= np.max(radius):
@@ -141,14 +143,19 @@ def pohozaev_check(field: SolutionField, center: complex, radius, spec: Quadratu
     _spot_check_solution(field, center, radius)
 
     def volume_integrand(z):
-        out = np.zeros((2,) + np.shape(z))
-        if N:
-            lever = (2 * N) * field.density(z) / (np.square(z.real) + np.square(z.imag))
-            np.multiply(lever, z.real, out=out[0])
-            np.multiply(lever, z.imag, out=out[1])
+        out = np.empty((2,) + np.shape(z))
+        lever = (2 * N) * field.density(z) / (np.square(z.real) + np.square(z.imag))
+        np.multiply(lever, z.real, out=out[0])
+        np.multiply(lever, z.imag, out=out[1])
         return out
 
-    vol = integrate_disk(volume_integrand, center, radius, spec, peak=peak)
+    if N:
+        vol = integrate_disk(volume_integrand, center, radius, spec, peak=peak)
+    elif np.any(np.diff(np.atleast_1d(radius)) <= 0):
+        raise ValueError(f"a sequence of disk radii must strictly increase; got {radius!r}")
+    else:
+        # d_xi(|y|^0 h) = 0 for constant h: no disk pass
+        vol = np.zeros((2,) + np.shape(radius))
 
     def boundary_integrand(z):
         # flux along e1, e2, then kinetic along e1, e2

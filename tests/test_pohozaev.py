@@ -202,6 +202,23 @@ class TestTwoDirectionPass:
             pohozaev_check(bubble_field(params), 1.0 + 0j, radius, SPEC)
             assert sorted(calls) == ["integrate_circle", "integrate_disk"]
 
+    def test_circle_pass_alone_at_n_zero(self, monkeypatch):
+        # d_xi(|y|^0 h) = 0 for constant h: the volume term is exactly +0.0
+        # and no disk pass is made
+        def no_disk(*args, **kwargs):
+            raise AssertionError("integrate_disk called at N = 0")
+
+        monkeypatch.setattr(pohozaev, "integrate_disk", no_disk)
+        field = bubble_field(BubbleParams(N=0, mu=10.0, p=0j, h=8.0))
+        for radius, shape in ((0.2, (2,)), ((0.1, 0.15, 0.2), (2, 3))):
+            rep = pohozaev_check(field, 1.0 + 0j, radius, SPEC)
+            assert rep.volume_term.shape == rep.residual.shape == shape
+            assert np.all(rep.volume_term == 0.0) and not np.signbit(rep.volume_term).any()
+            assert np.array_equal(rep.residual, -rep.flux_term - rep.boundary_kinetic)
+        # nested disks must still grow, as integrate_disk demands at N >= 1
+        with pytest.raises(ValueError):
+            pohozaev_check(field, 1.0 + 0j, (0.2, 0.1), SPEC)
+
     @settings(max_examples=10, deadline=None)
     @given(alpha=st.floats(min_value=0.0, max_value=math.tau))
     def test_terms_rotate_with_the_disk(self, alpha):
@@ -380,11 +397,29 @@ class TestCancellationStructure:
         assert abs(diff) <= 0.1 * abs(contrast)
 
 
+class TestRegularBubbleRecord:
+    def test_fails_under_halved_gradient(self, monkeypatch):
+        # with no volume term at N = 0 the balance rests on the boundary terms
+        # alone: a kinetic term at a quarter of its size must fail the record
+        real = pohozaev.bubble_gradient
+
+        def half(params, y):
+            gx, gy = real(params, y)
+            return 0.5 * gx, 0.5 * gy
+
+        monkeypatch.setattr(pohozaev, "bubble_gradient", half)
+        [record] = [e for e in scenarios.scenario_pohozaev(10.0)
+                    if e.check_id == "pohozaev/bubble-residual" and e.params["N"] == 0]
+        assert not record.pass_
+        assert record.measured > 1e5 * record.tolerance
+
+
 class TestScenarioCost:
     def test_nested_disks_per_centre(self, monkeypatch):
-        # one disk pass per (N, centre) pohozaev check, the radial check, two
-        # contrasts and two by-parts identities; the ring points are counts,
-        # so this guard does not depend on the machine's speed
+        # one disk pass per (N, centre) pohozaev check at N = 1 and 2, two
+        # contrasts and two by-parts identities; the N = 0 checks and the
+        # radial check make none.  The ring points are counts, so this guard
+        # does not depend on the machine's speed
         disks, points = [], []
         real_disk, real_mean = pohozaev.integrate_disk, numerics._circle_mean
 
@@ -403,6 +438,6 @@ class TestScenarioCost:
         monkeypatch.setattr(numerics, "_circle_mean", mean_spy)
         entries = scenarios.scenario_pohozaev(10.0)
         assert entries and all(e.pass_ for e in entries)
-        assert len(disks) == 14
+        assert len(disks) == 10
         assert sum(points) <= 1_000_000
 
