@@ -27,7 +27,6 @@ from .interaction import (
 )
 from .kernels import fundamental_pair, kernel_functions, mode_solve, principal_eigenvalue
 from .maxima import (
-    InteractionMatrix,
     MaximaConfiguration,
     green_disk,
     oscillation_gradient,

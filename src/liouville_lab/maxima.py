@@ -42,16 +42,6 @@ class MaximaConfiguration:
         return cls(N=N, Q=roots_of_unity(N))
 
 
-@dataclass
-class InteractionMatrix:
-    """Coefficients d_j, diagonal D, and the matrix A of the perturbation system."""
-
-    N: int
-    d: np.ndarray
-    D: float
-    A: np.ndarray
-
-
 def interaction_coefficients_d(N: int) -> np.ndarray:
     """d_j = 1/sin^2(j pi/(N+1)), j = 1..N, with d_j = d_{N+1-j} exact.
 
@@ -66,13 +56,13 @@ def interaction_coefficients_d(N: int) -> np.ndarray:
     return d
 
 
-def build_interaction_matrix(N: int) -> InteractionMatrix:
+def build_interaction_matrix(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(d, A): the coefficients d_j and the matrix A, diagonal D = fsum(d)."""
     d = interaction_coefficients_d(N)
-    D = math.fsum(d)
     l = np.arange(N)
     A = -d[np.abs(l[:, None] - l) - 1]
-    np.fill_diagonal(A, D)
-    return InteractionMatrix(N=N, d=d, D=D, A=A)
+    np.fill_diagonal(A, math.fsum(d))
+    return d, A
 
 
 # ----------------------------------------------------------------------------
@@ -186,7 +176,7 @@ SYSTEM_N_MAX = 64
 @dataclass
 class MaximaSystemSolution:
     m: np.ndarray
-    matrix: InteractionMatrix
+    d: np.ndarray
     dominance_margins: np.ndarray
     min_singular_value: float
     condition_number: float
@@ -205,15 +195,15 @@ def solve_maxima_system(N: int, rhs) -> MaximaSystemSolution:
     rhs = np.asarray(rhs, dtype=complex)
     if rhs.size != N:
         raise ValueError("rhs must have N entries")
-    mat = build_interaction_matrix(N)
+    d, A = build_interaction_matrix(N)
     # exact summation: the cancellation D - sum_offdiag = d_l is exact in the
     # reals and must survive in floats; fsum is exact, so the margin is the
     # rounded sum of row l of -|A| with A's diagonal put back, in any order
-    rows = -np.abs(mat.A)
-    np.fill_diagonal(rows, np.diag(mat.A))
+    rows = -np.abs(A)
+    np.fill_diagonal(rows, np.diag(A))
     margins = np.array([math.fsum(row) for row in rows.tolist()])
-    m, min_sigma, cond, residual = solve_with_diagnostics(mat.A, rhs)
-    return MaximaSystemSolution(m=m, matrix=mat, dominance_margins=margins,
+    m, min_sigma, cond, residual = solve_with_diagnostics(A, rhs)
+    return MaximaSystemSolution(m=m, d=d, dominance_margins=margins,
                                 min_singular_value=min_sigma, condition_number=cond,
                                 solve_residual=residual)
 

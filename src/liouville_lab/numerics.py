@@ -109,26 +109,21 @@ def _ring_nodes(m: int, odd: bool, K: int, beta: float):
     as the Km-point rule over the whole circle.  x_k = tau k / m for
     k = 0..m-1, or for the odd k only.  With beta < 1 the angle
     theta = g(x) / K follows the Moebius circle map
-    g(x) = 2 atan(beta tan(x/2)), continued so that g(x + tau) = g(x) + tau,
-    which crowds the nodes toward the sector's start with width about beta;
-    the weights are g'(x).  beta = 1 gives the nodes exp(i tau k / (K m)) and
-    weights None (all ones).  K = 1 is the whole circle.
+    g(x) = 2 atan2(beta sin(x/2), cos(x/2)), which maps [0, tau) onto itself
+    and crowds the nodes toward the sector's start with width about beta;
+    the weights are g'(x) = beta / (cos^2(x/2) + beta^2 sin^2(x/2)).
+    beta = 1 gives the nodes exp(i tau k / (K m)) and weights None (all
+    ones).  K = 1 is the whole circle.
     """
     k = np.arange(1, m, 2) if odd else np.arange(m)
     if beta == 1.0:
         nodes, weights = np.exp(1j * math.tau * k / (K * m)), None
     else:
-        x = math.tau * k / m
-        s, c = np.sin(x), np.cos(x)
-        denominator = (1.0 + beta) + (1.0 - beta) * c
-        with np.errstate(divide="ignore"):
-            g = x - 2.0 * np.arctan((1.0 - beta) * s / denominator)
-        # for beta <= 2**-54 the denominator at x = pi rounds to 0 while
-        # sin(pi) does not, and atan(inf) would move that node onto the peak;
-        # there g(x) = x
-        theta = np.where(denominator == 0.0, x, g) / K
-        nodes = np.exp(1j * theta)
-        weights = 2.0 * beta / ((1.0 + c) + beta * beta * (1.0 - c))
+        # sin(x/2) and cos(x/2) = sin(pi (m - 2k) / 2m), which is exactly 0
+        # at x = pi, where the node sits at theta = pi / K with weight 1/beta
+        s, c = np.sin(math.pi * k / m), np.sin(math.pi * (m - 2 * k) / (2 * m))
+        nodes = np.exp(2j * np.arctan2(beta * s, c) / K)
+        weights = beta / (c * c + beta * beta * (s * s))
     return nodes, weights
 
 

@@ -155,60 +155,26 @@ def branch_mass(profile: RadialProfile, spec: QuadratureSpec) -> float:
     return math.tau * integrate_interval(lambda r: r * profile.density(r), (0.0, 1.0), spec)
 
 
-# the most grid points one piece of the Harnack scan holds, so that a
-# piece's arrays (8 bytes a point) stay below 32 KiB: whole grids, 160 KB for
-# 20,001 points, are above glibc's default 128 KiB mmap threshold
-# (mallopt(3)), and a warm branch run faulted their pages in about 2,350 times
-SCAN_PIECE_POINTS = 4000
-
-
-def _linspace_max(value, start: float, stop: float, num: int) -> float:
-    """max of value(t) over np.linspace(start, stop, num), num >= 2, in pieces.
-
-    Each piece of at most ``SCAN_PIECE_POINTS`` points forms its t as
-    ``np.linspace`` does, i step + start with the last point set to stop, so
-    the points and the maximum are linspace's to the bit.
-    """
-    step = (stop - start) / (num - 1)
-    best = -math.inf
-    for lo in range(0, num, SCAN_PIECE_POINTS):
-        t = np.arange(lo, min(lo + SCAN_PIECE_POINTS, num), dtype=float)
-        t *= step
-        t += start
-        if lo + t.size == num:
-            t[-1] = stop
-        best = max(best, float(np.max(value(t))))
-    return best
-
-
 def harnack_diagnostic(prof: RadialProfile) -> float:
     """sup_r (u(r) + log lambda + 2(N+1) log r) over the profile's natural domain.
 
-    The supremum sits on the bubble ring r = b^(-1/(2N+2)), which exits the
-    unit disk for b < 1; the closed-form continuation is scanned far enough to
-    cover it.  Along the branch the value is log(2(N+1)^2) identically.  The
-    scan's two grids, 24,002 points, are taken in pieces of at most
-    ``SCAN_PIECE_POINTS`` points, so no scan allocates a large array.
+    The supremum sits on the bubble ring r* = b^(-1/(2N+2)), which exits the
+    unit disk for b < 1, so the profile's closed form is read past r = 1.  In
+    t = log r the value is concave, and Brent's bounded method finds its
+    maximum on [log 1e-6, max(0, log 4r*)] from ``prof.u_at`` and
+    ``prof.lam``.  Along the branch the value is log(2(N+1)^2) identically.
     """
+    from scipy.optimize import minimize_scalar
+
     if prof.b <= 0:
         raise ValueError("harnack diagnostic needs a genuine branch member (b > 0)")
     m = prof.N + 1
-    b = prof.b
-    # scanned in t = log r, where the value is
-    # 2 log1p(b) + log lambda + 2m t - 2 log1p(b e^{2mt}): a coarse grid plus
-    # a fine window around the bubble ring t* = -log(b) / 2m, where the
-    # supremum sits
-    t_star = -math.log(b) / (2.0 * m)
-    t_hi = max(0.0, t_star + math.log(4.0))
-    half = math.log(1.5)
-
-    def value(t):
-        s = 2.0 * m * t
-        return s - 2.0 * np.log1p(b * np.exp(s))
-
-    peak = max(_linspace_max(value, math.log(1e-6), t_hi, 20001),
-               _linspace_max(value, t_star - half, t_star + half, 4001))
-    return peak + 2.0 * math.log1p(b) + math.log(prof.lam)
+    log_lam = math.log(prof.lam)
+    t_hi = max(0.0, -math.log(prof.b) / (2.0 * m) + math.log(4.0))
+    res = minimize_scalar(lambda t: -(float(prof.u_at(math.exp(t))) + log_lam + 2.0 * m * t),
+                          bounds=(math.log(1e-6), t_hi), method="bounded",
+                          options={"xatol": 1e-10})
+    return float(-res.fun)
 
 
 @dataclass

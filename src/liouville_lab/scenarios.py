@@ -160,7 +160,7 @@ def scenario_identities(seed: int, N: int) -> list:
     for n in range(1, N + 1):
         rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         sol = maxima.solve_maxima_system(n, rhs)
-        d = sol.matrix.d
+        d = sol.d
         worst_margin = np.maximum(worst_margin, np.max(np.abs(sol.dominance_margins - d) / d))
         min_sigma = np.minimum(min_sigma, sol.min_singular_value)
         worst_solve = np.maximum(worst_solve, sol.solve_residual

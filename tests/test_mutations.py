@@ -15,6 +15,7 @@ from liouville_lab import bubbles, interaction, pohozaev, radial, scenarios
 from liouville_lab.bubbles import roots_of_unity
 
 _closed_form_interaction = interaction.closed_form_interaction
+_closed_form_u = radial.closed_form_u
 _closed_form_u_prime = radial.closed_form_u_prime
 _kernel_terms = bubbles._kernel_terms
 _peak_width = bubbles.peak_width
@@ -40,6 +41,11 @@ def gradient_half_factor(params, y):
     # (V_x, V_y) at half their size
     gx, gy = bubbles.bubble_gradient(params, y)
     return 0.5 * gx, 0.5 * gy
+
+
+def u_scaled(N, b, r):
+    # u of the radial profile 1% too large
+    return 1.01 * _closed_form_u(N, b, r)
 
 
 def u_prime_scaled(N, b, r):
@@ -108,6 +114,8 @@ MUTATIONS = (
              _farfield, ("farfield/rescaled-gap",)),
     Mutation("gradient-half-factor", pohozaev, "bubble_gradient", gradient_half_factor,
              _pohozaev, ("pohozaev/bubble-residual",)),
+    Mutation("radial-u-scaled", radial, "closed_form_u", u_scaled,
+             _branch, ("branch/harnack", "branch/shooting-gap")),
     Mutation("radial-u-prime-scaled", radial, "closed_form_u_prime", u_prime_scaled,
              _pohozaev, ("pohozaev/radial-residual",)),
     Mutation("radial-density-without-lambda", radial.RadialProfile, "density",

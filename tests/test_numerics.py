@@ -196,10 +196,8 @@ def test_warm_ring_scenarios_do_not_page_fault():
     # a freed heap top above glibc's trim threshold goes back to the OS, and
     # the next call faults it in again.  In this probe ring calls of 8,192
     # points read about 1,040 faults on interaction and up to 870 on
-    # pohozaev, and calls of 3,500 points at most 24; the Harnack scan's whole
-    # 24,002-point grids read about 2,350 on branch, its 4,000-point pieces
-    # at most 2.  A call's z and F, RING_BATCH_POINTS complex points each,
-    # stay under 64 KiB
+    # pohozaev, and calls of 3,500 points at most 24.  A call's z and F,
+    # RING_BATCH_POINTS complex points each, stay under 64 KiB
     assert numerics.RING_BATCH_POINTS * np.dtype(complex).itemsize < 64 * 1024
     pytest.importorskip("resource")
     src = Path(numerics.__file__).resolve().parents[1]
@@ -394,13 +392,14 @@ class TestGradedRing:
             == pytest.approx(_circle_mean(f, 0j, 1.02, self.REL, self.ABS), rel=1e-13)
 
     def test_node_opposite_the_peak_at_tiny_beta(self):
-        # at beta <= 2**-54 the map's denominator at x = pi rounds to 0 while
-        # sin(pi) does not: the node stays at theta = pi, weight 1 / beta,
-        # with no divide-by-zero warning
-        nodes, weights = _ring_nodes(64, False, 1, 2.0 ** -60)
-        assert np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))
-        assert abs(nodes[32] + 1.0) <= 1e-15
-        assert weights[32] == 2.0 ** 60
+        # the node at x = pi sits at theta = pi with weight 1 / beta for every
+        # beta = 2^-e, with no warning: cos(x/2) is exactly 0 there, where
+        # sin(pi) = 1.2e-16 would move it by about 1e-16 / beta
+        for e in range(1, 61):
+            nodes, weights = _ring_nodes(64, False, 1, 2.0 ** -e)
+            assert np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights)), e
+            assert abs(nodes[32] + 1.0) <= 1e-15, e
+            assert weights[32] == 2.0 ** e, e
 
 
 @settings(max_examples=30, deadline=None)

@@ -212,6 +212,15 @@ class TestHarnack:
             assert harnack_diagnostic(RadialProfile(N, b)) == pytest.approx(expected,
                                                                                   abs=1e-6)
 
+    # the branch scenario's five b, at N from its defaults to the ends of
+    # its input range
+    @pytest.mark.parametrize("prof", [RadialProfile(N, b) for N in (0, 1, 2, 8, 64)
+                                      for b in (0.1, 1.0, 10.0, 100.0, 1000.0)],
+                             ids=lambda p: f"N{p.N}-b{p.b:g}")
+    def test_closed_form_value(self, prof):
+        value = harnack_diagnostic(prof)
+        assert abs(value - math.log(2.0 * (prof.N + 1) ** 2)) <= 1e-13
+
     def test_supremum_location(self):
         for N, b in ((0, 4.0), (1, 9.0), (2, 0.25)):
             r_star = b ** (-1.0 / (2 * (N + 1)))

@@ -2,14 +2,11 @@
 
 The layer dichotomy draws its 200 layers as rows and reads each N's rows in
 one gradient pass; the bubble scenario draws each candidate point with one
-call; the interaction fields are formed by products; the Harnack diagnostic
-scans a uniform grid in t = log r.  The forms they replaced are kept here as
-references: the per-draw layer loop must give the same minimum ratio bitwise
-and the scalar-draw point loop the same points, each leaving the generator
-in the same state; the fields must match the angle-and-cosine form to 1e-13
-of each field's largest value, and the Harnack value must match the
-geometric-grid scan to 1e-14 and the scan of its two whole log grids, which
-it now takes in pieces, bitwise.
+call; the interaction fields are formed by products.  The forms they
+replaced are kept here as references: the per-draw layer loop must give the
+same minimum ratio bitwise and the scalar-draw point loop the same points,
+each leaving the generator in the same state; the fields must match the
+angle-and-cosine form to 1e-13 of each field's largest value.
 """
 
 import math
@@ -20,7 +17,6 @@ import pytest
 from liouville_lab import bubbles, harmonic, interaction, scenarios
 from liouville_lab.harmonic import grad_h_at_roots, layer_from_coefficients
 from liouville_lab.interaction import InteractionParams, decompose_difference
-from liouville_lab.radial import RadialProfile, closed_form_u, harnack_diagnostic
 
 DRAWS, DELTA, L = 200, 0.1, 6
 
@@ -204,40 +200,4 @@ class TestInteractionFields:
             new = (dec.phi1, dec.phi2, dec.phi3, dec.phi4)
             for a, b in zip(new, old):
                 assert a == pytest.approx(float(b), rel=1e-13, abs=1e-300)
-
-
-def reference_harnack(prof):
-    m = prof.N + 1
-    r_star = prof.b ** (-1.0 / (2.0 * m))
-    r_hi = max(1.0, 4.0 * r_star)
-    r = np.concatenate([np.geomspace(1e-6, r_hi, 20001),
-                        np.geomspace(r_star / 1.5, r_star * 1.5, 4001)])
-    vals = closed_form_u(prof.N, prof.b, r) + math.log(prof.lam) + 2.0 * m * np.log(r)
-    return float(np.max(vals))
-
-
-def whole_grid_harnack(prof):
-    """The log-grid scan with both grids as whole linspace arrays."""
-    m, b = prof.N + 1, prof.b
-    t_star = -math.log(b) / (2.0 * m)
-    t_hi = max(0.0, t_star + math.log(4.0))
-    half = math.log(1.5)
-    t = np.concatenate([np.linspace(math.log(1e-6), t_hi, 20001),
-                        np.linspace(t_star - half, t_star + half, 4001)])
-    s = 2.0 * m * t
-    vals = s - 2.0 * np.log1p(b * np.exp(s))
-    return float(np.max(vals)) + 2.0 * math.log1p(b) + math.log(prof.lam)
-
-
-# the branch scenario's 15 profiles at its default N = 1
-BRANCH_PROFILES = [RadialProfile(n, b) for n in (0, 1, 2)
-                   for b in (0.1, 1.0, 10.0, 100.0, 1000.0)]
-
-
-@pytest.mark.parametrize("prof", BRANCH_PROFILES, ids=lambda p: f"N{p.N}-b{p.b:g}")
-def test_harnack_log_grid(prof):
-    value = harnack_diagnostic(prof)
-    assert abs(value - reference_harnack(prof)) <= 1e-14
-    # the scan in pieces reads the whole grids' value to the bit
-    assert value == whole_grid_harnack(prof)
 
