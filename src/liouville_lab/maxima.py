@@ -198,10 +198,13 @@ def solve_maxima_system(N: int, rhs) -> MaximaSystemSolution:
     d, A = build_interaction_matrix(N)
     # exact summation: the cancellation D - sum_offdiag = d_l is exact in the
     # reals and must survive in floats; fsum is exact, so the margin is the
-    # rounded sum of row l of -|A| with A's diagonal put back, in any order
-    rows = -np.abs(A)
-    np.fill_diagonal(rows, np.diag(A))
-    margins = np.array([math.fsum(row) for row in rows.tolist()])
+    # rounded sum of row l of -|A| with A's diagonal put back, in any order.
+    # Row N-1-l of the symmetric Toeplitz A is row l reversed, so the first
+    # half of the rows is summed and mirrored
+    rows = -np.abs(A[:(N + 1) // 2])
+    np.fill_diagonal(rows, A[0, 0])
+    half = [math.fsum(row) for row in rows.tolist()]
+    margins = np.array(half + half[:N // 2][::-1])
     m, min_sigma, cond, residual = solve_with_diagnostics(A, rhs)
     return MaximaSystemSolution(m=m, d=d, dominance_margins=margins,
                                 min_singular_value=min_sigma, condition_number=cond,

@@ -88,7 +88,9 @@ def _shoot_once(N: int, lam: float, u0: float, spec: QuadratureSpec) -> np.ndarr
     rides along, so v(1) is the exact derivative of u(1; u0) (Hairer, Norsett
     & Wanner, Solving ODEs I, I.14).  The series launch
     u = u0 - a r^(2N+2), a = lam e^u0 / (2N+2)^2, is differentiated with
-    da/du0 = a.
+    da/du0 = a.  The right-hand side unpacks the state once into Python
+    floats (``tolist``): indexing the array would box a numpy scalar per
+    read, and the arithmetic is the same IEEE operations either way.
     """
     m = N + 1
     r0 = SHOT_RADII[0]
@@ -97,8 +99,9 @@ def _shoot_once(N: int, lam: float, u0: float, spec: QuadratureSpec) -> np.ndarr
     y0 = [u0 - lift, slope, 1.0 - lift, slope]
 
     def rhs(r, y):
-        f = lam * r ** (2 * N) * math.exp(y[0])
-        return [y[1], -y[1] / r - f, y[3], -y[3] / r - f * y[2]]
+        u, up, v, vp = y.tolist()
+        f = lam * r ** (2 * N) * math.exp(u)
+        return [up, -up / r - f, vp, -vp / r - f * v]
 
     return ode_integrate(rhs, y0, SHOT_RADII, spec)
 

@@ -234,8 +234,45 @@ class TestPrincipalEigenvalue:
     def test_smallest_eig_brackets_the_sturm_count(self, profile, mode, n):
         # the bisection's eigenvalue against an independent 40-digit Sturm
         # count on the same matrix: none below lam - t, at least one below lam + t
-        lam = kernels._smallest_eig(profile, mode, n)
+        lam = kernels._smallest_eig(profile, mode, n, None)
         d, e = kernels._assemble_tridiagonal(profile, mode, n)
         t = 1e-9 * max(1.0, abs(lam))
         assert sturm_count_mp(d, e, lam - t) == 0
         assert sturm_count_mp(d, e, lam + t) >= 1
+
+    # the report's four principal_eigenvalue meshes: fold (n = 512), mode 8
+    # (512), mode 2 (256) and Bessel (1024)
+    @pytest.mark.parametrize("profile, mode, n", [
+        (RadialProfile(0, 1.0), 0, 512),
+        (RadialProfile(1, 1.0), 8, 512),
+        (RadialProfile(1, 1.0), 2, 256),
+        (RadialProfile(0, 0.0), 0, 1024),
+    ])
+    def test_windowed_fine_value_brackets_the_sturm_count(self, profile, mode, n):
+        # the 2n-point value, bisected inside the window about the n-point
+        # one, against the 40-digit Sturm count of the 2n-point matrix
+        lam = principal_eigenvalue(profile, mode, n)
+        d, e = kernels._assemble_tridiagonal(profile, mode, 2 * n)
+        t = 1e-9 * max(1.0, abs(lam))
+        assert sturm_count_mp(d, e, lam - t) == 0
+        assert sturm_count_mp(d, e, lam + t) >= 1
+
+    @pytest.mark.parametrize("offsets, match", [
+        ((1.0, 2.0), "an eigenvalue below"),
+        ((-2.0, -1.0), "no eigenvalue in"),
+    ])
+    def test_window_misses_raise(self, offsets, match):
+        # a window above the smallest eigenvalue, and an empty one below it
+        profile = RadialProfile(1, 1.0)
+        lam = kernels._smallest_eig(profile, 8, 1024, None)
+        window = (lam + offsets[0], lam + offsets[1])
+        with pytest.raises(UnresolvedSpectrumError, match=match):
+            kernels._smallest_eig(profile, 8, 1024, window)
+
+    def test_window_holds_the_full_bisection(self):
+        # a window about the eigenvalue returns the full bisection's value to
+        # within an ulp
+        profile = RadialProfile(1, 1.0)
+        lam = kernels._smallest_eig(profile, 8, 1024, None)
+        windowed = kernels._smallest_eig(profile, 8, 1024, (lam - 0.1, lam + 0.1))
+        assert abs(windowed - lam) <= np.spacing(lam)

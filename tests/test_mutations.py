@@ -48,6 +48,11 @@ def u_scaled(N, b, r):
     return 1.01 * _closed_form_u(N, b, r)
 
 
+def u_scaled_at_1e8(N, b, r):
+    # u of the radial profile 1e-8 too large: far above rounding
+    return (1.0 + 1e-8) * _closed_form_u(N, b, r)
+
+
 def u_prime_scaled(N, b, r):
     # u' of the radial profile 1% too steep
     return 1.01 * _closed_form_u_prime(N, b, r)
@@ -116,6 +121,8 @@ MUTATIONS = (
              _pohozaev, ("pohozaev/bubble-residual",)),
     Mutation("radial-u-scaled", radial, "closed_form_u", u_scaled,
              _branch, ("branch/harnack", "branch/shooting-gap")),
+    Mutation("radial-u-scaled-1e-8", radial, "closed_form_u", u_scaled_at_1e8,
+             _branch, ("branch/harnack",)),
     Mutation("radial-u-prime-scaled", radial, "closed_form_u_prime", u_prime_scaled,
              _pohozaev, ("pohozaev/radial-residual",)),
     Mutation("radial-density-without-lambda", radial.RadialProfile, "density",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from liouville_lab import kernels, radial, scenarios
 from liouville_lab.errors import ShootingError
-from liouville_lab.numerics import QuadratureSpec
+from liouville_lab.numerics import QuadratureSpec, ode_integrate
 from liouville_lab.radial import (
     SHOT_RADII,
     RadialProfile,
@@ -103,6 +103,20 @@ def _u_tol(b, b_tol):
 LOWER_ROOT, UPPER_ROOT = 3.0 - 2.0 * math.sqrt(2.0), 3.0 + 2.0 * math.sqrt(2.0)
 
 
+def _shoot_once_indexed(N, lam, u0, spec):
+    """``radial._shoot_once`` with a right-hand side that indexes y per read."""
+    m = N + 1
+    r0 = SHOT_RADII[0]
+    a = lam * math.exp(u0) / (2.0 * m) ** 2
+    lift, slope = a * r0 ** (2 * m), -2.0 * m * a * r0 ** (2 * m - 1)
+
+    def rhs(r, y):
+        f = lam * r ** (2 * N) * math.exp(y[0])
+        return [y[1], -y[1] / r - f, y[3], -y[3] / r - f * y[2]]
+
+    return ode_integrate(rhs, [u0 - lift, slope, 1.0 - lift, slope], SHOT_RADII, spec)
+
+
 class TestShooting:
     def test_lower_branch_root(self):
         u = shoot_radial(0, 1.0, 0.3)
@@ -143,6 +157,16 @@ class TestShooting:
         fd = (hi[:2] - lo[:2]) / (2.0 * step)
         assert v == pytest.approx(fd[0], rel=1e-6)
         assert vp == pytest.approx(fd[1], rel=1e-6)
+
+    @pytest.mark.parametrize("u0", [0.3, 3.8, 2.0 * math.log1p(LOWER_ROOT),
+                                    2.0 * math.log1p(UPPER_ROOT)])
+    def test_float_callback_matches_the_indexed_one(self, u0):
+        # the shot whose right-hand side unpacks y into Python floats equals,
+        # bit for bit, the shot whose right-hand side indexes the array, at
+        # lambda = 1 from both guesses and both roots' centre values
+        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-16)
+        assert np.array_equal(radial._shoot_once(0, 1.0, u0, spec),
+                              _shoot_once_indexed(0, 1.0, u0, spec))
 
     def test_four_shots(self, monkeypatch):
         # Newton with the exact derivative, and the converged shot is the profile
@@ -260,11 +284,20 @@ class TestScenarioCost:
     def test_branch_eigen_solves(self, monkeypatch):
         # two solves (n and 2n points) for each of the three fold eigenvalues,
         # the mode-8 one and the Bessel one, and one each at 256, 512 and 1024
-        # points for the mode-2 refinement check
-        calls = _spy_calls(monkeypatch, kernels, "_smallest_eig")
+        # points for the mode-2 refinement check; the six 2n-point solves of
+        # principal_eigenvalue bisect only a window about the n-point value
+        windows = []
+        real = kernels._smallest_eig
+
+        def spy(profile, mode, n, window):
+            windows.append(window)
+            return real(profile, mode, n, window)
+
+        monkeypatch.setattr(kernels, "_smallest_eig", spy)
         entries = scenarios.scenario_branch(1)
         assert entries and all(e.pass_ for e in entries)
-        assert len(calls) == 13
+        assert len(windows) == 13
+        assert sum(w is not None for w in windows) == 6
 
     def test_branch_masses(self, monkeypatch):
         # one mass per trace point (3 x 5) and per mass-limit check (3); the
